@@ -43,9 +43,6 @@ from .harness import (
     Verdict,
     build_catalog,
     reproduce_examples,
-    run_search,
-    verify_chain_and_search,
-    verify_clause,
     verify_clauses,
     verify_duplication_criterion,
     verify_instance,

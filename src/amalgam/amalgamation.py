@@ -27,7 +27,15 @@ from .errors import (
 )
 from .ideals import Ideal, ideal_product, jacobson_radical, maximal_ideals, nilradical
 from .properties import is_local, is_reduced
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, hom_identity, product, quotient
+from .rings import (
+    DEFAULT_SIZE_CAP,
+    FiniteRing,
+    RingHom,
+    hom_identity,
+    pair_indices,
+    product,
+    quotient,
+)
 
 
 @dataclass(frozen=True)
@@ -192,8 +200,7 @@ def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:
     m = is_local(inst.base)
     if m is None:
         raise NotLocalError(f"base ring {inst.base.label} is not local")
-    nj = len(inst.j)
-    m_join_j = Ideal(inst.ring, (m.indices[:, None] * nj + np.arange(nj)[None, :]).ravel())
+    m_join_j = Ideal(inst.ring, pair_indices(m.indices, len(inst.j)))
 
     quot, proj = quotient(inst.ring, inst.zero_j)
     induced = np.full(quot.size, -1, dtype=np.int64)
@@ -246,16 +253,11 @@ def amalg_max_ideals(inst: AmalgamationInstance) -> list[Ideal]:
     classification {m |><| J : m max in A} union {pullbacks of max Q in B
     not containing J}; a mismatch is a hard error."""
     ring = inst.ring
-    nj = len(inst.j)
     direct = {frozenset(m.members) for m in maximal_ideals(ring)}
 
     expected: set[frozenset[int]] = set()
     for m in maximal_ideals(inst.base):
-        expected.add(
-            frozenset(
-                int(v) for v in (m.indices[:, None] * nj + np.arange(nj)[None, :]).ravel()
-            )
-        )
+        expected.add(frozenset(int(v) for v in pair_indices(m.indices, len(inst.j))))
     for q in maximal_ideals(inst.target):
         if not inst.j.members <= q.members:
             pulled = np.nonzero(q.mask[inst.to_target.map])[0]

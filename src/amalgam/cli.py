@@ -13,7 +13,8 @@ Commands:
 Output is deterministic: identical invocations produce byte-identical
 stdout.  `--machine` switches to one `key=value` record per line (UTF-8,
 LF); `--timing` prints elapsed times to stderr only, keeping stdout stable.
-Exit codes: 0 clean, 1 violation or counterexample, 2 usage/parse/cap error.
+Exit codes: 0 clean, 1 violation or counterexample, 2 usage/parse/cap error,
+3 internal error (a built-in self-check failed: a bug in this package).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .errors import (
     BudgetExceededError,
     CapExceededError,
     EvaluationError,
+    InternalCheckError,
     ParseError,
 )
 from .expressions import GRAMMAR_TEXT, Evaluator, parse
@@ -46,6 +48,7 @@ from .properties import PropertyReport, property_report
 
 _USAGE_ERROR = 2
 _VIOLATION = 1
+_INTERNAL_ERROR = 3
 
 
 def _emit(line: str = "") -> None:
@@ -181,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.catalog:
         catalog = _catalog_from_args(args)
-        verdict = verify_clauses(catalog, [args.clause], jobs=args.jobs)[args.clause]
+        verdict = verify_clauses(catalog, [args.clause])[args.clause]
     else:
         if not args.expr:
             sys.stderr.write("error: verify needs an instance expression or --catalog\n")
@@ -190,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stderr.write("error: the chain clause runs only with --catalog\n")
             return _USAGE_ERROR
         inst = Evaluator(size_cap=args.max_ring_size).instance(parse(args.expr))
-        verdict = verify_instance(inst, args.clause, lattice_cap=args.max_lattice_size)
+        verdict = verify_instance(inst, args.clause)
     _timing(args.timing, f"verify:{args.clause}", time.perf_counter() - started)
     for line in _verdict_lines(verdict, args.machine):
         _emit(line)
@@ -234,7 +237,7 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     catalog = _catalog_from_args(args)
     started = time.perf_counter()
-    verdict = verify_clauses(catalog, [], with_search=True, jobs=args.jobs)["search"]
+    verdict = verify_clauses(catalog, [], with_search=True)["search"]
     _timing(args.timing, "search", time.perf_counter() - started)
     for line in _verdict_lines(verdict, args.machine):
         _emit(line)
@@ -247,7 +250,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     catalog = _catalog_from_args(args)
     started = time.perf_counter()
-    verdicts = verify_clauses(catalog, list(CLAUSE_IDS), with_search=True, jobs=args.jobs)
+    verdicts = verify_clauses(catalog, list(CLAUSE_IDS), with_search=True)
     reports = reproduce_examples(catalog)
     _timing(args.timing, "suite", time.perf_counter() - started)
     violation = False
@@ -302,7 +305,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing", action="store_true", help="print elapsed times to stderr")
     p.add_argument("--max-ring-size", type=int, default=4096, metavar="N")
     p.add_argument("--max-lattice-size", type=int, default=256, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel sweep workers")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -372,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR
+    except InternalCheckError as exc:
+        sys.stderr.write(f"internal error (a bug in amalgam, please report it): {exc}\n")
+        return _INTERNAL_ERROR
     except AmalgamError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR

@@ -11,12 +11,13 @@ Grammar (EBNF):
             | "amalg(" ring "," ring "," hom ";" elems ")"
     module := "regular" | "resfield(" INT ")" | "quotmod(" module ";" elems ")"
     hom    := "id" | "proj" | "embed" | "compose(" hom "," hom ")"
-    elems  := INT { "," INT }
+    elems  := [ INT { "," INT } ]
 
-Element lists are canonical indices in the documented encodings.  "proj"
-denotes the projection of the enclosing quot-constructed target, "embed"
-the idealization embedding of the enclosing trivext-constructed target,
-and "compose(g,f)" applies f first.  Canonical printing is compact (no
+Element lists are canonical indices in the documented encodings; an empty
+list generates the zero ideal (or submodule).  "proj" denotes the
+projection of the enclosing quot-constructed target, "embed" the
+idealization embedding of the enclosing trivext-constructed target, and
+"compose(g,f)" applies f first.  Canonical printing is compact (no
 whitespace); the parser accepts arbitrary whitespace.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParseError
-from .ideals import DEFAULT_LATTICE_CAP, Ideal, ideal_generated
+from .ideals import Ideal, ideal_generated
 from .modules import (
     FiniteModule,
     module_quotient,
@@ -61,7 +62,7 @@ ring   := "zmod(" INT ")"
         | "amalg(" ring "," ring "," hom ";" elems ")"
 module := "regular" | "resfield(" INT ")" | "quotmod(" module ";" elems ")"
 hom    := "id" | "proj" | "embed" | "compose(" hom "," hom ")"
-elems  := INT { "," INT }
+elems  := [ INT { "," INT } ]
 """
 
 
@@ -272,6 +273,8 @@ class _Parser:
         return int(tok[1])
 
     def _elems(self) -> tuple[int, ...]:
+        if self._peek()[0] != "INT":
+            return ()
         out = [self._int()]
         while self._peek()[0] == ",":
             self._next()
@@ -410,9 +413,8 @@ class Evaluator:
     against the target's construction path.
     """
 
-    def __init__(self, size_cap: int = DEFAULT_SIZE_CAP, lattice_cap: int = DEFAULT_LATTICE_CAP):
+    def __init__(self, size_cap: int = DEFAULT_SIZE_CAP):
         self.size_cap = size_cap
-        self.lattice_cap = lattice_cap
         self._rings: dict[RingExpr, FiniteRing] = {}
         self._aux: dict[RingExpr, object] = {}
         self._instances: dict[RingExpr, AmalgamationInstance] = {}

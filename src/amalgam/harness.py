@@ -71,7 +71,7 @@ from .properties import (
     is_reduced,
     is_total_quotient_ring,
 )
-from .rings import FiniteRing, RingHom
+from .rings import FiniteRing, RingHom, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
@@ -166,14 +166,7 @@ def _tpa_parameter_sweep(carrier_max: int) -> list[TpaExpr]:
     for p in (2, 3, 5, 7):
         for k in (1, 2, 3):
             for t in (2, 3, 4, 5, 6):
-                monos = 1
-                # number of monomials of degree < t in k variables: C(k+t-1, k)
-                num, den = 1, 1
-                for i in range(k):
-                    num *= t + i
-                    den *= i + 1
-                monos = num // den
-                if p**monos <= carrier_max:
+                if p ** tpa_monomial_count(k, t) <= carrier_max:
                     out.append(TpaExpr(p, k, t))
     return out
 
@@ -402,33 +395,20 @@ def _clause_applies(clause_id: str, h: HypothesisReport) -> bool:
         )
     if clause_id == "prop-2.8:1":
         return (
-            h.a_local
-            and h.j_proper
-            and h.j_nonzero
-            and h.j_in_rad_b
+            _base_theorem_hypotheses(h)
             and h.j_in_zb
             and h.f_injective
             and not h.fa_meet_j_zero
-            and is_total_quotient_ring_cached(h)
+            and is_total_quotient_ring(h.maximal_ideal_a.ring)
         )
     if clause_id == "prop-2.8:2":
         return (
-            h.a_local
-            and h.j_proper
-            and h.j_nonzero
-            and h.j_in_rad_b
+            _base_theorem_hypotheses(h)
             and h.j_in_zb
             and not h.f_injective
-            and is_total_quotient_ring_cached(h)
+            and is_total_quotient_ring(h.maximal_ideal_a.ring)
         )
     raise KeyError(f"unknown instance clause {clause_id!r}")
-
-
-def is_total_quotient_ring_cached(h: HypothesisReport) -> bool:
-    m = h.maximal_ideal_a
-    if m is None:
-        return False
-    return is_total_quotient_ring(m.ring)
 
 
 def _gaussian_equiv_rhs(inst: AmalgamationInstance, h: HypothesisReport) -> bool:
@@ -442,7 +422,7 @@ def _projection_bijection_onto_image(inst: AmalgamationInstance) -> bool:
 
 
 def _clause_holds(
-    clause_id: str, inst: AmalgamationInstance, h: HypothesisReport, lattice_cap: int
+    clause_id: str, inst: AmalgamationInstance, h: HypothesisReport
 ) -> tuple[bool, str | None]:
     ring = inst.ring
     if clause_id == "lemma-2.2":
@@ -477,16 +457,12 @@ def _clause_holds(
         maximal = is_local(ring)
         if maximal is None:
             return False, "R is not local"
-        nj = len(inst.j)
-        m = h.maximal_ideal_a
-        expected = frozenset(
-            int(v) for v in (m.indices[:, None] * nj + np.arange(nj)[None, :]).ravel()
-        )
+        expected = frozenset(int(v) for v in pair_indices(h.maximal_ideal_a.indices, len(inst.j)))
         if maximal.members != expected:
             return False, "maximal ideal of R is not m |><| J"
         if not is_total_quotient_ring(ring):
             return False, "R is not a total quotient ring"
-        if not is_prufer(ring, lattice_cap):
+        if not is_prufer(ring):
             return False, "R is not Prufer"
         return True, None
     raise KeyError(f"unknown instance clause {clause_id!r}")
@@ -502,15 +478,12 @@ def _machine_check_vacuity(catalog: Catalog) -> None:
 
 
 def verify_clauses(
-    catalog: Catalog, clause_ids: list[str], with_search: bool = False, jobs: int = 1
+    catalog: Catalog, clause_ids: list[str], with_search: bool = False
 ) -> dict[str, Verdict]:
     """Single sweep over the catalog instances evaluating several clauses.
 
     Every instance is built exactly once; `chain` (and the witness search,
-    when requested) piggybacks on the same pass.  With jobs > 1 the
-    per-instance evaluations fan out over a thread pool; results are folded
-    in canonical catalog order, so verdicts and witnesses do not depend on
-    scheduling.
+    when requested) piggybacks on the same pass.
     """
     instance_ids = [c for c in clause_ids if c not in ("cor-2.3", "chain")]
     for cid in instance_ids:
@@ -518,54 +491,33 @@ def verify_clauses(
             raise KeyError(f"unknown clause {cid!r}")
     verdicts = {cid: Verdict(clause=cid, status="vacuous") for cid in instance_ids}
     want_chain = "chain" in clause_ids or with_search
-    sweep = _HierarchySweep(catalog) if want_chain else None
-
-    def evaluate(spec: InstanceSpec):
-        inst = spec.build(catalog.params.size_cap)
-        h = inst.hypotheses
-        per_clause = {}
-        for cid in instance_ids:
-            applies = _clause_applies(cid, h)
-            ok, detail, rhs_key = True, None, None
-            if applies:
-                if cid == "thm-2.1:2":
-                    rhs_key = "rhs_true" if _gaussian_equiv_rhs(inst, h) else "rhs_false"
-                ok, detail = _clause_holds(cid, inst, h, catalog.params.lattice_cap)
-            per_clause[cid] = (applies, ok, detail, rhs_key)
-        hierarchy = None
-        if sweep is not None:
-            hierarchy = _hierarchy_facts(inst.ring, catalog.params.lattice_cap)
-        return inst.label, h, per_clause, hierarchy
+    sweep = _HierarchySweep() if want_chain else None
 
     start = time.perf_counter()
     if instance_ids or want_chain:
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(evaluate, catalog.specs))
-        else:
-            results = map(evaluate, catalog.specs)
-        for spec, (label, h, per_clause, hierarchy) in zip(catalog.specs, results):
+        for spec in catalog.specs:
+            inst = spec.build(catalog.params.size_cap)
+            h = inst.hypotheses
             for cid in instance_ids:
                 v = verdicts[cid]
                 v.checked += 1
                 if cid == "lemma-2.2" and not h.j_in_rad_b:
                     v.counts["j_not_in_rad"] = v.counts.get("j_not_in_rad", 0) + 1
-                applies, ok, detail, rhs_key = per_clause[cid]
-                if not applies:
+                if not _clause_applies(cid, h):
                     continue
                 v.applicable += 1
                 for tag in spec.tags:
                     v.counts[f"tag_{tag}"] = v.counts.get(f"tag_{tag}", 0) + 1
-                if rhs_key is not None:
+                if cid == "thm-2.1:2":
+                    rhs_key = "rhs_true" if _gaussian_equiv_rhs(inst, h) else "rhs_false"
                     v.counts[rhs_key] = v.counts.get(rhs_key, 0) + 1
+                ok, detail = _clause_holds(cid, inst, h)
                 if not ok:
                     v.violations += 1
                     if v.witness is None:
-                        v.witness = f"{label} :: {detail}"
+                        v.witness = f"{inst.label} :: {detail}"
             if sweep is not None:
-                sweep.fold(label, hierarchy)
+                sweep.fold(inst.label, _hierarchy_facts(inst.ring, catalog.params.lattice_cap))
     if sweep is not None:
         for ring in catalog.rings:
             sweep.fold(ring.label, _hierarchy_facts(ring, catalog.params.lattice_cap))
@@ -603,11 +555,7 @@ def verify_clauses(
     return out
 
 
-def verify_clause(catalog: Catalog, clause_id: str, jobs: int = 1) -> Verdict:
-    return verify_clauses(catalog, [clause_id], jobs=jobs)[clause_id]
-
-
-def verify_instance(inst: AmalgamationInstance, clause_id: str, lattice_cap: int = 256) -> Verdict:
+def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
     """Evaluate one clause on one instance (CLI `verify CLAUSE EXPR`)."""
     if clause_id in ("cor-2.3",):
         same = inst.base is inst.target and (inst.f.map == np.arange(inst.base.size)).all()
@@ -634,7 +582,7 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str, lattice_cap: int
     h = inst.hypotheses
     if not _clause_applies(clause_id, h):
         return Verdict(clause=clause_id, status="hypotheses-unmet", checked=1)
-    ok, detail = _clause_holds(clause_id, inst, h, lattice_cap)
+    ok, detail = _clause_holds(clause_id, inst, h)
     return Verdict(
         clause=clause_id,
         status="verified" if ok else "violation",
@@ -677,7 +625,7 @@ def _hierarchy_facts(ring: FiniteRing, lattice_cap: int) -> tuple[bool, bool, bo
     return (
         is_arithmetical(ring, lattice_cap),
         is_gaussian(ring),
-        is_prufer(ring, lattice_cap),
+        is_prufer(ring),
     )
 
 
@@ -685,8 +633,7 @@ class _HierarchySweep:
     """Accumulates the arithmetical => Gaussian => Prufer sweep and the
     non-reversal witness search over every ring it inspects."""
 
-    def __init__(self, catalog: Catalog):
-        self.lattice_cap = catalog.params.lattice_cap
+    def __init__(self):
         self.checked = 0
         self.violations = 0
         self.witness: str | None = None
@@ -741,15 +688,6 @@ class _HierarchySweep:
             details=details,
             elapsed=elapsed,
         )
-
-
-def verify_chain_and_search(catalog: Catalog, jobs: int = 1) -> tuple[Verdict, Verdict]:
-    out = verify_clauses(catalog, ["chain"], with_search=True, jobs=jobs)
-    return out["chain"], out["search"]
-
-
-def run_search(catalog: Catalog, jobs: int = 1) -> Verdict:
-    return verify_clauses(catalog, [], with_search=True, jobs=jobs)["search"]
 
 
 # -- worked examples -------------------------------------------------------------
@@ -832,17 +770,19 @@ def _r_local_tqr(inst):
     return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
 
 
-def _example_2_4(ev: Evaluator) -> ExampleCase:
-    base_expr = ZmodExpr(16)
-    target_expr = TrivextExpr(base_expr, RegularExpr())
+def _along_m_times_module(ev: Evaluator, base_expr: RingExpr, module_expr: ModuleExpr) -> AmalgamationInstance:
+    """The local base amalgamated with its idealization by the module E,
+    along J = m x E, f the idealization embedding."""
+    target_expr = TrivextExpr(base_expr, module_expr)
     base = ev.ring(base_expr)
     target = ev.ring(target_expr)
-    m = is_local(base)
-    nj = target.size // base.size
-    members = (m.indices[:, None] * nj + np.arange(nj)[None, :]).ravel()
-    j = Ideal(target, members)
+    j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
     f = ev.resolve_hom(EmbedHomExpr(), base, target_expr)
-    inst = amalgamate(base, target, f, j, size_cap=4096)
+    return amalgamate(base, target, f, j, size_cap=4096)
+
+
+def _example_2_4(ev: Evaluator) -> ExampleCase:
+    inst = _along_m_times_module(ev, ZmodExpr(16), RegularExpr())
     return ExampleCase(
         example_id="2.4",
         title="extension of a reduced local non-field base along m x A",
@@ -986,16 +926,7 @@ def _example_2_9(ev: Evaluator) -> ExampleCase:
 
 
 def _example_2_10(ev: Evaluator) -> ExampleCase:
-    base_expr = TrivextExpr(ZmodExpr(4), RegularExpr())
-    target_expr = TrivextExpr(base_expr, ResfieldExpr(1))
-    base = ev.ring(base_expr)
-    target = ev.ring(target_expr)
-    m = is_local(base)
-    nj = target.size // base.size
-    members = (m.indices[:, None] * nj + np.arange(nj)[None, :]).ravel()
-    j = Ideal(target, members)  # m x E
-    f = ev.resolve_hom(EmbedHomExpr(), base, target_expr)
-    inst = amalgamate(base, target, f, j, size_cap=4096)
+    inst = _along_m_times_module(ev, TrivextExpr(ZmodExpr(4), RegularExpr()), ResfieldExpr(1))
     return ExampleCase(
         example_id="2.10",
         title="extension of Z/4 |x Z/4 along m x E",

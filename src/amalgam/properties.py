@@ -33,7 +33,6 @@ from .ideals import (
     ideal_product,
     ideal_sum,
     is_distributive_lattice,
-    is_regular_ideal,
     maximal_ideals,
     principal_ideal,
 )
@@ -343,27 +342,14 @@ def _colon_into_ring(ring: FiniteRing, ideal: Ideal) -> Ideal:
     return Ideal(ring, members, _validated=True)
 
 
-def is_prufer(ring: FiniteRing, lattice_cap: int = DEFAULT_LATTICE_CAP) -> bool:
+def is_prufer(ring: FiniteRing) -> bool:
     """Every regular ideal invertible, via I * (ring : I) = ring.
 
-    When the lattice is enumerable the sweep runs over every ideal.
-    Otherwise the checker verifies the finite-scale reduction instead:
-    every regular element is a unit (computed), hence every regular ideal
-    is the whole ring, whose invertibility is then checked directly.
+    Decided by the finite-ring reduction: every regular element is a unit
+    (computed), hence every regular ideal is the whole ring, whose
+    invertibility is then checked directly.  The test suite compares this
+    against the sweep over every ideal of each enumerable catalog ring.
     """
-    if ring.size <= lattice_cap:
-        try:
-            lattice = all_ideals(ring, lattice_cap)
-        except CapExceededError:
-            lattice = None
-        if lattice is not None:
-            for ideal in lattice:
-                if not is_regular_ideal(ideal):
-                    continue
-                inv = ideal_product(ideal, _colon_into_ring(ring, ideal))
-                if not inv.is_whole:
-                    return False
-            return True
     regular = ~ring.zero_divisor_mask
     if not ring.units_mask[regular].all():
         # cannot happen over a finite ring; deciding it would need the lattice
@@ -423,7 +409,7 @@ def property_report(
         chain_ring=is_chain_ring(ring),
         gaussian=gauss_ok,
         arithmetical=arith_ok,
-        prufer=is_prufer(ring, lattice_cap),
+        prufer=is_prufer(ring),
         gaussian_witness=gauss_wit,
         arithmetical_witness=arith_wit,
         lattice_cap=lattice_cap,

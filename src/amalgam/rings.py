@@ -12,6 +12,7 @@ full exhaustive check (used throughout the test suite and the harness).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -405,6 +406,16 @@ def _check_cap(size: int, size_cap: int, what: str) -> None:
         raise CapExceededError(f"{what} would have {size} elements, cap is {size_cap}")
 
 
+def pair_indices(first: np.ndarray, width: int) -> np.ndarray:
+    """Indices x * width + k for x in `first` and 0 <= k < width.
+
+    Under the pair encoding shared by products, idealizations and
+    amalgamations this is the block of pairs whose first coordinate lies in
+    `first`, e.g. m x E inside A |x E or m |><| J inside A |><| J.
+    """
+    return (np.asarray(first)[:, None] * width + np.arange(width)[None, :]).ravel()
+
+
 def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """The ring of integers mod n; element i is the residue i."""
     if n < 1:
@@ -430,6 +441,19 @@ def _var_names(k: int) -> tuple[str, ...]:
     if k <= 3:
         return ("x", "y", "z")[:k]
     return tuple(f"x{i + 1}" for i in range(k))
+
+
+def tpa_monomial_count(k: int, t: int) -> int:
+    """Number of monomials of total degree < t in k variables: C(k+t-1, k)."""
+    return math.comb(k + t - 1, k)
+
+
+def _max_digits(p: int, size_cap: int) -> int:
+    """floor(log_p(size_cap)): the most base-p digits a carrier within the cap has."""
+    digits, power = 0, p
+    while power <= size_cap:
+        digits, power = digits + 1, power * p
+    return digits
 
 
 def _monomials(k: int, t: int) -> list[tuple[int, ...]]:
@@ -458,17 +482,26 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
     index is the mixed-radix value of its coefficient vector in that order,
     constant coefficient least significant.
     """
-    if not _is_prime(p):
+    if p < 2:
         raise ValueError(f"tpa requires a prime characteristic, got {p}")
     if k < 1:
         raise ValueError(f"tpa needs at least one variable, got {k}")
     if t < 1:
         raise ValueError("tpa requires truncation order >= 1")
+    # The carrier has p^m elements for m monomials.  Compare m with
+    # log_p(size_cap) before counting (for t >= 2 the count is at least
+    # k + t - 1), enumerating, or testing the primality of a huge p.
+    max_m = _max_digits(p, size_cap)
+    if (t >= 2 and k + t - 1 > max_m) or tpa_monomial_count(k, t) > max_m:
+        raise CapExceededError(
+            f"tpa({p},{k},{t}) would have more than {p}^{max_m} elements, cap is {size_cap}"
+        )
+    if not _is_prime(p):
+        raise ValueError(f"tpa requires a prime characteristic, got {p}")
     var_names = _var_names(k)
     monos = _monomials(k, t)
     m = len(monos)
     size = p**m
-    _check_cap(size, size_cap, f"tpa({p},{k},{t})")
 
     # digit matrix: V[i, j] = coefficient of monomial j in element i
     idx = np.arange(size, dtype=np.int64)

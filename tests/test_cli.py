@@ -1,4 +1,8 @@
+import time
+
+import amalgam.properties
 from amalgam.cli import main
+from amalgam.errors import InternalCheckError
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +53,26 @@ def test_cap_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "props", "zmod(5000)")
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_tpa_cap_checked_before_enumeration(capsys):
+    # C(9+12-1, 9) = 167960 monomials: the cap must fire before any is listed
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "props", "tpa(2,9,12)")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "cap exceeded" in err
+
+
+def test_internal_check_error_exit_code(capsys, monkeypatch):
+    def failing_check(ring):
+        raise InternalCheckError("simulated self-check failure")
+
+    monkeypatch.setattr(amalgam.properties, "gaussian_check", failing_check)
+    code, out, err = run_cli(capsys, "props", "zmod(4)")
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err and "bug" in err
 
 
 def test_eval_error_exit_code(capsys):

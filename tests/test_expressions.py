@@ -23,8 +23,10 @@ ROUND_TRIP_CASES = [
     "tpa(2,2,3)",
     "product(zmod(2),zmod(3))",
     "quot(zmod(8);2)",
+    "quot(zmod(8);)",
     "trivext(zmod(4);resfield(1))",
     "trivext(zmod(4);quotmod(regular;2))",
+    "trivext(zmod(4);quotmod(regular;))",
     "dup(zmod(4);2)",
     "amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)",
     "amalg(zmod(2),quot(trivext(zmod(2);regular);1),compose(proj,embed);1)",
@@ -70,6 +72,22 @@ def test_evaluate_ring_and_instance():
     assert inst.ring.size == 8
     with pytest.raises(EvaluationError):
         evaluate_instance("zmod(4)")
+
+
+def test_empty_element_list_is_the_zero_ideal():
+    assert evaluate_ring("quot(zmod(8);)").same_tables(evaluate_ring("zmod(8)"))
+    assert evaluate_ring("trivext(zmod(4);quotmod(regular;))").same_tables(
+        evaluate_ring("trivext(zmod(4);regular)")
+    )
+
+
+def test_j_zero_catalog_labels_reparse(catalog):
+    # instances along J = 0 print an empty generator list
+    ev = Evaluator()
+    specs = [spec for spec in catalog.specs if "j-zero" in spec.tags]
+    assert specs
+    for spec in specs:
+        assert ev.ring(parse(spec.label)).same_tables(spec.build().ring), spec.label
 
 
 def test_evaluator_memoizes_shared_subexpressions():

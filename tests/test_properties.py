@@ -1,7 +1,17 @@
 import pytest
 
 from amalgam.errors import BudgetExceededError, NotLocalError
-from amalgam.ideals import ideal_product, maximal_ideals
+from amalgam.expressions import Evaluator
+from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.ideals import (
+    Ideal,
+    all_ideals,
+    ideal_product,
+    is_regular_ideal,
+    maximal_ideals,
+    principal_ideal,
+    regular_elements,
+)
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import (
     Polynomial,
@@ -19,6 +29,7 @@ from amalgam.properties import (
     poly_mul,
     property_report,
     recheck_pair_witness,
+    _colon_into_ring,
 )
 from amalgam.rings import localize_at_max, product, truncated_poly_algebra, zmod
 
@@ -116,10 +127,34 @@ def test_chain_and_arithmetical_examples():
     assert not is_arithmetical(non_arith)
 
 
-def test_prufer_examples():
+def _invertible(ideal):
+    return ideal_product(ideal, _colon_into_ring(ideal.ring, ideal)).is_whole
+
+
+def _prufer_by_lattice_sweep(lattice):
+    """Reference oracle: I * (R : I) = R for every regular ideal I."""
+    return all(_invertible(ideal) for ideal in lattice if is_regular_ideal(ideal))
+
+
+def test_prufer_examples(catalog):
     assert is_prufer(zmod(6))
     assert is_prufer(zmod(1))
     assert is_prufer(ext_of(zmod(4), "regular"))
+
+    # every catalog lattice is enumerable at the default caps
+    for ring in catalog.rings:
+        assert _prufer_by_lattice_sweep(all_ideals(ring)) == is_prufer(ring), ring.label
+
+    ev = Evaluator()
+    r29, r210, r211 = (EXAMPLE_BUILDERS[x](ev).instance.ring for x in ("2.9", "2.10", "2.11"))
+    assert _prufer_by_lattice_sweep(all_ideals(r29)) and is_prufer(r29)
+    # 485 ideals, above the default ideal-count guard
+    assert _prufer_by_lattice_sweep(all_ideals(r210, max_ideals=512)) and is_prufer(r210)
+    # 1024 elements and thousands of ideals: every regular ideal contains a
+    # regular x, hence <x>; each such <x> is the whole ring, so the ring is
+    # the only regular ideal
+    assert all(principal_ideal(r211, x).is_whole for x in regular_elements(r211))
+    assert _invertible(Ideal(r211, range(r211.size))) and is_prufer(r211)
 
 
 def test_gaussian_locality_consistency():
