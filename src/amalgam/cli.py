@@ -13,6 +13,8 @@ Commands:
 Output is deterministic: identical invocations produce byte-identical
 stdout.  `--machine` switches to one `key=value` record per line (UTF-8,
 LF); `--timing` prints elapsed times to stderr only, keeping stdout stable.
+`--max-ring-size` caps every ring built, the worked examples included; the
+ideal-lattice guard is fixed (256 elements, 128 ideals) and has no flag.
 Exit codes: 0 clean, 1 violation or counterexample, 2 usage/parse/cap error,
 3 internal error (a built-in self-check failed: a bug in this package).
 """
@@ -99,11 +101,7 @@ def _cmd_props(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
     ring = Evaluator(size_cap=args.max_ring_size).ring(expr)
     started = time.perf_counter()
-    report = property_report(
-        ring,
-        lattice_cap=args.max_lattice_size,
-        oracle_degree=args.oracle_degree,
-    )
+    report = property_report(ring, oracle_degree=args.oracle_degree)
     _timing(args.timing, "props", time.perf_counter() - started)
     canonical = expr.unparse()
     if args.machine:
@@ -295,16 +293,13 @@ def _cmd_grammar(_args: argparse.Namespace) -> int:
 
 
 def _catalog_from_args(args: argparse.Namespace) -> Catalog:
-    return build_catalog(
-        CatalogParams(size_cap=args.max_ring_size, lattice_cap=args.max_lattice_size)
-    )
+    return build_catalog(CatalogParams(size_cap=args.max_ring_size))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machine", action="store_true", help="one key=value record per line")
     p.add_argument("--timing", action="store_true", help="print elapsed times to stderr")
     p.add_argument("--max-ring-size", type=int, default=4096, metavar="N")
-    p.add_argument("--max-lattice-size", type=int, default=256, metavar="N")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -51,6 +51,9 @@ from .amalgamation import AmalgamationInstance, amalgamate, duplication
 from .modules import trivial_extension
 
 MAX_TEXT_BYTES = 64 * 1024
+# Constructor nesting (open parentheses) across ring, module and hom
+# expressions; parsing, evaluation and printing recurse once per level.
+MAX_NESTING_DEPTH = 100
 
 GRAMMAR_TEXT = """\
 ring   := "zmod(" INT ")"
@@ -231,7 +234,7 @@ class _Parser:
         self.i = 0
 
     def _tokenize(self) -> None:
-        line, col = 1, 1
+        line, col, depth = 1, 1, 0
         for m in _TOKEN_RE.finditer(self.text):
             lexeme = m.group(0)
             if m.group(1):
@@ -239,6 +242,11 @@ class _Parser:
             elif m.group(2):
                 self.tokens.append(("NAME", lexeme, line, col))
             elif m.group(3):
+                depth += {"(": 1, ")": -1}.get(lexeme, 0)
+                if depth > MAX_NESTING_DEPTH:
+                    raise ParseError(
+                        f"expression nests deeper than {MAX_NESTING_DEPTH} levels", line, col, ("shallower nesting",)
+                    )
                 self.tokens.append((lexeme, lexeme, line, col))
             elif m.group(5):
                 raise ParseError(
@@ -270,7 +278,12 @@ class _Parser:
 
     def _int(self) -> int:
         tok = self._expect("INT", ("INT",))
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:  # beyond the interpreter's integer digit limit
+            raise ParseError(
+                f"integer literal of {len(tok[1])} digits is too long", tok[2], tok[3], ("shorter INT",)
+            ) from None
 
     def _elems(self) -> tuple[int, ...]:
         if self._peek()[0] != "INT":

@@ -119,11 +119,7 @@ class CatalogParams:
     trivext_max: int = 256
     quotient_base_max: int = 32
     instance_max: int = 256
-    lattice_cap: int = 256
     size_cap: int = 4096
-    # ideal-count budget for J enumeration during generation; rings whose
-    # lattices overflow it contribute no instances
-    enumeration_max: int = 512
 
 
 @dataclass(frozen=True)
@@ -154,9 +150,10 @@ class Catalog:
             yield spec.build(self.params.size_cap)
 
 
-def _enumerable_ideals(ring: FiniteRing, p: CatalogParams) -> list[Ideal]:
+def _enumerable_ideals(ring: FiniteRing) -> list[Ideal]:
+    """The ideal lattice, or nothing when it is past the enumeration guard."""
     try:
-        return all_ideals(ring, p.lattice_cap, p.enumeration_max)
+        return all_ideals(ring)
     except CapExceededError:
         return []
 
@@ -259,7 +256,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     for expr, ring in list(zip(exprs, rings)):
         if ring.size > p.quotient_base_max:
             continue
-        for ideal in _enumerable_ideals(ring, p):
+        for ideal in _enumerable_ideals(ring):
             if ideal.is_whole or ideal.is_zero:
                 continue
             add_expr(QuotExpr(expr, ideal.generators()))
@@ -274,7 +271,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     specs: list[InstanceSpec] = []
 
     def push(base: FiniteRing, target: FiniteRing, f: RingHom, hom_tag: str, target_expr: RingExpr) -> None:
-        for j in _enumerable_ideals(target, p):
+        for j in _enumerable_ideals(target):
             if j.is_whole or base.size * len(j) > p.instance_max:
                 continue
             tags = [hom_tag]
@@ -334,7 +331,6 @@ class Verdict:
     reason: str | None = None
     counts: dict[str, int] = field(default_factory=dict)
     details: dict[str, str] = field(default_factory=dict)
-    elapsed: float = 0.0  # informational; excluded from machine records
 
     @property
     def ok(self) -> bool:
@@ -493,7 +489,6 @@ def verify_clauses(
     want_chain = "chain" in clause_ids or with_search
     sweep = _HierarchySweep() if want_chain else None
 
-    start = time.perf_counter()
     if instance_ids or want_chain:
         for spec in catalog.specs:
             inst = spec.build(catalog.params.size_cap)
@@ -517,15 +512,13 @@ def verify_clauses(
                     if v.witness is None:
                         v.witness = f"{inst.label} :: {detail}"
             if sweep is not None:
-                sweep.fold(inst.label, _hierarchy_facts(inst.ring, catalog.params.lattice_cap))
+                sweep.fold(inst.label, _hierarchy_facts(inst.ring))
     if sweep is not None:
         for ring in catalog.rings:
-            sweep.fold(ring.label, _hierarchy_facts(ring, catalog.params.lattice_cap))
-    elapsed = time.perf_counter() - start
+            sweep.fold(ring.label, _hierarchy_facts(ring))
 
     for cid in instance_ids:
         v = verdicts[cid]
-        v.elapsed = elapsed
         if v.violations:
             v.status = "violation"
         elif v.applicable:
@@ -547,11 +540,11 @@ def verify_clauses(
         if cid == "cor-2.3":
             out[cid] = verify_duplication_criterion(catalog)
         elif cid == "chain":
-            out[cid] = sweep.chain_verdict(elapsed)
+            out[cid] = sweep.chain_verdict()
         else:
             out[cid] = verdicts[cid]
     if with_search:
-        out["search"] = sweep.search_verdict(elapsed)
+        out["search"] = sweep.search_verdict()
     return out
 
 
@@ -595,12 +588,11 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
 
 def verify_duplication_criterion(catalog: Catalog) -> Verdict:
     """cor-2.3 over every local catalog ring of size <= 16 and every proper ideal."""
-    start = time.perf_counter()
     v = Verdict(clause="cor-2.3", status="vacuous")
     for ring in catalog.rings:
         if ring.size > 16 or is_local(ring) is None:
             continue
-        for ideal in all_ideals(ring, catalog.params.lattice_cap):
+        for ideal in all_ideals(ring):
             if ideal.is_whole:
                 continue
             inst = duplication(ring, ideal, catalog.params.size_cap)
@@ -616,14 +608,13 @@ def verify_duplication_criterion(catalog: Catalog) -> Verdict:
             else:
                 key = "gaussian_true" if lhs else "gaussian_false"
                 v.counts[key] = v.counts.get(key, 0) + 1
-    v.elapsed = time.perf_counter() - start
     v.status = "violation" if v.violations else ("verified" if v.applicable else "vacuous")
     return v
 
 
-def _hierarchy_facts(ring: FiniteRing, lattice_cap: int) -> tuple[bool, bool, bool]:
+def _hierarchy_facts(ring: FiniteRing) -> tuple[bool, bool, bool]:
     return (
-        is_arithmetical(ring, lattice_cap),
+        is_arithmetical(ring),
         is_gaussian(ring),
         is_prufer(ring),
     )
@@ -659,7 +650,7 @@ class _HierarchySweep:
             if self.prufer_not_gauss is None:
                 self.prufer_not_gauss = label
 
-    def chain_verdict(self, elapsed: float) -> Verdict:
+    def chain_verdict(self) -> Verdict:
         return Verdict(
             clause="chain",
             status="violation" if self.violations else "verified",
@@ -667,10 +658,9 @@ class _HierarchySweep:
             applicable=self.checked,
             violations=self.violations,
             witness=self.witness,
-            elapsed=elapsed,
         )
 
-    def search_verdict(self, elapsed: float) -> Verdict:
+    def search_verdict(self) -> Verdict:
         found_both = self.gauss_not_arith is not None and self.prufer_not_gauss is not None
         details = {}
         if self.gauss_not_arith:
@@ -686,7 +676,6 @@ class _HierarchySweep:
             reason="non-reversal demonstrated on witnesses, not proven in general",
             counts=dict(self.counts),
             details=details,
-            elapsed=elapsed,
         )
 
 
@@ -778,7 +767,7 @@ def _along_m_times_module(ev: Evaluator, base_expr: RingExpr, module_expr: Modul
     target = ev.ring(target_expr)
     j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
     f = ev.resolve_hom(EmbedHomExpr(), base, target_expr)
-    return amalgamate(base, target, f, j, size_cap=4096)
+    return amalgamate(base, target, f, j, size_cap=ev.size_cap)
 
 
 def _example_2_4(ev: Evaluator) -> ExampleCase:
@@ -872,7 +861,7 @@ def _quotient_surrogate(ev: Evaluator, seed_expr: RingExpr) -> AmalgamationInsta
     zero_cross = Ideal(ext, range(quot_module.size))  # 0 x (seed/m^2)
     j_members = sorted(set(int(f.map[x]) for x in zero_cross.indices))
     j = Ideal(target, j_members)
-    return amalgamate(ext, target, f, j, size_cap=4096)
+    return amalgamate(ext, target, f, j, size_cap=ev.size_cap)
 
 
 def _example_2_7(ev: Evaluator) -> ExampleCase:
@@ -1054,8 +1043,9 @@ def _evaluate_example(case: ExampleCase, catalog: Catalog | None) -> ExampleRepo
 def reproduce_examples(catalog: Catalog | None = None, example_ids: tuple[str, ...] | None = None) -> list[ExampleReport]:
     """Build each worked example, re-check its hypotheses computationally,
     then check its stated conclusions; out-of-scope entries are reported as
-    such with the reason rather than skipped silently."""
-    ev = Evaluator(size_cap=4096)
+    such with the reason rather than skipped silently.  Rings are built under
+    the catalog's size cap (the default cap without a catalog)."""
+    ev = Evaluator(size_cap=catalog.params.size_cap) if catalog is not None else Evaluator()
     reports = []
     for ex_id in example_ids or EXAMPLE_IDS:
         case = EXAMPLE_BUILDERS[ex_id](ev)

@@ -2,9 +2,10 @@
 
 An ideal is stored as an explicit member set over the ring's index carrier.
 Every constructor validates closure, so an `Ideal` in hand is always a real
-ideal of its ring.  Enumeration of the full lattice is gated by a dedicated
-cap (`DEFAULT_LATTICE_CAP`) because it is the superlinear hot spot; the
-radical and zero-divisor computations work elementwise and need no cap.
+ideal of its ring.  Enumeration of the full lattice is the superlinear hot
+spot, so it runs once per ring (`FiniteRing.ideal_lattice`) under one fixed
+guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals; the radical and
+zero-divisor computations work elementwise and need no guard.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from .errors import CapExceededError, MixedRingError, NotAnIdealError
 if TYPE_CHECKING:  # pragma: no cover
     from .rings import FiniteRing
 
-DEFAULT_LATTICE_CAP = 256
+MAX_LATTICE_SIZE = 256
 
-# Abort lattice enumeration once this many ideals have been found; rings with
-# large square-zero socles have subspace-lattice blowups even at small carrier
-# sizes, and callers fall back to lattice-free routes.
-DEFAULT_MAX_IDEALS = 128
+# Abort lattice enumeration once more ideals than this have been found; rings
+# with large square-zero socles have subspace-lattice blowups even at small
+# carrier sizes, and callers fall back to lattice-free routes.
+MAX_IDEALS = 128
 
 
 class Ideal:
@@ -187,31 +188,19 @@ def annihilator(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
     return Ideal(ring, np.nonzero(ok)[0], _validated=True)
 
 
-def all_ideals(
-    ring: FiniteRing,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    max_ideals: int = DEFAULT_MAX_IDEALS,
-) -> list[Ideal]:
-    """Every ideal of the ring, sorted by size then membership.
+def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ideal]:
+    """Every ideal of the ring, sorted by size then membership; uncached.
 
     Principal ideals are closed under pairwise sums to a fixpoint; every
     ideal of a finite ring is a finite sum of principal ideals, so the
-    result is complete.  Gated by `lattice_cap` on the carrier and
-    `max_ideals` on the lattice itself.
+    result is complete.  Refuses carriers above `MAX_LATTICE_SIZE` and
+    gives up once more than `max_ideals` ideals have been found.  Callers
+    want `all_ideals`, which enumerates each ring once under the fixed guard.
     """
-    if ring.size > lattice_cap:
+    if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
-            f"ideal lattice enumeration needs |ring| <= {lattice_cap}, got {ring.size}"
+            f"ideal lattice enumeration needs |ring| <= {MAX_LATTICE_SIZE}, got {ring.size}"
         )
-    cached = getattr(ring, "_ideal_lattice", None)
-    if cached is not None:
-        return list(cached)
-    overflow = getattr(ring, "_ideal_lattice_overflow", None)
-    if overflow is not None and overflow > max_ideals:
-        raise CapExceededError(
-            f"{ring.label} has {overflow}+ ideals, enumeration cap is {max_ideals}"
-        )
-
     # distinct principal ideals; joining the frontier with these suffices
     principals: list[np.ndarray] = []
     seen: set[bytes] = set()
@@ -233,7 +222,6 @@ def all_ideals(
     i = 0
     while i < len(arrays):
         if len(arrays) > max_ideals:
-            ring._ideal_lattice_overflow = len(arrays)
             raise CapExceededError(
                 f"{ring.label} has {len(arrays)}+ ideals, enumeration cap is {max_ideals}"
             )
@@ -253,27 +241,24 @@ def all_ideals(
 
     ideals = [Ideal(ring, arr, _validated=True) for arr in arrays]
     ideals.sort(key=lambda ide: (len(ide.members), tuple(sorted(ide.members))))
-    ring._ideal_lattice = tuple(ideals)
     return ideals
 
 
-def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Maximal ideals, one per local factor of the ring.
+def all_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Every ideal of the ring, sorted by size then membership.
 
-    Computed directly from the primitive-idempotent decomposition (the
-    maximal ideals of a finite commutative ring are the pullbacks of the
-    non-units of its local factors), so no lattice cap applies.  Order
-    follows the factor order (ascending idempotent index).
+    Raises CapExceededError when the ring is past the fixed enumeration
+    guard (see `enumerate_ideals`).
     """
-    cached = getattr(ring, "_maximal_ideals", None)
-    if cached is not None:
-        return list(cached)
-    out = []
-    for factor, proj in ring.local_factors:
-        nonunit = ~factor.units_mask[proj.map]
-        out.append(Ideal(ring, np.nonzero(nonunit)[0], _validated=True))
-    ring._maximal_ideals = tuple(out)
-    return out
+    lattice = ring.ideal_lattice
+    if isinstance(lattice, str):
+        raise CapExceededError(lattice)
+    return list(lattice)
+
+
+def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Maximal ideals, one per local factor (`FiniteRing.maximal_ideals`)."""
+    return list(ring.maximal_ideals)
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
@@ -302,11 +287,7 @@ def is_regular_ideal(ideal: Ideal) -> bool:
     return bool((~ideal.ring.zero_divisor_mask[ideal.indices]).any())
 
 
-def lattice_tables(
-    ring: FiniteRing,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    max_ideals: int = DEFAULT_MAX_IDEALS,
-) -> tuple[list[Ideal], np.ndarray, np.ndarray]:
+def lattice_tables(ring: FiniteRing) -> tuple[list[Ideal], np.ndarray, np.ndarray]:
     """(all ideals, meet table, join table) as index tables over the lattice.
 
     Joins and meets are located through the containment matrix: the join of
@@ -314,7 +295,7 @@ def lattice_tables(
     contained in both; `all_ideals` returns the lattice sorted by size, so
     a first/last scan along that order finds them.
     """
-    lattice = all_ideals(ring, lattice_cap, max_ideals)
+    lattice = all_ideals(ring)
     n = len(lattice)
     mask_mat = np.stack([ide.mask for ide in lattice]).astype(np.int32)
     # contains[i, j] iff ideal i is a subset of ideal j
@@ -329,17 +310,13 @@ def lattice_tables(
     return lattice, meet, join
 
 
-def is_distributive_lattice(
-    ring: FiniteRing,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    max_ideals: int = DEFAULT_MAX_IDEALS,
-) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
+def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
     """Check I /\\ (J + K) == (I /\\ J) + (I /\\ K) over all ideal triples.
 
     Returns (True, None) or (False, witness_triple), the witness being the
     first failing triple in the canonical lattice order.
     """
-    lattice, meet, join = lattice_tables(ring, lattice_cap, max_ideals)
+    lattice, meet, join = lattice_tables(ring)
     for i in range(len(lattice)):
         lhs = meet[i][join]
         rhs = join[np.ix_(meet[i], meet[i])]

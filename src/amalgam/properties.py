@@ -26,7 +26,6 @@ from .errors import (
     NotLocalError,
 )
 from .ideals import (
-    DEFAULT_LATTICE_CAP,
     Ideal,
     all_ideals,
     ideal_generated,
@@ -182,22 +181,20 @@ def gaussian_check(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]
     """Gaussian = every local factor passes the pair condition.
 
     A witness is (factor_label, a, b) in the failing factor; it re-validates
-    against the defining condition.
+    against the defining condition.  Cached as `FiniteRing.gaussian_result`.
     """
-    cached = getattr(ring, "_gaussian_check", None)
-    if cached is not None:
-        return cached
-    result: tuple[bool, tuple[str, int, int] | None] = (True, None)
+    return ring.gaussian_result
+
+
+def _gaussian_check_uncached(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]:
     for factor, _proj in ring.local_factors:
         ok, pair = local_gaussian_pair_check(factor)
         if not ok:
             a, b = pair
             if recheck_pair_witness(factor, a, b):
                 raise InternalCheckError("gaussian witness failed re-validation")
-            result = (False, (factor.label, a, b))
-            break
-    ring._gaussian_check = result
-    return result
+            return False, (factor.label, a, b)
+    return True, None
 
 
 def is_gaussian(ring: FiniteRing) -> bool:
@@ -208,7 +205,6 @@ def gaussian_content_oracle(
     ring: FiniteRing,
     dmax: int,
     pair_budget: int = DEFAULT_ORACLE_PAIR_BUDGET,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> tuple[bool, tuple[Polynomial, Polynomial] | None]:
     """Brute-force content check c(fg) = c(f)c(g) over all pairs of degree <= dmax.
 
@@ -229,7 +225,7 @@ def gaussian_content_oracle(
             f"content oracle needs {npolys}^2 pairs, budget is {pair_budget}"
         )
 
-    lattice = all_ideals(ring, lattice_cap)
+    lattice = all_ideals(ring)
     nl = len(lattice)
     lid_of = {ide.members: i for i, ide in enumerate(lattice)}
     principal_lid = np.asarray(
@@ -297,41 +293,37 @@ def is_chain_ring(ring: FiniteRing) -> bool:
     return bool((in_principal | in_principal.T).all())
 
 
-def arithmetical_check(
-    ring: FiniteRing, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
+def arithmetical_check(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
     """Distributivity of the ideal lattice, with a witness triple on failure.
 
-    When the lattice is enumerable (carrier within the cap and ideal count
-    within the enumeration limit) both routes run -- distributive lattice,
-    and all local factors chain rings -- and must agree.  Otherwise only the
-    factor-chain route is available and no lattice witness is produced.
+    When the lattice is enumerable (within the fixed guard of `all_ideals`)
+    both routes run -- distributive lattice, and all local factors chain
+    rings -- and must agree.  Otherwise only the factor-chain route is
+    available and no lattice witness is produced.
     """
     chain_route = all(is_chain_ring(f) for f, _ in ring.local_factors)
-    if ring.size <= lattice_cap:
-        try:
-            ok, witness = is_distributive_lattice(ring, lattice_cap)
-        except CapExceededError:
-            return chain_route, None
-        if ok != chain_route:
-            raise InternalCheckError(
-                f"distributive-lattice and chain-factor routes disagree on {ring.label}"
-            )
-        if witness is not None:
-            i, j, k = witness
-            lhs = ideal_sum(
-                Ideal(ring, i.members & j.members, _validated=True),
-                Ideal(ring, i.members & k.members, _validated=True),
-            )
-            rhs = Ideal(ring, i.members & ideal_sum(j, k).members, _validated=True)
-            if lhs.members == rhs.members:
-                raise InternalCheckError("distributivity witness failed re-validation")
-        return ok, witness
-    return chain_route, None
+    try:
+        ok, witness = is_distributive_lattice(ring)
+    except CapExceededError:
+        return chain_route, None
+    if ok != chain_route:
+        raise InternalCheckError(
+            f"distributive-lattice and chain-factor routes disagree on {ring.label}"
+        )
+    if witness is not None:
+        i, j, k = witness
+        lhs = ideal_sum(
+            Ideal(ring, i.members & j.members, _validated=True),
+            Ideal(ring, i.members & k.members, _validated=True),
+        )
+        rhs = Ideal(ring, i.members & ideal_sum(j, k).members, _validated=True)
+        if lhs.members == rhs.members:
+            raise InternalCheckError("distributivity witness failed re-validation")
+    return ok, witness
 
 
-def is_arithmetical(ring: FiniteRing, lattice_cap: int = DEFAULT_LATTICE_CAP) -> bool:
-    return arithmetical_check(ring, lattice_cap)[0]
+def is_arithmetical(ring: FiniteRing) -> bool:
+    return arithmetical_check(ring)[0]
 
 
 def _colon_into_ring(ring: FiniteRing, ideal: Ideal) -> Ideal:
@@ -378,7 +370,6 @@ class PropertyReport:
     prufer: bool
     gaussian_witness: tuple[str, int, int] | None = None
     arithmetical_witness: tuple[Ideal, Ideal, Ideal] | None = None
-    lattice_cap: int = DEFAULT_LATTICE_CAP
     oracle_degree: int | None = None
     oracle_gaussian: bool | None = None
     oracle_witness: tuple[Polynomial, Polynomial] | None = None
@@ -391,13 +382,12 @@ class PropertyReport:
 
 def property_report(
     ring: FiniteRing,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
     oracle_degree: int | None = None,
     oracle_pair_budget: int = DEFAULT_ORACLE_PAIR_BUDGET,
 ) -> PropertyReport:
     maximal = is_local(ring)
     gauss_ok, gauss_wit = gaussian_check(ring)
-    arith_ok, arith_wit = arithmetical_check(ring, lattice_cap)
+    arith_ok, arith_wit = arithmetical_check(ring)
     report = PropertyReport(
         label=ring.label,
         size=ring.size,
@@ -412,10 +402,9 @@ def property_report(
         prufer=is_prufer(ring),
         gaussian_witness=gauss_wit,
         arithmetical_witness=arith_wit,
-        lattice_cap=lattice_cap,
     )
     if oracle_degree is not None:
-        ok, wit = gaussian_content_oracle(ring, oracle_degree, oracle_pair_budget, lattice_cap)
+        ok, wit = gaussian_content_oracle(ring, oracle_degree, oracle_pair_budget)
         report.oracle_degree = oracle_degree
         report.oracle_gaussian = ok
         report.oracle_witness = wit

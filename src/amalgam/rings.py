@@ -27,7 +27,7 @@ from .errors import (
     NotMaximalError,
     StructureError,
 )
-from .ideals import Ideal, ideal_generated, maximal_ideals
+from .ideals import Ideal, enumerate_ideals, ideal_generated, maximal_ideals
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -250,6 +250,34 @@ class FiniteRing:
         if self.size > 1 and total != self.size:
             raise InternalCheckError("local factor sizes do not multiply to ring size")
         return tuple(factors)
+
+    @cached_property
+    def maximal_ideals(self) -> tuple[Ideal, ...]:
+        """Maximal ideals, one per local factor, in factor order.
+
+        The maximal ideals of a finite commutative ring are the pullbacks of
+        the non-units of its local factors, so no lattice enumeration runs.
+        """
+        return tuple(
+            Ideal(self, np.nonzero(~factor.units_mask[proj.map])[0], _validated=True)
+            for factor, proj in self.local_factors
+        )
+
+    @cached_property
+    def ideal_lattice(self) -> tuple[Ideal, ...] | str:
+        """Every ideal (read it through `ideals.all_ideals`), enumerated once
+        under the fixed guard; the guard's refusal message when it refuses."""
+        try:
+            return tuple(enumerate_ideals(self))
+        except CapExceededError as exc:
+            return str(exc)
+
+    @cached_property
+    def gaussian_result(self) -> tuple[bool, tuple[str, int, int] | None]:
+        """`properties.gaussian_check`, computed once."""
+        from .properties import _gaussian_check_uncached  # properties imports this module
+
+        return _gaussian_check_uncached(self)
 
     @cached_property
     def principal_membership(self) -> np.ndarray:
@@ -498,8 +526,10 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
         )
     if not _is_prime(p):
         raise ValueError(f"tpa requires a prime characteristic, got {p}")
-    var_names = _var_names(k)
-    monos = _monomials(k, t)
+    if t == 1:  # only the constant monomial survives, whatever k is
+        var_names, monos = (), [()]
+    else:
+        var_names, monos = _var_names(k), _monomials(k, t)
     m = len(monos)
     size = p**m
 

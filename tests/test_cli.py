@@ -75,6 +75,51 @@ def test_internal_check_error_exit_code(capsys, monkeypatch):
     assert "internal error" in err and "bug" in err
 
 
+def assert_parse_error(capsys, text):
+    code, out, err = run_cli(capsys, "props", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+def test_deep_product_nesting_is_a_parse_error(capsys):
+    text = "product(" * 3000 + "zmod(2)" + ",zmod(2))" * 3000
+    assert 50_000 < len(text) < 64 * 1024
+    assert_parse_error(capsys, text)
+
+
+def test_deep_quot_nesting_is_a_parse_error(capsys):
+    # parsed fine at this depth before, then ran out of recursion building it
+    assert_parse_error(capsys, "quot(" * 480 + "zmod(2)" + ";)" * 480)
+
+
+def test_deep_compose_nesting_is_a_parse_error(capsys):
+    hom = "compose(" * 2000 + "id" + ",id)" * 2000
+    assert_parse_error(capsys, f"amalg(zmod(2),zmod(2),{hom};)")
+
+
+def test_overlong_int_literal_is_a_parse_error(capsys):
+    assert_parse_error(capsys, "zmod(" + "7" * 5000 + ")")
+
+
+def test_nesting_at_the_bound_is_accepted(capsys):
+    from amalgam.expressions import MAX_NESTING_DEPTH
+
+    # MAX_NESTING_DEPTH - 1 quotients around zmod(4): exactly the bound
+    depth = MAX_NESTING_DEPTH - 1
+    code, out, _ = run_cli(capsys, "props", "quot(" * depth + "zmod(4)" + ";)" * depth, "--machine")
+    assert code == 0
+    assert " size=4 " in out
+    assert_parse_error(capsys, "quot(" * (depth + 1) + "zmod(4)" + ";)" * (depth + 1))
+
+
+def test_examples_honour_max_ring_size(capsys):
+    # example 2.4 amalgamates along a 2,048-element ring
+    code, out, err = run_cli(capsys, "examples", "--max-ring-size", "1024")
+    assert code == 2
+    assert "cap exceeded" in err
+
+
 def test_eval_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "props", "trivext(zmod(6);resfield(1))")
     assert code == 2
@@ -126,7 +171,7 @@ def test_timing_goes_to_stderr(capsys):
 
 
 def test_cli_byte_determinism(capsys):
-    args = ("verify", "cor-2.3", "--catalog", "--machine", "--max-lattice-size", "64")
+    args = ("verify", "cor-2.3", "--catalog", "--machine")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0

@@ -112,8 +112,10 @@ def test_all_ideals_examples():
 
 
 def test_lattice_cap_errors():
+    # the carrier guard is fixed at 256 elements
     with pytest.raises(CapExceededError):
-        all_ideals(zmod(16), lattice_cap=8)
+        all_ideals(zmod(257))
+    assert len(all_ideals(zmod(256))) == 9
 
 
 def test_ideal_count_guard_on_socle_blowup():

@@ -1,11 +1,12 @@
 import pytest
 
-from amalgam.errors import BudgetExceededError, NotLocalError
+from amalgam.errors import BudgetExceededError, CapExceededError, NotLocalError
 from amalgam.expressions import Evaluator
 from amalgam.harness import EXAMPLE_BUILDERS
 from amalgam.ideals import (
     Ideal,
     all_ideals,
+    enumerate_ideals,
     ideal_product,
     is_regular_ideal,
     maximal_ideals,
@@ -27,6 +28,7 @@ from amalgam.properties import (
     is_total_quotient_ring,
     local_gaussian_pair_check,
     poly_mul,
+    arithmetical_check,
     property_report,
     recheck_pair_witness,
     _colon_into_ring,
@@ -148,13 +150,23 @@ def test_prufer_examples(catalog):
     ev = Evaluator()
     r29, r210, r211 = (EXAMPLE_BUILDERS[x](ev).instance.ring for x in ("2.9", "2.10", "2.11"))
     assert _prufer_by_lattice_sweep(all_ideals(r29)) and is_prufer(r29)
-    # 485 ideals, above the default ideal-count guard
-    assert _prufer_by_lattice_sweep(all_ideals(r210, max_ideals=512)) and is_prufer(r210)
+    # 485 ideals, above the ideal-count guard: swept by the uncached enumerator
+    assert _prufer_by_lattice_sweep(enumerate_ideals(r210, max_ideals=512)) and is_prufer(r210)
     # 1024 elements and thousands of ideals: every regular ideal contains a
     # regular x, hence <x>; each such <x> is the whole ring, so the ring is
     # the only regular ideal
     assert all(principal_ideal(r211, x).is_whole for x in regular_elements(r211))
     assert _invertible(Ideal(r211, range(r211.size))) and is_prufer(r211)
+
+
+def test_lattice_guard_ignores_earlier_larger_enumerations():
+    # example 2.10's 256-element ring has 485 ideals; a wider sweep of its
+    # lattice must not lift the fixed guard for later callers
+    ring = EXAMPLE_BUILDERS["2.10"](Evaluator()).instance.ring
+    assert len(enumerate_ideals(ring, max_ideals=512)) == 485
+    with pytest.raises(CapExceededError):
+        all_ideals(ring)
+    assert arithmetical_check(ring) == (False, None)
 
 
 def test_gaussian_locality_consistency():

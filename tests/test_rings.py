@@ -87,6 +87,14 @@ def test_tpa_pair_ideal_square_size():
     assert len(span) == 8
 
 
+def test_tpa_order_one_is_the_prime_field_for_any_k():
+    # every monomial but 1 has degree >= 1, so no k-long sequence is needed
+    huge, one = truncated_poly_algebra(2, 10**12, 1), truncated_poly_algebra(2, 1, 1)
+    assert huge.label == "tpa(2,1000000000000,1)"
+    assert huge.same_tables(one) and (huge.neg == one.neg).all()
+    assert huge.element_names == one.element_names == ["0", "1"]
+
+
 def test_tpa_rejects_non_prime():
     with pytest.raises(ValueError):
         truncated_poly_algebra(4, 1, 2)
