@@ -35,8 +35,8 @@ from .errors import (
 )
 from .expressions import Evaluator, evaluate_instance, evaluate_ring, parse
 from .harness import (
-    CLAUSE_DESCRIPTIONS,
     CLAUSE_IDS,
+    CLAUSES,
     Catalog,
     CatalogParams,
     ExampleReport,
@@ -92,7 +92,6 @@ from .properties import (
 )
 from .rings import (
     FiniteRing,
-    RingElement,
     RingHom,
     factor_local,
     hom,

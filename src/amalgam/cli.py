@@ -34,8 +34,8 @@ from .errors import (
 )
 from .expressions import GRAMMAR_TEXT, Evaluator, parse
 from .harness import (
-    CLAUSE_DESCRIPTIONS,
     CLAUSE_IDS,
+    CLAUSES,
     Catalog,
     CatalogParams,
     ExampleReport,
@@ -317,7 +317,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_props)
 
-    clause_help = "\n".join(f"  {cid:13s} {CLAUSE_DESCRIPTIONS[cid]}" for cid in CLAUSE_IDS)
+    clause_help = "\n".join(f"  {cid:13s} {clause.description}" for cid, clause in CLAUSES.items())
     p = sub.add_parser(
         "verify",
         help="verify a clause on an instance or the catalog",

@@ -369,6 +369,8 @@ class _Parser:
         if name == "resfield":
             self._expect("(", ("(",))
             dim = self._int()
+            if dim < 1:
+                raise ParseError("resfield argument must be >= 1", tok[2], tok[3], ("INT >= 1",))
             self._expect(")", (")",))
             return ResfieldExpr(dim)
         if name == "quotmod":

@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
 )
 from .ideals import Ideal, maximal_ideals
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, quotient
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _max_digits, quotient
 
 
 class FiniteModule:
@@ -94,9 +94,6 @@ class FiniteModule:
             if not (act[ring.add[a]] == add[ra[None, :].repeat(ring.size, 0), act]).all():
                 raise StructureError(f"action not additive in the scalar at {a}")
 
-    def element_name(self, index: int) -> str:
-        return self.element_names[index]
-
     def __repr__(self) -> str:
         return f"FiniteModule({self.label} over {self.ring.label}, size={self.size})"
 
@@ -117,8 +114,12 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
         raise ValueError("vector space dimension must be >= 1")
     field, proj = quotient(ring, m)
     q = field.size
+    # compare dim with log_q(size_cap) first: q**dim may be astronomically large
+    if dim > _max_digits(q, size_cap):
+        raise CapExceededError(
+            f"resfield({dim}) over {ring.label} would have {q}^{dim} elements, cap is {size_cap}"
+        )
     size = q**dim
-    _check_mod_cap(size, size_cap, f"resfield({dim}) over {ring.label}")
 
     idx = np.arange(size, dtype=np.int64)
     radix = q ** np.arange(dim, dtype=np.int64)
@@ -132,11 +133,6 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
     else:
         names = ["(" + ",".join(field.element_names[d] for d in row) + ")" for row in digits]
     return FiniteModule(ring, size, add, act, f"resfield({dim})", names)
-
-
-def _check_mod_cap(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise CapExceededError(f"{what} would have {size} elements, cap is {cap}")
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> frozenset[int]:
@@ -201,7 +197,7 @@ def trivial_extension(
         raise MixedRingError("trivial_extension: module is over a different ring")
     ne = module.size
     size = ring.size * ne
-    _check_mod_cap(size, size_cap, f"trivext({ring.label};{module.label})")
+    _check_cap(size, size_cap, f"trivext({ring.label};{module.label})")
 
     idx = np.arange(size)
     ia, ie = idx // ne, idx % ne

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     NotMaximalError,
     StructureError,
 )
-from .ideals import Ideal, enumerate_ideals, ideal_generated, maximal_ideals
+from .ideals import Ideal, enumerate_ideals, format_members, ideal_generated, maximal_ideals
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -147,19 +146,6 @@ class FiniteRing:
             self._check_cubic_axioms(sample=None)
         else:
             self._check_cubic_axioms(sample=AXIOM_SAMPLE_COUNT)
-
-    # -- elements ------------------------------------------------------------
-
-    def element(self, index: int) -> RingElement:
-        if not 0 <= index < self.size:
-            raise IndexError(f"element index {index} out of range for {self.label}")
-        return RingElement(self, index)
-
-    def elements(self) -> Iterator[RingElement]:
-        return (RingElement(self, i) for i in range(self.size))
-
-    def element_name(self, index: int) -> str:
-        return self.element_names[index]
 
     def same_tables(self, other: FiniteRing) -> bool:
         return (
@@ -289,59 +275,6 @@ class FiniteRing:
         mat[rows, cols] = True
         mat.flags.writeable = False
         return mat
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """An element of a specific ring; mixing rings is a usage error."""
-
-    ring: FiniteRing
-    index: int
-
-    def _coerce(self, other) -> RingElement:
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring:
-                raise MixedRingError(
-                    f"cannot combine elements of {self.ring.label} and {other.ring.label}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.ring.element(other % self.ring.size if other >= 0 else other)
-        return NotImplemented
-
-    def __add__(self, other) -> RingElement:
-        o = self._coerce(other)
-        return RingElement(self.ring, int(self.ring.add[self.index, o.index]))
-
-    def __neg__(self) -> RingElement:
-        return RingElement(self.ring, int(self.ring.neg[self.index]))
-
-    def __sub__(self, other) -> RingElement:
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> RingElement:
-        o = self._coerce(other)
-        return RingElement(self.ring, int(self.ring.mul[self.index, o.index]))
-
-    def __pow__(self, exponent: int) -> RingElement:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        acc = self.ring.one
-        base = self.index
-        e = exponent
-        while e:
-            if e & 1:
-                acc = int(self.ring.mul[acc, base])
-            base = int(self.ring.mul[base, base])
-            e >>= 1
-        return RingElement(self.ring, acc)
-
-    @property
-    def name(self) -> str:
-        return self.ring.element_names[self.index]
-
-    def __repr__(self) -> str:
-        return f"<{self.name} in {self.ring.label}>"
 
 
 class RingHom:
@@ -654,8 +587,5 @@ def localize_at_max(ring: FiniteRing, m: Ideal) -> tuple[FiniteRing, RingHom]:
     for factor_pair, maximal in zip(ring.local_factors, maximal_ideals(ring)):
         if maximal.members == m.members:
             return factor_pair
-    raise NotMaximalError(f"{format_ideal(m)} is not a maximal ideal of {ring.label}")
+    raise NotMaximalError(f"{format_members(m.members)} is not a maximal ideal of {ring.label}")
 
-
-def format_ideal(ideal: Ideal) -> str:
-    return "{" + ",".join(str(i) for i in sorted(ideal.members)) + "}"

@@ -64,6 +64,22 @@ def test_tpa_cap_checked_before_enumeration(capsys):
     assert "cap exceeded" in err
 
 
+def test_resfield_cap_checked_before_the_power(capsys):
+    # 2**(10**12) must never be formed: the dimension is compared with log_2(cap)
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "props", "trivext(zmod(2);resfield(1000000000000))")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "cap exceeded" in err
+
+
+def test_resfield_zero_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "props", "trivext(zmod(2);resfield(0))")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and "resfield" in err
+
+
 def test_internal_check_error_exit_code(capsys, monkeypatch):
     def failing_check(ring):
         raise InternalCheckError("simulated self-check failure")

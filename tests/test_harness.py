@@ -1,9 +1,16 @@
+import dataclasses
+import re
+
 import pytest
 
-from amalgam.expressions import evaluate_instance
+import amalgam.harness as harness
+from amalgam.cli import main
+from amalgam.errors import InternalCheckError
+from amalgam.expressions import Evaluator, evaluate_instance, parse
 from amalgam.harness import (
-    CLAUSE_DESCRIPTIONS,
     CLAUSE_IDS,
+    CLAUSES,
+    EXAMPLE_BUILDERS,
     CatalogParams,
     ExampleCase,
     _evaluate_example,
@@ -61,10 +68,6 @@ def test_catalog_instance_statistics(catalog):
     assert with_sq_zero > 0 and with_sq_nonzero > 0
 
 
-def test_catalog_every_clause_described():
-    assert set(CLAUSE_IDS) == set(CLAUSE_DESCRIPTIONS)
-
-
 def test_small_catalog_sweep_clean(small_catalog):
     verdicts = verify_clauses(small_catalog, list(CLAUSE_IDS), with_search=True)
     for cid, v in verdicts.items():
@@ -103,12 +106,11 @@ def test_duplication_criterion_includes_named_cases(small_catalog):
     assert verdict.counts.get("gaussian_false", 0) > 0
 
 
-def test_example_fallback_machinery(small_catalog):
-    inst = evaluate_instance("dup(zmod(8);2)")  # J^2 != 0
-    case = ExampleCase(
+def _synthetic_case(replacement):
+    return ExampleCase(
         example_id="t.1",
-        title="synthetic case forcing a replacement",
-        instance=inst,
+        title="synthetic case whose surrogate misses a hypothesis",
+        instance=evaluate_instance("dup(zmod(8);2)"),  # J^2 != 0
         hypotheses=[
             ("base ring local", lambda i: i.hypotheses.a_local),
             ("J squared zero", lambda i: i.hypotheses.j_squared_zero),
@@ -122,20 +124,68 @@ def test_example_fallback_machinery(small_catalog):
                 == (is_gaussian(i.base) and bool(i.hypotheses.fa_j_stable)),
             )
         ],
+        replacement=replacement,
     )
-    report = _evaluate_example(case, small_catalog)
-    assert report.status == "pass"
-    assert report.replaced_with is not None
 
-    impossible = ExampleCase(
-        example_id="t.2",
-        title="unsatisfiable hypothesis",
-        instance=inst,
-        hypotheses=[("never", lambda i: False)],
-        conclusions=[],
-    )
-    report = _evaluate_example(impossible, small_catalog)
+
+def test_example_fallback_machinery():
+    ev = Evaluator()
+    surrogate_note = "surrogate dup(zmod(8);2) failed re-checked hypotheses: J squared zero"
+
+    report = _evaluate_example(_synthetic_case("dup(zmod(8);4)"), ev)
+    assert report.status == "pass"
+    assert report.replaced_with == report.instance_label == "dup(zmod(8);4)"
+    assert all(ok for _, ok in report.hypothesis_results)
+    assert report.conclusion_results == [("criterion agrees with pair check", True, True)]
+    assert surrogate_note in report.notes
+
+    # the named replacement is re-checked too: J = 0 misses "J nonzero"
+    report = _evaluate_example(_synthetic_case("dup(zmod(8);)"), ev)
     assert report.status == "inconclusive"
+    assert report.replaced_with == "dup(zmod(8);)"
+    assert ("J nonzero", False) in report.hypothesis_results
+    assert report.conclusion_results == []
+    assert report.notes[-1] == "replacement dup(zmod(8);) failed re-checked hypotheses: J nonzero"
+
+    report = _evaluate_example(_synthetic_case(None), ev)
+    assert report.status == "inconclusive"
+    assert report.replaced_with is None
+    assert report.instance_label == "dup(zmod(8);2)"
+    assert report.notes == [surrogate_note, "no replacement instance is named"]
+
+
+def test_example_2_7_replacement_is_the_first_catalog_match(catalog, example_reports):
+    # independent route to example 2.7's named replacement: the linear scan
+    # of the catalog for the first spec meeting every hypothesis
+    case = EXAMPLE_BUILDERS["2.7"](Evaluator())
+    assert not all(check(case.instance) for _, check in case.hypotheses)
+    scanned = next(
+        inst
+        for inst in (spec.build(catalog.params.size_cap) for spec in catalog.specs)
+        if all(check(inst) for _, check in case.hypotheses)
+    )
+    named = Evaluator().instance(parse(case.replacement))
+    assert scanned.label == named.label == case.replacement
+    for a, b in ((scanned.base, named.base), (scanned.target, named.target), (scanned.ring, named.ring)):
+        assert a.same_tables(b)
+    assert (scanned.f.map == named.f.map).all()
+    assert scanned.j.members == named.j.members
+    assert example_reports["2.7"].replaced_with == case.replacement
+    # the catalog supplies only the size cap: without one the same replacement is used
+    (report,) = harness.reproduce_examples(example_ids=("2.7",))
+    assert report.status == "pass" and report.replaced_with == case.replacement
+
+
+@pytest.mark.parametrize("cid", ["thm-2.1:3c2", "thm-2.1:4c1", "thm-2.1:4c2"])
+def test_unsatisfiable_clause_match_is_an_internal_error(cid, small_catalog, monkeypatch, capsys):
+    monkeypatch.setitem(CLAUSES, cid, dataclasses.replace(CLAUSES[cid], applies=lambda h: True))
+    # raised on the first instance, not after the sweep
+    with pytest.raises(InternalCheckError, match=re.escape(small_catalog.specs[0].label)):
+        verify_clauses(small_catalog, [cid])
+    with pytest.raises(InternalCheckError):
+        verify_instance(evaluate_instance("dup(zmod(4);2)"), cid)
+    assert main(["verify", cid, "dup(zmod(4);2)"]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_verdict_records_are_stable(small_catalog):
@@ -147,8 +197,6 @@ def test_verdict_records_are_stable(small_catalog):
 def test_violation_path_reports_witness(small_catalog, monkeypatch):
     # the statements are proven, so a violation can only come from a bug;
     # simulate one by inverting the locality predicate and check reporting
-    import amalgam.harness as harness
-
     def broken_is_local(ring):
         from amalgam.properties import is_local as real
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from amalgam.errors import BudgetExceededError, CapExceededError, NotLocalError
@@ -31,7 +32,6 @@ from amalgam.properties import (
     arithmetical_check,
     property_report,
     recheck_pair_witness,
-    _colon_into_ring,
 )
 from amalgam.rings import localize_at_max, product, truncated_poly_algebra, zmod
 
@@ -127,6 +127,14 @@ def test_chain_and_arithmetical_examples():
     assert is_arithmetical(p) and not is_chain_ring(p)
     non_arith = ext_of(zmod(4), "resfield")
     assert not is_arithmetical(non_arith)
+
+
+def _colon_into_ring(ring, ideal):
+    # (ring : I) = {x : x*I inside the ring}: inside the ring itself every
+    # product lands in the carrier, so this is the whole ring; computed
+    # literally so the invertibility test below stays an honest product
+    members = np.nonzero((ring.mul[:, ideal.indices] >= 0).all(axis=1))[0]
+    return Ideal(ring, members)
 
 
 def _invertible(ideal):

@@ -226,17 +226,6 @@ def test_localize_at_max():
         localize_at_max(z6, ideal_generated(z6, []))
 
 
-def test_ring_elements_and_mixing():
-    z4, z6 = zmod(4), zmod(6)
-    a = z4.element(3)
-    assert (a + a).index == 2
-    assert (a * a).index == 1
-    assert (-a).index == 1
-    assert (a**2).index == 1
-    with pytest.raises(MixedRingError):
-        _ = a + z6.element(1)
-
-
 def test_validate_catches_broken_tables():
     z4 = zmod(4)
     bad_mul = z4.mul.copy()
