@@ -98,6 +98,9 @@ def _props_pairs(expr_text: str, report: PropertyReport) -> list[tuple[str, str]
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
+    if args.oracle_degree is not None and args.oracle_degree < 0:
+        sys.stderr.write(f"error: --oracle-degree must be >= 0, got {args.oracle_degree}\n")
+        return _USAGE_ERROR
     expr = parse(args.expr)
     ring = Evaluator(size_cap=args.max_ring_size).ring(expr)
     started = time.perf_counter()
@@ -220,9 +223,8 @@ def _example_lines(report: ExampleReport, machine: bool) -> list[str]:
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
-    catalog = _catalog_from_args(args)
     started = time.perf_counter()
-    reports = reproduce_examples(catalog)
+    reports = reproduce_examples(size_cap=args.max_ring_size)
     _timing(args.timing, "examples", time.perf_counter() - started)
     bad = False
     for report in reports:

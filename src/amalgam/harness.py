@@ -75,7 +75,7 @@ from .properties import (
     is_reduced,
     is_total_quotient_ring,
 )
-from .rings import FiniteRing, RingHom, pair_indices, tpa_monomial_count
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
@@ -1019,11 +1019,15 @@ def _evaluate_example(case: ExampleCase, ev: Evaluator) -> ExampleReport:
     )
 
 
-def reproduce_examples(catalog: Catalog | None = None, example_ids: tuple[str, ...] | None = None) -> list[ExampleReport]:
+def reproduce_examples(
+    catalog: Catalog | None = None,
+    example_ids: tuple[str, ...] | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> list[ExampleReport]:
     """Build each worked example, re-check its hypotheses computationally,
     then check its stated conclusions; out-of-scope entries are reported as
     such with the reason rather than skipped silently.  Rings are built under
-    the catalog's size cap (the default cap without a catalog); the catalog
-    supplies nothing else."""
-    ev = Evaluator(size_cap=catalog.params.size_cap) if catalog is not None else Evaluator()
+    `size_cap`, or under the catalog's cap when a catalog is given; the
+    catalog supplies nothing else."""
+    ev = Evaluator(size_cap=catalog.params.size_cap if catalog is not None else size_cap)
     return [_evaluate_example(EXAMPLE_BUILDERS[ex_id](ev), ev) for ex_id in example_ids or EXAMPLE_IDS]

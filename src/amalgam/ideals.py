@@ -22,7 +22,10 @@ MAX_LATTICE_SIZE = 256
 
 # Abort lattice enumeration once more ideals than this have been found; rings
 # with large square-zero socles have subspace-lattice blowups even at small
-# carrier sizes, and callers fall back to lattice-free routes.
+# carrier sizes.  No verdict needs the lattice: it serves catalog
+# construction, cor-2.3 and the distributivity witness of `property_report`,
+# while the arithmetical cross-check certifies each local factor of every
+# ring without it.
 MAX_IDEALS = 128
 
 
@@ -37,12 +40,13 @@ class Ideal:
 
     def __init__(self, ring: FiniteRing, members: Iterable[int], *, _validated: bool = False):
         self.ring = ring
-        idx = np.unique(np.asarray(sorted(set(int(m) for m in members)), dtype=np.int64))
+        values = members if isinstance(members, np.ndarray) else np.fromiter(members, dtype=np.int64)
+        idx = np.unique(values.astype(np.int64))
         if idx.size == 0 or idx.min() < 0 or idx.max() >= ring.size:
             raise NotAnIdealError(f"members out of range for ring of size {ring.size}")
         self.indices = idx
         self.indices.flags.writeable = False
-        self.members = frozenset(int(i) for i in idx)
+        self.members = frozenset(idx.tolist())
         mask = np.zeros(ring.size, dtype=bool)
         mask[idx] = True
         mask.flags.writeable = False
@@ -121,11 +125,18 @@ def _check_same_ring(a: Ideal, b: Ideal) -> None:
         raise MixedRingError("ideals belong to different rings")
 
 
+def _distinct(ring: FiniteRing, values: np.ndarray) -> np.ndarray:
+    """The distinct carrier indices among `values`, ascending (a scatter, not a sort)."""
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[values] = True
+    return np.nonzero(mask)[0]
+
+
 def _additive_closure(ring: FiniteRing, seed: np.ndarray) -> np.ndarray:
     """Close a set (already closed under negation and ring action) under +."""
-    cur = np.unique(seed)
+    cur = _distinct(ring, seed)
     while True:
-        nxt = np.unique(ring.add[np.ix_(cur, cur)])
+        nxt = _distinct(ring, ring.add[cur[:, None], cur])
         if nxt.size == cur.size:
             return nxt
         cur = nxt
@@ -152,14 +163,14 @@ def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
 def ideal_sum(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
-    sums = ring.add[np.ix_(left.indices, right.indices)]
-    return Ideal(ring, np.unique(sums), _validated=True)
+    sums = ring.add[left.indices[:, None], right.indices]
+    return Ideal(ring, _distinct(ring, sums), _validated=True)
 
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
-    prods = ring.mul[np.ix_(left.indices, right.indices)].ravel()
+    prods = ring.mul[left.indices[:, None], right.indices].ravel()
     return Ideal(ring, _additive_closure(ring, prods), _validated=True)
 
 

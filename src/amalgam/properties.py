@@ -10,6 +10,10 @@ to a handful of boolean matrices.
 A brute-force polynomial content oracle (c(fg) = c(f)c(g) over all pairs up
 to a degree bound) provides an independent route; the two must agree on
 every local ring at desk scale and the test suite enforces that.
+
+Arithmeticity is decided per local factor (chain ring or not) and each
+factor's answer is certified without the full-ring ideal lattice: a chain
+factor by its m-adic filtration, any other factor by an M3 of ideals.
 """
 from __future__ import annotations
 
@@ -29,13 +33,14 @@ from .ideals import (
     Ideal,
     all_ideals,
     ideal_generated,
+    ideal_intersect,
     ideal_product,
     ideal_sum,
     is_distributive_lattice,
     maximal_ideals,
     principal_ideal,
 )
-from .rings import FiniteRing
+from .rings import FiniteRing, _max_digits
 
 DEFAULT_ORACLE_PAIR_BUDGET = 16**6  # ~16.8M polynomial pairs
 
@@ -210,7 +215,9 @@ def gaussian_content_oracle(
 
     A failure witness is a genuine counterexample to Gaussianity; a pass is
     necessary-condition evidence at that degree.  The pair count
-    |ring|^(2*(dmax+1)) must stay within `pair_budget`.
+    |ring|^(2*(dmax+1)) must stay within `pair_budget`; the exponent is
+    compared with log_|ring| of the budget before any power is formed.  The
+    zero ring has one polynomial at every degree and passes.
 
     Unit scaling changes neither side of the content equation (c(u*f) = c(f)
     for a unit u), so only one representative per unit-scaling orbit is
@@ -219,11 +226,13 @@ def gaussian_content_oracle(
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     n = ring.size
-    npolys = n ** (dmax + 1)
-    if npolys * npolys > pair_budget:
+    if n == 1:
+        return True, None
+    if 2 * (dmax + 1) > _max_digits(n, pair_budget):
         raise BudgetExceededError(
-            f"content oracle needs {npolys}^2 pairs, budget is {pair_budget}"
+            f"content oracle at degree {dmax} needs {n}^{2 * (dmax + 1)} pairs, budget is {pair_budget}"
         )
+    npolys = n ** (dmax + 1)
 
     lattice = all_ideals(ring)
     nl = len(lattice)
@@ -293,37 +302,103 @@ def is_chain_ring(ring: FiniteRing) -> bool:
     return bool((in_principal | in_principal.T).all())
 
 
-def arithmetical_check(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
-    """Distributivity of the ideal lattice, with a witness triple on failure.
+def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
+    """The m-adic filtration R = m^0 > m > m^2 > ... > 0 of a local chain ring,
+    certified to hold every ideal.
 
-    When the lattice is enumerable (within the fixed guard of `all_ideals`)
-    both routes run -- distributive lattice, and all local factors chain
-    rings -- and must agree.  Otherwise only the factor-chain route is
-    available and no lattice witness is produced.
+    Each element x lying in m^k but not in m^(k+1) must generate m^k: the
+    first such element's principal ideal is compared with m^k, and every
+    other x of level k must have that generator among its multiples.  An
+    ideal I then equals m^k for the least level k of its members, so the
+    ideals are totally ordered.  Built from `mul` and `add` through the ideal
+    layer, not from `principal_membership`, in O(n^2) vectorised work and
+    with no lattice enumeration.  Raises InternalCheckError when the factor
+    is not a local chain ring.
     """
-    chain_route = all(is_chain_ring(f) for f, _ in ring.local_factors)
+    m = is_local(factor)
+    if m is None:
+        raise InternalCheckError(f"chain certificate: {factor.label} is not local")
+    steps = [Ideal(factor, range(factor.size), _validated=True), m]
+    while not steps[-1].is_zero:
+        step = ideal_product(steps[-1], m)
+        if len(step) == len(steps[-1]):
+            raise InternalCheckError(f"m-adic filtration of {factor.label} stops at {len(step)} elements")
+        steps.append(step)
+    level = np.sum([step.mask for step in steps], axis=0) - 1
+    gens = np.asarray([int(np.argmax(level == k)) for k in range(len(steps))])
+    principal_ok = all(principal_ideal(factor, g) == step for g, step in zip(gens, steps))
+    if not principal_ok or not (factor.mul == gens[level][None, :]).any(axis=0).all():
+        raise InternalCheckError(f"chain certificate: {factor.label} has ideals off its m-adic filtration")
+    return tuple(steps)
+
+
+def m3_certificate(factor: FiniteRing) -> tuple[Ideal, Ideal, Ideal]:
+    """Three ideals of a local non-chain ring that form an M3 sublattice.
+
+    With (a, b) the first incomparable principal pair and N = m(a, b), the
+    quotient (a, b)/N is a plane over the residue field (Nakayama), so
+    J1 = (a)+N, J2 = (a+b)+N and J3 = (b)+N are three of its lines:
+    J1 /\\ (J2 + J3) = J1 but (J1 /\\ J2) + (J1 /\\ J3) = N.  By Birkhoff the
+    ideal lattice is then not distributive.  The triple is re-validated
+    through the ideal layer (generation, sums, products, member
+    intersection); a failure raises InternalCheckError.
+    """
+    m = is_local(factor)
+    in_principal = factor.principal_membership
+    incomparable = ~(in_principal | in_principal.T)
+    if m is None or not incomparable.any():
+        raise InternalCheckError(f"M3 certificate: {factor.label} is not a local non-chain ring")
+    a, b = divmod(int(np.argmax(incomparable)), factor.size)
+    base = ideal_product(m, ideal_generated(factor, [a, b]))
+    j1, j2, j3 = (ideal_sum(ideal_generated(factor, [x]), base) for x in (a, int(factor.add[a, b]), b))
+    lhs = ideal_intersect(j1, ideal_sum(j2, j3))
+    rhs = ideal_sum(ideal_intersect(j1, j2), ideal_intersect(j1, j3))
+    if lhs != j1 or rhs != base or len(base) == len(j1):
+        raise InternalCheckError(f"M3 certificate failed re-validation on {factor.label}")
+    return j1, j2, j3
+
+
+def is_arithmetical(ring: FiniteRing) -> bool:
+    """Every local factor a chain ring (Jensen), certified factor by factor.
+
+    A chain factor must pass `chain_certificate` and any other factor must
+    yield an `m3_certificate`, so each verdict is cross-checked on every
+    ring without enumerating the full-ring ideal lattice.
+    """
+    verdict = True
+    for factor, _proj in ring.local_factors:
+        if is_chain_ring(factor):
+            chain_certificate(factor)
+        else:
+            m3_certificate(factor)
+            verdict = False
+    return verdict
+
+
+def arithmetical_check(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
+    """`is_arithmetical`, with a distributivity witness where the lattice is enumerable.
+
+    The verdict is certified per local factor on every ring.  When the
+    full-ring lattice is within the fixed guard of `all_ideals`, the first
+    failing triple in canonical lattice order is the witness; it must agree
+    with the verdict and re-validate.  Otherwise the witness is None.
+    """
+    ok = is_arithmetical(ring)
     try:
-        ok, witness = is_distributive_lattice(ring)
+        lattice_ok, witness = is_distributive_lattice(ring)
     except CapExceededError:
-        return chain_route, None
-    if ok != chain_route:
+        return ok, None
+    if lattice_ok != ok:
         raise InternalCheckError(
             f"distributive-lattice and chain-factor routes disagree on {ring.label}"
         )
     if witness is not None:
         i, j, k = witness
-        lhs = ideal_sum(
-            Ideal(ring, i.members & j.members, _validated=True),
-            Ideal(ring, i.members & k.members, _validated=True),
-        )
-        rhs = Ideal(ring, i.members & ideal_sum(j, k).members, _validated=True)
-        if lhs.members == rhs.members:
+        lhs = ideal_sum(ideal_intersect(i, j), ideal_intersect(i, k))
+        rhs = ideal_intersect(i, ideal_sum(j, k))
+        if lhs == rhs:
             raise InternalCheckError("distributivity witness failed re-validation")
     return ok, witness
-
-
-def is_arithmetical(ring: FiniteRing) -> bool:
-    return arithmetical_check(ring)[0]
 
 
 def is_prufer(ring: FiniteRing) -> bool:

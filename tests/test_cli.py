@@ -1,8 +1,11 @@
 import time
 
+import amalgam.cli
+import amalgam.harness
 import amalgam.properties
-from amalgam.cli import main
+from amalgam.cli import _example_lines, main
 from amalgam.errors import InternalCheckError
+from amalgam.harness import EXAMPLE_IDS
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +81,57 @@ def test_resfield_zero_is_a_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error") and "resfield" in err
+
+
+def test_oracle_degree_checked_before_the_power(capsys):
+    # 4**(10**23) must never be formed: the degree is compared with log_4(budget)
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "props", "zmod(4)", "--oracle-degree", "99999999999999999999999")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "cap exceeded" in err
+
+
+def test_oracle_budget_message_names_no_huge_integer(capsys):
+    code, _, err = run_cli(capsys, "props", "zmod(2)", "--oracle-degree", "100000000")
+    assert code == 2
+    assert err.startswith("cap exceeded") and len(err) < 200
+
+
+def test_oracle_on_the_zero_ring_at_any_degree(capsys):
+    code, out, _ = run_cli(capsys, "props", "zmod(1)", "--oracle-degree", "99999999999999999999999", "--machine")
+    assert code == 0
+    assert "oracle_degree=99999999999999999999999 oracle_gaussian=true" in out
+
+
+def test_negative_oracle_degree_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "props", "zmod(4)", "--oracle-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --oracle-degree")
+
+
+def test_examples_build_no_catalog(capsys, monkeypatch, example_reports):
+    def no_catalog(*_args, **_kwargs):
+        raise AssertionError("amalgam examples built a catalog")
+
+    monkeypatch.setattr(amalgam.cli, "build_catalog", no_catalog)
+    monkeypatch.setattr(amalgam.harness, "build_catalog", no_catalog)
+    code, out, _ = run_cli(capsys, "examples", "--machine")
+    expected = [line for ex_id in EXAMPLE_IDS for line in _example_lines(example_reports[ex_id], True)]
+    assert code == 0
+    assert out == "".join(line + "\n" for line in expected)
+    code, _, err = run_cli(capsys, "examples", "--max-ring-size", "1024")
+    assert code == 2
+    assert "cap exceeded" in err
+
+
+def test_props_certifies_large_chain_rings(capsys):
+    # past the 256-element lattice guard; the chain certificate needs no lattice
+    for expr in ("zmod(4096)", "tpa(2,1,10)"):
+        code, out, err = run_cli(capsys, "props", expr)
+        assert code == 0, err
+        assert "arithmetical         yes" in out
 
 
 def test_internal_check_error_exit_code(capsys, monkeypatch):

@@ -48,3 +48,27 @@ def test_props_on_generated_expressions_exits_cleanly(text, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2), (text, code, err)
     assert "Traceback" not in err
+
+
+# content-oracle degrees: negative (a usage error), small (the oracle runs
+# or its pair budget refuses) and 13-digit (refused before any power)
+degrees = st.one_of(st.integers(-10**13, -1), st.integers(0, 2), st.integers(10**12, 10**13 - 1))
+oracle_rings = st.one_of(
+    st.integers(1, 8).map(lambda n: f"zmod({n})"),
+    st.sampled_from(["tpa(2,1,2)", "trivext(zmod(4);resfield(1))"]),
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=oracle_rings, degree=degrees)
+def test_props_with_generated_oracle_degrees_exits_cleanly(text, degree, capsys):
+    code = main(["props", text, "--oracle-degree", str(degree)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), (text, degree, code, err)
+    assert "Traceback" not in err

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from amalgam.errors import BudgetExceededError, CapExceededError, NotLocalError
-from amalgam.expressions import Evaluator
+import amalgam.properties
+from amalgam.errors import BudgetExceededError, CapExceededError, InternalCheckError, NotLocalError
+from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLE_BUILDERS
 from amalgam.ideals import (
     Ideal,
     all_ideals,
     enumerate_ideals,
     ideal_product,
+    is_distributive_lattice,
     is_regular_ideal,
     maximal_ideals,
     principal_ideal,
@@ -17,6 +19,7 @@ from amalgam.ideals import (
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import (
     Polynomial,
+    chain_certificate,
     content,
     gaussian_content_oracle,
     is_arithmetical,
@@ -28,6 +31,7 @@ from amalgam.properties import (
     is_reduced,
     is_total_quotient_ring,
     local_gaussian_pair_check,
+    m3_certificate,
     poly_mul,
     arithmetical_check,
     property_report,
@@ -175,6 +179,72 @@ def test_lattice_guard_ignores_earlier_larger_enumerations():
     with pytest.raises(CapExceededError):
         all_ideals(ring)
     assert arithmetical_check(ring) == (False, None)
+
+
+def _example_ring(example_id):
+    """The ring an example's conclusions are checked on: its replacement's
+    when it names one (2.7's surrogate misses a hypothesis), else its own."""
+    ev = Evaluator()
+    case = EXAMPLE_BUILDERS[example_id](ev)
+    if case.replacement is not None:
+        return ev.instance(parse(case.replacement)).ring
+    return case.instance.ring
+
+
+def test_distributive_lattice_oracle_agrees_with_certified_verdict(catalog):
+    # the full-ring lattice is a test oracle for the per-factor certificates
+    rings = list(catalog.rings) + [_example_ring(x) for x in ("2.5", "2.6", "2.7")]
+    for ring in rings:
+        assert is_distributive_lattice(ring)[0] == is_arithmetical(ring), ring.label
+    assert not any(is_arithmetical(ring) for ring in rings[-3:])
+
+
+def _sum_mask(ring, left, right):
+    """Members of I + J from the addition table alone."""
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[ring.add[np.ix_(np.nonzero(left)[0], np.nonzero(right)[0])]] = True
+    return mask
+
+
+def test_m3_certificate_revalidates_past_the_guard():
+    # 2.10: 256 elements and 485 ideals; 2.11: 1,024 elements
+    ev = Evaluator()
+    for example_id in ("2.10", "2.11"):
+        ring = EXAMPLE_BUILDERS[example_id](ev).instance.ring
+        with pytest.raises(CapExceededError):
+            all_ideals(ring)
+        assert not is_arithmetical(ring)
+        triple = m3_certificate(ring)
+        j1, j2, j3 = (Ideal(ring, ide.members).mask for ide in triple)  # re-validated as ideals
+        bottom, top = j1 & j2, _sum_mask(ring, j1, j2)
+        assert bottom.sum() < j1.sum() < top.sum()
+        for x, y in ((j1, j2), (j1, j3), (j2, j3)):
+            assert ((x & y) == bottom).all() and (_sum_mask(ring, x, y) == top).all()
+        lhs = j1 & _sum_mask(ring, j2, j3)
+        rhs = _sum_mask(ring, j1 & j2, j1 & j3)
+        assert (lhs == j1).all() and not (rhs == j1).all()
+
+
+def test_chain_certificate_is_the_m_adic_filtration():
+    assert [len(step) for step in chain_certificate(zmod(8))] == [8, 4, 2, 1]
+    assert [len(step) for step in chain_certificate(zmod(5))] == [5, 1]
+    assert [len(step) for step in chain_certificate(truncated_poly_algebra(2, 1, 10))] == [
+        2**k for k in range(10, -1, -1)
+    ]
+    with pytest.raises(InternalCheckError):
+        chain_certificate(ext_of(zmod(4), "resfield"))
+    with pytest.raises(InternalCheckError):
+        m3_certificate(zmod(8))
+
+
+def test_lying_chain_route_is_an_internal_error(monkeypatch):
+    ring = EXAMPLE_BUILDERS["2.11"](Evaluator()).instance.ring
+    monkeypatch.setattr(amalgam.properties, "is_chain_ring", lambda _ring: True)
+    with pytest.raises(InternalCheckError):
+        is_arithmetical(ring)
+    monkeypatch.setattr(amalgam.properties, "is_chain_ring", lambda _ring: False)
+    with pytest.raises(InternalCheckError):
+        is_arithmetical(zmod(8))
 
 
 def test_gaussian_locality_consistency():
