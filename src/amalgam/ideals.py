@@ -4,8 +4,12 @@ An ideal is stored as an explicit member set over the ring's index carrier.
 Every constructor validates closure, so an `Ideal` in hand is always a real
 ideal of its ring.  Enumeration of the full lattice is the superlinear hot
 spot, so it runs once per ring (`FiniteRing.ideal_lattice`) under one fixed
-guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals; the radical and
-zero-divisor computations work elementwise and need no guard.
+guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  It closes the
+distinct principal ideals under joins by coset closure: each ideal found is
+joined with every principal ideal in a few vectorised table operations, and
+the ideal guard refuses exactly the rings with more than `MAX_IDEALS`
+ideals, whatever the enumeration order.  The radical and zero-divisor
+computations work elementwise and need no guard.
 """
 from __future__ import annotations
 
@@ -202,56 +206,50 @@ def annihilator(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ideal]:
     """Every ideal of the ring, sorted by size then membership; uncached.
 
-    Principal ideals are closed under pairwise sums to a fixpoint; every
-    ideal of a finite ring is a finite sum of principal ideals, so the
-    result is complete.  Refuses carriers above `MAX_LATTICE_SIZE` and
-    gives up once more than `max_ideals` ideals have been found.  Callers
-    want `all_ideals`, which enumerates each ring once under the fixed guard.
+    Every ideal of a finite ring is a finite sum of principal ideals, so the
+    lattice is the closure of the distinct principal ideals (the distinct
+    rows of `principal_membership`) under joining with a principal ideal.
+    Each ideal I found is joined with every principal ideal at once by
+    coset closure: c[y] = min(y + I) names the coset of y, and y lies in
+    I + (g) iff c[y] = c[z] for some z in (g), i.e. iff hit[g, c[y]] where
+    hit marks the cosets met by each (g).  Ideals are keyed by their packed
+    masks.  Refuses carriers above `MAX_LATTICE_SIZE` and rings with more
+    than `max_ideals` ideals, whatever the enumeration order.  Callers want
+    `all_ideals`, which enumerates each ring once under the fixed guard.
     """
     if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
             f"ideal lattice enumeration needs |ring| <= {MAX_LATTICE_SIZE}, got {ring.size}"
         )
-    # distinct principal ideals; joining the frontier with these suffices
-    principals: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    for x in range(ring.size):
-        arr = np.unique(ring.mul[:, x])
-        key = arr.tobytes()
-        if key not in seen:
-            seen.add(key)
-            principals.append(arr)
-    join_gens = [p for p in principals if p.size > 1]
+    n = ring.size
+    width = (n + 7) // 8
+    found: dict[bytes, None] = {}
+    frontier: list[bytes] = []
 
-    arrays = list(principals)
-    masks = []
-    for arr in arrays:
-        m = np.zeros(ring.size, dtype=bool)
-        m[arr] = True
-        masks.append(m)
+    def masks_of(keys: list[bytes]) -> np.ndarray:
+        packed = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width)
+        return np.unpackbits(packed, axis=1, count=n).view(bool)
 
-    i = 0
-    while i < len(arrays):
-        if len(arrays) > max_ideals:
-            raise CapExceededError(
-                f"{ring.label} has {len(arrays)}+ ideals, enumeration cap is {max_ideals}"
-            )
-        base, base_mask = arrays[i], masks[i]
-        for gen in join_gens:
-            if base_mask[gen].all():
-                continue
-            s = np.unique(ring.add[np.ix_(base, gen)])
-            key = s.tobytes()
-            if key not in seen:
-                seen.add(key)
-                arrays.append(s)
-                m = np.zeros(ring.size, dtype=bool)
-                m[s] = True
-                masks.append(m)
-        i += 1
+    def admit(masks: np.ndarray) -> None:
+        packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+        for key in packed.view(np.dtype((np.void, width))).ravel().tolist():
+            if key not in found:
+                found[key] = None
+                frontier.append(key)
+        if len(found) > max_ideals:
+            raise CapExceededError(f"{ring.label} has more than {max_ideals} ideals")
 
-    ideals = [Ideal(ring, arr, _validated=True) for arr in arrays]
-    ideals.sort(key=lambda ide: (len(ide.members), tuple(sorted(ide.members))))
+    admit(ring.principal_membership)
+    gen_rows, gen_members = np.nonzero(masks_of(list(found)))
+    n_gens = len(found)
+    while frontier:
+        coset = ring.add[:, masks_of([frontier.pop()])[0]].min(axis=1)
+        hit = np.zeros((n_gens, n), dtype=bool)
+        hit[gen_rows, coset[gen_members]] = True
+        admit(hit[:, coset])
+
+    ideals = [Ideal(ring, np.nonzero(mask)[0], _validated=True) for mask in masks_of(list(found))]
+    ideals.sort(key=lambda ide: (len(ide.members), ide.indices.tolist()))
     return ideals
 
 

@@ -299,6 +299,8 @@ class RingHom:
 
     def _validate(self) -> None:
         src, tgt, m = self.source, self.target, self.map
+        if src is tgt and (m == np.arange(src.size)).all():
+            return  # the identity map of a ring is a unital homomorphism
         if m[src.zero] != tgt.zero:
             raise HomomorphismError(
                 f"f(0) = {tgt.element_names[m[src.zero]]} != 0", witness=(src.zero,)
@@ -382,9 +384,12 @@ def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if n < 1:
         raise ValueError("zmod requires n >= 1")
     _check_cap(n, size_cap, f"zmod({n})")
-    idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    # reduced in place, in int32 while the products of residues fit
+    idx = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2**31 else np.int64)
+    add = idx[:, None] + idx[None, :]
+    add %= n
+    mul = idx[:, None] * idx[None, :]
+    mul %= n
     neg = (-idx) % n
     return FiniteRing(n, add, mul, neg, 0, 1 % n, f"zmod({n})")
 

@@ -9,30 +9,36 @@ from amalgam.cli import main
 # three small values (0 among them) to every 13-digit one
 small = st.integers(0, 9)
 ints = st.one_of(small, small, small, st.integers(10**12, 10**13 - 1))
-elems = st.lists(ints, max_size=3).map(lambda xs: ",".join(map(str, xs)))
-
-modules = st.recursive(
-    st.one_of(st.just("regular"), ints.map(lambda n: f"resfield({n})")),
-    lambda inner: st.builds(lambda m, e: f"quotmod({m};{e})", inner, elems),
-    max_leaves=3,
-)
 homs = st.recursive(
     st.sampled_from(["id", "proj", "embed"]),
     lambda inner: st.builds(lambda g, f: f"compose({g},{f})", inner, inner),
     max_leaves=3,
 )
-zmods = ints.map(lambda n: f"zmod({n})")
-rings = st.recursive(
-    st.one_of(zmods, zmods, zmods, st.builds(lambda p, k, t: f"tpa({p},{k},{t})", ints, ints, ints)),
-    lambda inner: st.one_of(
-        st.builds(lambda a, b: f"product({a},{b})", inner, inner),
-        st.builds(lambda r, e: f"quot({r};{e})", inner, elems),
-        st.builds(lambda r, m: f"trivext({r};{m})", inner, modules),
-        st.builds(lambda r, e: f"dup({r};{e})", inner, elems),
-        st.builds(lambda a, b, h, e: f"amalg({a},{b},{h};{e})", inner, inner, homs, elems),
-    ),
-    max_leaves=3,
-)
+
+
+def ring_grammar(ints):
+    """Ring expressions of the calculator's grammar with integer arguments drawn from `ints`."""
+    elems = st.lists(ints, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    modules = st.recursive(
+        st.one_of(st.just("regular"), ints.map(lambda n: f"resfield({n})")),
+        lambda inner: st.builds(lambda m, e: f"quotmod({m};{e})", inner, elems),
+        max_leaves=3,
+    )
+    zmods = ints.map(lambda n: f"zmod({n})")
+    return st.recursive(
+        st.one_of(zmods, zmods, zmods, st.builds(lambda p, k, t: f"tpa({p},{k},{t})", ints, ints, ints)),
+        lambda inner: st.one_of(
+            st.builds(lambda a, b: f"product({a},{b})", inner, inner),
+            st.builds(lambda r, e: f"quot({r};{e})", inner, elems),
+            st.builds(lambda r, m: f"trivext({r};{m})", inner, modules),
+            st.builds(lambda r, e: f"dup({r};{e})", inner, elems),
+            st.builds(lambda a, b, h, e: f"amalg({a},{b},{h};{e})", inner, inner, homs, elems),
+        ),
+        max_leaves=3,
+    )
+
+
+rings = ring_grammar(ints)
 
 
 @settings(

@@ -1,12 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amalgam.errors import CapExceededError, MixedRingError, NotAnIdealError
+from amalgam.errors import AmalgamError, CapExceededError, MixedRingError, NotAnIdealError
+from amalgam.expressions import Evaluator, parse
+from amalgam.harness import EXAMPLE_BUILDERS
 from amalgam.ideals import (
+    MAX_IDEALS,
     Ideal,
     all_ideals,
     annihilator,
+    enumerate_ideals,
     ideal_generated,
     ideal_intersect,
     ideal_power,
@@ -23,6 +30,7 @@ from amalgam.ideals import (
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.rings import product, truncated_poly_algebra, zmod
+from test_cli_generated import ring_grammar
 
 
 def brute_force_ideals(ring):
@@ -42,6 +50,40 @@ def brute_force_ideals(ring):
             continue
         out.append(frozenset(members))
     return set(out)
+
+
+def pairwise_ideals(ring, max_ideals=MAX_IDEALS):
+    """Oracle: close the principal ideals under sums with one `np.unique` per
+    (ideal, principal generator) pair.  Returns the member lists sorted by
+    size then members; raises CapExceededError past `max_ideals` ideals."""
+    principals, seen = [], set()
+    for x in range(ring.size):
+        arr = np.unique(ring.mul[:, x])
+        if arr.tobytes() not in seen:
+            seen.add(arr.tobytes())
+            principals.append(arr)
+    join_gens = [p for p in principals if p.size > 1]
+    arrays = list(principals)
+    i = 0
+    while i < len(arrays):
+        if len(arrays) > max_ideals:
+            raise CapExceededError(f"{ring.label} has more than {max_ideals} ideals")
+        base = arrays[i]
+        base_mask = np.zeros(ring.size, dtype=bool)
+        base_mask[base] = True
+        for gen in join_gens:
+            if base_mask[gen].all():
+                continue
+            s = np.unique(ring.add[np.ix_(base, gen)])
+            if s.tobytes() not in seen:
+                seen.add(s.tobytes())
+                arrays.append(s)
+        i += 1
+    return sorted((arr.tolist() for arr in arrays), key=lambda m: (len(m), m))
+
+
+def member_lists(ring, max_ideals=MAX_IDEALS):
+    return [ide.indices.tolist() for ide in enumerate_ideals(ring, max_ideals)]
 
 
 SMALL_RINGS = [
@@ -130,8 +172,51 @@ def test_ideal_count_guard_on_socle_blowup():
     inst = duplication(outer, is_local_ideal(outer))
     with pytest.raises(CapExceededError):
         all_ideals(inst.ring)
+    with pytest.raises(CapExceededError):
+        pairwise_ideals(inst.ring)
     # the Prufer checker falls back to the documented unit reduction
     assert is_prufer(inst.ring) is True
+
+
+def test_enumerator_matches_pairwise_oracle_on_catalog(catalog):
+    for ring in catalog.rings:
+        assert member_lists(ring) == pairwise_ideals(ring), ring.label
+
+
+def test_ideal_guard_refuses_exactly_past_max_ideals():
+    # example 2.10's ring has 485 ideals; the refusal names the guard, not
+    # how far the enumeration got
+    ring = EXAMPLE_BUILDERS["2.10"](Evaluator()).instance.ring
+    lattice = member_lists(ring, max_ideals=512)
+    assert len(lattice) == 485
+    assert lattice == pairwise_ideals(ring, max_ideals=512)
+    assert member_lists(ring, max_ideals=485) == lattice
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_ideals(ring, max_ideals=484)
+    assert str(exc.value) == f"{ring.label} has more than 484 ideals"
+    with pytest.raises(CapExceededError) as exc:
+        all_ideals(ring)
+    assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
+
+
+# arguments 1..5 keep about a fifth of the expressions buildable within 64 elements
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(text=ring_grammar(st.integers(1, 5)))
+def test_enumerator_matches_pairwise_oracle_on_generated_rings(text):
+    try:
+        ring = Evaluator(size_cap=64).ring(parse(text))
+    except AmalgamError:
+        return  # refused input; test_cli_generated covers the refusal
+    try:
+        expected = pairwise_ideals(ring)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            enumerate_ideals(ring)
+        return
+    lattice = enumerate_ideals(ring)
+    assert [ide.indices.tolist() for ide in lattice] == expected, text
+    for ide in lattice:
+        Ideal(ring, ide.members)  # re-validated by the checking constructor
 
 
 def is_local_ideal(ring):

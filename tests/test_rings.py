@@ -47,6 +47,16 @@ def test_zmod_rejects_bad_sizes():
         zmod(5000)
 
 
+@pytest.mark.parametrize("n", list(range(1, 41)) + [4096])
+def test_zmod_tables_match_the_formula(n):
+    ring = zmod(n)
+    x = np.arange(n, dtype=np.int64)
+    assert (ring.add == (x[:, None] + x[None, :]) % n).all()
+    assert (ring.mul == (x[:, None] * x[None, :]) % n).all()
+    assert (ring.neg == (-x) % n).all()
+    assert (ring.zero, ring.one) == (0, 1 % n)
+
+
 def test_tpa_truncation():
     t = truncated_poly_algebra(2, 1, 3)
     assert t.size == 8
@@ -154,6 +164,18 @@ def test_hom_validation():
     assert proj.map.tolist() == [0, 1, 0, 1]
     with pytest.raises(HomomorphismError):
         hom(z4, z4, [0, 2, 0, 2])  # x -> 2x is not unital
+
+
+def test_identity_shortcut_leaves_other_maps_fully_validated():
+    z6 = zmod(6)
+    assert hom_identity(z6).map.tolist() == list(range(6))
+    # fixes 0 and 1, so only the table comparison rejects it
+    with pytest.raises(HomomorphismError):
+        hom(z6, z6, [0, 1, 3, 2, 4, 5])
+    # the identity index map between two ring objects is validated in full
+    assert hom(z6, zmod(6), range(6)).map.tolist() == list(range(6))
+    with pytest.raises(HomomorphismError):
+        hom(zmod(4), product(zmod(2), zmod(2)), range(4))
 
 
 def test_hom_compose_identity_law():
