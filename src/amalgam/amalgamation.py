@@ -1,16 +1,25 @@
 """The amalgamation of A with B along an ideal J with respect to f: A -> B.
 
-The carrier is {(a, f(a)+j) : a in A, j in J}, a subring of A x B.  Tables
-are built from the closed multiplication rule
+The carrier is {(a, f(a)+j) : a in A, j in J}, a subring of A x B.  Element
+a * |J| + p is the pair (a, j_p), with j_p the p-th member of J, so the +
+and * tables are |A| x |A| blocks of |J| x |J| tables.  They are built from
+three small tables in J positions: jadd[p1, p2] (j1 + j2), jmul[p1, p2]
+(j1 j2) and fj[a, p] (f(a) j_p).  An entry outside J in any of the three
+means J is not closed under the amalgamation rule (an InternalCheckError;
+since f(0) = 0 this is the same as every sum and product below landing in
+J).  Then
 
-    (a1, f(a1)+j1) * (a2, f(a2)+j2) = (a1*a2, f(a1*a2) + f(a1)j2 + f(a2)j1 + j1j2)
+    (a1, j1) + (a2, j2) = (a1 + a2, j1 + j2)
+    (a1, j1) * (a2, j2) = (a1 a2, f(a1) j2 + f(a2) j1 + j1 j2)
 
-rather than by subset closure; the projections pA and pB onto the two
-coordinates are constructed *and validated* as ring homomorphisms, and the
-pair map x -> (pA(x), pB(x)) is checked injective, which together is exactly
-the statement that the direct-formula tables agree with the subring of the
-product.  `product_embedding_check` additionally materializes A x B and
-compares tables under the embedding (used as a test oracle on small cases).
+fill int32 tables of shape (|A|, |J|, |A|, |J|), the product over slices of
+a1 so that each temporary stays within one row block.  The projections pA
+and pB onto the two coordinates are constructed *and validated* as ring
+homomorphisms, and the pair map x -> (pA(x), pB(x)) is checked injective,
+which together is exactly the statement that the direct-formula tables
+agree with the subring of the product.  `product_embedding_check`
+additionally materializes A x B and compares tables under the embedding
+(used as a test oracle on small cases).
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
     RingHom,
+    _row_blocks,
     hom_identity,
     pair_indices,
     product,
@@ -107,30 +117,30 @@ def amalgamate(
     if size > size_cap:
         raise CapExceededError(f"amalgamation would have {size} elements, cap is {size_cap}")
 
-    jlist = j.indices
-    jpos = np.full(target.size, -1, dtype=np.int64)
-    jpos[jlist] = np.arange(nj)
-
-    idx = np.arange(size)
-    ia, ip = idx // nj, idx % nj
-    jb = jlist[ip]
-
-    a1, a2 = ia[:, None], ia[None, :]
-    b1, b2 = jb[:, None], jb[None, :]
-
-    jsum = jpos[target.add[b1, b2]]
-    fmap = f.map.astype(np.int64)
-    cross = target.add[
-        target.add[target.mul[fmap[a1], b2], target.mul[fmap[a2], b1]],
-        target.mul[b1, b2],
-    ]
-    jprod = jpos[cross]
-    if jsum.min() < 0 or jprod.min() < 0:
+    na, jlist = base.size, j.indices
+    jpos = np.full(target.size, -1, dtype=np.int32)
+    jpos[jlist] = np.arange(nj, dtype=np.int32)
+    fmap = f.map
+    # J positions of j1 + j2, j1 * j2 and f(a) * j
+    jadd = jpos[target.add[np.ix_(jlist, jlist)]]
+    jmul = jpos[target.mul[np.ix_(jlist, jlist)]]
+    fj = jpos[target.mul[np.ix_(fmap, jlist)]]
+    if jadd.min() < 0 or jmul.min() < 0 or fj.min() < 0:
         raise InternalCheckError("ideal not closed under the amalgamation rule")
 
-    add = (base.add[a1, a2].astype(np.int64) * nj + jsum).astype(np.int32)
-    mul = (base.mul[a1, a2].astype(np.int64) * nj + jprod).astype(np.int32)
-    neg = (base.neg[ia].astype(np.int64) * nj + jpos[target.neg[jb]]).astype(np.int32)
+    # element a * nj + p is the pair (a, j_p); the tables are (a1, p1, a2, p2)
+    add = (base.add * nj)[:, None, :, None] + jadd[None, :, None, :]
+    mul = np.empty((na, nj, na, nj), dtype=np.int32)
+    base_mul = base.mul * nj
+    fj_t = fj.T[None, :, :, None]  # f(a2) j1, indexed (., p1, a2, .)
+    for start, stop in _row_blocks(na, nj * na * nj):
+        cross = jadd[fj[start:stop, None, None, :], fj_t]  # f(a1) j2 + f(a2) j1
+        cross = jadd[cross, jmul[None, :, None, :]]  # ... + j1 j2
+        np.add(base_mul[start:stop, None, :, None], cross, out=mul[start:stop])
+    add, mul = add.reshape(size, size), mul.reshape(size, size)
+    ia = np.repeat(np.arange(na), nj)
+    jb = np.tile(jlist, na)
+    neg = np.repeat(base.neg * nj, nj) + np.tile(jpos[target.neg[jlist]], na)
     zero = int(base.zero * nj + jpos[target.zero])
     one = int(base.one * nj + jpos[target.zero])
 

@@ -45,7 +45,9 @@ class Ideal:
     def __init__(self, ring: FiniteRing, members: Iterable[int], *, _validated: bool = False):
         self.ring = ring
         values = members if isinstance(members, np.ndarray) else np.fromiter(members, dtype=np.int64)
-        idx = np.unique(values.astype(np.int64))
+        idx = values.astype(np.int64).ravel()
+        if not (idx[1:] > idx[:-1]).all():  # sorted distinct input is kept as it is
+            idx = np.unique(idx)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= ring.size:
             raise NotAnIdealError(f"members out of range for ring of size {ring.size}")
         self.indices = idx

@@ -40,7 +40,7 @@ from .ideals import (
     maximal_ideals,
     principal_ideal,
 )
-from .rings import FiniteRing, _max_digits
+from .rings import FiniteRing, _max_digits, _row_blocks
 
 DEFAULT_ORACLE_PAIR_BUDGET = 16**6  # ~16.8M polynomial pairs
 
@@ -132,21 +132,26 @@ def _pair_condition_matrix(ring: FiniteRing) -> np.ndarray:
     n = ring.size
     mul = ring.mul
     sq = mul[np.arange(n), np.arange(n)]
+    sq_zero = sq == ring.zero
     in_principal = ring.principal_membership
-    prod_nonzero = mul != ring.zero
-
-    # branch with c = a: ab and b^2 in <a^2>, and ab = 0 forces b^2 = 0
-    branch_a = (
-        in_principal[sq[:, None], mul]
-        & in_principal[sq[:, None], sq[None, :]]
-        & (prod_nonzero | (sq[None, :] == ring.zero))
-    )
-    branch_b = (
-        in_principal[sq[None, :], mul]
-        & in_principal[sq[None, :], sq[:, None]]
-        & (prod_nonzero | (sq[:, None] == ring.zero))
-    )
-    return branch_a | branch_b
+    ok = np.empty((n, n), dtype=bool)
+    for start, stop in _row_blocks(n, n):
+        prods = mul[start:stop]
+        sq_a = sq[start:stop, None]
+        prod_nonzero = prods != ring.zero
+        # branch with c = a: ab and b^2 in <a^2>, and ab = 0 forces b^2 = 0
+        branch_a = (
+            in_principal[sq_a, prods]
+            & in_principal[sq_a, sq[None, :]]
+            & (prod_nonzero | sq_zero[None, :])
+        )
+        branch_b = (
+            in_principal[sq[None, :], prods]
+            & in_principal[sq[None, :], sq_a]
+            & (prod_nonzero | sq_zero[start:stop, None])
+        )
+        np.bitwise_or(branch_a, branch_b, out=ok[start:stop])
+    return ok
 
 
 def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
@@ -160,7 +165,7 @@ def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] |
     ok = _pair_condition_matrix(ring)
     if ok.all():
         return True, None
-    a, b = (int(v) for v in np.argwhere(~ok)[0])
+    a, b = divmod(int(np.argmin(ok)), ring.size)
     return False, (a, b)
 
 

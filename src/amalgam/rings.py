@@ -8,6 +8,11 @@ Constructors refuse carriers above a configurable size cap instead of
 degrading.  Every constructed ring passes a quick O(n^2) axiom screen plus
 a fixed-seed sample of the O(n^3) axioms; `FiniteRing.validate` runs the
 full exhaustive check (used throughout the test suite and the harness).
+
+Checks that sweep all n^2 pairs of a table (hom validation, principal
+membership, the Gaussian pair condition) run over row blocks of at most
+`_BLOCK_ENTRIES` entries, so their memory is O(output + block) rather than
+a handful of n x n temporaries; every pair is still checked.
 """
 from __future__ import annotations
 
@@ -36,6 +41,16 @@ EXHAUSTIVE_AXIOM_THRESHOLD = 512
 AXIOM_SAMPLE_COUNT = 65536
 # lighter screen applied at every construction
 CONSTRUCTION_SAMPLE_COUNT = 4096
+# entries per temporary in row-blocked table work (see `_row_blocks`)
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(rows: int, row_len: int):
+    """(start, stop) slices of 0..rows-1 holding about `_BLOCK_ENTRIES`
+    entries of `row_len` each, at least one row per block."""
+    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
+    for start in range(0, rows, step):
+        yield start, min(rows, start + step)
 
 
 def _as_table(arr, shape, what: str) -> np.ndarray:
@@ -161,21 +176,24 @@ class FiniteRing:
 
     # -- cached structural data ----------------------------------------------
 
-    @cached_property
-    def units_mask(self) -> np.ndarray:
-        mask = (self.mul == self.one).any(axis=1)
+    def _rows_reaching(self, value: int, skip: int | None = None) -> np.ndarray:
+        """mask[x] iff x * y == value for some y other than `skip`."""
+        mask = np.empty(self.size, dtype=bool)
+        for start, stop in _row_blocks(self.size, self.size):
+            hit = self.mul[start:stop] == value
+            if skip is not None:
+                hit[:, skip] = False
+            mask[start:stop] = hit.any(axis=1)
         mask.flags.writeable = False
         return mask
 
     @cached_property
+    def units_mask(self) -> np.ndarray:
+        return self._rows_reaching(self.one)
+
+    @cached_property
     def zero_divisor_mask(self) -> np.ndarray:
-        if self.size == 1:
-            mask = np.zeros(1, dtype=bool)
-        else:
-            nonzero = np.arange(self.size) != self.zero
-            mask = (self.mul[:, nonzero] == self.zero).any(axis=1)
-        mask.flags.writeable = False
-        return mask
+        return self._rows_reaching(self.zero, skip=self.zero)
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
@@ -270,9 +288,11 @@ class FiniteRing:
         """Boolean matrix P with P[x, y] iff y is a multiple of x."""
         n = self.size
         mat = np.zeros((n, n), dtype=bool)
-        rows = np.repeat(np.arange(n), n)
-        cols = self.mul.T.ravel()
-        mat[rows, cols] = True
+        flat = mat.reshape(-1)
+        for start, stop in _row_blocks(n, n):
+            # row x of `mul` lists the multiples of x (the table is symmetric)
+            offsets = np.arange(start * n, stop * n, n)[:, None]
+            flat[offsets + self.mul[start:stop]] = True
         mat.flags.writeable = False
         return mat
 
@@ -309,16 +329,19 @@ class RingHom:
             raise HomomorphismError(
                 f"f(1) = {tgt.element_names[m[src.one]]} != 1", witness=(src.one,)
             )
-        lhs = m[src.add]
-        rhs = tgt.add[np.ix_(m, m)]
-        if not (lhs == rhs).all():
-            x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            raise HomomorphismError(f"f(x+y) != f(x)+f(y) at ({x}, {y})", witness=(x, y))
-        lhs = m[src.mul]
-        rhs = tgt.mul[np.ix_(m, m)]
-        if not (lhs == rhs).all():
-            x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            raise HomomorphismError(f"f(x*y) != f(x)*f(y) at ({x}, {y})", witness=(x, y))
+        n = src.size
+        for op, src_tab, tgt_tab in (("+", src.add, tgt.add), ("*", src.mul, tgt.mul)):
+            # every pair, one row block at a time; the first failure in
+            # row-major order is the witness
+            for start, stop in _row_blocks(n, max(n, tgt.size)):
+                lhs = np.take(m, src_tab[start:stop])
+                rhs = np.take(tgt_tab[m[start:stop]], m, axis=1)
+                bad = lhs != rhs
+                if bad.any():
+                    x, y = divmod(start * n + int(np.argmax(bad)), n)
+                    raise HomomorphismError(
+                        f"f(x{op}y) != f(x){op}f(y) at ({x}, {y})", witness=(x, y)
+                    )
 
     def __call__(self, index: int) -> int:
         return int(self.map[index])

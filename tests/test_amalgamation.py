@@ -9,8 +9,10 @@ from amalgam.amalgamation import (
     f_image_plus_j,
     product_embedding_check,
 )
-from amalgam.errors import CapExceededError, MixedRingError, NotLocalError
-from amalgam.ideals import ideal_generated, maximal_ideals
+from amalgam.errors import CapExceededError, InternalCheckError, MixedRingError, NotLocalError
+from amalgam.expressions import Evaluator
+from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.ideals import Ideal, ideal_generated, maximal_ideals
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import is_gaussian, is_local, is_prufer, is_total_quotient_ring
 from amalgam.rings import hom, hom_identity, product, quotient, zmod
@@ -22,6 +24,64 @@ def example_2_5_instance():
     target, embed, _ = trivial_extension(z4, vspace_over_residue(z4, m, 1))
     j = ideal_generated(target, [1, 4])  # I x E with I = (2)
     return amalgamate(z4, target, embed, j)
+
+
+def direct_formula_tables(inst):
+    """add, mul, neg, pA and pB of the instance by the closed rule, gathered
+    entry by entry over n x n index arrays (the construction the block build
+    replaced, kept as its oracle)."""
+    base, target, f, j = inst.base, inst.target, inst.f, inst.j
+    nj = len(j)
+    size = base.size * nj
+    jlist = j.indices
+    jpos = np.full(target.size, -1, dtype=np.int64)
+    jpos[jlist] = np.arange(nj)
+    idx = np.arange(size)
+    ia, ip = idx // nj, idx % nj
+    jb = jlist[ip]
+    a1, a2 = ia[:, None], ia[None, :]
+    b1, b2 = jb[:, None], jb[None, :]
+    fmap = f.map.astype(np.int64)
+    jsum = jpos[target.add[b1, b2]]
+    cross = target.add[
+        target.add[target.mul[fmap[a1], b2], target.mul[fmap[a2], b1]],
+        target.mul[b1, b2],
+    ]
+    jprod = jpos[cross]
+    assert jsum.min() >= 0 and jprod.min() >= 0
+    add = base.add[a1, a2].astype(np.int64) * nj + jsum
+    mul = base.mul[a1, a2].astype(np.int64) * nj + jprod
+    neg = base.neg[ia].astype(np.int64) * nj + jpos[target.neg[jb]]
+    return add, mul, neg, ia, target.add[fmap[ia], jb]
+
+
+def assert_matches_direct_formula(inst):
+    add, mul, neg, pa, pb = direct_formula_tables(inst)
+    assert np.array_equal(inst.ring.add, add), inst.label
+    assert np.array_equal(inst.ring.mul, mul), inst.label
+    assert np.array_equal(inst.ring.neg, neg), inst.label
+    assert np.array_equal(inst.to_base.map, pa), inst.label
+    assert np.array_equal(inst.to_target.map, pb), inst.label
+
+
+def test_block_build_matches_direct_formula_on_catalog(catalog):
+    small = [spec for spec in catalog.specs if spec.base.size * len(spec.j) <= 64]
+    assert len(small) > 1000
+    for spec in small:
+        assert_matches_direct_formula(spec.build(catalog.params.size_cap))
+
+
+@pytest.mark.parametrize("example_id", ["2.4", "2.10", "2.11"])
+def test_block_build_matches_direct_formula_on_examples(example_id):
+    assert_matches_direct_formula(EXAMPLE_BUILDERS[example_id](Evaluator()).instance)
+
+
+def test_additive_subgroup_not_closed_under_f_image_times_j():
+    # the diagonal of F2 x F2 is closed under + and *, but (1,0)(1,1) = (1,0)
+    p22 = product(zmod(2), zmod(2))
+    diagonal = Ideal(p22, [0, 3], _validated=True)
+    with pytest.raises(InternalCheckError, match="not closed under the amalgamation rule"):
+        amalgamate(p22, p22, hom_identity(p22), diagonal)
 
 
 def test_duplication_basic():

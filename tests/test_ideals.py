@@ -112,6 +112,21 @@ def test_maximal_ideals_against_brute_force(ring):
     assert {m.members for m in maximal_ideals(ring)} == expected
 
 
+def test_ideal_members_normalised():
+    z12 = zmod(12)
+    for members in ([8, 4, 0, 4], np.array([4, 0, 8, 0]), (0, 4, 8), np.array([0, 4, 8], dtype=np.int32)):
+        ideal = Ideal(z12, members)
+        assert ideal.indices.tolist() == [0, 4, 8]
+        assert ideal.members == {0, 4, 8}
+        assert ideal.mask.nonzero()[0].tolist() == [0, 4, 8]
+    given_sorted = np.array([0, 3, 6, 9], dtype=np.int64)
+    ideal = Ideal(z12, given_sorted, _validated=True)
+    assert ideal.indices.tolist() == [0, 3, 6, 9] and ideal.indices is not given_sorted
+    assert given_sorted.flags.writeable  # the caller's array is not frozen
+    with pytest.raises(NotAnIdealError):
+        Ideal(z12, [0, 12])
+
+
 def test_ideal_generated_examples():
     z4, z6 = zmod(4), zmod(6)
     assert ideal_generated(z4, [2]).members == {0, 2}
