@@ -13,13 +13,12 @@ J).  Then
     (a1, j1) * (a2, j2) = (a1 a2, f(a1) j2 + f(a2) j1 + j1 j2)
 
 fill int32 tables of shape (|A|, |J|, |A|, |J|), the product over slices of
-a1 so that each temporary stays within one row block.  The projections pA
-and pB onto the two coordinates are constructed *and validated* as ring
-homomorphisms, and the pair map x -> (pA(x), pB(x)) is checked injective,
-which together is exactly the statement that the direct-formula tables
-agree with the subring of the product.  `product_embedding_check`
-additionally materializes A x B and compares tables under the embedding
-(used as a test oracle on small cases).
+a1 so that each temporary stays within one row block.  The ring rests on its
+`rings.Proof`: pA and pB onto the two coordinates, validated as ring homs,
+with x -> (pA(x), pB(x)) injective, which is exactly the statement that the
+tables are the subring of A x B (f(A)+J rests on its inclusion the same
+way), so no sampled axiom screen runs.  `product_embedding_check` also
+materializes A x B and compares tables under the embedding (a test oracle).
 """
 from __future__ import annotations
 
@@ -39,6 +38,7 @@ from .properties import is_local, is_reduced
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
+    Proof,
     RingHom,
     _row_blocks,
     hom_identity,
@@ -94,6 +94,11 @@ class AmalgamationInstance:
     @cached_property
     def hypotheses(self) -> HypothesisReport:
         return hypothesis_report(self)
+
+    @cached_property
+    def fimage_plus_j(self) -> FiniteRing:
+        """The subring f(A) + J of the target, built once per instance."""
+        return f_image_plus_j(self.target, self.f, self.j)[0]
 
     def __repr__(self) -> str:
         return f"AmalgamationInstance({self.label}, |R|={self.ring.size})"
@@ -153,12 +158,9 @@ def amalgamate(
         hom_tag = f.label or "hom"
         label = f"amalg({base.label},{target.label},{hom_tag};{gens})"
 
-    ring = FiniteRing(size, add, mul, neg, zero, one, label, names)
-    to_base = RingHom(ring, base, ia, label="pA")
-    to_target = RingHom(ring, target, second, label="pB")
-    pairs = to_base.map.astype(np.int64) * target.size + to_target.map
-    if np.unique(pairs).size != size:
-        raise InternalCheckError("amalgamation does not embed into the product")
+    proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
+    ring = FiniteRing(size, add, mul, neg, zero, one, label, names, proof)
+    to_base, to_target = proof.homs
     zero_j = Ideal(ring, base.zero * nj + np.arange(nj))
     if to_base.kernel().members != zero_j.members:
         raise InternalCheckError("kernel of pA differs from {0} x J")
@@ -187,18 +189,10 @@ def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing
         raise InternalCheckError("f(A) + J is not closed in the target")
     sneg = pos[target.neg[carrier]]
     names = [target.element_names[c] for c in carrier]
-    sub = FiniteRing(
-        carrier.size,
-        sadd.astype(np.int32),
-        smul.astype(np.int32),
-        sneg.astype(np.int32),
-        int(pos[target.zero]),
-        int(pos[target.one]),
-        f"subring(fimage+J;{target.label})",
-        names,
-    )
-    inclusion = RingHom(sub, target, carrier, label="incl")
-    return sub, inclusion
+    label = f"subring(fimage+J;{target.label})"
+    proof = Proof(out_of=((target, carrier, "incl"),))
+    sub = FiniteRing(carrier.size, sadd, smul, sneg, int(pos[target.zero]), int(pos[target.one]), label, names, proof)
+    return sub, proof.homs[0]
 
 
 def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:

@@ -41,7 +41,6 @@ from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
     RingHom,
-    hom_compose,
     product as ring_product,
     quotient,
     truncated_poly_algebra,
@@ -551,8 +550,7 @@ class Evaluator:
             mid_expr = self._peel(hexpr.outer, target_expr)
             inner = self.resolve_hom(hexpr.inner, source, mid_expr)
             outer = self.resolve_hom(hexpr.outer, self.ring(mid_expr), target_expr)
-            composed = hom_compose(outer, inner)
-            return RingHom(source, target, composed.map, label=hexpr.unparse())
+            return RingHom(source, target, outer.map[inner.map], label=hexpr.unparse())
         raise EvaluationError(f"unsupported hom expression {hexpr!r}")
 
     def _peel(self, hexpr: HomExpr, target_expr: RingExpr) -> RingExpr:

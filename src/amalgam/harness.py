@@ -42,7 +42,6 @@ from .amalgamation import (
     HypothesisReport,
     amalgamate,
     duplication,
-    f_image_plus_j,
 )
 from .errors import CapExceededError, InternalCheckError
 from .expressions import (
@@ -75,7 +74,7 @@ from .properties import (
     is_reduced,
     is_total_quotient_ring,
 )
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, pair_indices, tpa_monomial_count
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, hom_identity, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
@@ -259,8 +258,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
             specs.append(InstanceSpec(base, target, f, j, label, tuple(tags)))
 
     for expr, ring in zip(exprs, rings):
-        ident = RingHom(ring, ring, np.arange(ring.size), label="id")
-        push(ring, ring, ident, "identity", expr)
+        push(ring, ring, hom_identity(ring), "identity", expr)
 
         if isinstance(expr, TrivextExpr):
             base = ev.ring(expr.ring)
@@ -368,8 +366,7 @@ def _locality_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bo
 def _gaussian_descends(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
     if not is_gaussian(inst.ring):
         return True, None
-    sub, _ = f_image_plus_j(inst.target, inst.f, inst.j)
-    ok = is_gaussian(inst.base) and is_gaussian(sub)
+    ok = is_gaussian(inst.base) and is_gaussian(inst.fimage_plus_j)
     return ok, None if ok else "R Gaussian but base or f(A)+J is not"
 
 
@@ -380,7 +377,7 @@ def _gaussian_criterion_holds(inst: AmalgamationInstance, h: HypothesisReport) -
 
 
 def _disjoint_image_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
-    sub, _ = f_image_plus_j(inst.target, inst.f, inst.j)
+    sub = inst.fimage_plus_j
     lhs = is_gaussian(inst.ring)
     rhs = is_gaussian(sub)
     if lhs != rhs:
@@ -730,8 +727,7 @@ def _j_in_rad(inst):
 
 
 def _fimage_equals_target(inst):
-    sub, _ = f_image_plus_j(inst.target, inst.f, inst.j)
-    return sub.size == inst.target.size
+    return inst.fimage_plus_j.size == inst.target.size
 
 
 def _maximal_squares_to_zero(inst):

@@ -467,7 +467,8 @@ def property_report(
         reduced=is_reduced(ring),
         field=is_field(ring),
         total_quotient_ring=is_total_quotient_ring(ring),
-        chain_ring=is_chain_ring(ring),
+        # a finite ring is a chain ring iff arithmetical with <= 1 local factor
+        chain_ring=arith_ok and len(ring.local_factors) <= 1,
         gaussian=gauss_ok,
         arithmetical=arith_ok,
         prufer=is_prufer(ring),

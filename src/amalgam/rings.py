@@ -5,9 +5,11 @@ for + and *, a negation table, and distinguished zero/one indices.  Tables
 make every checker in the package an exhaustive (and vectorizable) loop.
 
 Constructors refuse carriers above a configurable size cap instead of
-degrading.  Every constructed ring passes a quick O(n^2) axiom screen plus
-a fixed-seed sample of the O(n^3) axioms; `FiniteRing.validate` runs the
-full exhaustive check (used throughout the test suite and the harness).
+degrading.  Every constructed ring passes an O(n^2) axiom screen.  The ring
+of `quotient`, `amalgamation.amalgamate`/`duplication` or `f_image_plus_j`
+then rests on a `Proof`, the ring homs deriving it from accepted rings;
+any other ring gets a fixed-seed sample of the O(n^3) axioms (exhaustive
+up to n = 16).  `FiniteRing.validate` runs the full exhaustive check.
 
 Checks that sweep all n^2 pairs of a table (hom validation, principal
 membership, the Gaussian pair condition) run over row blocks of at most
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -61,6 +64,18 @@ def _as_table(arr, shape, what: str) -> np.ndarray:
     return table
 
 
+@dataclass
+class Proof:
+    """Index maps (other ring, index map, label) that make a derived ring a
+    quotient (`onto`: one surjective) or a subring (`out_of`: jointly
+    injective) of accepted rings.  `FiniteRing` validates them as ring homs
+    and leaves them in `homs`, in that order; the ring keeps no reference."""
+
+    onto: tuple = ()
+    out_of: tuple = ()
+    homs: tuple[RingHom, ...] = field(default=(), init=False)
+
+
 class FiniteRing:
     """A finite commutative ring with explicit operation tables.
 
@@ -78,6 +93,7 @@ class FiniteRing:
         one: int,
         label: str,
         element_names: Sequence[str] | None = None,
+        proof: Proof | None = None,
     ):
         if size < 1:
             raise StructureError("ring size must be >= 1")
@@ -94,10 +110,15 @@ class FiniteRing:
         if len(self.element_names) != size:
             raise StructureError("element_names length mismatch")
         self._quick_check()
+        if proof is None:
+            self._check_cubic_axioms(sample=CONSTRUCTION_SAMPLE_COUNT)
+        else:
+            self._prove(proof)
 
     # -- axiom checking ----------------------------------------------------
 
     def _quick_check(self) -> None:
+        """The O(n^2) screen: ranges, identities, negation, commutativity."""
         n, add, mul, neg = self.size, self.add, self.mul, self.neg
         rng_ok = lambda t: t.min() >= 0 and t.max() < n  # noqa: E731
         if not (rng_ok(add) and rng_ok(mul) and rng_ok(neg)):
@@ -117,17 +138,31 @@ class FiniteRing:
             raise StructureError("addition is not commutative")
         if not (mul == mul.T).all():
             raise StructureError("multiplication is not commutative")
-        sample = CONSTRUCTION_SAMPLE_COUNT if n**3 > CONSTRUCTION_SAMPLE_COUNT else None
-        self._check_cubic_axioms(sample=sample)
+
+    def _prove(self, proof: Proof) -> None:
+        """Carry the cubic axioms over from accepted rings: along a hom onto this
+        ring, or along homs that jointly embed it.  A failure is a bug, not bad input."""
+        try:
+            onto = [RingHom(source, self, m, label) for source, m, label in proof.onto]
+            out_of = [RingHom(self, target, m, label) for target, m, label in proof.out_of]
+        except HomomorphismError as exc:
+            raise InternalCheckError(f"proof of {self.label} fails: {exc}") from exc
+        joint = np.zeros(self.size, dtype=np.int64)
+        for h in out_of:
+            joint = joint * h.target.size + h.map
+        if not (any(h.is_surjective for h in onto) or np.unique(joint).size == self.size):
+            raise InternalCheckError(f"proof of {self.label} fails: no map is onto it or jointly injective")
+        proof.homs = (*onto, *out_of)
 
     def _check_cubic_axioms(self, sample: int | None) -> None:
         """Associativity of both operations and distributivity.
 
-        `sample=None` checks all n^3 triples (sliced per first coordinate to
-        keep memory linear); otherwise checks a fixed-seed random sample.
+        Checks all n^3 triples (sliced per first coordinate to keep memory
+        linear) when `sample` is None or at least n^3; otherwise checks a
+        fixed-seed random sample of `sample` triples.
         """
         n, add, mul = self.size, self.add, self.mul
-        if sample is None:
+        if sample is None or n**3 <= sample:
             for a in range(n):
                 if not (add[add[a], :] == add[a][add]).all():
                     bad = np.argwhere(add[add[a], :] != add[a][add])[0]
@@ -149,18 +184,12 @@ class FiniteRing:
             if not (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all():
                 raise StructureError("distributivity fails (sampled)")
 
-    def validate(self, exhaustive_threshold: int = EXHAUSTIVE_AXIOM_THRESHOLD) -> None:
-        """Re-verify all eight ring axioms.
-
-        Exhaustive for carriers up to `exhaustive_threshold`; larger rings
-        get the quadratic axioms exhaustively plus a fixed-seed sample of
-        the cubic ones (documented sample count AXIOM_SAMPLE_COUNT).
-        """
+    def validate(self) -> None:
+        """Re-verify all eight ring axioms from the tables alone, exhaustively up
+        to EXHAUSTIVE_AXIOM_THRESHOLD elements; above it the cubic ones on a
+        fixed-seed sample of AXIOM_SAMPLE_COUNT triples."""
         self._quick_check()
-        if self.size <= exhaustive_threshold:
-            self._check_cubic_axioms(sample=None)
-        else:
-            self._check_cubic_axioms(sample=AXIOM_SAMPLE_COUNT)
+        self._check_cubic_axioms(sample=None if self.size <= EXHAUSTIVE_AXIOM_THRESHOLD else AXIOM_SAMPLE_COUNT)
 
     def same_tables(self, other: FiniteRing) -> bool:
         return (
@@ -581,8 +610,9 @@ def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
     gens = ",".join(str(g) for g in ideal.generators())
     label = f"quot({ring.label};{gens})"
     names = [f"[{ring.element_names[r]}]" for r in reps]
-    quot = FiniteRing(q, qadd, qmul, qneg, qzero, qone, label, names)
-    proj = RingHom(ring, quot, pos[rep], label="proj")
+    proof = Proof(onto=((ring, pos[rep], "proj"),))
+    quot = FiniteRing(q, qadd, qmul, qneg, qzero, qone, label, names, proof)
+    (proj,) = proof.homs
     if proj.kernel().members != ideal.members:
         raise InternalCheckError("projection kernel differs from the ideal")
     return quot, proj
