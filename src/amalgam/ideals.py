@@ -4,12 +4,16 @@ An ideal is stored as an explicit member set over the ring's index carrier.
 Every constructor validates closure, so an `Ideal` in hand is always a real
 ideal of its ring.  Enumeration of the full lattice is the superlinear hot
 spot, so it runs once per ring (`FiniteRing.ideal_lattice`) under one fixed
-guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  It closes the
-distinct principal ideals under joins by coset closure: each ideal found is
-joined with every principal ideal in a few vectorised table operations, and
-the ideal guard refuses exactly the rings with more than `MAX_IDEALS`
-ideals, whatever the enumeration order.  The radical and zero-divisor
-computations work elementwise and need no guard.
+guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The ideal
+guard first refuses, before any enumeration work, the rings whose proven
+lower bound on the ideal count (`ideal_count_lower_bound`, from the layers
+and socle of each local factor) is past `MAX_IDEALS`.  Every other ring is
+enumerated by closing the distinct principal ideals under joins by coset
+closure: each ideal found is joined with every principal ideal in a few
+vectorised table operations.  So the guard stays exact: it refuses the rings
+with more than `MAX_IDEALS` ideals and no others, whatever the enumeration
+order.  The radical and zero-divisor computations work elementwise and need
+no guard.
 """
 from __future__ import annotations
 
@@ -17,15 +21,17 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import CapExceededError, MixedRingError, NotAnIdealError
+from .errors import CapExceededError, InternalCheckError, MixedRingError, NotAnIdealError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rings import FiniteRing
 
 MAX_LATTICE_SIZE = 256
 
-# Abort lattice enumeration once more ideals than this have been found; rings
-# with large square-zero socles have subspace-lattice blowups even at small
+# Refuse lattice enumeration past this many ideals: up front when the layer
+# and socle bound (`ideal_count_lower_bound`) already exceeds it, else once
+# the enumeration has found more, so the refusal stays exact.  Rings with
+# large square-zero socles have subspace-lattice blowups even at small
 # carrier sizes.  No verdict needs the lattice: it serves catalog
 # construction, cor-2.3 and the distributivity witness of `property_report`,
 # while the arithmetical cross-check certifies each local factor of every
@@ -205,6 +211,62 @@ def annihilator(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
     return Ideal(ring, np.nonzero(ok)[0], _validated=True)
 
 
+def _subspace_count(q: int, d: int) -> int:
+    """S_q(d), the number of subspaces of F_q^d: the sum of the Gaussian
+    binomials [d, k]_q, each got from the last by [d, k+1] = [d, k] *
+    (q^(d-k) - 1) / (q^(k+1) - 1)."""
+    total, binom = 0, 1
+    for k in range(d + 1):
+        total += binom
+        binom = binom * (q ** (d - k) - 1) // (q ** (k + 1) - 1)
+    return total
+
+
+def _dimension(q: int, order: int) -> int:
+    """log_q of `order`, the size of an F_q-vector space."""
+    d = 0
+    while order > 1:
+        order //= q
+        d += 1
+    return d
+
+
+def ideal_count_lower_bound(ring: FiniteRing) -> int:
+    """A proven lower bound on the number of ideals, from no lattice work.
+
+    The ring is the product of its local factors eR, e running over the
+    primitive idempotents; the maximal ideal m of eR is its nilradical and
+    its residue field F_q has q = |eR| / |m|.  m kills each layer
+    m^i/m^(i+1) and the socle ann(m), so eR acts on them through F_q: every
+    F_q-subspace of a layer pulls back to an ideal between m^(i+1) and m^i,
+    and every F_q-subspace of the socle is an ideal.  With d_i = log_q
+    |m^i/m^(i+1)|, s = log_q |ann(m)| and S_q(d) the subspace count of
+    F_q^d, eR has at least max(1 + sum_i (S_q(d_i) - 1), S_q(s)) ideals.
+    The ideal lattice of the ring is the product of its factors' lattices,
+    so the bounds multiply.  Everything is read off the ring's own tables.
+    """
+    bound = 1
+    for e in ring.primitive_idempotent_list:
+        factor = _distinct(ring, ring.mul[e])
+        m = factor[ring.nilpotent_mask[factor]]
+        q = factor.size // m.size
+        socle = np.zeros(ring.size, dtype=bool)
+        socle[factor[(ring.mul[factor[:, None], m] == ring.zero).all(axis=1)]] = True
+        # |m^0|, |m^1|, ...: m kills a power inside the socle, so it is the last nonzero one
+        sizes, power = [factor.size, m.size], m
+        while not socle[power].all():
+            power = _additive_closure(ring, ring.mul[power[:, None], m])
+            if power.size == sizes[-1]:
+                raise InternalCheckError(f"maximal ideal of a local factor of {ring.label} is not nilpotent")
+            sizes.append(power.size)
+        sizes.append(1)
+        layered = 1 + sum(
+            _subspace_count(q, _dimension(q, big // small)) - 1 for big, small in zip(sizes, sizes[1:])
+        )
+        bound *= max(layered, _subspace_count(q, _dimension(q, int(socle.sum()))))
+    return bound
+
+
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ideal]:
     """Every ideal of the ring, sorted by size then membership; uncached.
 
@@ -216,13 +278,18 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ide
     I + (g) iff c[y] = c[z] for some z in (g), i.e. iff hit[g, c[y]] where
     hit marks the cosets met by each (g).  Ideals are keyed by their packed
     masks.  Refuses carriers above `MAX_LATTICE_SIZE` and rings with more
-    than `max_ideals` ideals, whatever the enumeration order.  Callers want
+    than `max_ideals` ideals, whatever the enumeration order: first, before
+    any enumeration work, those whose `ideal_count_lower_bound` is past
+    `max_ideals`, then the rest as the enumeration finds them.  Callers want
     `all_ideals`, which enumerates each ring once under the fixed guard.
     """
     if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
             f"ideal lattice enumeration needs |ring| <= {MAX_LATTICE_SIZE}, got {ring.size}"
         )
+    too_many = CapExceededError(f"{ring.label} has more than {max_ideals} ideals")
+    if ideal_count_lower_bound(ring) > max_ideals:
+        raise too_many
     n = ring.size
     width = (n + 7) // 8
     found: dict[bytes, None] = {}
@@ -239,7 +306,7 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ide
                 found[key] = None
                 frontier.append(key)
         if len(found) > max_ideals:
-            raise CapExceededError(f"{ring.label} has more than {max_ideals} ideals")
+            raise too_many
 
     admit(ring.principal_membership)
     gen_rows, gen_members = np.nonzero(masks_of(list(found)))
@@ -298,39 +365,27 @@ def is_regular_ideal(ideal: Ideal) -> bool:
     return bool((~ideal.ring.zero_divisor_mask[ideal.indices]).any())
 
 
-def lattice_tables(ring: FiniteRing) -> tuple[list[Ideal], np.ndarray, np.ndarray]:
-    """(all ideals, meet table, join table) as index tables over the lattice.
+def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
+    """Check I /\\ (J + K) == (I /\\ J) + (I /\\ K) over all ideal triples.
 
-    Joins and meets are located through the containment matrix: the join of
-    two ideals is the smallest ideal containing both, the meet the largest
-    contained in both; `all_ideals` returns the lattice sorted by size, so
-    a first/last scan along that order finds them.
+    Returns (True, None) or (False, witness_triple), the witness being the
+    first failing triple in the canonical lattice order.  Joins and meets
+    are read off the containment matrix: `all_ideals` sorts the lattice by
+    size, so the join of two ideals is the first ideal containing both and
+    the meet the last one contained in both.  The join table is built once;
+    the meet row of I only when the scan reaches I.
     """
     lattice = all_ideals(ring)
     n = len(lattice)
     mask_mat = np.stack([ide.mask for ide in lattice]).astype(np.int32)
     # contains[i, j] iff ideal i is a subset of ideal j
-    overlap_violation = mask_mat @ (1 - mask_mat).T
-    contains = overlap_violation == 0
-
-    both_above = contains[:, None, :] & contains[None, :, :]
-    join = both_above.argmax(axis=2).astype(np.int32)
+    contains = (mask_mat @ (1 - mask_mat).T) == 0
+    join = (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
     below = contains.T
-    both_below = below[:, None, :] & below[None, :, :]
-    meet = (n - 1 - both_below[:, :, ::-1].argmax(axis=2)).astype(np.int32)
-    return lattice, meet, join
-
-
-def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
-    """Check I /\\ (J + K) == (I /\\ J) + (I /\\ K) over all ideal triples.
-
-    Returns (True, None) or (False, witness_triple), the witness being the
-    first failing triple in the canonical lattice order.
-    """
-    lattice, meet, join = lattice_tables(ring)
-    for i in range(len(lattice)):
-        lhs = meet[i][join]
-        rhs = join[np.ix_(meet[i], meet[i])]
+    for i in range(n):
+        meet = n - 1 - (below[i] & below)[:, ::-1].argmax(axis=1)
+        lhs = meet[join]
+        rhs = join[np.ix_(meet, meet)]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             j, k = (int(v) for v in bad[0])

@@ -14,6 +14,7 @@ from amalgam.ideals import (
     all_ideals,
     annihilator,
     enumerate_ideals,
+    ideal_count_lower_bound,
     ideal_generated,
     ideal_intersect,
     ideal_power,
@@ -29,7 +30,7 @@ from amalgam.ideals import (
     zero_divisors,
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
-from amalgam.rings import product, truncated_poly_algebra, zmod
+from amalgam.rings import FiniteRing, product, truncated_poly_algebra, zmod
 from test_cli_generated import ring_grammar
 
 
@@ -84,6 +85,41 @@ def pairwise_ideals(ring, max_ideals=MAX_IDEALS):
 
 def member_lists(ring, max_ideals=MAX_IDEALS):
     return [ide.indices.tolist() for ide in enumerate_ideals(ring, max_ideals)]
+
+
+def full_table_distributivity(ring):
+    """Oracle: the L x L x L meet and join tables built up front, then the
+    distributive law checked row by row; the first failing triple in
+    canonical lattice order is the witness."""
+    lattice = all_ideals(ring)
+    n = len(lattice)
+    mask_mat = np.stack([ide.mask for ide in lattice]).astype(np.int32)
+    contains = (mask_mat @ (1 - mask_mat).T) == 0
+    join = (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
+    below = contains.T
+    both_below = below[:, None, :] & below[None, :, :]
+    meet = n - 1 - both_below[:, :, ::-1].argmax(axis=2)
+    for i in range(n):
+        bad = np.argwhere(meet[i][join] != join[np.ix_(meet[i], meet[i])])
+        if bad.size:
+            j, k = (int(v) for v in bad[0])
+            return False, (lattice[i], lattice[j], lattice[k])
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def rings_to_64(catalog):
+    """Every catalog ring, then every catalog instance ring of <= 64 elements,
+    one ring per distinct (zero, one, add, mul) table: lattices, bounds and
+    witnesses depend on the tables alone."""
+    specs = [spec for spec in catalog.specs if spec.base.size * len(spec.j) <= 64]
+    rings, seen = [], set()
+    for ring in list(catalog.rings) + [spec.build(catalog.params.size_cap).ring for spec in specs]:
+        key = (ring.zero, ring.one, ring.add.tobytes(), ring.mul.tobytes())
+        if key not in seen:
+            seen.add(key)
+            rings.append(ring)
+    return rings
 
 
 SMALL_RINGS = [
@@ -212,6 +248,61 @@ def test_ideal_guard_refuses_exactly_past_max_ideals():
     with pytest.raises(CapExceededError) as exc:
         all_ideals(ring)
     assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
+
+
+def test_ideal_count_lower_bound_exact_on_hand_checked_rings():
+    assert ideal_count_lower_bound(zmod(8)) == 4  # chain ring: Z/8 > (2) > (4) > 0
+    assert ideal_count_lower_bound(truncated_poly_algebra(2, 2, 2)) == 6  # 0, three lines, m, R
+    assert ideal_count_lower_bound(product(zmod(2), zmod(4))) == 2 * 3
+    assert ideal_count_lower_bound(zmod(1)) == 1
+
+
+def test_ideal_count_lower_bound_below_count_and_refusing_only_past_the_guard(rings_to_64):
+    refused_by_bound = 0
+    for ring in rings_to_64:
+        bound = ideal_count_lower_bound(ring)
+        if bound > MAX_IDEALS:
+            refused_by_bound += 1
+            with pytest.raises(CapExceededError):
+                pairwise_ideals(ring)
+            continue
+        try:
+            count = len(all_ideals(ring))
+        except CapExceededError:
+            with pytest.raises(CapExceededError):
+                pairwise_ideals(ring)
+            continue
+        assert bound <= count, ring.label
+    assert refused_by_bound > 0
+
+
+def test_guard_refuses_from_the_bound_before_enumerating(monkeypatch):
+    # F2[x1..x5]/(x)^2: m/m^2 has 374 subspaces, so 375 ideals at least
+    ring = truncated_poly_algebra(2, 5, 2)
+    assert ideal_count_lower_bound(ring) == 375
+
+    def no_enumeration(_ring):
+        raise AssertionError("enumeration started on a ring the bound refuses")
+
+    # principal membership feeds the enumerator's first step, before any coset closure
+    monkeypatch.setattr(FiniteRing, "principal_membership", property(no_enumeration))
+    with pytest.raises(CapExceededError) as exc:
+        all_ideals(ring)
+    assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
+    with pytest.raises(AssertionError):
+        enumerate_ideals(ring, max_ideals=375)
+
+
+def test_row_at_a_time_distributivity_matches_full_tables(rings_to_64):
+    checked = 0
+    for ring in rings_to_64:
+        try:
+            expected = full_table_distributivity(ring)
+        except CapExceededError:
+            continue
+        assert is_distributive_lattice(ring) == expected, ring.label
+        checked += 1
+    assert checked > 400
 
 
 # arguments 1..5 keep about a fifth of the expressions buildable within 64 elements
