@@ -1,19 +1,22 @@
 """Ideal arithmetic and ideal-lattice enumeration for finite commutative rings.
 
-An ideal is stored as an explicit member set over the ring's index carrier.
-Every constructor validates closure, so an `Ideal` in hand is always a real
-ideal of its ring.  Enumeration of the full lattice is the superlinear hot
-spot, so it runs once per ring (`FiniteRing.ideal_lattice`) under one fixed
-guard, `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The ideal
-guard first refuses, before any enumeration work, the rings whose proven
-lower bound on the ideal count (`ideal_count_lower_bound`, from the layers
-and socle of each local factor) is past `MAX_IDEALS`.  Every other ring is
-enumerated by closing the distinct principal ideals under joins by coset
-closure: each ideal found is joined with every principal ideal in a few
-vectorised table operations.  So the guard stays exact: it refuses the rings
-with more than `MAX_IDEALS` ideals and no others, whatever the enumeration
-order.  The radical and zero-divisor computations work elementwise and need
-no guard.
+An ideal is stored as a read-only membership mask over the ring's index
+carrier, with its sorted indices and member set.  Every public constructor
+validates closure, so an `Ideal` in hand is always a real ideal of its ring.
+Enumeration of the full lattice is the superlinear hot spot, so it runs once
+per ring (`FiniteRing.ideal_lattice`) under one fixed guard,
+`MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The lattice is held as
+one sorted bool matrix, a row per ideal; `Ideal` objects are built from its
+rows only for callers that iterate (`all_ideals`) and for the three ideals
+of a distributivity witness.  The ideal guard first refuses, before any
+enumeration work, the rings whose proven lower bound on the ideal count
+(`ideal_count_lower_bound`, from the layers and socle of each local factor)
+is past `MAX_IDEALS`.  Every other ring is enumerated by closing the
+distinct principal ideals under joins by coset closure: each ideal found is
+joined with every principal ideal in a few vectorised table operations.  So
+the guard stays exact: it refuses the rings with more than `MAX_IDEALS`
+ideals and no others, whatever the enumeration order.  The radical and
+zero-divisor computations work elementwise and need no guard.
 """
 from __future__ import annotations
 
@@ -67,6 +70,23 @@ class Ideal:
         if not _validated:
             self._validate()
 
+    @classmethod
+    def _from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> Ideal:
+        """The ideal whose membership mask is `mask`, a bool row over the
+        carrier already known to be an ideal (a lattice row, a pullback of
+        non-units, an annihilator): no scatter, sort test or closure check.
+        The row is made read-only and kept, not copied."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        mask.flags.writeable = False
+        ideal.mask = mask
+        idx = np.flatnonzero(mask)
+        idx.flags.writeable = False
+        ideal.indices = idx
+        ideal.members = frozenset(idx.tolist())
+        ideal._generators = None
+        return ideal
+
     def _validate(self) -> None:
         ring, idx, mask = self.ring, self.indices, self.mask
         if ring.zero not in self.members:
@@ -114,16 +134,21 @@ class Ideal:
         return len(self.members) == self.ring.size
 
     def generators(self) -> tuple[int, ...]:
-        """Canonical generating set: greedy over ascending member indices."""
+        """Canonical generating set: greedy over ascending member indices.
+
+        The span of the generators so far grows by one principal ideal at a
+        time: (g1, ..., gk, x) = (g1, ..., gk) + (x), a sum of two ideals.
+        """
         if self._generators is not None:
             return self._generators
         ring = self.ring
-        span = {ring.zero}
+        span = np.zeros(ring.size, dtype=bool)
+        span[ring.zero] = True
         gens: list[int] = []
-        for x in sorted(self.members):
-            if x not in span:
+        for x in self.indices.tolist():
+            if not span[x]:
                 gens.append(x)
-                span = ideal_generated(ring, gens).members
+                span[ring.add[np.flatnonzero(span)[:, None], _distinct(ring, ring.mul[x])]] = True
         self._generators = tuple(gens)
         return self._generators
 
@@ -206,9 +231,8 @@ def annihilator(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
     """{x : x*s = 0 for every s in elements}; the whole ring when empty."""
     elist = sorted(set(int(e) for e in elements))
     if not elist:
-        return Ideal(ring, range(ring.size), _validated=True)
-    ok = (ring.mul[:, elist] == ring.zero).all(axis=1)
-    return Ideal(ring, np.nonzero(ok)[0], _validated=True)
+        return Ideal._from_mask(ring, np.ones(ring.size, dtype=bool))
+    return Ideal._from_mask(ring, (ring.mul[:, elist] == ring.zero).all(axis=1))
 
 
 def _subspace_count(q: int, d: int) -> int:
@@ -267,8 +291,9 @@ def ideal_count_lower_bound(ring: FiniteRing) -> int:
     return bound
 
 
-def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ideal]:
-    """Every ideal of the ring, sorted by size then membership; uncached.
+def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarray:
+    """Every ideal of the ring as one read-only bool matrix, a membership row
+    per ideal, sorted by size then membership; uncached.
 
     Every ideal of a finite ring is a finite sum of principal ideals, so the
     lattice is the closure of the distinct principal ideals (the distinct
@@ -277,11 +302,15 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ide
     coset closure: c[y] = min(y + I) names the coset of y, and y lies in
     I + (g) iff c[y] = c[z] for some z in (g), i.e. iff hit[g, c[y]] where
     hit marks the cosets met by each (g).  Ideals are keyed by their packed
-    masks.  Refuses carriers above `MAX_LATTICE_SIZE` and rings with more
-    than `max_ideals` ideals, whatever the enumeration order: first, before
-    any enumeration work, those whose `ideal_count_lower_bound` is past
-    `max_ideals`, then the rest as the enumeration finds them.  Callers want
-    `all_ideals`, which enumerates each ring once under the fixed guard.
+    masks.  Rows are sorted by size, then by packed mask bytes descending:
+    of two equal-size member lists the lexicographically smaller is the one
+    holding the least element of their symmetric difference, i.e. the one
+    whose mask has the first set bit where they differ.  Refuses carriers
+    above `MAX_LATTICE_SIZE` and rings with more than `max_ideals` ideals,
+    whatever the enumeration order: first, before any enumeration work,
+    those whose `ideal_count_lower_bound` is past `max_ideals`, then the
+    rest as the enumeration finds them.  Callers want `all_ideals`, which
+    enumerates each ring once under the fixed guard.
     """
     if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
@@ -293,45 +322,54 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> list[Ide
     n = ring.size
     width = (n + 7) // 8
     found: dict[bytes, None] = {}
-    frontier: list[bytes] = []
-
-    def masks_of(keys: list[bytes]) -> np.ndarray:
-        packed = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width)
-        return np.unpackbits(packed, axis=1, count=n).view(bool)
+    frontier: list[np.ndarray] = []
 
     def admit(masks: np.ndarray) -> None:
         packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-        for key in packed.view(np.dtype((np.void, width))).ravel().tolist():
+        for row, key in enumerate(packed.view(np.dtype((np.void, width))).ravel().tolist()):
             if key not in found:
                 found[key] = None
-                frontier.append(key)
+                frontier.append(masks[row])
         if len(found) > max_ideals:
             raise too_many
 
     admit(ring.principal_membership)
-    gen_rows, gen_members = np.nonzero(masks_of(list(found)))
-    n_gens = len(found)
+    gen_rows, gen_members = np.nonzero(np.stack(frontier))
+    n_gens = len(frontier)
     while frontier:
-        coset = ring.add[:, masks_of([frontier.pop()])[0]].min(axis=1)
+        coset = ring.add[:, frontier.pop()].min(axis=1)
         hit = np.zeros((n_gens, n), dtype=bool)
         hit[gen_rows, coset[gen_members]] = True
         admit(hit[:, coset])
 
-    ideals = [Ideal(ring, np.nonzero(mask)[0], _validated=True) for mask in masks_of(list(found))]
-    ideals.sort(key=lambda ide: (len(ide.members), ide.indices.tolist()))
-    return ideals
+    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(len(found), width)
+    lattice = np.unpackbits(packed, axis=1, count=n).view(bool)
+    # lexsort's last key is the primary one: size ascending, then bytes 0, 1, ... descending
+    lattice = lattice[np.lexsort((*(~packed).T[::-1], lattice.sum(axis=1)))]
+    lattice.flags.writeable = False
+    return lattice
 
 
-def all_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Every ideal of the ring, sorted by size then membership.
+def _lattice_matrix(ring: FiniteRing) -> np.ndarray:
+    """The ring's cached ideal lattice matrix (`enumerate_ideals`).
 
     Raises CapExceededError when the ring is past the fixed enumeration
-    guard (see `enumerate_ideals`).
+    guard.
     """
     lattice = ring.ideal_lattice
     if isinstance(lattice, str):
         raise CapExceededError(lattice)
-    return list(lattice)
+    return lattice
+
+
+def all_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Every ideal of the ring, sorted by size then membership, built from
+    the rows of `_lattice_matrix`.
+
+    Raises CapExceededError when the ring is past the fixed enumeration
+    guard (see `enumerate_ideals`).
+    """
+    return [Ideal._from_mask(ring, row) for row in _lattice_matrix(ring)]
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -344,11 +382,11 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     mask = np.ones(ring.size, dtype=bool)
     for m in maximal_ideals(ring):
         mask &= m.mask
-    return Ideal(ring, np.nonzero(mask)[0], _validated=True)
+    return Ideal._from_mask(ring, mask)
 
 
 def nilradical(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, np.nonzero(ring.nilpotent_mask)[0], _validated=True)
+    return Ideal._from_mask(ring, ring.nilpotent_mask)
 
 
 def zero_divisors(ring: FiniteRing) -> frozenset[int]:
@@ -370,16 +408,17 @@ def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal,
 
     Returns (True, None) or (False, witness_triple), the witness being the
     first failing triple in the canonical lattice order.  Joins and meets
-    are read off the containment matrix: `all_ideals` sorts the lattice by
-    size, so the join of two ideals is the first ideal containing both and
-    the meet the last one contained in both.  The join table is built once;
-    the meet row of I only when the scan reaches I.
+    are read off the containment matrix of the rows of `_lattice_matrix`,
+    which is sorted by size, so the join of two ideals is the first ideal
+    containing both and the meet the last one contained in both.  The join
+    table is built once; the meet row of I only when the scan reaches I.
+    `Ideal` objects are built for the three witness ideals only.
     """
-    lattice = all_ideals(ring)
+    lattice = _lattice_matrix(ring)
     n = len(lattice)
-    mask_mat = np.stack([ide.mask for ide in lattice]).astype(np.int32)
-    # contains[i, j] iff ideal i is a subset of ideal j
-    contains = (mask_mat @ (1 - mask_mat).T) == 0
+    # contains[i, j] iff ideal i is a subset of ideal j; counts <= 256 are exact in float32
+    members = lattice.astype(np.float32)
+    contains = (members @ (1 - members).T) == 0
     join = (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
     below = contains.T
     for i in range(n):
@@ -389,5 +428,5 @@ def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal,
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             j, k = (int(v) for v in bad[0])
-            return False, (lattice[i], lattice[j], lattice[k])
+            return False, tuple(Ideal._from_mask(ring, lattice[x]) for x in (i, j, k))
     return True, None

@@ -8,8 +8,10 @@ Constructors refuse carriers above a configurable size cap instead of
 degrading.  Every constructed ring passes an O(n^2) axiom screen.  The ring
 of `quotient`, `amalgamation.amalgamate`/`duplication` or `f_image_plus_j`
 then rests on a `Proof`, the ring homs deriving it from accepted rings;
-any other ring gets a fixed-seed sample of the O(n^3) axioms (exhaustive
-up to n = 16).  `FiniteRing.validate` runs the full exhaustive check.
+any other ring gets a fixed-seed sample of the O(n^3) axioms, drawn once
+per carrier size and gathered from the flattened tables (every triple, in
+one vectorised pass, up to n = 16).  `FiniteRing.validate` runs the full
+exhaustive check.
 
 Checks that sweep all n^2 pairs of a table (hom validation, principal
 membership, the Gaussian pair condition) run over row blocks of at most
@@ -18,6 +20,7 @@ a handful of n x n temporaries; every pair is still checked.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -54,6 +57,19 @@ def _row_blocks(rows: int, row_len: int):
     step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
     for start in range(0, rows, step):
         yield start, min(rows, start + step)
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_triples(n: int, count: int) -> np.ndarray:
+    """The fixed-seed triples (a, b, c) the sampled axiom screen checks on a
+    carrier of n elements: `default_rng(0).integers(0, n, size=(3, count))`,
+    drawn once per (n, count) and kept read-only in int32.  A pure function
+    of its arguments with a read-only result, so the process-wide memo of
+    32 entries (at most 1.5 MB at the construction sample count) cannot leak
+    state between callers."""
+    triples = np.random.default_rng(0).integers(0, n, size=(3, count)).astype(np.int32)
+    triples.flags.writeable = False
+    return triples
 
 
 def _as_table(arr, shape, what: str) -> np.ndarray:
@@ -157,32 +173,43 @@ class FiniteRing:
     def _check_cubic_axioms(self, sample: int | None) -> None:
         """Associativity of both operations and distributivity.
 
-        Checks all n^3 triples (sliced per first coordinate to keep memory
-        linear) when `sample` is None or at least n^3; otherwise checks a
-        fixed-seed random sample of `sample` triples.
+        Checks all n^3 triples when `sample` is None or at least n^3: in one
+        vectorised pass up to CONSTRUCTION_SAMPLE_COUNT triples, else (or to
+        name the first failure) sliced per first coordinate to keep memory
+        linear.  Otherwise checks the `sample` fixed-seed triples of
+        `_sample_triples`, gathered from the flattened tables.
         """
         n, add, mul = self.size, self.add, self.mul
-        if sample is None or n**3 <= sample:
-            for a in range(n):
-                if not (add[add[a], :] == add[a][add]).all():
-                    bad = np.argwhere(add[add[a], :] != add[a][add])[0]
-                    raise StructureError(f"addition not associative at {(a, int(bad[0]), int(bad[1]))}")
-                if not (mul[mul[a], :] == mul[a][mul]).all():
-                    bad = np.argwhere(mul[mul[a], :] != mul[a][mul])[0]
-                    raise StructureError(f"multiplication not associative at {(a, int(bad[0]), int(bad[1]))}")
-                ma = mul[a]
-                if not (ma[add] == add[np.ix_(ma, ma)]).all():
-                    bad = np.argwhere(ma[add] != add[np.ix_(ma, ma)])[0]
-                    raise StructureError(f"distributivity fails at {(a, int(bad[0]), int(bad[1]))}")
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = rng.integers(0, n, size=(3, sample))
-            if not (add[add[a, b], c] == add[a, add[b, c]]).all():
+        if sample is not None and n**3 > sample:
+            a, b, c = _sample_triples(n, sample)
+            add_flat, mul_flat = add.ravel(), mul.ravel()
+            an = a * n
+            ab, bc, ac = an + b, b * n + c, an + c  # flat positions of (a, b), (b, c), (a, c)
+            add_bc, mul_ab = add_flat[bc], mul_flat[ab]
+            if not (add_flat[add_flat[ab] * n + c] == add_flat[an + add_bc]).all():
                 raise StructureError("addition not associative (sampled)")
-            if not (mul[mul[a, b], c] == mul[a, mul[b, c]]).all():
+            if not (mul_flat[mul_ab * n + c] == mul_flat[an + mul_flat[bc]]).all():
                 raise StructureError("multiplication not associative (sampled)")
-            if not (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all():
+            if not (mul_flat[an + add_bc] == add_flat[mul_ab * n + mul_flat[ac]]).all():
                 raise StructureError("distributivity fails (sampled)")
+            return
+        if n**3 <= CONSTRUCTION_SAMPLE_COUNT and (
+            (add[add] == add[:, add]).all()
+            and (mul[mul] == mul[:, mul]).all()
+            and (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
+        ):
+            return
+        for a in range(n):
+            if not (add[add[a], :] == add[a][add]).all():
+                bad = np.argwhere(add[add[a], :] != add[a][add])[0]
+                raise StructureError(f"addition not associative at {(a, int(bad[0]), int(bad[1]))}")
+            if not (mul[mul[a], :] == mul[a][mul]).all():
+                bad = np.argwhere(mul[mul[a], :] != mul[a][mul])[0]
+                raise StructureError(f"multiplication not associative at {(a, int(bad[0]), int(bad[1]))}")
+            ma = mul[a]
+            if not (ma[add] == add[np.ix_(ma, ma)]).all():
+                bad = np.argwhere(ma[add] != add[np.ix_(ma, ma)])[0]
+                raise StructureError(f"distributivity fails at {(a, int(bad[0]), int(bad[1]))}")
 
     def validate(self) -> None:
         """Re-verify all eight ring axioms from the tables alone, exhaustively up
@@ -292,16 +319,17 @@ class FiniteRing:
         the non-units of its local factors, so no lattice enumeration runs.
         """
         return tuple(
-            Ideal(self, np.nonzero(~factor.units_mask[proj.map])[0], _validated=True)
-            for factor, proj in self.local_factors
+            Ideal._from_mask(self, ~factor.units_mask[proj.map]) for factor, proj in self.local_factors
         )
 
     @cached_property
-    def ideal_lattice(self) -> tuple[Ideal, ...] | str:
-        """Every ideal (read it through `ideals.all_ideals`), enumerated once
-        under the fixed guard; the guard's refusal message when it refuses."""
+    def ideal_lattice(self) -> np.ndarray | str:
+        """Every ideal as one read-only bool matrix, a membership row per ideal
+        in canonical order (`ideals.enumerate_ideals`; read it through
+        `ideals.all_ideals`), enumerated once under the fixed guard; the
+        guard's refusal message when it refuses."""
         try:
-            return tuple(enumerate_ideals(self))
+            return enumerate_ideals(self)
         except CapExceededError as exc:
             return str(exc)
 

@@ -84,7 +84,8 @@ def pairwise_ideals(ring, max_ideals=MAX_IDEALS):
 
 
 def member_lists(ring, max_ideals=MAX_IDEALS):
-    return [ide.indices.tolist() for ide in enumerate_ideals(ring, max_ideals)]
+    """The rows of the enumerated lattice matrix as member lists, in row order."""
+    return [np.flatnonzero(row).tolist() for row in enumerate_ideals(ring, max_ideals)]
 
 
 def full_table_distributivity(ring):
@@ -231,7 +232,34 @@ def test_ideal_count_guard_on_socle_blowup():
 
 def test_enumerator_matches_pairwise_oracle_on_catalog(catalog):
     for ring in catalog.rings:
+        lattice = enumerate_ideals(ring)
+        assert lattice.dtype == bool and lattice.shape[1] == ring.size and not lattice.flags.writeable
         assert member_lists(ring) == pairwise_ideals(ring), ring.label
+        assert (ring.ideal_lattice == lattice).all(), ring.label
+
+
+def test_equal_size_ideals_order_by_their_least_differing_member():
+    # F2[x,y]/(x,y)^3 with element index c1 + 2cx + 4cy + 8cx^2 + 16cxy + 32cy^2:
+    # (x^2, xy+y^2) = {0,8,48,56} and (xy, y^2) = {0,16,32,48} are two
+    # planes of the socle.  The first holds 8, the least member of their
+    # symmetric difference, so it comes first, although it holds the
+    # largest differing member (56) and has the larger packed mask bytes.
+    ring = truncated_poly_algebra(2, 2, 3)
+    lattice = member_lists(ring)
+    first, second = lattice.index([0, 8, 48, 56]), lattice.index([0, 16, 32, 48])
+    assert first < second
+    assert lattice == sorted(lattice, key=lambda m: (len(m), m))
+    assert lattice == pairwise_ideals(ring)
+
+
+def test_ideal_from_a_mask_row_keeps_the_row():
+    ring = zmod(12)
+    row = enumerate_ideals(ring)[2]
+    ideal = Ideal._from_mask(ring, row)
+    checked = Ideal(ring, np.flatnonzero(row))
+    assert ideal == checked and ideal.indices.tolist() == checked.indices.tolist()
+    assert ideal.mask is row and not ideal.indices.flags.writeable
+    assert ideal.generators() == checked.generators()
 
 
 def test_ideal_guard_refuses_exactly_past_max_ideals():
@@ -319,10 +347,10 @@ def test_enumerator_matches_pairwise_oracle_on_generated_rings(text):
         with pytest.raises(CapExceededError):
             enumerate_ideals(ring)
         return
-    lattice = enumerate_ideals(ring)
-    assert [ide.indices.tolist() for ide in lattice] == expected, text
-    for ide in lattice:
-        Ideal(ring, ide.members)  # re-validated by the checking constructor
+    lattice = member_lists(ring)
+    assert lattice == expected, text
+    for members in lattice:
+        Ideal(ring, members)  # re-validated by the checking constructor
 
 
 def is_local_ideal(ring):

@@ -163,7 +163,8 @@ def test_prufer_examples(catalog):
     r29, r210, r211 = (EXAMPLE_BUILDERS[x](ev).instance.ring for x in ("2.9", "2.10", "2.11"))
     assert _prufer_by_lattice_sweep(all_ideals(r29)) and is_prufer(r29)
     # 485 ideals, above the ideal-count guard: swept by the uncached enumerator
-    assert _prufer_by_lattice_sweep(enumerate_ideals(r210, max_ideals=512)) and is_prufer(r210)
+    lattice = [Ideal(r210, np.flatnonzero(row)) for row in enumerate_ideals(r210, max_ideals=512)]
+    assert _prufer_by_lattice_sweep(lattice) and is_prufer(r210)
     # 1024 elements and thousands of ideals: every regular ideal contains a
     # regular x, hence <x>; each such <x> is the whole ring, so the ring is
     # the only regular ideal
@@ -245,6 +246,39 @@ def test_lying_chain_route_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(amalgam.properties, "is_chain_ring", lambda _ring: False)
     with pytest.raises(InternalCheckError):
         is_arithmetical(zmod(8))
+
+
+def test_property_report_builds_only_the_witness_ideals(monkeypatch):
+    built = []
+    from_mask = Ideal._from_mask.__func__
+
+    def counting(cls, ring, mask):
+        lattice = ring.__dict__.get("ideal_lattice")
+        if isinstance(lattice, np.ndarray) and np.shares_memory(mask, lattice):
+            built.append(ring.label)
+        return from_mask(cls, ring, mask)
+
+    monkeypatch.setattr(Ideal, "_from_mask", classmethod(counting))
+    non_arithmetical = ext_of(zmod(4), "regular")
+    report = property_report(non_arithmetical)
+    assert not report.arithmetical and report.arithmetical_witness is not None
+    assert len(built) == 3 and len(non_arithmetical.ideal_lattice) > 3
+    built.clear()
+    for ring in (zmod(8), product(zmod(4), zmod(9)), truncated_poly_algebra(2, 1, 4)):
+        report = property_report(ring)
+        assert report.arithmetical and report.arithmetical_witness is None
+        assert isinstance(ring.ideal_lattice, np.ndarray)  # the lattice was enumerated
+    assert built == []
+
+
+def test_arithmetical_check_refuses_disagreeing_routes(monkeypatch):
+    rings = (zmod(8), ext_of(zmod(4), "regular"))
+    verdicts = {ring.label: is_arithmetical(ring) for ring in rings}
+    assert sorted(verdicts.values()) == [False, True]
+    monkeypatch.setattr(amalgam.properties, "is_arithmetical", lambda ring: not verdicts[ring.label])
+    for ring in rings:
+        with pytest.raises(InternalCheckError, match="disagree"):
+            arithmetical_check(ring)
 
 
 def test_gaussian_locality_consistency():
