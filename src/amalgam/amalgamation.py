@@ -13,7 +13,8 @@ J).  Then
     (a1, j1) * (a2, j2) = (a1 a2, f(a1) j2 + f(a2) j1 + j1 j2)
 
 fill int32 tables of shape (|A|, |J|, |A|, |J|), the product over slices of
-a1 so that each temporary stays within one row block.  The ring rests on its
+a1 so that each temporary stays within one row block, its sums gathered
+from the flattened jadd.  The ring rests on its
 `rings.Proof`: pA and pB onto the two coordinates, validated as ring homs,
 with x -> (pA(x), pB(x)) injective, which is exactly the statement that the
 tables are the subring of A x B (f(A)+J rests on its inclusion the same
@@ -137,10 +138,16 @@ def amalgamate(
     add = (base.add * nj)[:, None, :, None] + jadd[None, :, None, :]
     mul = np.empty((na, nj, na, nj), dtype=np.int32)
     base_mul = base.mul * nj
+    # jadd[x, y] is jadd_flat[x * nj + y]: gather with precomputed row offsets
+    jadd_flat = jadd.ravel()
+    fj_rows = fj * nj  # row offset of f(a1) j2, indexed (a1, p2)
     fj_t = fj.T[None, :, :, None]  # f(a2) j1, indexed (., p1, a2, .)
+    jmul_t = jmul[None, :, None, :]
     for start, stop in _row_blocks(na, nj * na * nj):
-        cross = jadd[fj[start:stop, None, None, :], fj_t]  # f(a1) j2 + f(a2) j1
-        cross = jadd[cross, jmul[None, :, None, :]]  # ... + j1 j2
+        cross = np.take(jadd_flat, fj_rows[start:stop, None, None, :] + fj_t)  # f(a1) j2 + f(a2) j1
+        cross *= nj
+        cross += jmul_t
+        cross = np.take(jadd_flat, cross)  # ... + j1 j2
         np.add(base_mul[start:stop, None, :, None], cross, out=mul[start:stop])
     add, mul = add.reshape(size, size), mul.reshape(size, size)
     ia = np.repeat(np.arange(na), nj)

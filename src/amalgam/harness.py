@@ -119,14 +119,6 @@ class Catalog:
     specs: list[InstanceSpec]
 
 
-def _enumerable_ideals(ring: FiniteRing) -> list[Ideal]:
-    """The ideal lattice, or nothing when it is past the enumeration guard."""
-    try:
-        return all_ideals(ring)
-    except CapExceededError:
-        return []
-
-
 def _tpa_parameter_sweep(carrier_max: int) -> list[TpaExpr]:
     out = []
     for p in (2, 3, 5, 7):
@@ -160,6 +152,18 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
             + ring.add.tobytes()
             + ring.mul.tobytes()
         )
+
+    ideals_of: dict[FiniteRing, list[Ideal]] = {}  # keyed by ring identity
+
+    def enumerable_ideals(ring: FiniteRing) -> list[Ideal]:
+        """The ideal lattice, taken once per ring and build, or nothing when
+        it is past the enumeration guard."""
+        if ring not in ideals_of:
+            try:
+                ideals_of[ring] = all_ideals(ring)
+            except CapExceededError:
+                ideals_of[ring] = []
+        return ideals_of[ring]
 
     def add_expr(expr: RingExpr) -> FiniteRing | None:
         ring = ev.ring(expr)
@@ -225,7 +229,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     for expr, ring in list(zip(exprs, rings)):
         if ring.size > p.quotient_base_max:
             continue
-        for ideal in _enumerable_ideals(ring):
+        for ideal in enumerable_ideals(ring):
             if ideal.is_whole or ideal.is_zero:
                 continue
             add_expr(QuotExpr(expr, ideal.generators()))
@@ -240,7 +244,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     specs: list[InstanceSpec] = []
 
     def push(base: FiniteRing, target: FiniteRing, f: RingHom, hom_tag: str, target_expr: RingExpr) -> None:
-        for j in _enumerable_ideals(target):
+        for j in enumerable_ideals(target):
             if j.is_whole or base.size * len(j) > p.instance_max:
                 continue
             tags = [hom_tag]

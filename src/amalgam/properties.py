@@ -4,8 +4,12 @@ The central checker is the local pair condition for the Gaussian property:
 a local ring is Gaussian iff for every pair (a, b) some c in {a, b} has
 <a,b>^2 = <c^2>, and additionally ab = 0 forces the square of the other
 element to vanish.  Since <a,b>^2 = <a^2, ab, b^2>, the equality collapses
-to two principal-membership tests per branch and the whole check vectorizes
-to a handful of boolean matrices.
+to two principal-membership tests per branch.  For units u, v the pair
+(ua, vb) has (ua)(vb) = uv ab and (ua)^2 = u^2 a^2, which generate the same
+principal ideals and vanish together with ab and a^2, so pass[ua, vb] =
+pass[a, b]: one pair per pair of unit orbits decides the condition on
+every pair, exactly, and the check vectorizes to a few boolean matrices
+over the orbits.
 
 A brute-force polynomial content oracle (c(fg) = c(f)c(g) over all pairs up
 to a degree bound) provides an independent route; the two must agree on
@@ -127,45 +131,68 @@ def is_total_quotient_ring(ring: FiniteRing) -> bool:
 # -- Gaussian checkers ---------------------------------------------------------
 
 
-def _pair_condition_matrix(ring: FiniteRing) -> np.ndarray:
-    """pass[a, b] iff the pair (a, b) satisfies the local Gaussian condition."""
-    n = ring.size
+def _unit_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, orbit): the least member of each orbit of the carrier under
+    multiplication by units, ascending, and orbit[x], the position in `reps`
+    of the orbit of x.  The unit rows of `mul` are gathered one row block at
+    a time."""
     mul = ring.mul
-    sq = mul[np.arange(n), np.arange(n)]
-    sq_zero = sq == ring.zero
-    in_principal = ring.principal_membership
-    ok = np.empty((n, n), dtype=bool)
-    for start, stop in _row_blocks(n, n):
-        prods = mul[start:stop]
-        sq_a = sq[start:stop, None]
-        prod_nonzero = prods != ring.zero
-        # branch with c = a: ab and b^2 in <a^2>, and ab = 0 forces b^2 = 0
-        branch_a = (
-            in_principal[sq_a, prods]
-            & in_principal[sq_a, sq[None, :]]
-            & (prod_nonzero | sq_zero[None, :])
-        )
-        branch_b = (
-            in_principal[sq[None, :], prods]
-            & in_principal[sq[None, :], sq_a]
-            & (prod_nonzero | sq_zero[start:stop, None])
-        )
-        np.bitwise_or(branch_a, branch_b, out=ok[start:stop])
-    return ok
+    units = np.flatnonzero(ring.units_mask)
+    least = mul[ring.one].copy()
+    for start, stop in _row_blocks(units.size, ring.size):
+        np.minimum(least, mul[units[start:stop]].min(axis=0), out=least)
+    reps = np.unique(least)
+    return reps, np.searchsorted(reps, least)
 
 
 def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
-    """Exhaustive pair condition on a local ring.
+    """Exhaustive pair condition on a local ring, one pair per pair of unit orbits.
+
+    The condition on (a, b) reads only the principal ideals <a^2>, <b^2>
+    and the products ab, a^2, b^2 up to units, so pass[ua, vb] = pass[a, b]
+    for units u, v; the k x k table over orbit representatives decides
+    every pair.  Membership y in <c^2> is read per orbit of y from the k
+    rows of multiples of the representatives' squares.
 
     Returns (True, None) or (False, (a, b)) with the first failing pair in
-    row-major order.
+    row-major order: a is the first element whose orbit row fails, b the
+    first element failing against it.
     """
     if is_local(ring) is None:
         raise NotLocalError(f"{ring.label} is not local")
-    ok = _pair_condition_matrix(ring)
-    if ok.all():
+    mul, zero = ring.mul, ring.zero
+    reps, orbit = _unit_orbits(ring)
+    k = reps.size
+    sq = mul[reps, reps]
+    sq_orbit, sq_zero = orbit[sq], sq == zero
+    # in_sq[i, o] iff the orbit o lies in <reps[i]^2>
+    in_sq = np.zeros((k, k), dtype=bool)
+    flat = in_sq.reshape(-1)
+    for start, stop in _row_blocks(k, ring.size):
+        flat[np.arange(start * k, stop * k, k)[:, None] + orbit[mul[sq[start:stop]]]] = True
+    ok = np.empty((k, k), dtype=bool)
+    cols = np.arange(k)[None, :]
+    for start, stop in _row_blocks(k, k):
+        rows = np.arange(start, stop)[:, None]
+        prods = mul[reps[start:stop, None], reps[None, :]]
+        prod_orbit, prod_nonzero = orbit[prods], prods != zero
+        # branch with c = a: ab and b^2 in <a^2>, and ab = 0 forces b^2 = 0
+        branch_a = (
+            in_sq[rows, prod_orbit]
+            & in_sq[rows, sq_orbit[None, :]]
+            & (prod_nonzero | sq_zero[None, :])
+        )
+        branch_b = (
+            in_sq[cols, prod_orbit]
+            & in_sq[cols, sq_orbit[start:stop, None]]
+            & (prod_nonzero | sq_zero[start:stop, None])
+        )
+        np.bitwise_or(branch_a, branch_b, out=ok[start:stop])
+    failing_rows = ~ok.all(axis=1)
+    if not failing_rows.any():
         return True, None
-    a, b = divmod(int(np.argmin(ok)), ring.size)
+    a = int(np.argmax(failing_rows[orbit]))
+    b = int(np.argmin(ok[orbit[a]][orbit]))
     return False, (a, b)
 
 

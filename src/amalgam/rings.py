@@ -14,9 +14,11 @@ one vectorised pass, up to n = 16).  `FiniteRing.validate` runs the full
 exhaustive check.
 
 Checks that sweep all n^2 pairs of a table (hom validation, principal
-membership, the Gaussian pair condition) run over row blocks of at most
-`_BLOCK_ENTRIES` entries, so their memory is O(output + block) rather than
-a handful of n x n temporaries; every pair is still checked.
+membership, the unit-orbit gather of the Gaussian pair check) run over row
+blocks of at most `_BLOCK_ENTRIES` entries, so their memory is O(output +
+block) rather than a handful of n x n temporaries; every pair is still
+checked.  Commutativity compares each table with its transpose one pair
+of `_TILE`-wide square tiles at a time, which keeps both tiles in cache.
 """
 from __future__ import annotations
 
@@ -49,6 +51,8 @@ AXIOM_SAMPLE_COUNT = 65536
 CONSTRUCTION_SAMPLE_COUNT = 4096
 # entries per temporary in row-blocked table work (see `_row_blocks`)
 _BLOCK_ENTRIES = 1 << 18
+# side of the square tiles in which `_is_symmetric` compares a table with its transpose
+_TILE = 128
 
 
 def _row_blocks(rows: int, row_len: int):
@@ -57,6 +61,17 @@ def _row_blocks(rows: int, row_len: int):
     step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
     for start in range(0, rows, step):
         yield start, min(rows, start + step)
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """table == table.T, compared one pair of `_TILE`-wide square tiles at a
+    time so that both tiles stay in cache while the transposed one is read."""
+    n = table.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not (table[i : i + _TILE, j : j + _TILE] == table[j : j + _TILE, i : i + _TILE].T).all():
+                return False
+    return True
 
 
 @functools.lru_cache(maxsize=32)
@@ -150,9 +165,9 @@ class FiniteRing:
             raise StructureError("one is not a multiplicative identity")
         if not (add[idx, neg] == self.zero).all():
             raise StructureError("negation table is not an additive inverse")
-        if not (add == add.T).all():
+        if not _is_symmetric(add):
             raise StructureError("addition is not commutative")
-        if not (mul == mul.T).all():
+        if not _is_symmetric(mul):
             raise StructureError("multiplication is not commutative")
 
     def _prove(self, proof: Proof) -> None:
@@ -564,20 +579,28 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
             if sum(s) < t:
                 prodmap[i, j] = mono_pos[s]
 
-    add = (((digits[:, None, :] + digits[None, :, :]) % p) @ radix).astype(np.int32)
-    neg = (((-digits) % p) @ radix).astype(np.int32)
-
+    # Element x = d p^i + r with r < p^i is d*mono_i + r, so its row of either
+    # table follows from row r: add[x, y] is add[r, y] with digit i of y
+    # moved by d (mod p), and mul[x, y] = (d*mono_i) y + r y, the sum
+    # gathered from the finished `add`.  Both tables are filled in place in
+    # int32, rows r < p^i before rows x >= p^i.
+    add = np.empty((size, size), dtype=np.int32)
     mul = np.empty((size, size), dtype=np.int32)
-    block = max(1, 131072 // max(size, 1))
-    for start in range(0, size, block):
-        stop = min(size, start + block)
-        acc = np.zeros((stop - start, size, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                tgt = prodmap[i, j]
-                if tgt >= 0:
-                    acc[:, :, tgt] += digits[start:stop, None, i] * digits[None, :, j]
-        mul[start:stop] = ((acc % p) @ radix).astype(np.int32)
+    add[0] = idx
+    mul[0] = 0
+    for i, d in itertools.product(range(m), range(1, p)):
+        low = int(radix[i])
+        shift = low * ((digits[:, i] + d) % p - digits[:, i])
+        np.add(add[:low], shift.astype(np.int32), out=add[d * low : (d + 1) * low])
+    add_flat = add.ravel()
+    for i, d in itertools.product(range(m), range(1, p)):
+        low = int(radix[i])
+        valid = prodmap[i] >= 0
+        # (d*mono_i) y puts d y_j, reduced mod p, on the digit of mono_i * mono_j
+        offsets = ((d * digits[:, valid]) % p @ radix[prodmap[i, valid]]) * size
+        for start, stop in _row_blocks(low, size):
+            mul[d * low + start : d * low + stop] = add_flat[offsets + mul[start:stop]]
+    neg = (((-digits) % p) @ radix).astype(np.int32)
 
     names = []
     for i in range(size):

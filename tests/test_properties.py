@@ -38,6 +38,7 @@ from amalgam.properties import (
     recheck_pair_witness,
 )
 from amalgam.rings import localize_at_max, product, truncated_poly_algebra, zmod
+from pair_oracle import pair_condition_matrix
 
 
 def ext_of(base_seed, module_kind, dim=1):
@@ -306,10 +307,8 @@ def test_property_report_consistency():
 
 
 def test_pair_condition_matrix_matches_ideal_route():
-    # the vectorized membership matrices against the literal ideal
+    # the oracle's vectorized membership matrices against the literal ideal
     # computation <a,b>^2 = <c^2> (+ zero clause), on every pair
-    from amalgam.properties import _pair_condition_matrix
-
     rings = [
         zmod(8),
         zmod(9),
@@ -318,7 +317,7 @@ def test_pair_condition_matrix_matches_ideal_route():
         ext_of(zmod(4), "resfield"),
     ]
     for ring in rings:
-        fast = _pair_condition_matrix(ring)
+        fast = pair_condition_matrix(ring)
         for a in range(ring.size):
             for b in range(ring.size):
                 assert bool(fast[a, b]) == recheck_pair_witness(ring, a, b), (

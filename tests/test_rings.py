@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import amalgam.rings
 from amalgam.errors import (
     CapExceededError,
     HomomorphismError,
@@ -8,9 +11,12 @@ from amalgam.errors import (
     NotMaximalError,
     StructureError,
 )
+from amalgam.harness import _tpa_parameter_sweep
 from amalgam.ideals import ideal_generated
 from amalgam.rings import (
     FiniteRing,
+    _is_symmetric,
+    _monomials,
     factor_local,
     hom,
     hom_compose,
@@ -103,6 +109,50 @@ def test_tpa_order_one_is_the_prime_field_for_any_k():
     assert huge.label == "tpa(2,1000000000000,1)"
     assert huge.same_tables(one) and (huge.neg == one.neg).all()
     assert huge.element_names == one.element_names == ["0", "1"]
+
+
+def _tpa_by_formula(p, k, t):
+    """add and mul of tpa(p,k,t) from the coefficient vectors, entry by
+    entry: digit-wise sums mod p, and sum_{ij} x_i y_j on the monomial of
+    mono_i * mono_j when its degree is below t, reduced mod p."""
+    monos = [()] if t == 1 else _monomials(k, t)
+    m, pos = len(monos), {e: i for i, e in enumerate(monos)}
+    size = p**m
+    radix = p ** np.arange(m, dtype=np.int64)
+    digits = (np.arange(size, dtype=np.int64)[:, None] // radix) % p
+    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ radix
+    coef = np.zeros((size, size, m), dtype=np.int64)
+    for i, ei in enumerate(monos):
+        for j, ej in enumerate(monos):
+            s = tuple(a + b for a, b in zip(ei, ej))
+            if sum(s) < t:
+                coef[:, :, pos[s]] += digits[:, None, i] * digits[None, :, j]
+    return add, (coef % p) @ radix
+
+
+TPA_BY_FORMULA = [(te.p, te.k, te.t) for te in _tpa_parameter_sweep(64)] + [(2, 2, 1), (5, 2, 2), (7, 1, 3), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("p,k,t", TPA_BY_FORMULA)
+def test_tpa_tables_match_the_formula(p, k, t):
+    ring = truncated_poly_algebra(p, k, t)
+    add, mul = _tpa_by_formula(p, k, t)
+    assert (ring.add == add).all() and (ring.mul == mul).all()
+    assert ring.add.dtype == ring.mul.dtype == np.int32
+
+
+# sha256 of add.tobytes() + mul.tobytes(), int32, as the entry-by-entry
+# formula gives them
+TPA_DIGESTS = {
+    (2, 1, 12): "c29075d525a8b79f3933dc34fcc6ba3eb11b37448c79b1528c2cb231a02aca8d",
+    (3, 1, 7): "21b4a115b2835c6296b3a315c1842b3b6346f0b78acae2a85ccc92f1d05ac382",
+}
+
+
+@pytest.mark.parametrize("p,k,t", sorted(TPA_DIGESTS))
+def test_large_tpa_tables_match_the_formula_digest(p, k, t):
+    ring = truncated_poly_algebra(p, k, t)
+    assert hashlib.sha256(ring.add.tobytes() + ring.mul.tobytes()).hexdigest() == TPA_DIGESTS[p, k, t]
 
 
 def test_tpa_rejects_non_prime():
@@ -256,6 +306,41 @@ def test_validate_catches_broken_tables():
     bad_mul[3, 2] = 1
     with pytest.raises(StructureError):
         FiniteRing(4, z4.add, bad_mul, z4.neg, 0, 1, "broken")
+
+
+def _zmod_tables(n):
+    ring = zmod(n)
+    return ring, ring.add.copy(), ring.mul.copy()
+
+
+# entries in off-diagonal tiles, ragged ones among them at 513 and 1,100
+@pytest.mark.parametrize(
+    "n,row,col", [(513, 2, 512), (513, 512, 3), (1100, 600, 1050), (1100, 1099, 7), (2048, 100, 1800), (2048, 1900, 513)]
+)
+def test_one_asymmetric_entry_in_an_off_diagonal_tile(n, row, col):
+    ring, add, mul = _zmod_tables(n)
+    assert row // amalgam.rings._TILE != col // amalgam.rings._TILE
+    add[row, col] = (add[row, col] + 1) % n  # rows 0 and 1 and the pairs (x, -x) stay intact
+    with pytest.raises(StructureError, match="^addition is not commutative$"):
+        FiniteRing(n, add, ring.mul, ring.neg, 0, 1, "broken")
+    mul[row, col] = (mul[row, col] + 1) % n
+    with pytest.raises(StructureError, match="^multiplication is not commutative$"):
+        FiniteRing(n, ring.add, mul, ring.neg, 0, 1, "broken")
+
+
+@pytest.mark.parametrize("tile", [1, 3])
+def test_small_tiles_give_the_one_tile_result(monkeypatch, tile):
+    tables = [zmod(n).mul for n in (2, 7, 10)] + [truncated_poly_algebra(2, 2, 2).add]
+    for table in tables:
+        n = table.shape[0]
+        for row, col in [(r, c) for r in range(n) for c in range(n) if r != c]:
+            broken = table.copy()
+            broken[row, col] = (broken[row, col] + 1) % n
+            results = []
+            for width in (1 << 30, tile):
+                monkeypatch.setattr(amalgam.rings, "_TILE", width)
+                results.append((_is_symmetric(table), _is_symmetric(broken)))
+            assert results[0] == results[1] == (True, False), (n, row, col)
 
 
 def test_validate_passes_on_constructions():

@@ -2,7 +2,9 @@
 
 `rings._BLOCK_ENTRIES` is set to 1 or 3 rows of the ring at hand (3 leaves
 a ragged last block on most sizes) and compared with a run whose single
-block holds the whole table.
+block holds the whole table.  The pair matrix is the all-pairs oracle of
+`pair_oracle`; the pair check's unit-orbit gather runs over the same
+blocks, one to three unit rows at a time.
 """
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ import amalgam.rings
 from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator
 from amalgam.harness import EXAMPLE_BUILDERS
-from amalgam.properties import _pair_condition_matrix, is_local, local_gaussian_pair_check
+from amalgam.properties import _unit_orbits, is_local, local_gaussian_pair_check
 from amalgam.rings import FiniteRing, hom, truncated_poly_algebra
+from pair_oracle import pair_condition_matrix
 
 ONE_BLOCK = 1 << 62
 
@@ -27,9 +30,10 @@ def _fresh(ring: FiniteRing) -> FiniteRing:
 def _blocked_results(ring: FiniteRing):
     fresh = _fresh(ring)
     principal = fresh.principal_membership
-    pairs = _pair_condition_matrix(fresh)
-    witness = local_gaussian_pair_check(fresh) if is_local(fresh) is not None else None
-    return principal, pairs, witness
+    pairs = pair_condition_matrix(fresh)
+    if is_local(fresh) is None:
+        return principal, pairs, None, None
+    return principal, pairs, local_gaussian_pair_check(fresh), _unit_orbits(fresh)
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +47,14 @@ def test_blocked_membership_pairs_and_witness_match_one_block(monkeypatch, rings
     witnesses = 0
     for ring in rings_to_check:
         monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", ONE_BLOCK)
-        principal, pairs, witness = _blocked_results(ring)
+        principal, pairs, witness, orbits = _blocked_results(ring)
         monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * ring.size)
-        b_principal, b_pairs, b_witness = _blocked_results(ring)
+        b_principal, b_pairs, b_witness, b_orbits = _blocked_results(ring)
         assert np.array_equal(principal, b_principal), ring.label
         assert np.array_equal(pairs, b_pairs), ring.label
         assert witness == b_witness, ring.label
+        if orbits is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(orbits, b_orbits)), ring.label
         if witness is not None and not witness[0]:
             witnesses += 1
             assert witness[1] == tuple(int(v) for v in np.argwhere(~pairs)[0])
