@@ -11,12 +11,12 @@ rows only for callers that iterate (`all_ideals`) and for the three ideals
 of a distributivity witness.  The ideal guard first refuses, before any
 enumeration work, the rings whose proven lower bound on the ideal count
 (`ideal_count_lower_bound`, from the layers and socle of each local factor)
-is past `MAX_IDEALS`.  Every other ring is enumerated by closing the
-distinct principal ideals under joins by coset closure: each ideal found is
-joined with every principal ideal in a few vectorised table operations.  So
-the guard stays exact: it refuses the rings with more than `MAX_IDEALS`
-ideals and no others, whatever the enumeration order.  The radical and
-zero-divisor computations work elementwise and need no guard.
+is past `MAX_IDEALS`.  Every other ring is enumerated as the product of its
+local factors' lattices, each factor closed under joins in whole-frontier
+rounds under a budget of `MAX_IDEALS` over the ideals so far; the counts
+multiply, so the guard stays exact: it refuses the rings with more than
+`MAX_IDEALS` ideals and no others, whatever the enumeration order.  The
+radical and zero-divisor computations work elementwise and need no guard.
 """
 from __future__ import annotations
 
@@ -291,26 +291,74 @@ def ideal_count_lower_bound(ring: FiniteRing) -> int:
     return bound
 
 
+def _local_ideals(factor: FiniteRing, budget: int, too_many: CapExceededError) -> np.ndarray:
+    """Every ideal of a local factor as bool rows, unsorted; refuses past `budget`.
+
+    Every ideal is a sum of principal ideals, so the distinct rows of
+    `principal_membership` are closed under joins with them, in
+    whole-frontier rounds: each ideal I found in one round is joined with
+    every principal ideal (g) in the next.  With c[y] = min(y + I), y lies
+    in I + (g) iff hit[c[y], g], hit marking the cosets met by (g).  A round
+    takes the cosets of a block of ideals by one `np.minimum.reduceat` over
+    the rows of `add` at their members, then marks and reads back hit for
+    every (ideal, principal ideal) pair with flat int32 indices; ideals are
+    keyed by their packed masks.  Each temporary fits one `_row_blocks`.
+    """
+    from .rings import _row_blocks  # rings imports this module
+
+    n = factor.size
+    found: dict[bytes, None] = {}
+
+    def admit(masks: np.ndarray) -> np.ndarray:
+        packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+        new = []
+        for row, key in enumerate(packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()):
+            if key not in found:
+                found[key] = None
+                new.append(row)
+        if len(found) > budget:
+            raise too_many
+        return masks[new]
+
+    frontier = admit(factor.principal_membership)
+    n_gens = len(frontier)
+    gen_rows, gen_members = (positions.astype(np.int32) for positions in np.nonzero(frontier))
+    while len(frontier):
+        found_now = []
+        for start, stop in _row_blocks(len(frontier), n * max(n_gens, int(frontier.sum(axis=1).max()))):
+            owners, members = np.nonzero(frontier[start:stop])
+            starts = np.flatnonzero(np.diff(owners, prepend=-1))
+            coset = np.minimum.reduceat(factor.add[members], starts, axis=0)
+            # hit[(i, c), g]: ideal i of the block, coset c of i, principal ideal g
+            row_offsets = np.arange(0, (stop - start) * n, n, dtype=np.int32)[:, None]
+            hit = np.zeros(((stop - start) * n, n_gens), dtype=bool)
+            hit.ravel()[(row_offsets + coset[:, gen_members]) * n_gens + gen_rows] = True
+            joins = hit[(row_offsets + coset).ravel()].reshape(stop - start, n, n_gens)
+            found_now.append(admit(joins.transpose(0, 2, 1).reshape(-1, n)))
+        frontier = np.concatenate(found_now)
+    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(len(found), -1)
+    return np.unpackbits(packed, axis=1, count=n).view(bool)
+
+
 def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarray:
     """Every ideal of the ring as one read-only bool matrix, a membership row
     per ideal, sorted by size then membership; uncached.
 
-    Every ideal of a finite ring is a finite sum of principal ideals, so the
-    lattice is the closure of the distinct principal ideals (the distinct
-    rows of `principal_membership`) under joining with a principal ideal.
-    Each ideal I found is joined with every principal ideal at once by
-    coset closure: c[y] = min(y + I) names the coset of y, and y lies in
-    I + (g) iff c[y] = c[z] for some z in (g), i.e. iff hit[g, c[y]] where
-    hit marks the cosets met by each (g).  Ideals are keyed by their packed
-    masks.  Rows are sorted by size, then by packed mask bytes descending:
-    of two equal-size member lists the lexicographically smaller is the one
-    holding the least element of their symmetric difference, i.e. the one
-    whose mask has the first set bit where they differ.  Refuses carriers
-    above `MAX_LATTICE_SIZE` and rings with more than `max_ideals` ideals,
+    The lattice of a finite ring is the product of its local factors'
+    lattices, so each factor's ideals (`_local_ideals`) are pulled back
+    along `proj.map` and ANDed with every row found so far; a local ring is
+    its own single factor, the zero ring has none.  Rows are sorted by
+    size, then by packed mask bytes descending: of two equal-size member
+    lists the lexicographically smaller is the one holding the least
+    element of their symmetric difference, i.e. the one whose mask has the
+    first set bit where they differ.  Refuses carriers above
+    `MAX_LATTICE_SIZE` and rings with more than `max_ideals` ideals,
     whatever the enumeration order: first, before any enumeration work,
-    those whose `ideal_count_lower_bound` is past `max_ideals`, then the
-    rest as the enumeration finds them.  Callers want `all_ideals`, which
-    enumerates each ring once under the fixed guard.
+    those whose `ideal_count_lower_bound` is past `max_ideals`; then each
+    factor is closed under a budget of `max_ideals // (ideals so far)`, which
+    it overruns exactly when the ring has more than `max_ideals` ideals, as
+    the counts multiply.  Callers want `all_ideals`, which enumerates each
+    ring once under the fixed guard.
     """
     if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
@@ -320,30 +368,11 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
     if ideal_count_lower_bound(ring) > max_ideals:
         raise too_many
     n = ring.size
-    width = (n + 7) // 8
-    found: dict[bytes, None] = {}
-    frontier: list[np.ndarray] = []
-
-    def admit(masks: np.ndarray) -> None:
-        packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-        for row, key in enumerate(packed.view(np.dtype((np.void, width))).ravel().tolist()):
-            if key not in found:
-                found[key] = None
-                frontier.append(masks[row])
-        if len(found) > max_ideals:
-            raise too_many
-
-    admit(ring.principal_membership)
-    gen_rows, gen_members = np.nonzero(np.stack(frontier))
-    n_gens = len(frontier)
-    while frontier:
-        coset = ring.add[:, frontier.pop()].min(axis=1)
-        hit = np.zeros((n_gens, n), dtype=bool)
-        hit[gen_rows, coset[gen_members]] = True
-        admit(hit[:, coset])
-
-    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(len(found), width)
-    lattice = np.unpackbits(packed, axis=1, count=n).view(bool)
+    lattice = np.ones((1, n), dtype=bool)
+    for factor, proj in ring.local_factors:
+        pulled = _local_ideals(factor, max_ideals // len(lattice), too_many)[:, proj.map]
+        lattice = (lattice[:, None, :] & pulled[None, :, :]).reshape(-1, n)
+    packed = np.packbits(lattice, axis=1)
     # lexsort's last key is the primary one: size ascending, then bytes 0, 1, ... descending
     lattice = lattice[np.lexsort((*(~packed).T[::-1], lattice.sum(axis=1)))]
     lattice.flags.writeable = False

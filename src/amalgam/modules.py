@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
 )
 from .ideals import Ideal, maximal_ideals
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _max_digits, quotient
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _max_digits, _row_blocks, quotient
 
 
 class FiniteModule:
@@ -201,16 +201,19 @@ def trivial_extension(
 
     idx = np.arange(size)
     ia, ie = idx // ne, idx % ne
-    ga1, ge1 = ia[:, None], ie[:, None]
-    ga2, ge2 = ia[None, :], ie[None, :]
-    add = ring.add[ga1, ga2] * ne + module.add[ge1, ge2]
-    mul = ring.mul[ga1, ga2] * ne + module.add[module.action[ga1, ge2], module.action[ga2, ge1]]
+    # int32 (a1, e1, a2, e2) tables; mul's module term a1.e2 + a2.e1 is gathered by row block
+    add = ((ring.add * ne)[:, None, :, None] + module.add[None, :, None, :]).reshape(size, size)
+    mul = np.empty((ring.size, ne, ring.size, ne), dtype=np.int32)
+    act, madd_flat = module.action, module.add.ravel()
+    for start, stop in _row_blocks(ring.size, size * ne):
+        cross = np.take(madd_flat, (act[start:stop] * ne)[:, None, None, :] + act.T[None, :, :, None])
+        np.add((ring.mul[start:stop] * ne)[:, None, :, None], cross, out=mul[start:stop])
     neg = ring.neg[ia] * ne + module.neg[ie]
     zero = ring.zero * ne + module.zero
     one = ring.one * ne + module.zero
     names = [f"({ring.element_names[a]}|{module.element_names[e]})" for a, e in zip(ia, ie)]
     label = f"trivext({ring.label};{module.label})"
-    ext = FiniteRing(size, add, mul, neg, zero, one, label, names)
+    ext = FiniteRing(size, add, mul.reshape(size, size), neg, zero, one, label, names)
     embed = RingHom(ring, ext, np.arange(ring.size) * ne + module.zero, label="embed")
     zero_cross_e = Ideal(ext, ring.zero * ne + np.arange(ne))
     return ext, embed, zero_cross_e

@@ -340,9 +340,9 @@ class FiniteRing:
     @cached_property
     def ideal_lattice(self) -> np.ndarray | str:
         """Every ideal as one read-only bool matrix, a membership row per ideal
-        in canonical order (`ideals.enumerate_ideals`; read it through
-        `ideals.all_ideals`), enumerated once under the fixed guard; the
-        guard's refusal message when it refuses."""
+        in canonical order, enumerated once under the fixed guard as the product
+        of the local factors' lattices (`ideals.enumerate_ideals`; read it via
+        `ideals.all_ideals`); the guard's refusal message when it refuses."""
         try:
             return enumerate_ideals(self)
         except CapExceededError as exc:
@@ -626,10 +626,8 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
     _check_cap(size, size_cap, f"product({a.label},{b.label})")
     idx = np.arange(size)
     ia, ib = idx // b.size, idx % b.size
-    ga1, gb1 = ia[:, None], ib[:, None]
-    ga2, gb2 = ia[None, :], ib[None, :]
-    add = a.add[ga1, ga2] * b.size + b.add[gb1, gb2]
-    mul = a.mul[ga1, ga2] * b.size + b.mul[gb1, gb2]
+    add = ((a.add * b.size)[:, None, :, None] + b.add[None, :, None, :]).reshape(size, size)
+    mul = ((a.mul * b.size)[:, None, :, None] + b.mul[None, :, None, :]).reshape(size, size)
     neg = a.neg[ia] * b.size + b.neg[ib]
     zero = a.zero * b.size + b.zero
     one = a.one * b.size + b.one

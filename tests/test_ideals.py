@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam import ideals
 from amalgam.errors import AmalgamError, CapExceededError, MixedRingError, NotAnIdealError
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLE_BUILDERS
@@ -203,6 +204,8 @@ def test_all_ideals_examples():
     assert [i.members for i in all_ideals(z4)] == [{0}, {0, 2}, {0, 1, 2, 3}]
     assert len(all_ideals(zmod(6))) == 4
     assert len(all_ideals(product(zmod(2), zmod(2)))) == 4
+    # the zero ring has no local factors; its one ideal is the empty product
+    assert enumerate_ideals(zmod(1)).tolist() == [[True]]
 
 
 def test_lattice_cap_errors():
@@ -319,6 +322,41 @@ def test_guard_refuses_from_the_bound_before_enumerating(monkeypatch):
     assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
     with pytest.raises(AssertionError):
         enumerate_ideals(ring, max_ideals=375)
+
+
+def test_guard_stays_exact_on_a_product_of_local_rings():
+    # Z/8 |x F2 has 9 ideals (7 by the bound), so its square has 81 (49)
+    ring = Evaluator().ring(parse("product(trivext(zmod(8);resfield(1)),trivext(zmod(8);resfield(1)))"))
+    assert len(ring.local_factors) == 2 and ideal_count_lower_bound(ring) == 49
+    lattice = member_lists(ring, max_ideals=81)
+    assert len(lattice) == 81 and lattice == pairwise_ideals(ring, max_ideals=81)
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_ideals(ring, max_ideals=80)
+    assert str(exc.value) == f"{ring.label} has more than 80 ideals"
+
+
+def test_no_factor_is_closed_once_its_budget_is_exceeded(monkeypatch):
+    # the 128-element local factor has 210 ideals (72 by the bound), the field 2
+    ring = Evaluator().ring(parse("product(zmod(2),dup(trivext(zmod(8);resfield(1));1,4))"))
+    big, field = (factor for factor, _ in ring.local_factors)
+    assert (big.size, field.size) == (128, 2) and ideal_count_lower_bound(ring) == 144
+    closed = []
+    local_ideals = ideals._local_ideals
+
+    def recording(factor, budget, too_many):
+        closed.append((factor, budget))
+        return local_ideals(factor, budget, too_many)
+
+    monkeypatch.setattr(ideals, "_local_ideals", recording)
+    assert len(enumerate_ideals(ring, max_ideals=420)) == 420
+    assert closed == [(big, 420), (field, 2)]
+    # refused by the field's budget of 419 // 210, then by the first factor's
+    for max_ideals, budgets in ((419, [(big, 419), (field, 1)]), (144, [(big, 144)])):
+        closed.clear()
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_ideals(ring, max_ideals=max_ideals)
+        assert str(exc.value) == f"{ring.label} has more than {max_ideals} ideals"
+        assert closed == budgets
 
 
 def test_row_at_a_time_distributivity_matches_full_tables(rings_to_64):

@@ -7,12 +7,19 @@ building them entry by entry through n x n int64 index arrays peaked at
 160 MB, and the unblocked Gaussian pair check at 52 MB above its start.
 tpa(2,1,12) has two int32 tables of 64 MB each; building its addition
 through an n x n x m int64 temporary peaked at 3.1 GB of resident memory.
+trivext(zmod(64);regular) and product(zmod(64),zmod(64)) have the same two
+tables; gathering them through n x n int64 index arrays peaked at 320 and
+192 MB.  The enumeration of a 256-element ideal lattice peaked at 3.1 MB
+above its start when each round's temporaries were not cut into row blocks.
 """
 import tracemalloc
 
+import pytest
+
 from amalgam.amalgamation import amalgamate
-from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExpr, ZmodExpr
-from amalgam.ideals import Ideal
+from amalgam.errors import CapExceededError
+from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExpr, ZmodExpr, parse
+from amalgam.ideals import Ideal, enumerate_ideals
 from amalgam.properties import is_gaussian, is_local
 from amalgam.rings import pair_indices, truncated_poly_algebra
 
@@ -52,3 +59,36 @@ def test_tpa_2_1_12_build_peak():
         tracemalloc.stop()
     assert ring.size == 4096
     assert peak <= 200 * MB, f"tpa(2,1,12) build peaked at {peak / MB:.1f} MB"
+
+
+@pytest.mark.parametrize("label", ["trivext(zmod(64);regular)", "product(zmod(64),zmod(64))"])
+def test_trivext_and_product_build_peaks(label):
+    tracemalloc.start()
+    try:
+        ring = Evaluator().ring(parse(label))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.size == 4096
+    assert peak <= 160 * MB, f"{label} build peaked at {peak / MB:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "label, count",
+    [("dup(trivext(zmod(16);quotmod(regular;4));19)", None), ("dup(trivext(zmod(16);resfield(1));5)", 93)],
+)
+def test_lattice_enumeration_temporaries_peak(label, count):
+    # a 256-element local ring refused at its 129th ideal, and one with 93 ideals
+    ring = Evaluator().ring(parse(label))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        try:
+            found = len(enumerate_ideals(ring))
+        except CapExceededError:
+            found = None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.size == 256 and found == count
+    assert peak - start <= 1.5 * MB, f"enumerating {label} peaked at {(peak - start) / MB:.2f} MB"
