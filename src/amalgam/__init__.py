@@ -10,13 +10,10 @@ exhaustively generated catalog.
 from .amalgamation import (
     AmalgamationInstance,
     HypothesisReport,
-    amalg_max_ideals,
     amalgamate,
-    distinguished_ideals,
     duplication,
     f_image_plus_j,
     hypothesis_report,
-    product_embedding_check,
 )
 from .errors import (
     AmalgamError,
@@ -33,7 +30,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .expressions import Evaluator, evaluate_instance, evaluate_ring, parse
+from .expressions import Evaluator, parse
 from .harness import (
     CLAUSE_IDS,
     CLAUSES,
@@ -50,20 +47,15 @@ from .harness import (
 from .ideals import (
     Ideal,
     all_ideals,
-    annihilator,
     ideal_generated,
     ideal_intersect,
-    ideal_power,
     ideal_product,
     ideal_sum,
     is_distributive_lattice,
-    is_regular_ideal,
     jacobson_radical,
     maximal_ideals,
     nilradical,
     principal_ideal,
-    regular_elements,
-    zero_divisors,
 )
 from .modules import (
     FiniteModule,
@@ -79,7 +71,6 @@ from .properties import (
     content,
     gaussian_content_oracle,
     is_arithmetical,
-    is_chain_ring,
     is_field,
     is_gaussian,
     is_local,
@@ -93,17 +84,10 @@ from .properties import (
 from .rings import (
     FiniteRing,
     RingHom,
-    factor_local,
-    hom,
-    hom_compose,
     hom_identity,
-    idempotents,
-    localize_at_max,
-    primitive_idempotents,
     product,
     quotient,
     truncated_poly_algebra,
-    units,
     zmod,
 )
 

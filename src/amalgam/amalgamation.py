@@ -18,8 +18,8 @@ from the flattened jadd.  The ring rests on its
 `rings.Proof`: pA and pB onto the two coordinates, validated as ring homs,
 with x -> (pA(x), pB(x)) injective, which is exactly the statement that the
 tables are the subring of A x B (f(A)+J rests on its inclusion the same
-way), so no sampled axiom screen runs.  `product_embedding_check` also
-materializes A x B and compares tables under the embedding (a test oracle).
+way), so no sampled axiom screen runs.  The tests also materialize A x B
+and compare tables under the embedding.
 """
 from __future__ import annotations
 
@@ -28,25 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    InternalCheckError,
-    MixedRingError,
-    NotLocalError,
-)
-from .ideals import Ideal, ideal_product, jacobson_radical, maximal_ideals, nilradical
+from .errors import CapExceededError, InternalCheckError, MixedRingError
+from .ideals import Ideal, ideal_product, jacobson_radical, nilradical
 from .properties import is_local, is_reduced
-from .rings import (
-    DEFAULT_SIZE_CAP,
-    FiniteRing,
-    Proof,
-    RingHom,
-    _row_blocks,
-    hom_identity,
-    pair_indices,
-    product,
-    quotient,
-)
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, hom_identity
 
 
 @dataclass(frozen=True)
@@ -202,28 +187,6 @@ def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing
     return sub, proof.homs[0]
 
 
-def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:
-    """({0} x J, m |><| J) for local base, with the factor-ring cross-check.
-
-    The quotient by {0} x J must be canonically isomorphic to the base via
-    the map induced by pA (first-isomorphism check, no isomorphism search).
-    """
-    m = is_local(inst.base)
-    if m is None:
-        raise NotLocalError(f"base ring {inst.base.label} is not local")
-    m_join_j = Ideal(inst.ring, pair_indices(m.indices, len(inst.j)))
-
-    quot, proj = quotient(inst.ring, inst.zero_j)
-    induced = np.full(quot.size, -1, dtype=np.int64)
-    induced[proj.map] = inst.to_base.map
-    if not (induced[proj.map] == inst.to_base.map).all():
-        raise InternalCheckError("pA does not factor through the quotient by {0} x J")
-    iso = RingHom(quot, inst.base, induced, label=None)
-    if np.unique(iso.map).size != inst.base.size or quot.size != inst.base.size:
-        raise InternalCheckError("induced map to the base is not bijective")
-    return inst.zero_j, m_join_j
-
-
 def hypothesis_report(inst: AmalgamationInstance) -> HypothesisReport:
     base, target, f, j = inst.base, inst.target, inst.f, inst.j
     m = is_local(base)
@@ -257,50 +220,3 @@ def hypothesis_report(inst: AmalgamationInstance) -> HypothesisReport:
         a_reduced=is_reduced(base),
         fa_j_stable=fa_j_stable,
     )
-
-
-def amalg_max_ideals(inst: AmalgamationInstance) -> list[Ideal]:
-    """Maximal ideals of the amalgamation, cross-checked against the
-    classification {m |><| J : m max in A} union {pullbacks of max Q in B
-    not containing J}; a mismatch is a hard error."""
-    ring = inst.ring
-    direct = {frozenset(m.members) for m in maximal_ideals(ring)}
-
-    expected: set[frozenset[int]] = set()
-    for m in maximal_ideals(inst.base):
-        expected.add(frozenset(int(v) for v in pair_indices(m.indices, len(inst.j))))
-    for q in maximal_ideals(inst.target):
-        if not inst.j.members <= q.members:
-            pulled = np.nonzero(q.mask[inst.to_target.map])[0]
-            expected.add(frozenset(int(v) for v in pulled))
-
-    if direct != expected:
-        raise InternalCheckError(
-            f"maximal ideals of {inst.label} do not match the amalgamation classification"
-        )
-    out = [Ideal(ring, members) for members in direct]
-    out.sort(key=lambda ide: (len(ide.members), tuple(sorted(ide.members))))
-    return out
-
-
-def product_embedding_check(inst: AmalgamationInstance, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Materialize A x B and verify the instance tables under the embedding.
-
-    Test oracle for the direct-formula construction; quadratic in |A|*|B|,
-    so meant for small instances.
-    """
-    prod = product(inst.base, inst.target, size_cap)
-    phi = inst.to_base.map.astype(np.int64) * inst.target.size + inst.to_target.map
-    if np.unique(phi).size != inst.ring.size:
-        return False
-    if not (prod.add[np.ix_(phi, phi)] == phi[inst.ring.add]).all():
-        return False
-    if not (prod.mul[np.ix_(phi, phi)] == phi[inst.ring.mul]).all():
-        return False
-    expected = set()
-    nj = len(inst.j)
-    for a in range(inst.base.size):
-        fa = int(inst.f.map[a])
-        for jp in range(nj):
-            expected.add(a * inst.target.size + int(inst.target.add[fa, inst.j.indices[jp]]))
-    return expected == set(int(v) for v in phi)

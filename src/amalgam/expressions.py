@@ -568,11 +568,3 @@ class Evaluator:
         if isinstance(hexpr, ComposeHomExpr):
             return self._peel(hexpr.inner, self._peel(hexpr.outer, target_expr))
         raise EvaluationError(f"unsupported hom expression {hexpr!r}")
-
-
-def evaluate_ring(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    return Evaluator(size_cap=size_cap).ring(parse(text))
-
-
-def evaluate_instance(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> AmalgamationInstance:
-    return Evaluator(size_cap=size_cap).instance(parse(text))

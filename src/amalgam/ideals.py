@@ -16,7 +16,7 @@ local factors' lattices, each factor closed under joins in whole-frontier
 rounds under a budget of `MAX_IDEALS` over the ideals so far; the counts
 multiply, so the guard stays exact: it refuses the rings with more than
 `MAX_IDEALS` ideals and no others, whatever the enumeration order.  The
-radical and zero-divisor computations work elementwise and need no guard.
+radicals work elementwise and need no guard.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ class Ideal:
     def _from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> Ideal:
         """The ideal whose membership mask is `mask`, a bool row over the
         carrier already known to be an ideal (a lattice row, a pullback of
-        non-units, an annihilator): no scatter, sort test or closure check.
+        non-units, a radical): no scatter, sort test or closure check.
         The row is made read-only and kept, not copied."""
         ideal = cls.__new__(cls)
         ideal.ring = ring
@@ -214,25 +214,6 @@ def ideal_product(left: Ideal, right: Ideal) -> Ideal:
 def ideal_intersect(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     return Ideal(left.ring, left.members & right.members, _validated=True)
-
-
-def ideal_power(ideal: Ideal, k: int) -> Ideal:
-    """k-fold ideal product; the zeroth power is the whole ring."""
-    if k < 0:
-        raise ValueError("ideal power requires k >= 0")
-    ring = ideal.ring
-    acc = Ideal(ring, range(ring.size), _validated=True)
-    for _ in range(k):
-        acc = ideal_product(acc, ideal)
-    return acc
-
-
-def annihilator(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
-    """{x : x*s = 0 for every s in elements}; the whole ring when empty."""
-    elist = sorted(set(int(e) for e in elements))
-    if not elist:
-        return Ideal._from_mask(ring, np.ones(ring.size, dtype=bool))
-    return Ideal._from_mask(ring, (ring.mul[:, elist] == ring.zero).all(axis=1))
 
 
 def _subspace_count(q: int, d: int) -> int:
@@ -416,20 +397,6 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
 def nilradical(ring: FiniteRing) -> Ideal:
     return Ideal._from_mask(ring, ring.nilpotent_mask)
-
-
-def zero_divisors(ring: FiniteRing) -> frozenset[int]:
-    """{x : x*y = 0 for some y != 0}; includes 0 whenever the ring is nonzero."""
-    return frozenset(int(i) for i in np.nonzero(ring.zero_divisor_mask)[0])
-
-
-def regular_elements(ring: FiniteRing) -> frozenset[int]:
-    return frozenset(int(i) for i in np.nonzero(~ring.zero_divisor_mask)[0])
-
-
-def is_regular_ideal(ideal: Ideal) -> bool:
-    """True when the ideal contains at least one non-zero-divisor."""
-    return bool((~ideal.ring.zero_divisor_mask[ideal.indices]).any())
 
 
 def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:

@@ -120,14 +120,22 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
             f"resfield({dim}) over {ring.label} would have {q}^{dim} elements, cap is {size_cap}"
         )
     size = q**dim
+    radix = q ** np.arange(dim, dtype=np.int32)
+    digits = (np.arange(size, dtype=np.int32)[:, None] // radix) % q
 
-    idx = np.arange(size, dtype=np.int64)
-    radix = q ** np.arange(dim, dtype=np.int64)
-    digits = (idx[:, None] // radix[None, :]) % q
+    def digitwise(op: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """table[x, y] = sum_k op[left[x, k], digits[y, k]] q^k, filled in
+        int32 one digit and one row block at a time."""
+        table = np.zeros((len(left), size), dtype=np.int32)
+        op_flat = op.ravel()
+        for start, stop in _row_blocks(len(left), size):
+            for k in range(dim):
+                table[start:stop] += np.take(op_flat, left[start:stop, k, None] * q + digits[:, k]) * radix[k]
+        return table
 
-    add = (field.add[digits[:, None, :], digits[None, :, :]] @ radix).astype(np.int32)
+    add = digitwise(field.add, digits)
     # a acts coordinatewise through the residue field
-    act = (field.mul[proj.map[:, None, None], digits[None, :, :]] @ radix).astype(np.int32)
+    act = digitwise(field.mul, np.repeat(proj.map[:, None], dim, axis=1))
     if dim == 1:
         names = [field.element_names[int(row[0])] for row in digits]
     else:

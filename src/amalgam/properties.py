@@ -16,8 +16,9 @@ to a degree bound) provides an independent route; the two must agree on
 every local ring at desk scale and the test suite enforces that.
 
 Arithmeticity is decided per local factor (chain ring or not) and each
-factor's answer is certified without the full-ring ideal lattice: a chain
-factor by its m-adic filtration, any other factor by an M3 of ideals.
+factor's answer is certified in the same pass, without the full-ring ideal
+lattice: a chain factor by its m-adic filtration, any other factor by an
+M3 of ideals.
 """
 from __future__ import annotations
 
@@ -328,12 +329,6 @@ def gaussian_content_oracle(
 # -- arithmetical / chain / Prufer ---------------------------------------------
 
 
-def is_chain_ring(ring: FiniteRing) -> bool:
-    """Ideals totally ordered; equivalently a in <b> or b in <a> for all pairs."""
-    in_principal = ring.principal_membership
-    return bool((in_principal | in_principal.T).all())
-
-
 def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
     """The m-adic filtration R = m^0 > m > m^2 > ... > 0 of a local chain ring,
     certified to hold every ideal.
@@ -364,23 +359,21 @@ def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
     return tuple(steps)
 
 
-def m3_certificate(factor: FiniteRing) -> tuple[Ideal, Ideal, Ideal]:
-    """Three ideals of a local non-chain ring that form an M3 sublattice.
+def m3_certificate(factor: FiniteRing, a: int, b: int) -> tuple[Ideal, Ideal, Ideal]:
+    """Three ideals of a local ring that form an M3 sublattice, from a pair
+    (a, b) with neither a in (b) nor b in (a).
 
-    With (a, b) the first incomparable principal pair and N = m(a, b), the
-    quotient (a, b)/N is a plane over the residue field (Nakayama), so
-    J1 = (a)+N, J2 = (a+b)+N and J3 = (b)+N are three of its lines:
-    J1 /\\ (J2 + J3) = J1 but (J1 /\\ J2) + (J1 /\\ J3) = N.  By Birkhoff the
-    ideal lattice is then not distributive.  The triple is re-validated
-    through the ideal layer (generation, sums, products, member
-    intersection); a failure raises InternalCheckError.
+    With N = m(a, b), the quotient (a, b)/N is then a plane over the residue
+    field (Nakayama), so J1 = (a)+N, J2 = (a+b)+N and J3 = (b)+N are three
+    of its lines: J1 /\\ (J2 + J3) = J1 but (J1 /\\ J2) + (J1 /\\ J3) = N.
+    By Birkhoff the ideal lattice is then not distributive.  The triple is
+    re-validated through the ideal layer (generation, sums, products,
+    member intersection), so a comparable pair or a non-local factor
+    raises InternalCheckError.
     """
     m = is_local(factor)
-    in_principal = factor.principal_membership
-    incomparable = ~(in_principal | in_principal.T)
-    if m is None or not incomparable.any():
-        raise InternalCheckError(f"M3 certificate: {factor.label} is not a local non-chain ring")
-    a, b = divmod(int(np.argmax(incomparable)), factor.size)
+    if m is None:
+        raise InternalCheckError(f"M3 certificate: {factor.label} is not local")
     base = ideal_product(m, ideal_generated(factor, [a, b]))
     j1, j2, j3 = (ideal_sum(ideal_generated(factor, [x]), base) for x in (a, int(factor.add[a, b]), b))
     lhs = ideal_intersect(j1, ideal_sum(j2, j3))
@@ -391,19 +384,25 @@ def m3_certificate(factor: FiniteRing) -> tuple[Ideal, Ideal, Ideal]:
 
 
 def is_arithmetical(ring: FiniteRing) -> bool:
-    """Every local factor a chain ring (Jensen), certified factor by factor.
+    """Every local factor a chain ring (Jensen), decided and certified factor
+    by factor in one pass.
 
-    A chain factor must pass `chain_certificate` and any other factor must
-    yield an `m3_certificate`, so each verdict is cross-checked on every
-    ring without enumerating the full-ring ideal lattice.
+    A factor is a chain ring iff its principal ideals are totally ordered.
+    One `principal_membership` matrix per factor decides it: with no
+    incomparable pair the factor must pass `chain_certificate`, otherwise
+    the first incomparable pair in row-major order must yield an
+    `m3_certificate`.  So each verdict is cross-checked on every ring
+    without enumerating the full-ring ideal lattice.
     """
     verdict = True
     for factor, _proj in ring.local_factors:
-        if is_chain_ring(factor):
-            chain_certificate(factor)
-        else:
-            m3_certificate(factor)
+        in_principal = factor.principal_membership
+        incomparable = ~(in_principal | in_principal.T)
+        if incomparable.any():
+            m3_certificate(factor, *divmod(int(np.argmax(incomparable)), factor.size))
             verdict = False
+        else:
+            chain_certificate(factor)
     return verdict
 
 

@@ -6,12 +6,13 @@ make every checker in the package an exhaustive (and vectorizable) loop.
 
 Constructors refuse carriers above a configurable size cap instead of
 degrading.  Every constructed ring passes an O(n^2) axiom screen.  The ring
-of `quotient`, `amalgamation.amalgamate`/`duplication` or `f_image_plus_j`
-then rests on a `Proof`, the ring homs deriving it from accepted rings;
-any other ring gets a fixed-seed sample of the O(n^3) axioms, drawn once
-per carrier size and gathered from the flattened tables (every triple, in
-one vectorised pass, up to n = 16).  `FiniteRing.validate` runs the full
-exhaustive check.
+of `product`, `quotient`, `amalgamation.amalgamate`/`duplication` or
+`f_image_plus_j` then rests on a `Proof`, the ring homs deriving it from
+accepted rings; only `zmod`, `truncated_poly_algebra` and
+`modules.trivial_extension` (and raw tables) get a fixed-seed sample of the
+O(n^3) axioms, drawn once per carrier size and gathered from the flattened
+tables (every triple, in one vectorised pass, up to n = 16).
+`FiniteRing.validate` runs the full exhaustive check.
 
 Checks that sweep all n^2 pairs of a table (hom validation, principal
 membership, the unit-orbit gather of the Gaussian pair check) run over row
@@ -36,10 +37,9 @@ from .errors import (
     HomomorphismError,
     InternalCheckError,
     MixedRingError,
-    NotMaximalError,
     StructureError,
 )
-from .ideals import Ideal, enumerate_ideals, format_members, ideal_generated, maximal_ideals
+from .ideals import Ideal, enumerate_ideals, ideal_generated
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -429,31 +429,13 @@ class RingHom:
     def kernel(self) -> Ideal:
         return Ideal(self.source, np.nonzero(self.map == self.target.zero)[0])
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.unique(self.map))
-
     def __repr__(self) -> str:
         tag = self.label or "hom"
         return f"RingHom({tag}: {self.source.label} -> {self.target.label})"
 
 
-def hom(source: FiniteRing, target: FiniteRing, index_map, label: str | None = None) -> RingHom:
-    """Validate an arbitrary index map as a unital ring homomorphism."""
-    return RingHom(source, target, index_map, label)
-
-
 def hom_identity(ring: FiniteRing) -> RingHom:
     return RingHom(ring, ring, np.arange(ring.size), label="id")
-
-
-def hom_compose(outer: RingHom, inner: RingHom) -> RingHom:
-    """outer o inner; the intermediate ring objects must be identical."""
-    if inner.target is not outer.source:
-        raise MixedRingError("hom_compose: inner.target is not outer.source")
-    label = None
-    if outer.label and inner.label:
-        label = f"compose({outer.label},{inner.label})"
-    return RingHom(inner.source, outer.target, outer.map[inner.map], label=label)
 
 
 # -- constructors -------------------------------------------------------------
@@ -621,7 +603,8 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
 
 
 def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Componentwise product ring; index encoding i_a * |b| + i_b."""
+    """Componentwise product ring; index encoding i_a * |b| + i_b.  It rests
+    on its projections pA and pB, which are jointly injective."""
     size = a.size * b.size
     _check_cap(size, size_cap, f"product({a.label},{b.label})")
     idx = np.arange(size)
@@ -632,7 +615,8 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
     zero = a.zero * b.size + b.zero
     one = a.one * b.size + b.one
     names = [f"({a.element_names[x]},{b.element_names[y]})" for x, y in zip(ia, ib)]
-    return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", names)
+    proof = Proof(out_of=((a, ia, "pA"), (b, ib, "pB")))
+    return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", names, proof)
 
 
 def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
@@ -665,34 +649,3 @@ def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
     if proj.kernel().members != ideal.members:
         raise InternalCheckError("projection kernel differs from the ideal")
     return quot, proj
-
-
-# -- structural analysis -------------------------------------------------------
-
-
-def units(ring: FiniteRing) -> frozenset[int]:
-    return frozenset(int(i) for i in np.nonzero(ring.units_mask)[0])
-
-
-def idempotents(ring: FiniteRing) -> frozenset[int]:
-    return frozenset(ring.idempotent_list)
-
-
-def primitive_idempotents(ring: FiniteRing) -> list[int]:
-    return list(ring.primitive_idempotent_list)
-
-
-def factor_local(ring: FiniteRing) -> list[tuple[FiniteRing, RingHom]]:
-    """Local factors with projections; the zero ring has no factors."""
-    return list(ring.local_factors)
-
-
-def localize_at_max(ring: FiniteRing, m: Ideal) -> tuple[FiniteRing, RingHom]:
-    """The local factor whose maximal ideal pulls back to m."""
-    if m.ring is not ring:
-        raise MixedRingError("localize_at_max: ideal belongs to a different ring")
-    for factor_pair, maximal in zip(ring.local_factors, maximal_ideals(ring)):
-        if maximal.members == m.members:
-            return factor_pair
-    raise NotMaximalError(f"{format_members(m.members)} is not a maximal ideal of {ring.label}")
-

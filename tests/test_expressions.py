@@ -11,8 +11,6 @@ from amalgam.expressions import (
     ResfieldExpr,
     TrivextExpr,
     ZmodExpr,
-    evaluate_instance,
-    evaluate_ring,
     parse,
 )
 from amalgam.properties import is_arithmetical, is_gaussian
@@ -66,18 +64,18 @@ def test_parse_size_limit():
 
 
 def test_evaluate_ring_and_instance():
-    ring = evaluate_ring("quot(zmod(4);2)")
+    ring = Evaluator().ring(parse("quot(zmod(4);2)"))
     assert ring.size == 2
-    inst = evaluate_instance("dup(zmod(4);2)")
+    inst = Evaluator().instance(parse("dup(zmod(4);2)"))
     assert inst.ring.size == 8
     with pytest.raises(EvaluationError):
-        evaluate_instance("zmod(4)")
+        Evaluator().instance(parse("zmod(4)"))
 
 
 def test_empty_element_list_is_the_zero_ideal():
-    assert evaluate_ring("quot(zmod(8);)").same_tables(evaluate_ring("zmod(8)"))
-    assert evaluate_ring("trivext(zmod(4);quotmod(regular;))").same_tables(
-        evaluate_ring("trivext(zmod(4);regular)")
+    assert Evaluator().ring(parse("quot(zmod(8);)")).same_tables(Evaluator().ring(parse("zmod(8)")))
+    assert Evaluator().ring(parse("trivext(zmod(4);quotmod(regular;))")).same_tables(
+        Evaluator().ring(parse("trivext(zmod(4);regular)"))
     )
 
 
@@ -100,7 +98,7 @@ def test_evaluator_memoizes_shared_subexpressions():
 
 
 def test_embed_hom_resolution():
-    inst = evaluate_instance("amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)")
+    inst = Evaluator().instance(parse("amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)"))
     assert inst.f.label == "embed"
     assert is_gaussian(inst.ring) and not is_arithmetical(inst.ring)
 
@@ -108,16 +106,16 @@ def test_embed_hom_resolution():
 def test_compose_hom_resolution():
     # the quotient ideal <(0,1)> misses the embedded copy, so this composite
     # is still injective
-    inst = evaluate_instance(
+    inst = Evaluator().instance(parse(
         "amalg(zmod(2),quot(trivext(zmod(2);regular);1),compose(proj,embed);1)"
-    )
+    ))
     assert inst.f.is_injective
     assert inst.ring.size == inst.base.size * len(inst.j)
 
     # quotient by <(2,0)> kills the embedded 2, making the composite lossy
-    lossy = evaluate_instance(
+    lossy = Evaluator().instance(parse(
         "amalg(zmod(4),quot(trivext(zmod(4);resfield(1));4),compose(proj,embed);1)"
-    )
+    ))
     assert not lossy.f.is_injective
     assert lossy.f.kernel().members == {0, 2}
 
@@ -135,21 +133,21 @@ def test_compose_hom_resolution():
 
 def test_hom_resolution_errors():
     with pytest.raises(EvaluationError):
-        evaluate_instance("amalg(zmod(4),zmod(8),id;2)")
+        Evaluator().instance(parse("amalg(zmod(4),zmod(8),id;2)"))
     with pytest.raises(EvaluationError):
-        evaluate_instance("amalg(zmod(4),zmod(8),proj;2)")
+        Evaluator().instance(parse("amalg(zmod(4),zmod(8),proj;2)"))
     with pytest.raises(EvaluationError):
-        evaluate_instance("amalg(zmod(4),trivext(zmod(2);regular),embed;1)")
+        Evaluator().instance(parse("amalg(zmod(4),trivext(zmod(2);regular),embed;1)"))
     with pytest.raises(EvaluationError):
-        evaluate_ring("trivext(zmod(6);resfield(1))")
+        Evaluator().ring(parse("trivext(zmod(6);resfield(1))"))
     with pytest.raises(EvaluationError):
-        evaluate_instance("dup(zmod(4);9)")
+        Evaluator().instance(parse("dup(zmod(4);9)"))
 
 
 def test_quot_proj_identity_hom():
-    inst = evaluate_instance("amalg(zmod(4),quot(zmod(4);2),proj;1)")
+    inst = Evaluator().instance(parse("amalg(zmod(4),quot(zmod(4);2),proj;1)"))
     assert not inst.f.is_injective
     assert inst.f.kernel().members == {0, 2}
 
-    same = evaluate_instance("amalg(zmod(4),zmod(4),id;2)")
+    same = Evaluator().instance(parse("amalg(zmod(4),zmod(4),id;2)"))
     assert same.ring.size == 8

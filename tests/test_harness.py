@@ -6,7 +6,7 @@ import pytest
 import amalgam.harness as harness
 from amalgam.cli import main
 from amalgam.errors import InternalCheckError
-from amalgam.expressions import Evaluator, evaluate_instance, parse
+from amalgam.expressions import Evaluator, parse
 from amalgam.harness import (
     CLAUSE_IDS,
     CLAUSES,
@@ -78,25 +78,25 @@ def test_small_catalog_sweep_clean(small_catalog):
 
 
 def test_verify_single_instance_statuses():
-    verdict = verify_instance(evaluate_instance("dup(zmod(8);2)"), "cor-2.3")
+    verdict = verify_instance(Evaluator().instance(parse("dup(zmod(8);2)")), "cor-2.3")
     assert verdict.status == "verified"
     # J^2 != 0 leaves thm-2.1:2 without its hypotheses
-    verdict = verify_instance(evaluate_instance("dup(zmod(8);2)"), "thm-2.1:2")
+    verdict = verify_instance(Evaluator().instance(parse("dup(zmod(8);2)")), "thm-2.1:2")
     assert verdict.status == "hypotheses-unmet"
-    verdict = verify_instance(evaluate_instance("dup(zmod(8);4)"), "thm-2.1:2")
+    verdict = verify_instance(Evaluator().instance(parse("dup(zmod(8);4)")), "thm-2.1:2")
     assert verdict.status == "verified"
-    verdict = verify_instance(evaluate_instance("dup(zmod(4);2)"), "lemma-2.2")
+    verdict = verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), "lemma-2.2")
     assert verdict.status == "verified"
     # a non-duplication is rejected by the duplication criterion
     verdict = verify_instance(
-        evaluate_instance("amalg(zmod(4),quot(zmod(4);2),proj;1)"), "cor-2.3"
+        Evaluator().instance(parse("amalg(zmod(4),quot(zmod(4);2),proj;1)")), "cor-2.3"
     )
     assert verdict.status == "hypotheses-unmet"
 
 
 def test_verify_unknown_clause():
     with pytest.raises(KeyError):
-        verify_instance(evaluate_instance("dup(zmod(4);2)"), "lemma-9.9")
+        verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), "lemma-9.9")
 
 
 def test_duplication_criterion_includes_named_cases(small_catalog):
@@ -110,7 +110,7 @@ def _synthetic_case(replacement):
     return ExampleCase(
         example_id="t.1",
         title="synthetic case whose surrogate misses a hypothesis",
-        instance=evaluate_instance("dup(zmod(8);2)"),  # J^2 != 0
+        instance=Evaluator().instance(parse("dup(zmod(8);2)")),  # J^2 != 0
         hypotheses=[
             ("base ring local", lambda i: i.hypotheses.a_local),
             ("J squared zero", lambda i: i.hypotheses.j_squared_zero),
@@ -183,7 +183,7 @@ def test_unsatisfiable_clause_match_is_an_internal_error(cid, small_catalog, mon
     with pytest.raises(InternalCheckError, match=re.escape(small_catalog.specs[0].label)):
         verify_clauses(small_catalog, [cid])
     with pytest.raises(InternalCheckError):
-        verify_instance(evaluate_instance("dup(zmod(4);2)"), cid)
+        verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), cid)
     assert main(["verify", cid, "dup(zmod(4);2)"]) == 3
     assert "internal error" in capsys.readouterr().err
 

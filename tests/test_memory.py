@@ -11,6 +11,9 @@ trivext(zmod(64);regular) and product(zmod(64),zmod(64)) have the same two
 tables; gathering them through n x n int64 index arrays peaked at 320 and
 192 MB.  The enumeration of a 256-element ideal lattice peaked at 3.1 MB
 above its start when each round's temporaries were not cut into row blocks.
+resfield(11) over zmod(2) and resfield(10) over zmod(4) have one 16 MB and
+one 4 MB int32 addition table; gathering them through (q^d, q^d, d) int64
+arrays peaked at 560 and 128 MB.
 """
 import tracemalloc
 
@@ -20,8 +23,9 @@ from amalgam.amalgamation import amalgamate
 from amalgam.errors import CapExceededError
 from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExpr, ZmodExpr, parse
 from amalgam.ideals import Ideal, enumerate_ideals
+from amalgam.modules import vspace_over_residue
 from amalgam.properties import is_gaussian, is_local
-from amalgam.rings import pair_indices, truncated_poly_algebra
+from amalgam.rings import pair_indices, truncated_poly_algebra, zmod
 
 MB = 1 << 20
 
@@ -92,3 +96,17 @@ def test_lattice_enumeration_temporaries_peak(label, count):
         tracemalloc.stop()
     assert ring.size == 256 and found == count
     assert peak - start <= 1.5 * MB, f"enumerating {label} peaked at {(peak - start) / MB:.2f} MB"
+
+
+@pytest.mark.parametrize("n, dim, bound", [(2, 11, 64), (4, 10, 16)])
+def test_vspace_over_residue_build_peak(n, dim, bound):
+    base = zmod(n)
+    m = is_local(base)
+    tracemalloc.start()
+    try:
+        module = vspace_over_residue(base, m, dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert module.size == 2**dim
+    assert peak <= bound * MB, f"resfield({dim}) over zmod({n}) peaked at {peak / MB:.1f} MB"

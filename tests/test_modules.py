@@ -1,5 +1,9 @@
+import itertools
+
+import numpy as np
 import pytest
 
+import amalgam.rings
 from amalgam.errors import MixedRingError, NotASubmoduleError, NotMaximalError
 from amalgam.ideals import ideal_generated, ideal_product
 from amalgam.modules import (
@@ -10,7 +14,8 @@ from amalgam.modules import (
     vspace_over_residue,
 )
 from amalgam.properties import is_local
-from amalgam.rings import units, zmod
+from amalgam.expressions import Evaluator, parse
+from amalgam.rings import quotient, zmod
 
 
 def test_ring_as_module_examples():
@@ -32,6 +37,25 @@ def test_vspace_annihilated_by_maximal():
     assert e2.size == 4
     # a unit acts bijectively
     assert sorted(int(v) for v in e2.action[3]) == list(range(4))
+
+
+@pytest.mark.parametrize("label, dim", [("zmod(4)", 3), ("zmod(9)", 2), ("zmod(5)", 3), ("tpa(2,2,2)", 4)])
+def test_vspace_tables_match_the_coordinatewise_formula(monkeypatch, label, dim):
+    ring = Evaluator().ring(parse(label))
+    m = is_local(ring)
+    field, proj = quotient(ring, m)
+    q = field.size
+    # digits[x, k] is digit k of x in base q, least significant first
+    digits = np.array(list(itertools.product(range(q), repeat=dim)))[:, ::-1]
+    radix = q ** np.arange(dim)
+    add = field.add[digits[:, None, :], digits[None, :, :]] @ radix
+    act = field.mul[proj.map[:, None, None], digits[None, :, :]] @ radix
+    # one block, two rows per block (the last one ragged for odd q), one row per block
+    for entries in (amalgam.rings._BLOCK_ENTRIES, 2 * q**dim, 1):
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", entries)
+        module = vspace_over_residue(ring, m, dim)
+        assert (module.add == add).all() and (module.action == act).all()
+        assert module.add.dtype == module.action.dtype == np.int32
 
 
 def test_vspace_requires_maximal():
@@ -108,4 +132,4 @@ def test_extension_units_structure():
     z4 = zmod(4)
     ext, _, _ = trivial_extension(z4, ring_as_module(z4))
     expected = {a * 4 + e for a in (1, 3) for e in range(4)}
-    assert units(ext) == expected
+    assert set(np.flatnonzero(ext.units_mask).tolist()) == expected

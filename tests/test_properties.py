@@ -11,10 +11,7 @@ from amalgam.ideals import (
     enumerate_ideals,
     ideal_product,
     is_distributive_lattice,
-    is_regular_ideal,
-    maximal_ideals,
     principal_ideal,
-    regular_elements,
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import (
@@ -23,7 +20,6 @@ from amalgam.properties import (
     content,
     gaussian_content_oracle,
     is_arithmetical,
-    is_chain_ring,
     is_field,
     is_gaussian,
     is_local,
@@ -37,7 +33,8 @@ from amalgam.properties import (
     property_report,
     recheck_pair_witness,
 )
-from amalgam.rings import localize_at_max, product, truncated_poly_algebra, zmod
+from amalgam.rings import product, truncated_poly_algebra, zmod
+from oracles import is_chain_ring
 from pair_oracle import pair_condition_matrix
 
 
@@ -148,7 +145,9 @@ def _invertible(ideal):
 
 def _prufer_by_lattice_sweep(lattice):
     """Reference oracle: I * (R : I) = R for every regular ideal I."""
-    return all(_invertible(ideal) for ideal in lattice if is_regular_ideal(ideal))
+    return all(
+        _invertible(ideal) for ideal in lattice if (~ideal.ring.zero_divisor_mask[ideal.indices]).any()
+    )
 
 
 def test_prufer_examples(catalog):
@@ -169,7 +168,7 @@ def test_prufer_examples(catalog):
     # 1024 elements and thousands of ideals: every regular ideal contains a
     # regular x, hence <x>; each such <x> is the whole ring, so the ring is
     # the only regular ideal
-    assert all(principal_ideal(r211, x).is_whole for x in regular_elements(r211))
+    assert all(principal_ideal(r211, x).is_whole for x in np.flatnonzero(~r211.zero_divisor_mask))
     assert _invertible(Ideal(r211, range(r211.size))) and is_prufer(r211)
 
 
@@ -216,7 +215,9 @@ def test_m3_certificate_revalidates_past_the_guard():
         with pytest.raises(CapExceededError):
             all_ideals(ring)
         assert not is_arithmetical(ring)
-        triple = m3_certificate(ring)
+        in_principal = ring.principal_membership
+        a, b = divmod(int(np.argmax(~(in_principal | in_principal.T))), ring.size)
+        triple = m3_certificate(ring, a, b)
         j1, j2, j3 = (Ideal(ring, ide.members).mask for ide in triple)  # re-validated as ideals
         bottom, top = j1 & j2, _sum_mask(ring, j1, j2)
         assert bottom.sum() < j1.sum() < top.sum()
@@ -235,18 +236,27 @@ def test_chain_certificate_is_the_m_adic_filtration():
     ]
     with pytest.raises(InternalCheckError):
         chain_certificate(ext_of(zmod(4), "resfield"))
+    z8 = zmod(8)
+    for a in range(8):  # every pair of a chain ring is comparable, so none yields an M3
+        for b in range(8):
+            with pytest.raises(InternalCheckError):
+                m3_certificate(z8, a, b)
     with pytest.raises(InternalCheckError):
-        m3_certificate(zmod(8))
+        m3_certificate(zmod(6), 2, 3)  # not local
 
 
-def test_lying_chain_route_is_an_internal_error(monkeypatch):
+def test_lying_chain_route_is_an_internal_error():
+    # a lying principal-membership matrix sends each factor to the wrong
+    # certificate, which must refuse it: both re-validate without the matrix
     ring = EXAMPLE_BUILDERS["2.11"](Evaluator()).instance.ring
-    monkeypatch.setattr(amalgam.properties, "is_chain_ring", lambda _ring: True)
-    with pytest.raises(InternalCheckError):
+    assert ring.local_factors[0][0] is ring
+    ring.__dict__["principal_membership"] = np.ones((ring.size, ring.size), dtype=bool)
+    with pytest.raises(InternalCheckError, match="chain certificate|m-adic filtration"):
         is_arithmetical(ring)
-    monkeypatch.setattr(amalgam.properties, "is_chain_ring", lambda _ring: False)
-    with pytest.raises(InternalCheckError):
-        is_arithmetical(zmod(8))
+    z8 = zmod(8)
+    z8.__dict__["principal_membership"] = np.eye(8, dtype=bool)
+    with pytest.raises(InternalCheckError, match="M3 certificate"):
+        is_arithmetical(z8)
 
 
 def test_property_report_builds_only_the_witness_ideals(monkeypatch):
@@ -285,14 +295,9 @@ def test_arithmetical_check_refuses_disagreeing_routes(monkeypatch):
 def test_gaussian_locality_consistency():
     rings = [zmod(6), zmod(12), product(zmod(4), zmod(9)), product(zmod(2), zmod(2))]
     for ring in rings:
-        per_max = all(
-            local_gaussian_pair_check(localize_at_max(ring, m)[0])[0]
-            for m in maximal_ideals(ring)
-        )
+        per_max = all(local_gaussian_pair_check(factor)[0] for factor, _ in ring.local_factors)
         assert is_gaussian(ring) == per_max
-        per_max_chain = all(
-            is_chain_ring(localize_at_max(ring, m)[0]) for m in maximal_ideals(ring)
-        )
+        per_max_chain = all(is_chain_ring(factor) for factor, _ in ring.local_factors)
         assert is_arithmetical(ring) == per_max_chain
 
 

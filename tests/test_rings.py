@@ -7,27 +7,20 @@ import amalgam.rings
 from amalgam.errors import (
     CapExceededError,
     HomomorphismError,
-    MixedRingError,
-    NotMaximalError,
     StructureError,
 )
 from amalgam.harness import _tpa_parameter_sweep
+from amalgam.expressions import ComposeHomExpr, Evaluator, IdHomExpr, ProjHomExpr, parse
 from amalgam.ideals import ideal_generated
 from amalgam.rings import (
     FiniteRing,
+    RingHom,
     _is_symmetric,
     _monomials,
-    factor_local,
-    hom,
-    hom_compose,
     hom_identity,
-    idempotents,
-    localize_at_max,
-    primitive_idempotents,
     product,
     quotient,
     truncated_poly_algebra,
-    units,
     zmod,
 )
 
@@ -37,7 +30,7 @@ def test_zmod_small_arithmetic():
     assert z4.mul[2, 2] == 0
     z6 = zmod(6)
     assert z6.mul[2, 3] == 0
-    assert units(z6) == {1, 5}
+    assert np.flatnonzero(z6.units_mask).tolist() == [1, 5]
 
 
 def test_zmod_zero_ring():
@@ -210,10 +203,10 @@ def test_quotient_counts_and_kernel():
 
 def test_hom_validation():
     z4, z2 = zmod(4), zmod(2)
-    proj = hom(z4, z2, [0, 1, 0, 1])
+    proj = RingHom(z4, z2, [0, 1, 0, 1])
     assert proj.map.tolist() == [0, 1, 0, 1]
     with pytest.raises(HomomorphismError):
-        hom(z4, z4, [0, 2, 0, 2])  # x -> 2x is not unital
+        RingHom(z4, z4, [0, 2, 0, 2])  # x -> 2x is not unital
 
 
 def test_identity_shortcut_leaves_other_maps_fully_validated():
@@ -221,25 +214,27 @@ def test_identity_shortcut_leaves_other_maps_fully_validated():
     assert hom_identity(z6).map.tolist() == list(range(6))
     # fixes 0 and 1, so only the table comparison rejects it
     with pytest.raises(HomomorphismError):
-        hom(z6, z6, [0, 1, 3, 2, 4, 5])
+        RingHom(z6, z6, [0, 1, 3, 2, 4, 5])
     # the identity index map between two ring objects is validated in full
-    assert hom(z6, zmod(6), range(6)).map.tolist() == list(range(6))
+    assert RingHom(z6, zmod(6), range(6)).map.tolist() == list(range(6))
     with pytest.raises(HomomorphismError):
-        hom(zmod(4), product(zmod(2), zmod(2)), range(4))
+        RingHom(zmod(4), product(zmod(2), zmod(2)), range(4))
 
 
 def test_hom_compose_identity_law():
-    z4, z2 = zmod(4), zmod(2)
-    proj = hom(z4, z2, [0, 1, 0, 1])
-    composed = hom_compose(proj, hom_identity(z4))
-    assert (composed.map == proj.map).all()
-    with pytest.raises(MixedRingError):
-        hom_compose(hom_identity(z2), hom_identity(zmod(3)))
+    # compose(proj,id) and compose(id,proj) resolve to the projection itself
+    ev = Evaluator()
+    target_expr = parse("quot(zmod(4);2)")
+    z4 = ev.ring(target_expr.ring)
+    proj = ev.resolve_hom(ProjHomExpr(), z4, target_expr)
+    for hexpr in (ComposeHomExpr(ProjHomExpr(), IdHomExpr()), ComposeHomExpr(IdHomExpr(), ProjHomExpr())):
+        composed = ev.resolve_hom(hexpr, z4, target_expr)
+        assert (composed.map == proj.map).all() and composed.target is proj.target
 
 
 def test_units_idempotents():
-    assert units(zmod(4)) == {1, 3}
-    assert idempotents(zmod(6)) == {0, 1, 3, 4}
+    assert np.flatnonzero(zmod(4).units_mask).tolist() == [1, 3]
+    assert zmod(6).idempotent_list == (0, 1, 3, 4)
 
 
 def test_primitive_idempotents_oracle():
@@ -249,25 +244,25 @@ def test_primitive_idempotents_oracle():
     minimal = [
         e for e in idem if all(f == e or z6.mul[e, f] != f for f in idem)
     ]
-    assert primitive_idempotents(z6) == minimal == [3, 4]
+    assert list(z6.primitive_idempotent_list) == minimal == [3, 4]
 
 
 def test_factor_local_sizes():
-    assert sorted(f.size for f, _ in factor_local(zmod(6))) == [2, 3]
+    assert sorted(f.size for f, _ in zmod(6).local_factors) == [2, 3]
     z4 = zmod(4)
-    facs = factor_local(z4)
+    facs = z4.local_factors
     assert len(facs) == 1 and facs[0][0] is z4  # a local ring is its own factor
     p = product(zmod(4), zmod(2))
-    assert sorted(f.size for f, _ in factor_local(p)) == [2, 4]
+    assert sorted(f.size for f, _ in p.local_factors) == [2, 4]
 
 
 def test_factor_local_zero_ring():
-    assert factor_local(zmod(1)) == []
+    assert zmod(1).local_factors == ()
 
 
 def test_factor_reconstruction_bijection():
     for ring in (zmod(6), zmod(12), product(zmod(2), zmod(2)), product(zmod(4), zmod(9))):
-        factors = factor_local(ring)
+        factors = ring.local_factors
         sizes = [f.size for f, _ in factors]
         images = set()
         for x in range(ring.size):
@@ -284,18 +279,21 @@ def test_factor_reconstruction_bijection():
 
 
 def test_localize_at_max():
+    # the i-th maximal ideal is the kernel of the i-th factor's residue map
+    def factor_of(ring, m):
+        (pair,) = [pair for pair, mx in zip(ring.local_factors, ring.maximal_ideals) if mx == m]
+        return pair[0]
+
     z6 = zmod(6)
-    m = ideal_generated(z6, [2])
-    fac, _ = localize_at_max(z6, m)
-    assert fac.size == 2
+    assert factor_of(z6, ideal_generated(z6, [2])).size == 2
     z4 = zmod(4)
-    fac4, _ = localize_at_max(z4, ideal_generated(z4, [2]))
-    assert fac4 is z4
+    assert factor_of(z4, ideal_generated(z4, [2])) is z4
     p = product(zmod(2), zmod(2))
-    first = localize_at_max(p, ideal_generated(p, [1]))[0]  # {(0,0),(0,1)}
-    assert first.size == 2
-    with pytest.raises(NotMaximalError):
-        localize_at_max(z6, ideal_generated(z6, []))
+    assert factor_of(p, ideal_generated(p, [1])).size == 2  # {(0,0),(0,1)}
+    for ring in (z6, z4, p, zmod(12), product(zmod(4), zmod(9))):
+        for (factor, proj), m in zip(ring.local_factors, ring.maximal_ideals):
+            assert (m.mask == ~factor.units_mask[proj.map]).all()
+    assert ideal_generated(z6, []) not in z6.maximal_ideals
 
 
 def test_validate_catches_broken_tables():
@@ -351,7 +349,7 @@ def test_validate_passes_on_constructions():
 def test_hom_witness_reported():
     z4 = zmod(4)
     try:
-        hom(z4, z4, [0, 2, 0, 2])
+        RingHom(z4, z4, [0, 2, 0, 2])
     except HomomorphismError as exc:
         assert "f(1)" in str(exc)
     else:  # pragma: no cover

@@ -14,7 +14,7 @@ from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator
 from amalgam.harness import EXAMPLE_BUILDERS
 from amalgam.properties import _unit_orbits, is_local, local_gaussian_pair_check
-from amalgam.rings import FiniteRing, hom, truncated_poly_algebra
+from amalgam.rings import FiniteRing, RingHom, truncated_poly_algebra
 from pair_oracle import pair_condition_matrix
 
 ONE_BLOCK = 1 << 62
@@ -71,7 +71,7 @@ def test_principal_membership_by_definition():
 
 def _hom_error(source, target, index_map) -> HomomorphismError:
     with pytest.raises(HomomorphismError) as info:
-        hom(source, target, index_map)
+        RingHom(source, target, index_map)
     return info.value
 
 
