@@ -52,7 +52,6 @@ from .ideals import (
     ideal_product,
     ideal_sum,
     is_distributive_lattice,
-    jacobson_radical,
     maximal_ideals,
     nilradical,
     principal_ideal,

@@ -47,6 +47,7 @@ from .harness import (
 )
 from .ideals import format_members
 from .properties import PropertyReport, property_report
+from .rings import DEFAULT_SIZE_CAP
 
 _USAGE_ERROR = 2
 _VIOLATION = 1
@@ -301,7 +302,7 @@ def _catalog_from_args(args: argparse.Namespace) -> Catalog:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machine", action="store_true", help="one key=value record per line")
     p.add_argument("--timing", action="store_true", help="print elapsed times to stderr")
-    p.add_argument("--max-ring-size", type=int, default=4096, metavar="N")
+    p.add_argument("--max-ring-size", type=int, default=DEFAULT_SIZE_CAP, metavar="N")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -1,17 +1,10 @@
 """Construction-expression grammar: parser, printer, evaluator.
 
-Grammar (EBNF):
-
-    ring   := "zmod(" INT ")"
-            | "tpa(" INT "," INT "," INT ")"
-            | "product(" ring "," ring ")"
-            | "quot(" ring ";" elems ")"
-            | "trivext(" ring ";" module ")"
-            | "dup(" ring ";" elems ")"
-            | "amalg(" ring "," ring "," hom ";" elems ")"
-    module := "regular" | "resfield(" INT ")" | "quotmod(" module ";" elems ")"
-    hom    := "id" | "proj" | "embed" | "compose(" hom "," hom ")"
-    elems  := [ INT { "," INT } ]
+The grammar is the table `SYNTAX`.  For each category (ring, module, hom)
+it lists the constructors, each with its AST node class and the tokens
+that follow its name.  The parser (`_Parser.node`), the printer
+(`Expr.unparse`) and `GRAMMAR_TEXT`, the EBNF that `amalgam grammar`
+prints, are all read off that table.
 
 Element lists are canonical indices in the documented encodings; an empty
 list generates the zero ideal (or submodule).  "proj" denotes the
@@ -23,7 +16,7 @@ whitespace); the parser accepts arbitrary whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,38 +47,39 @@ MAX_TEXT_BYTES = 64 * 1024
 # expressions; parsing, evaluation and printing recurse once per level.
 MAX_NESTING_DEPTH = 100
 
-GRAMMAR_TEXT = """\
-ring   := "zmod(" INT ")"
-        | "tpa(" INT "," INT "," INT ")"
-        | "product(" ring "," ring ")"
-        | "quot(" ring ";" elems ")"
-        | "trivext(" ring ";" module ")"
-        | "dup(" ring ";" elems ")"
-        | "amalg(" ring "," ring "," hom ";" elems ")"
-module := "regular" | "resfield(" INT ")" | "quotmod(" module ";" elems ")"
-hom    := "id" | "proj" | "embed" | "compose(" hom "," hom ")"
-elems  := [ INT { "," INT } ]
-"""
-
 
 # -- abstract syntax -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RingExpr:
+class Expr:
+    """An AST node.  Its fields are the values its `SYNTAX` tokens read, in order."""
+
     def unparse(self) -> str:
-        raise NotImplementedError
+        name, tokens = _SPELLING[type(self)]
+        values = iter([getattr(self, f.name) for f in fields(self)])
+        out = [name]
+        for kind in tokens:
+            if kind in PUNCTUATION:
+                out.append(kind)
+            elif kind == ELEMS:
+                out.append(_elems(next(values)))
+            else:  # an integer, or a nested node printed by its own unparse
+                out.append(str(next(values)))
+        return "".join(out)
 
     def __str__(self) -> str:
         return self.unparse()
 
 
 @dataclass(frozen=True)
+class RingExpr(Expr):
+    pass
+
+
+@dataclass(frozen=True)
 class ZmodExpr(RingExpr):
     n: int
-
-    def unparse(self) -> str:
-        return f"zmod({self.n})"
 
 
 @dataclass(frozen=True)
@@ -94,17 +88,11 @@ class TpaExpr(RingExpr):
     k: int
     t: int
 
-    def unparse(self) -> str:
-        return f"tpa({self.p},{self.k},{self.t})"
-
 
 @dataclass(frozen=True)
 class ProductExpr(RingExpr):
     left: RingExpr
     right: RingExpr
-
-    def unparse(self) -> str:
-        return f"product({self.left.unparse()},{self.right.unparse()})"
 
 
 @dataclass(frozen=True)
@@ -112,26 +100,17 @@ class QuotExpr(RingExpr):
     ring: RingExpr
     gens: tuple[int, ...]
 
-    def unparse(self) -> str:
-        return f"quot({self.ring.unparse()};{_elems(self.gens)})"
-
 
 @dataclass(frozen=True)
 class TrivextExpr(RingExpr):
     ring: RingExpr
     module: ModuleExpr
 
-    def unparse(self) -> str:
-        return f"trivext({self.ring.unparse()};{self.module.unparse()})"
-
 
 @dataclass(frozen=True)
 class DupExpr(RingExpr):
     ring: RingExpr
     gens: tuple[int, ...]
-
-    def unparse(self) -> str:
-        return f"dup({self.ring.unparse()};{_elems(self.gens)})"
 
 
 @dataclass(frozen=True)
@@ -141,34 +120,20 @@ class AmalgExpr(RingExpr):
     hom: HomExpr
     gens: tuple[int, ...]
 
-    def unparse(self) -> str:
-        return (
-            f"amalg({self.base.unparse()},{self.target.unparse()},"
-            f"{self.hom.unparse()};{_elems(self.gens)})"
-        )
-
 
 @dataclass(frozen=True)
-class ModuleExpr:
-    def unparse(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.unparse()
+class ModuleExpr(Expr):
+    pass
 
 
 @dataclass(frozen=True)
 class RegularExpr(ModuleExpr):
-    def unparse(self) -> str:
-        return "regular"
+    pass
 
 
 @dataclass(frozen=True)
 class ResfieldExpr(ModuleExpr):
     dim: int
-
-    def unparse(self) -> str:
-        return f"resfield({self.dim})"
 
 
 @dataclass(frozen=True)
@@ -176,35 +141,25 @@ class QuotmodExpr(ModuleExpr):
     module: ModuleExpr
     gens: tuple[int, ...]
 
-    def unparse(self) -> str:
-        return f"quotmod({self.module.unparse()};{_elems(self.gens)})"
-
 
 @dataclass(frozen=True)
-class HomExpr:
-    def unparse(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.unparse()
+class HomExpr(Expr):
+    pass
 
 
 @dataclass(frozen=True)
 class IdHomExpr(HomExpr):
-    def unparse(self) -> str:
-        return "id"
+    pass
 
 
 @dataclass(frozen=True)
 class ProjHomExpr(HomExpr):
-    def unparse(self) -> str:
-        return "proj"
+    pass
 
 
 @dataclass(frozen=True)
 class EmbedHomExpr(HomExpr):
-    def unparse(self) -> str:
-        return "embed"
+    pass
 
 
 @dataclass(frozen=True)
@@ -212,12 +167,64 @@ class ComposeHomExpr(HomExpr):
     outer: HomExpr
     inner: HomExpr
 
-    def unparse(self) -> str:
-        return f"compose({self.outer.unparse()},{self.inner.unparse()})"
-
 
 def _elems(gens: tuple[int, ...]) -> str:
     return ",".join(str(g) for g in gens)
+
+
+# -- the grammar -------------------------------------------------------------------
+
+# Token kinds after a constructor name: a punctuation literal, an integer,
+# an integer that must be >= 1 (refused at the constructor's name), an
+# element list, or a nested category.
+PUNCTUATION = ("(", ")", ",", ";")
+INT, POSITIVE_INT, ELEMS = "INT", "INT>=1", "elems"
+
+SYNTAX: dict[str, dict[str, tuple[type[Expr], tuple[str, ...]]]] = {
+    "ring": {
+        "zmod": (ZmodExpr, ("(", POSITIVE_INT, ")")),
+        "tpa": (TpaExpr, ("(", INT, ",", INT, ",", INT, ")")),
+        "product": (ProductExpr, ("(", "ring", ",", "ring", ")")),
+        "quot": (QuotExpr, ("(", "ring", ";", ELEMS, ")")),
+        "trivext": (TrivextExpr, ("(", "ring", ";", "module", ")")),
+        "dup": (DupExpr, ("(", "ring", ";", ELEMS, ")")),
+        "amalg": (AmalgExpr, ("(", "ring", ",", "ring", ",", "hom", ";", ELEMS, ")")),
+    },
+    "module": {
+        "regular": (RegularExpr, ()),
+        "resfield": (ResfieldExpr, ("(", POSITIVE_INT, ")")),
+        "quotmod": (QuotmodExpr, ("(", "module", ";", ELEMS, ")")),
+    },
+    "hom": {
+        "id": (IdHomExpr, ()),
+        "proj": (ProjHomExpr, ()),
+        "embed": (EmbedHomExpr, ()),
+        "compose": (ComposeHomExpr, ("(", "hom", ",", "hom", ")")),
+    },
+}
+
+_SPELLING = {cls: (name, tokens) for table in SYNTAX.values() for name, (cls, tokens) in table.items()}
+
+
+def _alternative(name: str, tokens: tuple[str, ...]) -> str:
+    words = [f'"{name}"'] + [f'"{k}"' if k in PUNCTUATION else INT if k == POSITIVE_INT else k for k in tokens]
+    # adjacent literals merge into one quoted word: "zmod" "(" -> "zmod("
+    return " ".join(words).replace('" "', "")
+
+
+def _grammar_text() -> str:
+    """The EBNF of `SYNTAX`; a category's alternatives share one line when it fits in 80 columns."""
+    lines = []
+    for category, table in SYNTAX.items():
+        alternatives = [_alternative(name, tokens) for name, (_cls, tokens) in table.items()]
+        head = f"{category:<6} := "
+        line = head + " | ".join(alternatives)
+        lines.append(line if len(line) <= 80 else head + "\n        | ".join(alternatives))
+    lines.append(f'{ELEMS:<6} := [ INT {{ "," INT }} ]')
+    return "\n".join(lines) + "\n"
+
+
+GRAMMAR_TEXT = _grammar_text()
 
 
 # -- tokenizer / parser ------------------------------------------------------------
@@ -295,113 +302,28 @@ class _Parser:
 
     # -- grammar --
 
-    def ring(self) -> RingExpr:
-        tok = self._expect("NAME", ("zmod", "tpa", "product", "quot", "trivext", "dup", "amalg"))
-        name = tok[1]
-        if name == "zmod":
-            self._expect("(", ("(",))
-            n = self._int()
-            if n < 1:
-                raise ParseError("zmod argument must be >= 1", tok[2], tok[3], ("INT >= 1",))
-            self._expect(")", (")",))
-            return ZmodExpr(n)
-        if name == "tpa":
-            self._expect("(", ("(",))
-            p = self._int()
-            self._expect(",", (",",))
-            k = self._int()
-            self._expect(",", (",",))
-            t = self._int()
-            self._expect(")", (")",))
-            return TpaExpr(p, k, t)
-        if name == "product":
-            self._expect("(", ("(",))
-            left = self.ring()
-            self._expect(",", (",",))
-            right = self.ring()
-            self._expect(")", (")",))
-            return ProductExpr(left, right)
-        if name == "quot":
-            self._expect("(", ("(",))
-            ring = self.ring()
-            self._expect(";", (";",))
-            gens = self._elems()
-            self._expect(")", (")",))
-            return QuotExpr(ring, gens)
-        if name == "trivext":
-            self._expect("(", ("(",))
-            ring = self.ring()
-            self._expect(";", (";",))
-            module = self.module()
-            self._expect(")", (")",))
-            return TrivextExpr(ring, module)
-        if name == "dup":
-            self._expect("(", ("(",))
-            ring = self.ring()
-            self._expect(";", (";",))
-            gens = self._elems()
-            self._expect(")", (")",))
-            return DupExpr(ring, gens)
-        if name == "amalg":
-            self._expect("(", ("(",))
-            base = self.ring()
-            self._expect(",", (",",))
-            target = self.ring()
-            self._expect(",", (",",))
-            homx = self.hom()
-            self._expect(";", (";",))
-            gens = self._elems()
-            self._expect(")", (")",))
-            return AmalgExpr(base, target, homx, gens)
-        raise ParseError(
-            f"unknown ring constructor {name!r}",
-            tok[2],
-            tok[3],
-            ("zmod", "tpa", "product", "quot", "trivext", "dup", "amalg"),
-        )
-
-    def module(self) -> ModuleExpr:
-        tok = self._expect("NAME", ("regular", "resfield", "quotmod"))
-        name = tok[1]
-        if name == "regular":
-            return RegularExpr()
-        if name == "resfield":
-            self._expect("(", ("(",))
-            dim = self._int()
-            if dim < 1:
-                raise ParseError("resfield argument must be >= 1", tok[2], tok[3], ("INT >= 1",))
-            self._expect(")", (")",))
-            return ResfieldExpr(dim)
-        if name == "quotmod":
-            self._expect("(", ("(",))
-            module = self.module()
-            self._expect(";", (";",))
-            gens = self._elems()
-            self._expect(")", (")",))
-            return QuotmodExpr(module, gens)
-        raise ParseError(
-            f"unknown module constructor {name!r}", tok[2], tok[3], ("regular", "resfield", "quotmod")
-        )
-
-    def hom(self) -> HomExpr:
-        tok = self._expect("NAME", ("id", "proj", "embed", "compose"))
-        name = tok[1]
-        if name == "id":
-            return IdHomExpr()
-        if name == "proj":
-            return ProjHomExpr()
-        if name == "embed":
-            return EmbedHomExpr()
-        if name == "compose":
-            self._expect("(", ("(",))
-            outer = self.hom()
-            self._expect(",", (",",))
-            inner = self.hom()
-            self._expect(")", (")",))
-            return ComposeHomExpr(outer, inner)
-        raise ParseError(
-            f"unknown hom constructor {name!r}", tok[2], tok[3], ("id", "proj", "embed", "compose")
-        )
+    def node(self, category: str) -> Expr:
+        """One constructor of `category`, read by its `SYNTAX` entry."""
+        table = SYNTAX[category]
+        names = tuple(table)
+        tok = self._expect("NAME", names)
+        if tok[1] not in table:
+            raise ParseError(f"unknown {category} constructor {tok[1]!r}", tok[2], tok[3], names)
+        cls, tokens = table[tok[1]]
+        values: list[object] = []
+        for kind in tokens:
+            if kind in PUNCTUATION:
+                self._expect(kind, (kind,))
+            elif kind == ELEMS:
+                values.append(self._elems())
+            elif kind in SYNTAX:
+                values.append(self.node(kind))
+            else:
+                value = self._int()
+                if kind == POSITIVE_INT and value < 1:
+                    raise ParseError(f"{tok[1]} argument must be >= 1", tok[2], tok[3], ("INT >= 1",))
+                values.append(value)
+        return cls(*values)
 
 
 def parse(text: str) -> RingExpr:
@@ -409,7 +331,7 @@ def parse(text: str) -> RingExpr:
     if len(text.encode("utf-8", errors="replace")) > MAX_TEXT_BYTES:
         raise ParseError("expression text exceeds 64 KiB", 1, 1, ("shorter input",))
     parser = _Parser(text)
-    expr = parser.ring()
+    expr = parser.node("ring")
     tok = parser._peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3], ("end of input",))
@@ -430,7 +352,8 @@ class Evaluator:
     def __init__(self, size_cap: int = DEFAULT_SIZE_CAP):
         self.size_cap = size_cap
         self._rings: dict[RingExpr, FiniteRing] = {}
-        self._aux: dict[RingExpr, object] = {}
+        # the proj of each quot(...) and the embed of each trivext(...) built
+        self._homs: dict[RingExpr, RingHom] = {}
         self._instances: dict[RingExpr, AmalgamationInstance] = {}
         self._modules: dict[tuple[ModuleExpr, int], FiniteModule] = {}
 
@@ -461,14 +384,12 @@ class Evaluator:
         if isinstance(expr, QuotExpr):
             base = self.ring(expr.ring)
             ideal = self._ideal(base, expr.gens)
-            quot, proj = quotient(base, ideal)
-            self._aux[expr] = proj
+            quot, self._homs[expr] = quotient(base, ideal)
             return quot
         if isinstance(expr, TrivextExpr):
             base = self.ring(expr.ring)
             module = self.module(expr.module, base)
-            ext, embed, zxe = trivial_extension(base, module, self.size_cap)
-            self._aux[expr] = (embed, zxe)
+            ext, self._homs[expr], _ = trivial_extension(base, module, self.size_cap)
             return ext
         if isinstance(expr, DupExpr):
             base = self.ring(expr.ring)
@@ -524,37 +445,29 @@ class Evaluator:
 
     def resolve_hom(self, hexpr: HomExpr, source: FiniteRing, target_expr: RingExpr) -> RingHom:
         target = self.ring(target_expr)
-        if isinstance(hexpr, IdHomExpr):
-            if source.size != target.size:
-                raise EvaluationError("id hom requires equal-size rings")
-            return RingHom(source, target, np.arange(source.size), label="id")
-        if isinstance(hexpr, ProjHomExpr):
-            if not isinstance(target_expr, QuotExpr):
-                raise EvaluationError("proj hom requires a quot(...) target")
-            proj: RingHom = self._aux[target_expr]  # type: ignore[assignment]
-            if proj.source is source:
-                return proj
-            if proj.source.same_tables(source):
-                return RingHom(source, target, proj.map, label="proj")
-            raise EvaluationError("proj hom source does not match the quotient base")
-        if isinstance(hexpr, EmbedHomExpr):
-            if not isinstance(target_expr, TrivextExpr):
-                raise EvaluationError("embed hom requires a trivext(...) target")
-            embed: RingHom = self._aux[target_expr][0]  # type: ignore[index]
-            if embed.source is source:
-                return embed
-            if embed.source.same_tables(source):
-                return RingHom(source, target, embed.map, label="embed")
-            raise EvaluationError("embed hom source does not match the extension base")
+        self._peel(hexpr, target_expr)  # refuses proj and embed against the wrong target
         if isinstance(hexpr, ComposeHomExpr):
             mid_expr = self._peel(hexpr.outer, target_expr)
             inner = self.resolve_hom(hexpr.inner, source, mid_expr)
             outer = self.resolve_hom(hexpr.outer, self.ring(mid_expr), target_expr)
             return RingHom(source, target, outer.map[inner.map], label=hexpr.unparse())
-        raise EvaluationError(f"unsupported hom expression {hexpr!r}")
+        if isinstance(hexpr, IdHomExpr):
+            if source.size != target.size:
+                raise EvaluationError("id hom requires equal-size rings")
+            return RingHom(source, target, np.arange(source.size), label="id")
+        hom = self._homs[target_expr]
+        if hom.source is source:
+            return hom
+        if hom.source.same_tables(source):
+            return RingHom(source, target, hom.map, label=hexpr.unparse())
+        base = "quotient" if isinstance(hexpr, ProjHomExpr) else "extension"
+        raise EvaluationError(f"{hexpr.unparse()} hom source does not match the {base} base")
 
     def _peel(self, hexpr: HomExpr, target_expr: RingExpr) -> RingExpr:
-        """The source expression of a hom spec read against the target's tree."""
+        """The source expression of a hom spec read against the target's tree.
+
+        This is where "proj" and "embed" are checked against the target's
+        outermost constructor."""
         if isinstance(hexpr, IdHomExpr):
             return target_expr
         if isinstance(hexpr, ProjHomExpr):

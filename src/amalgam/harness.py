@@ -92,7 +92,7 @@ class CatalogParams:
     trivext_max: int = 256
     quotient_base_max: int = 32
     instance_max: int = 256
-    size_cap: int = 4096
+    size_cap: int = DEFAULT_SIZE_CAP
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class InstanceSpec:
     label: str
     tags: tuple[str, ...]
 
-    def build(self, size_cap: int = 4096) -> AmalgamationInstance:
+    def build(self, size_cap: int = DEFAULT_SIZE_CAP) -> AmalgamationInstance:
         return amalgamate(self.base, self.target, self.f, self.j, size_cap, label=self.label)
 
 
@@ -244,16 +244,18 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     specs: list[InstanceSpec] = []
 
     def push(base: FiniteRing, target: FiniteRing, f: RingHom, hom_tag: str, target_expr: RingExpr) -> None:
+        ex26_j = None
+        if hom_tag == "embed" and isinstance(target_expr.ring, TrivextExpr):
+            # the 0 x E ideal of the idealization B = A |x E
+            ex26_j = frozenset(pair_indices([base.zero], target.size // base.size).tolist())
         for j in enumerable_ideals(target):
             if j.is_whole or base.size * len(j) > p.instance_max:
                 continue
             tags = [hom_tag]
             if j.is_zero:
                 tags.append("j-zero")
-            if hom_tag == "embed" and isinstance(target_expr.ring, TrivextExpr):
-                zxe: Ideal = ev._aux[target_expr][1]  # the 0 x E' ideal of the idealization
-                if j.members == zxe.members:
-                    tags.append("ex2.6-shape")
+            if j.members == ex26_j:
+                tags.append("ex2.6-shape")
             gens = ",".join(str(g) for g in j.generators())
             if hom_tag == "identity":
                 label = f"dup({base.label};{gens})"

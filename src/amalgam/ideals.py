@@ -387,14 +387,6 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     return list(ring.maximal_ideals)
 
 
-def jacobson_radical(ring: FiniteRing) -> Ideal:
-    """Intersection of the maximal ideals (the whole ring if there are none)."""
-    mask = np.ones(ring.size, dtype=bool)
-    for m in maximal_ideals(ring):
-        mask &= m.mask
-    return Ideal._from_mask(ring, mask)
-
-
 def nilradical(ring: FiniteRing) -> Ideal:
     return Ideal._from_mask(ring, ring.nilpotent_mask)
 

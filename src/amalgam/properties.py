@@ -239,18 +239,14 @@ def is_gaussian(ring: FiniteRing) -> bool:
     return gaussian_check(ring)[0]
 
 
-def gaussian_content_oracle(
-    ring: FiniteRing,
-    dmax: int,
-    pair_budget: int = DEFAULT_ORACLE_PAIR_BUDGET,
-) -> tuple[bool, tuple[Polynomial, Polynomial] | None]:
+def gaussian_content_oracle(ring: FiniteRing, dmax: int) -> tuple[bool, tuple[Polynomial, Polynomial] | None]:
     """Brute-force content check c(fg) = c(f)c(g) over all pairs of degree <= dmax.
 
     A failure witness is a genuine counterexample to Gaussianity; a pass is
     necessary-condition evidence at that degree.  The pair count
-    |ring|^(2*(dmax+1)) must stay within `pair_budget`; the exponent is
-    compared with log_|ring| of the budget before any power is formed.  The
-    zero ring has one polynomial at every degree and passes.
+    |ring|^(2*(dmax+1)) must stay within DEFAULT_ORACLE_PAIR_BUDGET; the
+    exponent is compared with log_|ring| of the budget before any power is
+    formed.  The zero ring has one polynomial at every degree and passes.
 
     Unit scaling changes neither side of the content equation (c(u*f) = c(f)
     for a unit u), so only one representative per unit-scaling orbit is
@@ -261,9 +257,10 @@ def gaussian_content_oracle(
     n = ring.size
     if n == 1:
         return True, None
-    if 2 * (dmax + 1) > _max_digits(n, pair_budget):
+    if 2 * (dmax + 1) > _max_digits(n, DEFAULT_ORACLE_PAIR_BUDGET):
         raise BudgetExceededError(
-            f"content oracle at degree {dmax} needs {n}^{2 * (dmax + 1)} pairs, budget is {pair_budget}"
+            f"content oracle at degree {dmax} needs {n}^{2 * (dmax + 1)} pairs, "
+            f"budget is {DEFAULT_ORACLE_PAIR_BUDGET}"
         )
     npolys = n ** (dmax + 1)
 
@@ -477,11 +474,7 @@ class PropertyReport:
         return (not self.arithmetical or self.gaussian) and (not self.gaussian or self.prufer)
 
 
-def property_report(
-    ring: FiniteRing,
-    oracle_degree: int | None = None,
-    oracle_pair_budget: int = DEFAULT_ORACLE_PAIR_BUDGET,
-) -> PropertyReport:
+def property_report(ring: FiniteRing, oracle_degree: int | None = None) -> PropertyReport:
     maximal = is_local(ring)
     gauss_ok, gauss_wit = gaussian_check(ring)
     arith_ok, arith_wit = arithmetical_check(ring)
@@ -502,7 +495,7 @@ def property_report(
         arithmetical_witness=arith_wit,
     )
     if oracle_degree is not None:
-        ok, wit = gaussian_content_oracle(ring, oracle_degree, oracle_pair_budget)
+        ok, wit = gaussian_content_oracle(ring, oracle_degree)
         report.oracle_degree = oracle_degree
         report.oracle_gaussian = ok
         report.oracle_witness = wit

@@ -5,7 +5,9 @@ of principal ideals; `properties.is_arithmetical` decides it per local
 factor and certifies each answer.  `distinguished_ideals`,
 `amalg_max_ideals` and `product_embedding_check` check an amalgamation's
 distinguished ideals, maximal ideals and tables against its base and
-target rings.
+target rings.  `jacobson_radical` intersects the maximal ideals, where
+`amalgamation.hypothesis_report` reads the nilradical (the two agree on a
+finite ring, which is Artinian).
 """
 import numpy as np
 
@@ -20,6 +22,14 @@ def is_chain_ring(ring: FiniteRing) -> bool:
     """Ideals totally ordered; equivalently a in <b> or b in <a> for all pairs."""
     in_principal = ring.principal_membership
     return bool((in_principal | in_principal.T).all())
+
+
+def jacobson_radical(ring: FiniteRing) -> Ideal:
+    """Intersection of the maximal ideals (the whole ring if there are none)."""
+    mask = np.ones(ring.size, dtype=bool)
+    for m in maximal_ideals(ring):
+        mask &= m.mask
+    return Ideal._from_mask(ring, mask)
 
 
 def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import amalgam.cli
 import amalgam.harness
@@ -229,8 +230,9 @@ def test_encode_command(capsys):
 def test_grammar_command(capsys):
     code, out, _ = run_cli(capsys, "grammar")
     assert code == 0
-    assert 'ring   := "zmod(" INT ")"' in out
-    assert 'hom    := "id" | "proj" | "embed" | "compose(" hom "," hom ")"' in out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Expression grammar", 1)[1].split("```\n", 2)[1]
+    assert out == block
 
 
 def test_timing_goes_to_stderr(capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from amalgam.errors import EvaluationError, ParseError
@@ -14,6 +16,8 @@ from amalgam.expressions import (
     parse,
 )
 from amalgam.properties import is_arithmetical, is_gaussian
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 ROUND_TRIP_CASES = [
@@ -42,20 +46,48 @@ def test_parse_accepts_whitespace():
     assert parse(" dup( zmod( 4 ) ; 2 ) ") == parse("dup(zmod(4);2)")
 
 
-def test_parse_diagnostics():
-    with pytest.raises(ParseError) as err:
-        parse("dup(zmod(4))")
-    assert err.value.line == 1 and err.value.column == 12
-    assert ";" in err.value.expected
+RING_NAMES = ("zmod", "tpa", "product", "quot", "trivext", "dup", "amalg")
 
-    with pytest.raises(ParseError):
-        parse("zmod(0)")
-    with pytest.raises(ParseError):
-        parse("mystery(3)")
-    with pytest.raises(ParseError):
-        parse("zmod(4) trailing")
-    with pytest.raises(ParseError):
-        parse("zmod(4) @")
+# id: (text, str(exc), line, column, expected), recorded from the
+# hand-written parser that `SYNTAX` replaced
+PINNED_DIAGNOSTICS = {
+    "unknown-ring": ("mystery(3)", "unknown ring constructor 'mystery' (line 1, column 1; expected: zmod, tpa, product, quot, trivext, dup, amalg)", 1, 1, RING_NAMES),
+    "unknown-module": ("trivext(zmod(4);mystery)", "unknown module constructor 'mystery' (line 1, column 17; expected: regular, resfield, quotmod)", 1, 17, ("regular", "resfield", "quotmod")),
+    "unknown-hom": ("amalg(zmod(4),zmod(4),mystery;1)", "unknown hom constructor 'mystery' (line 1, column 23; expected: id, proj, embed, compose)", 1, 23, ("id", "proj", "embed", "compose")),
+    "empty": ("", "unexpected token '' (line 1, column 1; expected: zmod, tpa, product, quot, trivext, dup, amalg)", 1, 1, RING_NAMES),
+    "missing-open": ("zmod 4)", "unexpected token '4' (line 1, column 6; expected: ()", 1, 6, ("(",)),
+    "missing-comma": ("tpa(2,1 3)", "unexpected token '3' (line 1, column 9; expected: ,)", 1, 9, (",",)),
+    "missing-semicolon": ("dup(zmod(4))", "unexpected token ')' (line 1, column 12; expected: ;)", 1, 12, (";",)),
+    "missing-semicolon-after-hom": ("amalg(zmod(4),zmod(4),id 1)", "unexpected token '1' (line 1, column 26; expected: ;)", 1, 26, (";",)),
+    "missing-close": ("zmod(4", "unexpected token '' (line 1, column 7; expected: ))", 1, 7, (")",)),
+    "elems-trailing-comma": ("quot(zmod(8);2,)", "unexpected token ')' (line 1, column 16; expected: INT)", 1, 16, ("INT",)),
+    "zmod-0": ("zmod(0)", "zmod argument must be >= 1 (line 1, column 1; expected: INT >= 1)", 1, 1, ("INT >= 1",)),
+    "resfield-0": ("trivext(zmod(4);resfield(0))", "resfield argument must be >= 1 (line 1, column 17; expected: INT >= 1)", 1, 17, ("INT >= 1",)),
+    "5000-digits": ("zmod(" + "9" * 5000 + ")", "integer literal of 5000 digits is too long (line 1, column 6; expected: shorter INT)", 1, 6, ("shorter INT",)),
+    "too-deep": ("product(" * 101 + "zmod(2)", "expression nests deeper than 100 levels (line 1, column 808; expected: shallower nesting)", 1, 808, ("shallower nesting",)),
+    "trailing": ("zmod(4) trailing", "trailing input 'trailing' (line 1, column 9; expected: end of input)", 1, 9, ("end of input",)),
+    "bad-character": ("zmod(4) @", "unexpected character '@' (line 1, column 9; expected: INT, NAME, punctuation)", 1, 9, ("INT", "NAME", "punctuation")),
+    "multi-line": ("dup(zmod(4);\n  2,\n  x)", "unexpected token 'x' (line 3, column 3; expected: INT)", 3, 3, ("INT",)),
+}
+
+
+def test_parse_diagnostics():
+    for case, (text, message, line, column, expected) in PINNED_DIAGNOSTICS.items():
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line, err.value.column, err.value.expected) == (
+            message, line, column, expected
+        ), case
+
+
+def test_every_perfbench_label_round_trips():
+    rows = (ROOT / "perfbench" / "labels.tsv").read_text().splitlines()[1:]
+    assert len(rows) > 2000
+    for row in rows:
+        label = row.split("\t")[0]
+        expr = parse(label)
+        assert expr.unparse() == label
+        assert parse(expr.unparse()) == expr
 
 
 def test_parse_size_limit():
@@ -132,16 +164,19 @@ def test_compose_hom_resolution():
 
 
 def test_hom_resolution_errors():
-    with pytest.raises(EvaluationError):
-        Evaluator().instance(parse("amalg(zmod(4),zmod(8),id;2)"))
-    with pytest.raises(EvaluationError):
-        Evaluator().instance(parse("amalg(zmod(4),zmod(8),proj;2)"))
-    with pytest.raises(EvaluationError):
-        Evaluator().instance(parse("amalg(zmod(4),trivext(zmod(2);regular),embed;1)"))
-    with pytest.raises(EvaluationError):
-        Evaluator().ring(parse("trivext(zmod(6);resfield(1))"))
-    with pytest.raises(EvaluationError):
-        Evaluator().instance(parse("dup(zmod(4);9)"))
+    for text, message in [
+        ("amalg(zmod(4),zmod(8),id;2)", "id hom requires equal-size rings"),
+        ("amalg(zmod(4),zmod(8),proj;2)", "proj hom requires a quot(...) target"),
+        ("amalg(zmod(4),zmod(8),embed;2)", "embed hom requires a trivext(...) target"),
+        ("amalg(zmod(4),quot(zmod(8);4),compose(proj,embed);2)", "embed hom requires a trivext(...) target"),
+        ("amalg(zmod(4),trivext(zmod(2);regular),embed;1)", "embed hom source does not match the extension base"),
+        ("amalg(zmod(2),quot(zmod(8);4),proj;1)", "proj hom source does not match the quotient base"),
+        ("trivext(zmod(6);resfield(1))", "resfield over zmod(6) needs a local base ring"),
+        ("dup(zmod(4);9)", "generator index 9 out of range for zmod(4) (size 4)"),
+    ]:
+        with pytest.raises(EvaluationError) as err:
+            Evaluator().instance(parse(text))
+        assert str(err.value) == message, text
 
 
 def test_quot_proj_identity_hom():
