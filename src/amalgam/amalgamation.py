@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapExceededError, InternalCheckError, MixedRingError
 from .ideals import Ideal, ideal_product, nilradical
 from .properties import is_local, is_reduced
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, hom_identity
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, hom_identity, pair_indices
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def amalgamate(
     proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
     ring = FiniteRing(size, add, mul, neg, zero, one, label, names, proof)
     to_base, to_target = proof.homs
-    zero_j = Ideal(ring, base.zero * nj + np.arange(nj))
-    if to_base.kernel().members != zero_j.members:
+    zero_j = to_base.kernel()
+    if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):
         raise InternalCheckError("kernel of pA differs from {0} x J")
     return AmalgamationInstance(base, target, f, j, ring, to_base, to_target, zero_j, label)
 

@@ -389,7 +389,7 @@ class Evaluator:
         if isinstance(expr, TrivextExpr):
             base = self.ring(expr.ring)
             module = self.module(expr.module, base)
-            ext, self._homs[expr], _ = trivial_extension(base, module, self.size_cap)
+            ext, self._homs[expr] = trivial_extension(base, module, self.size_cap)
             return ext
         if isinstance(expr, DupExpr):
             base = self.ring(expr.ring)

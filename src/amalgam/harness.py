@@ -74,7 +74,7 @@ from .properties import (
     is_reduced,
     is_total_quotient_ring,
 )
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, hom_identity, pair_indices, tpa_monomial_count
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, hom_identity, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
@@ -129,13 +129,20 @@ def _tpa_parameter_sweep(carrier_max: int) -> list[TpaExpr]:
     return out
 
 
+def _table_key(size: int, zero: int, one: int, add: np.ndarray, mul: np.ndarray) -> bytes:
+    """The catalog's identity of a ring: its size, zero, one and int32 tables."""
+    return np.array([size, zero, one], dtype="<u4").tobytes() + add.tobytes() + mul.tobytes()
+
+
 def build_catalog(params: CatalogParams | None = None) -> Catalog:
     """Deterministic generator-family catalog (not isomorphism-complete).
 
     Rings come from the construction grammar; instances pair every canonical
     hom (identity, idealization embedding, quotient projection, and their
     depth-2 compositions) with every proper ideal J of the target subject to
-    |A| * |J| <= instance_max.
+    |A| * |J| <= instance_max.  Rings are deduplicated by their tables, and
+    quotient candidates by their coset tables before any ring is built or
+    proved.
     """
     p = params or CatalogParams()
     ev = Evaluator(size_cap=p.size_cap)
@@ -143,16 +150,6 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     rings: list[FiniteRing] = []
     exprs: list[RingExpr] = []
     seen: set[bytes] = set()
-
-    def key_of(ring: FiniteRing) -> bytes:
-        return (
-            ring.size.to_bytes(4, "little")
-            + ring.zero.to_bytes(4, "little")
-            + ring.one.to_bytes(4, "little")
-            + ring.add.tobytes()
-            + ring.mul.tobytes()
-        )
-
     ideals_of: dict[FiniteRing, list[Ideal]] = {}  # keyed by ring identity
 
     def enumerable_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -167,7 +164,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
 
     def add_expr(expr: RingExpr) -> FiniteRing | None:
         ring = ev.ring(expr)
-        key = key_of(ring)
+        key = _table_key(ring.size, ring.zero, ring.one, ring.add, ring.mul)
         if key in seen:
             return None
         seen.add(key)
@@ -225,14 +222,17 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     for expr, ring in second_generation:
         extend(expr, ResfieldExpr(1))
 
-    # quotients of everything small enough
+    # quotients of everything small enough; a candidate whose coset tables
+    # are already in the catalog is dropped before its ring is built
     for expr, ring in list(zip(exprs, rings)):
         if ring.size > p.quotient_base_max:
             continue
         for ideal in enumerable_ideals(ring):
             if ideal.is_whole or ideal.is_zero:
                 continue
-            add_expr(QuotExpr(expr, ideal.generators()))
+            size, add, mul, _, zero, one = coset_tables(ring, ideal)[2]
+            if _table_key(size, zero, one, add, mul) not in seen:
+                add_expr(QuotExpr(expr, ideal.generators()))
 
     # a thin layer of extensions over quotients, so embed-after-proj
     # compositions have catalog instances

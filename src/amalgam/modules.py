@@ -195,11 +195,11 @@ def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: st
 
 def trivial_extension(
     ring: FiniteRing, module: FiniteModule, size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[FiniteRing, RingHom, Ideal]:
+) -> tuple[FiniteRing, RingHom]:
     """Nagata idealization of the ring by the module.
 
-    Returns the extension ring on pairs (a, e) with index a*|E| + e, the
-    embedding a -> (a, 0), and the square-zero ideal 0 x E.
+    Returns the extension ring on pairs (a, e) with index a*|E| + e and the
+    embedding a -> (a, 0).
     """
     if module.ring is not ring:
         raise MixedRingError("trivial_extension: module is over a different ring")
@@ -223,5 +223,4 @@ def trivial_extension(
     label = f"trivext({ring.label};{module.label})"
     ext = FiniteRing(size, add, mul.reshape(size, size), neg, zero, one, label, names)
     embed = RingHom(ring, ext, np.arange(ring.size) * ne + module.zero, label="embed")
-    zero_cross_e = Ideal(ext, ring.zero * ne + np.arange(ne))
-    return ext, embed, zero_cross_e
+    return ext, embed

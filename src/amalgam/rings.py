@@ -427,7 +427,8 @@ class RingHom:
         return len(np.unique(self.map)) == self.target.size
 
     def kernel(self) -> Ideal:
-        return Ideal(self.source, np.nonzero(self.map == self.target.zero)[0])
+        """The preimage of zero, an ideal since the map is a validated ring hom."""
+        return Ideal._from_mask(self.source, self.map == self.target.zero)
 
     def __repr__(self) -> str:
         tag = self.label or "hom"
@@ -619,6 +620,23 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
     return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", names, proof)
 
 
+def coset_tables(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The cosets of an ideal, each named by its minimal member: the index map
+    onto them, their representatives ascending, and the quotient's int32
+    `(size, add, mul, neg, zero, one)`, the tables `quotient` builds its ring on."""
+    rep = ring.add[:, ideal.indices].min(axis=1)
+    reps = np.unique(rep)
+    q = len(reps)
+    if q * len(ideal) != ring.size:
+        raise InternalCheckError("coset count does not divide the ring")
+    pos = np.full(ring.size, -1, dtype=np.int32)
+    pos[reps] = np.arange(q)
+    proj = pos[rep]
+    cosets = np.ix_(reps, reps)
+    add, mul, neg = proj[ring.add[cosets]], proj[ring.mul[cosets]], proj[ring.neg[reps]]
+    return proj, reps, (q, add, mul, neg, int(proj[ring.zero]), int(proj[ring.one]))
+
+
 def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
     """Factor ring by an ideal, cosets named by their minimal member.
 
@@ -627,25 +645,12 @@ def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
     """
     if ideal.ring is not ring:
         raise MixedRingError("quotient: ideal belongs to a different ring")
-    rep = ring.add[:, ideal.indices].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
-    q = len(reps)
-    if q * len(ideal) != ring.size:
-        raise InternalCheckError("coset count does not divide the ring")
-    pos = np.full(ring.size, -1, dtype=np.int64)
-    pos[reps] = np.arange(q)
-
-    qadd = pos[rep[ring.add[np.ix_(reps, reps)]]].astype(np.int32)
-    qmul = pos[rep[ring.mul[np.ix_(reps, reps)]]].astype(np.int32)
-    qneg = pos[rep[ring.neg[reps]]].astype(np.int32)
-    qzero = int(pos[rep[ring.zero]])
-    qone = int(pos[rep[ring.one]])
+    proj_map, reps, tables = coset_tables(ring, ideal)
     gens = ",".join(str(g) for g in ideal.generators())
-    label = f"quot({ring.label};{gens})"
     names = [f"[{ring.element_names[r]}]" for r in reps]
-    proof = Proof(onto=((ring, pos[rep], "proj"),))
-    quot = FiniteRing(q, qadd, qmul, qneg, qzero, qone, label, names, proof)
+    proof = Proof(onto=((ring, proj_map, "proj"),))
+    quot = FiniteRing(*tables, f"quot({ring.label};{gens})", names, proof)
     (proj,) = proof.homs
-    if proj.kernel().members != ideal.members:
+    if not np.array_equal(proj.kernel().mask, ideal.mask):
         raise InternalCheckError("projection kernel differs from the ideal")
     return quot, proj

@@ -8,14 +8,14 @@ from amalgam.harness import EXAMPLE_BUILDERS
 from amalgam.ideals import Ideal, ideal_generated, maximal_ideals
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import is_gaussian, is_local, is_prufer, is_total_quotient_ring
-from amalgam.rings import RingHom, hom_identity, product, quotient, zmod
+from amalgam.rings import RingHom, hom_identity, pair_indices, product, quotient, zmod
 from oracles import amalg_max_ideals, distinguished_ideals, product_embedding_check
 
 
 def example_2_5_instance():
     z4 = zmod(4)
     m = ideal_generated(z4, [2])
-    target, embed, _ = trivial_extension(z4, vspace_over_residue(z4, m, 1))
+    target, embed = trivial_extension(z4, vspace_over_residue(z4, m, 1))
     j = ideal_generated(target, [1, 4])  # I x E with I = (2)
     return amalgamate(z4, target, embed, j)
 
@@ -122,7 +122,8 @@ def test_hypothesis_report_examples():
     dup8 = duplication(z8, ideal_generated(z8, [2]))
     assert not dup8.hypotheses.j_squared_zero
     z4 = zmod(4)
-    target, embed, zxe = trivial_extension(z4, ring_as_module(z4))
+    target, embed = trivial_extension(z4, ring_as_module(z4))
+    zxe = Ideal(target, pair_indices([z4.zero], 4))  # 0 x E
     inst = amalgamate(z4, target, embed, zxe)
     assert inst.hypotheses.fa_meet_j_zero
 
@@ -206,7 +207,8 @@ def test_section_retraction():
 def test_projection_bijection_under_meet_zero():
     # f injective with f(A) /\ J = 0: pB is a bijection onto f(A) + J
     z4 = zmod(4)
-    target, embed, zxe = trivial_extension(z4, vspace_over_residue(z4, ideal_generated(z4, [2]), 1))
+    target, embed = trivial_extension(z4, vspace_over_residue(z4, ideal_generated(z4, [2]), 1))
+    zxe = Ideal(target, pair_indices([z4.zero], 2))  # 0 x E
     inst = amalgamate(z4, target, embed, zxe)
     sub, _ = f_image_plus_j(target, embed, zxe)
     assert len(np.unique(inst.to_target.map)) == inst.ring.size == sub.size

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import re
 
 import pytest
 
+import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
-from amalgam.errors import InternalCheckError
-from amalgam.expressions import Evaluator, parse
+from amalgam.errors import CapExceededError, InternalCheckError
+from amalgam.expressions import Evaluator, ProjHomExpr, QuotExpr, parse
 from amalgam.harness import (
     CLAUSE_IDS,
     CLAUSES,
@@ -14,12 +16,15 @@ from amalgam.harness import (
     CatalogParams,
     ExampleCase,
     _evaluate_example,
+    _table_key,
     build_catalog,
     verify_clauses,
     verify_duplication_criterion,
     verify_instance,
 )
+from amalgam.ideals import all_ideals
 from amalgam.properties import is_gaussian
+from amalgam.rings import coset_tables, pair_indices, quotient
 
 
 SMALL_PARAMS = CatalogParams(
@@ -55,6 +60,70 @@ def test_catalog_deterministic():
     assert [r.label for r in a.rings] == [r.label for r in b.rings]
     assert [s.label for s in a.specs] == [s.label for s in b.specs]
     assert [s.tags for s in a.specs] == [s.tags for s in b.specs]
+
+
+# sha256 over the default catalog's ring labels, then its spec labels with
+# their tags, in catalog order.  An intended catalog change re-records it
+# and declares the change.
+DEFAULT_CATALOG_DIGEST = "47696e16da8da621082e3eaa43a9ecff815e5be19bb6455ee2f2cb5407e73e58"
+
+
+def test_default_catalog_digest(catalog):
+    h = hashlib.sha256()
+    for ring in catalog.rings:
+        h.update(ring.label.encode() + b"\n")
+    for spec in catalog.specs:
+        h.update(f"{spec.label}\t{','.join(spec.tags)}\n".encode())
+    assert (len(catalog.rings), len(catalog.specs)) == (158, 2539)
+    assert h.hexdigest() == DEFAULT_CATALOG_DIGEST
+
+
+def test_catalog_builds_only_the_quotients_it_keeps(monkeypatch):
+    calls = []
+
+    def counted(ring, ideal):
+        calls.append(ring.label)
+        return quotient(ring, ideal)
+
+    monkeypatch.setattr(amalgam.expressions, "quotient", counted)
+    catalog = build_catalog()
+    kept = sum(isinstance(expr, QuotExpr) for expr in catalog.ring_exprs)
+    assert len(calls) == kept == 38
+
+
+def test_quotient_candidate_key_is_the_built_ring_key(small_catalog):
+    checked = 0
+    for ring in small_catalog.rings:
+        if ring.size > SMALL_PARAMS.quotient_base_max:
+            continue
+        try:
+            ideals = all_ideals(ring)
+        except CapExceededError:
+            continue
+        for ideal in ideals:
+            if ideal.is_whole or ideal.is_zero:
+                continue
+            size, add, mul, _, zero, one = coset_tables(ring, ideal)[2]
+            built, _ = quotient(ring, ideal)
+            assert _table_key(size, zero, one, add, mul) == _table_key(
+                built.size, built.zero, built.one, built.add, built.mul
+            ), f"{ring.label} / {ideal!r}"
+            checked += 1
+    assert checked
+
+
+def test_hom_kernels_pass_the_closure_check(small_catalog):
+    # `RingHom.kernel` skips the closure check, since a hom's kernel is an ideal
+    ev = Evaluator()
+    quot_exprs = [e for e in small_catalog.ring_exprs if isinstance(e, QuotExpr)]
+    assert quot_exprs
+    for expr in quot_exprs:
+        proj = ev.resolve_hom(ProjHomExpr(), ev.ring(expr.ring), expr)
+        proj.kernel()._validate()
+    for spec in small_catalog.specs:
+        inst = spec.build()
+        inst.zero_j._validate()
+        assert inst.zero_j.indices.tolist() == pair_indices([spec.base.zero], len(spec.j)).tolist()
 
 
 def test_catalog_instance_statistics(catalog):

@@ -209,8 +209,8 @@ def test_ideal_count_guard_on_socle_blowup():
     from amalgam.properties import is_prufer
 
     z2 = zmod(2)
-    base, _, _ = trivial_extension(z2, vspace_over_residue(z2, ideal_generated(z2, []), 2))
-    outer, _, _ = trivial_extension(base, vspace_over_residue(base, is_local_ideal(base), 1))
+    base, _ = trivial_extension(z2, vspace_over_residue(z2, ideal_generated(z2, []), 2))
+    outer, _ = trivial_extension(base, vspace_over_residue(base, is_local_ideal(base), 1))
     inst = duplication(outer, is_local_ideal(outer))
     with pytest.raises(CapExceededError):
         all_ideals(inst.ring)
@@ -416,7 +416,7 @@ def test_distributive_lattice_examples():
     assert is_distributive_lattice(zmod(4))[0]
     assert is_distributive_lattice(product(zmod(2), zmod(2)))[0]
     z4 = zmod(4)
-    ext, _, _ = trivial_extension(z4, ring_as_module(z4))
+    ext, _ = trivial_extension(z4, ring_as_module(z4))
     ok, witness = is_distributive_lattice(ext)
     assert not ok and witness is not None
     i, j, k = witness

@@ -5,7 +5,7 @@ import pytest
 
 import amalgam.rings
 from amalgam.errors import MixedRingError, NotASubmoduleError, NotMaximalError
-from amalgam.ideals import ideal_generated, ideal_product
+from amalgam.ideals import Ideal, ideal_generated, ideal_product
 from amalgam.modules import (
     module_quotient,
     ring_as_module,
@@ -15,7 +15,7 @@ from amalgam.modules import (
 )
 from amalgam.properties import is_local
 from amalgam.expressions import Evaluator, parse
-from amalgam.rings import quotient, zmod
+from amalgam.rings import pair_indices, quotient, zmod
 
 
 def test_ring_as_module_examples():
@@ -88,7 +88,8 @@ def test_quotient_projection_attached():
 def test_trivial_extension_square_zero():
     z4 = zmod(4)
     m = ideal_generated(z4, [2])
-    ext, embed, zxe = trivial_extension(z4, vspace_over_residue(z4, m, 1))
+    ext, embed = trivial_extension(z4, vspace_over_residue(z4, m, 1))
+    zxe = Ideal(ext, pair_indices([z4.zero], 2))  # 0 x E
     assert ext.size == 8
     assert ideal_product(zxe, zxe).is_zero
     assert embed.is_injective
@@ -99,7 +100,7 @@ def test_trivial_extension_square_zero():
 
 def test_trivial_extension_by_regular_module():
     z4 = zmod(4)
-    ext, _, _ = trivial_extension(z4, ring_as_module(z4))
+    ext, _ = trivial_extension(z4, ring_as_module(z4))
     assert ext.size == 16
     m = is_local(ext)
     assert m is not None and len(m) == 8
@@ -107,10 +108,10 @@ def test_trivial_extension_by_regular_module():
 
 def test_trivial_extension_local_iff_base_local():
     z6 = zmod(6)
-    ext6, _, _ = trivial_extension(z6, ring_as_module(z6))
+    ext6, _ = trivial_extension(z6, ring_as_module(z6))
     assert is_local(ext6) is None
     z9 = zmod(9)
-    ext9, _, _ = trivial_extension(z9, ring_as_module(z9))
+    ext9, _ = trivial_extension(z9, ring_as_module(z9))
     assert is_local(ext9) is not None
 
 
@@ -130,6 +131,6 @@ def test_module_axioms_validate():
 def test_extension_units_structure():
     # (a, e) is a unit exactly when a is a unit
     z4 = zmod(4)
-    ext, _, _ = trivial_extension(z4, ring_as_module(z4))
+    ext, _ = trivial_extension(z4, ring_as_module(z4))
     expected = {a * 4 + e for a in (1, 3) for e in range(4)}
     assert set(np.flatnonzero(ext.units_mask).tolist()) == expected
