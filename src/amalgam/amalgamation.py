@@ -52,30 +52,19 @@ class HypothesisReport:
     fa_j_stable: bool | None  # f(a)J = f(a)^2 J for all a in m; None when A not local
 
 
+@dataclass(eq=False, repr=False)
 class AmalgamationInstance:
     """Bundle (A, B, f, J) together with the constructed ring and its maps."""
 
-    def __init__(
-        self,
-        base: FiniteRing,
-        target: FiniteRing,
-        f: RingHom,
-        j: Ideal,
-        ring: FiniteRing,
-        to_base: RingHom,
-        to_target: RingHom,
-        zero_j: Ideal,
-        label: str,
-    ):
-        self.base = base
-        self.target = target
-        self.f = f
-        self.j = j
-        self.ring = ring
-        self.to_base = to_base
-        self.to_target = to_target
-        self.zero_j = zero_j
-        self.label = label
+    base: FiniteRing
+    target: FiniteRing
+    f: RingHom
+    j: Ideal
+    ring: FiniteRing
+    to_base: RingHom
+    to_target: RingHom
+    zero_j: Ideal
+    label: str
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:

@@ -1,10 +1,16 @@
 """Executable verification of the transfer statements over a generated catalog.
 
-Each clause is one entry of `CLAUSES`: a description, a hypothesis filter
-over an instance's `HypothesisReport` and a conclusion over the constructed
-rings.  A sweep over the catalog yields one Verdict per clause; a violation
-means a bug in this package (the statements are proven), so the harness
-treats any violation as a hard failure with a witness.
+Each clause is one entry of `CLAUSES`: a description, its hypotheses as a
+tuple of names from the predicate table `PREDICATES`, read in order until
+one fails, and a conclusion over the constructed rings.  A sweep over the
+catalog yields one Verdict per clause; a violation means a bug in this
+package (the statements are proven), so the harness treats any violation
+as a hard failure with a witness.
+
+Each worked example is one entry of `EXAMPLES`, stated as data over the
+same table: the expression text of its instance (the `instance` it
+reports, which `amalgam props` and `verify` accept as well), the names of
+its hypotheses and its (conclusion name, expected value) pairs.
 
 Clause identifiers (also the CLI surface):
 
@@ -45,8 +51,6 @@ from .amalgamation import (
 )
 from .errors import CapExceededError, InternalCheckError
 from .expressions import (
-    AmalgExpr,
-    DupExpr,
     EmbedHomExpr,
     Evaluator,
     ModuleExpr,
@@ -329,13 +333,69 @@ class Verdict:
         return pairs
 
 
+# -- named predicates -------------------------------------------------------------
+
+
+def _maximal_squares_to_zero(inst: AmalgamationInstance) -> bool:
+    m = inst.hypotheses.maximal_ideal_a
+    return m is not None and ideal_product(m, m).is_zero
+
+
+def _j_proper_nonzero(inst: AmalgamationInstance) -> bool:
+    return inst.hypotheses.j_proper and inst.hypotheses.j_nonzero
+
+
+def _ring_local_tqr(inst: AmalgamationInstance) -> bool:
+    return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
+
+
+# Every hypothesis and conclusion a clause or worked example reads, by the
+# name the example reports print.
+PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
+    "base ring local": lambda i: i.hypotheses.a_local,
+    "base ring local and not a field": lambda i: i.hypotheses.a_local and not is_field(i.base),
+    "base ring not a field": lambda i: not is_field(i.base),
+    "base ring reduced": lambda i: i.hypotheses.a_reduced,
+    "base ring arithmetical": lambda i: is_arithmetical(i.base),
+    "base ring not arithmetical": lambda i: not is_arithmetical(i.base),
+    "base ring Gaussian": lambda i: is_gaussian(i.base),
+    "base ring not Gaussian": lambda i: not is_gaussian(i.base),
+    "base ring total quotient ring": lambda i: is_total_quotient_ring(i.base),
+    "maximal ideal squares to zero": _maximal_squares_to_zero,
+    "target ring local": lambda i: is_local(i.target) is not None,
+    "target ring Gaussian": lambda i: is_gaussian(i.target),
+    "f injective": lambda i: i.hypotheses.f_injective,
+    "f not injective": lambda i: not i.hypotheses.f_injective,
+    "f(A) meets J only in zero": lambda i: i.hypotheses.fa_meet_j_zero,
+    "f(A) meets J beyond zero": lambda i: not i.hypotheses.fa_meet_j_zero,
+    "f(A) + J is the whole target": lambda i: i.fimage_plus_j.size == i.target.size,
+    "J proper": lambda i: i.hypotheses.j_proper,
+    "J proper and nonzero": _j_proper_nonzero,
+    "I proper and nonzero": _j_proper_nonzero,
+    "J inside Rad(B)": lambda i: i.hypotheses.j_in_rad_b,
+    "J inside Z(B)": lambda i: i.hypotheses.j_in_zb,
+    # Rad(B) is read off the nilpotent mask, B being finite
+    "J inside Nilp(B)": lambda i: i.hypotheses.j_in_rad_b and not i.hypotheses.j_meet_nilp_zero,
+    "J meets Nilp(B) only in zero": lambda i: i.hypotheses.j_meet_nilp_zero,
+    "J meets Nilp(B) beyond zero": lambda i: not i.hypotheses.j_meet_nilp_zero,
+    "J^2 = 0": lambda i: i.hypotheses.j_squared_zero,
+    "J^2 nonzero": lambda i: not i.hypotheses.j_squared_zero,
+    "I^2 nonzero": lambda i: not i.hypotheses.j_squared_zero,
+    "f(a)J = f(a)^2 J on m": lambda i: bool(i.hypotheses.fa_j_stable),
+    "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
+    "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
+    "amalgamation Prufer": lambda i: is_prufer(i.ring),
+    "amalgamation local total quotient ring": _ring_local_tqr,
+}
+
+
 # -- clauses --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Clause:
-    """One statement: a hypothesis filter over an instance's HypothesisReport
-    and a conclusion that returns (holds, detail).
+    """One statement: its hypotheses, as `PREDICATES` names that must all
+    hold, and a conclusion that returns (holds, detail).
 
     A clause without a conclusion has hypotheses that no finite instance
     meets, so meeting them is an internal error.  `chain` has neither: it
@@ -343,20 +403,8 @@ class Clause:
     """
 
     description: str
-    applies: Callable[[HypothesisReport], bool] | None = None
+    hypotheses: tuple[str, ...] | None = None
     holds: Callable[[AmalgamationInstance, HypothesisReport], tuple[bool, str | None]] | None = None
-
-
-def _base_theorem_hypotheses(h: HypothesisReport) -> bool:
-    return h.a_local and h.j_proper and h.j_nonzero and h.j_in_rad_b
-
-
-def _base_local_tqr(h: HypothesisReport) -> bool:
-    return (
-        _base_theorem_hypotheses(h)
-        and h.j_in_zb
-        and is_total_quotient_ring(h.maximal_ideal_a.ring)
-    )
 
 
 def _gaussian_equiv_rhs(inst: AmalgamationInstance, h: HypothesisReport) -> bool:
@@ -414,52 +462,55 @@ def _local_tqr_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[b
     return True, None
 
 
+_THEOREM = ("base ring local", "J proper and nonzero", "J inside Rad(B)")
+_LOCAL_TQR = (*_THEOREM, "J inside Z(B)", "base ring total quotient ring")
+
 CLAUSES: dict[str, Clause] = {
     "lemma-2.2": Clause(
         "R local iff base local and J inside Rad(B)",
-        lambda h: h.j_proper,
+        ("J proper",),
         _locality_holds,
     ),
     "thm-2.1:1": Clause(
         "R Gaussian implies base and f(A)+J Gaussian",
-        _base_theorem_hypotheses,
+        _THEOREM,
         _gaussian_descends,
     ),
     "thm-2.1:2": Clause(
         "J^2=0: R Gaussian iff base Gaussian and f(a)J=f(a)^2J on m",
-        lambda h: _base_theorem_hypotheses(h) and h.j_squared_zero,
+        (*_THEOREM, "J^2 = 0"),
         _gaussian_criterion_holds,
     ),
     "thm-2.1:3c1": Clause(
         "f injective, f(A) meet J = 0: R Gaussian iff f(A)+J Gaussian",
-        lambda h: _base_theorem_hypotheses(h) and h.f_injective and h.fa_meet_j_zero,
+        (*_THEOREM, "f injective", "f(A) meets J only in zero"),
         _disjoint_image_holds,
     ),
     "thm-2.1:3c2": Clause(
         "f injective, f(A) meet J != 0, base reduced: criterion of thm-2.1:2",
-        lambda h: _base_theorem_hypotheses(h) and h.f_injective and not h.fa_meet_j_zero and h.a_reduced,
+        (*_THEOREM, "f injective", "f(A) meets J beyond zero", "base ring reduced"),
     ),
     "thm-2.1:4c1": Clause(
         "f not injective, J meet Nilp(B) = 0, base reduced: R not Gaussian",
-        lambda h: _base_theorem_hypotheses(h) and not h.f_injective and h.j_meet_nilp_zero and h.a_reduced,
+        (*_THEOREM, "f not injective", "J meets Nilp(B) only in zero", "base ring reduced"),
     ),
     "thm-2.1:4c2": Clause(
         "f not injective, J meet Nilp(B) != 0, base reduced: criterion of thm-2.1:2",
-        lambda h: _base_theorem_hypotheses(h) and not h.f_injective and not h.j_meet_nilp_zero and h.a_reduced,
+        (*_THEOREM, "f not injective", "J meets Nilp(B) beyond zero", "base ring reduced"),
     ),
     "cor-2.3": Clause(
         "duplication Gaussian iff base Gaussian, I^2=0 and aI=a^2I on m",
-        lambda h: h.a_local and h.j_proper,
+        ("base ring local", "J proper"),
         _duplication_holds,
     ),
     "prop-2.8:1": Clause(
         "base local TQR, f injective, f(A) meet J != 0: R local TQR (Prufer)",
-        lambda h: _base_local_tqr(h) and h.f_injective and not h.fa_meet_j_zero,
+        (*_LOCAL_TQR, "f injective", "f(A) meets J beyond zero"),
         _local_tqr_holds,
     ),
     "prop-2.8:2": Clause(
         "base local TQR, f not injective: R local TQR (Prufer)",
-        lambda h: _base_local_tqr(h) and not h.f_injective,
+        (*_LOCAL_TQR, "f not injective"),
         _local_tqr_holds,
     ),
     "chain": Clause("arithmetical => Gaussian => Prufer over the catalog"),
@@ -475,9 +526,8 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> bool | None:
     holds.
     """
     clause = CLAUSES[v.clause]
-    h = inst.hypotheses
     v.checked += 1
-    if not clause.applies(h):
+    if not all(PREDICATES[name](inst) for name in clause.hypotheses):
         return None
     if clause.holds is None:
         raise InternalCheckError(
@@ -485,7 +535,7 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> bool | None:
             f" ({VACUITY_REASON})"
         )
     v.applicable += 1
-    ok, detail = clause.holds(inst, h)
+    ok, detail = clause.holds(inst, inst.hypotheses)
     if not ok:
         v.violations += 1
         if v.witness is None:
@@ -569,7 +619,7 @@ def _is_duplication(inst: AmalgamationInstance) -> bool:
 
 def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
     """Evaluate one clause on one instance (CLI `verify CLAUSE EXPR`)."""
-    if clause_id not in CLAUSES or CLAUSES[clause_id].applies is None:
+    if clause_id not in CLAUSES or CLAUSES[clause_id].hypotheses is None:
         raise KeyError(f"clause {clause_id!r} cannot run on a single instance")
     v = Verdict(clause=clause_id, status="hypotheses-unmet")
     if clause_id == "cor-2.3" and not _is_duplication(inst):
@@ -666,19 +716,18 @@ class _HierarchySweep:
 
 # -- worked examples -------------------------------------------------------------
 
-Hypothesis = tuple[str, Callable[[AmalgamationInstance], bool]]
-Conclusion = tuple[str, bool, Callable[[AmalgamationInstance], bool]]
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExampleCase:
-    example_id: str
+    """A worked example stated as data: the expression of its instance, the
+    `PREDICATES` names of its hypotheses, and (name, expected) conclusions."""
+
     title: str
-    instance: AmalgamationInstance | None
-    hypotheses: list[Hypothesis]
-    conclusions: list[Conclusion]
+    expression: str
+    hypotheses: tuple[str, ...]
+    conclusions: tuple[tuple[str, bool], ...]
     out_of_scope_reason: str | None = None
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
     # catalog label of the instance checked when the surrogate misses a hypothesis
     replacement: str | None = None
 
@@ -716,270 +765,97 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
-def _h(inst: AmalgamationInstance) -> HypothesisReport:
-    return inst.hypotheses
+_GAUSSIAN_NOT_ARITHMETICAL = (("amalgamation Gaussian", True), ("amalgamation arithmetical", False))
+_PRUFER_LOCAL_TQR = (
+    ("amalgamation Prufer", True),
+    ("amalgamation Gaussian", False),
+    ("amalgamation local total quotient ring", True),
+)
 
-
-def _base_local(inst):
-    return _h(inst).a_local
-
-
-def _j_proper_nonzero(inst):
-    return _h(inst).j_proper and _h(inst).j_nonzero
-
-
-def _j_in_rad(inst):
-    return _h(inst).j_in_rad_b
-
-
-def _fimage_equals_target(inst):
-    return inst.fimage_plus_j.size == inst.target.size
-
-
-def _maximal_squares_to_zero(inst):
-    m = _h(inst).maximal_ideal_a
-    return m is not None and ideal_product(m, m).is_zero
-
-
-def _r_local_tqr(inst):
-    return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
-
-
-def _along_m_times_module(ev: Evaluator, base_expr: RingExpr, module_expr: ModuleExpr) -> AmalgamationInstance:
-    """The local base amalgamated with its idealization by the module E,
-    along J = m x E, f the idealization embedding."""
-    target_expr = TrivextExpr(base_expr, module_expr)
-    base = ev.ring(base_expr)
-    target = ev.ring(target_expr)
-    j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
-    f = ev.resolve_hom(EmbedHomExpr(), base, target_expr)
-    return amalgamate(base, target, f, j, size_cap=ev.size_cap)
-
-
-def _example_2_4(ev: Evaluator) -> ExampleCase:
-    inst = _along_m_times_module(ev, ZmodExpr(16), RegularExpr())
-    return ExampleCase(
-        example_id="2.4",
-        title="extension of a reduced local non-field base along m x A",
-        instance=inst,
-        hypotheses=[
-            ("base ring reduced", lambda i: is_reduced(i.base)),
-            ("base ring local and not a field", lambda i: _base_local(i) and not is_field(i.base)),
-            ("J^2 nonzero", lambda i: not _h(i).j_squared_zero),
-        ],
-        conclusions=[("amalgamation Gaussian", False, lambda i: is_gaussian(i.ring))],
+# The surrogates of 2.4 and 2.10 take J = m x E in trivext(base;E), f the
+# embedding.  Those of 2.7 and 2.11 extend a seed by seed/m^2, quotient the
+# extension by 0 x (m/m^2), and take J the image of 0 x (seed/m^2);
+# tests/test_harness.py re-derives each text from its construction.
+EXAMPLES: dict[str, ExampleCase] = {
+    "2.4": ExampleCase(
+        "extension of a reduced local non-field base along m x A",
+        "amalg(zmod(16),trivext(zmod(16);regular),embed;1,32)",
+        ("base ring reduced", "base ring local and not a field", "J^2 nonzero"),
+        (("amalgamation Gaussian", False),),
         out_of_scope_reason=(
             "the stated construction needs an infinite reduced local non-field base; "
             "every finite reduced local ring is a field, so only a non-reduced "
             "analogue (base zmod(16)) is computed for information"
         ),
-    )
-
-
-def _example_2_5(ev: Evaluator) -> ExampleCase:
-    expr = AmalgExpr(
-        ZmodExpr(4), TrivextExpr(ZmodExpr(4), ResfieldExpr(1)), EmbedHomExpr(), (1, 4)
-    )
-    inst = ev.instance(expr)
-    return ExampleCase(
-        example_id="2.5",
-        title="arithmetical non-field base with m^2 = 0, extended along I x E",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring arithmetical", lambda i: is_arithmetical(i.base)),
-            ("base ring not a field", lambda i: not is_field(i.base)),
-            ("maximal ideal squares to zero", _maximal_squares_to_zero),
-            ("J proper and nonzero", _j_proper_nonzero),
-            ("J inside Rad(B)", _j_in_rad),
-            ("J^2 = 0", lambda i: _h(i).j_squared_zero),
-            ("f(a)J = f(a)^2 J on m", lambda i: bool(_h(i).fa_j_stable)),
-        ],
-        conclusions=[
-            ("amalgamation Gaussian", True, lambda i: is_gaussian(i.ring)),
-            ("amalgamation arithmetical", False, lambda i: is_arithmetical(i.ring)),
-        ],
-    )
-
-
-def _example_2_6(ev: Evaluator) -> ExampleCase:
-    base_expr = TrivextExpr(ZmodExpr(4), ResfieldExpr(1))
-    expr = AmalgExpr(base_expr, TrivextExpr(base_expr, ResfieldExpr(1)), EmbedHomExpr(), (1,))
-    inst = ev.instance(expr)
-    return ExampleCase(
-        example_id="2.6",
-        title="idealization tower with J = 0 x E'",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring Gaussian", lambda i: is_gaussian(i.base)),
-            ("f injective", lambda i: _h(i).f_injective),
-            ("f(A) meets J only in zero", lambda i: _h(i).fa_meet_j_zero),
-            ("J proper and nonzero", _j_proper_nonzero),
-            ("J inside Rad(B)", _j_in_rad),
-            ("f(A) + J is the whole target", _fimage_equals_target),
-            ("target ring Gaussian", lambda i: is_gaussian(i.target)),
-        ],
-        conclusions=[
-            ("amalgamation Gaussian", True, lambda i: is_gaussian(i.ring)),
-            ("amalgamation arithmetical", False, lambda i: is_arithmetical(i.ring)),
-        ],
-    )
-
-
-def _quotient_surrogate(ev: Evaluator, seed_expr: RingExpr) -> AmalgamationInstance:
-    """Shared construction of the two truncated-power-series surrogates:
-    extend the seed by (seed / m^2), quotient by 0 x (m / m^2), and amalgamate
-    the extension with that quotient along the image of 0 x (seed / m^2)."""
-    seed = ev.ring(seed_expr)
-    m = is_local(seed)
-    msq = ideal_product(m, m)
-    mod_expr = QuotmodExpr(RegularExpr(), msq.generators())
-    ext_expr = TrivextExpr(seed_expr, mod_expr)
-    ext = ev.ring(ext_expr)
-    quot_module = ev.module(mod_expr, seed)
-    mod_proj = quot_module.quotient_projection
-    image_of_m = sorted(set(int(mod_proj[x]) for x in m.indices))
-    inner = Ideal(ext, image_of_m)  # 0 x (m/m^2) under the pair encoding
-    quot_expr = QuotExpr(ext_expr, inner.generators())
-    target = ev.ring(quot_expr)
-    f = ev.resolve_hom(ProjHomExpr(), ext, quot_expr)
-    zero_cross = Ideal(ext, range(quot_module.size))  # 0 x (seed/m^2)
-    j_members = sorted(set(int(f.map[x]) for x in zero_cross.indices))
-    j = Ideal(target, j_members)
-    return amalgamate(ext, target, f, j, size_cap=ev.size_cap)
-
-
-def _example_2_7(ev: Evaluator) -> ExampleCase:
-    seed_expr = TrivextExpr(TpaExpr(2, 1, 3), ResfieldExpr(2))
-    inst = _quotient_surrogate(ev, seed_expr)
-    return ExampleCase(
-        example_id="2.7",
-        title="non-arithmetical Gaussian local base, quotient-style amalgamation",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring Gaussian", lambda i: is_gaussian(i.base)),
-            ("base ring not arithmetical", lambda i: not is_arithmetical(i.base)),
-            ("f not injective", lambda i: not _h(i).f_injective),
-            ("J inside Nilp(B)", lambda i: not _h(i).j_meet_nilp_zero and _nilp_contains_j(i)),
-            ("J proper and nonzero", _j_proper_nonzero),
-            ("J inside Rad(B)", _j_in_rad),
-            ("J^2 = 0", lambda i: _h(i).j_squared_zero),
-            ("f(a)J = f(a)^2 J on m", lambda i: bool(_h(i).fa_j_stable)),
-        ],
-        conclusions=[
-            ("amalgamation Gaussian", True, lambda i: is_gaussian(i.ring)),
-            ("amalgamation arithmetical", False, lambda i: is_arithmetical(i.ring)),
-        ],
-        notes=["finite surrogate seed: trivext(tpa(2,1,3);resfield(2))"],
+    ),
+    "2.5": ExampleCase(
+        "arithmetical non-field base with m^2 = 0, extended along I x E",
+        "amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)",
+        ("base ring local", "base ring arithmetical", "base ring not a field", "maximal ideal squares to zero",
+         "J proper and nonzero", "J inside Rad(B)", "J^2 = 0", "f(a)J = f(a)^2 J on m"),
+        _GAUSSIAN_NOT_ARITHMETICAL,
+    ),
+    "2.6": ExampleCase(
+        "idealization tower with J = 0 x E'",
+        "amalg(trivext(zmod(4);resfield(1)),trivext(trivext(zmod(4);resfield(1));resfield(1)),embed;1)",
+        ("base ring local", "base ring Gaussian", "f injective", "f(A) meets J only in zero",
+         "J proper and nonzero", "J inside Rad(B)", "f(A) + J is the whole target", "target ring Gaussian"),
+        _GAUSSIAN_NOT_ARITHMETICAL,
+    ),
+    "2.7": ExampleCase(
+        "non-arithmetical Gaussian local base, quotient-style amalgamation",
+        "amalg(trivext(trivext(tpa(2,1,3);resfield(2));quotmod(regular;16)),"
+        "quot(trivext(trivext(tpa(2,1,3);resfield(2));quotmod(regular;16));1,2,8),proj;1)",
+        ("base ring local", "base ring Gaussian", "base ring not arithmetical", "f not injective",
+         "J inside Nilp(B)", "J proper and nonzero", "J inside Rad(B)", "J^2 = 0", "f(a)J = f(a)^2 J on m"),
+        _GAUSSIAN_NOT_ARITHMETICAL,
+        notes=("finite surrogate seed: trivext(tpa(2,1,3);resfield(2))",),
         # the extension by seed/m^2 fails the pair check, so the base is not
         # Gaussian; tests re-derive this as the first catalog spec meeting
         # every hypothesis
         replacement="amalg(trivext(zmod(4);resfield(2)),quot(trivext(zmod(4);resfield(2));9),proj;1)",
-    )
-
-
-def _nilp_contains_j(inst: AmalgamationInstance) -> bool:
-    return bool(inst.target.nilpotent_mask[inst.j.indices].all())
-
-
-def _example_2_9(ev: Evaluator) -> ExampleCase:
-    inst = ev.instance(DupExpr(ZmodExpr(8), (2,)))
-    return ExampleCase(
-        example_id="2.9",
-        title="duplication along an ideal with nonzero square",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring total quotient ring", lambda i: is_total_quotient_ring(i.base)),
-            ("I proper and nonzero", _j_proper_nonzero),
-            ("I^2 nonzero", lambda i: not _h(i).j_squared_zero),
-        ],
-        conclusions=[
-            ("amalgamation Prufer", True, lambda i: is_prufer(i.ring)),
-            ("amalgamation Gaussian", False, lambda i: is_gaussian(i.ring)),
-            ("amalgamation local total quotient ring", True, _r_local_tqr),
-        ],
-    )
-
-
-def _example_2_10(ev: Evaluator) -> ExampleCase:
-    inst = _along_m_times_module(ev, TrivextExpr(ZmodExpr(4), RegularExpr()), ResfieldExpr(1))
-    return ExampleCase(
-        example_id="2.10",
-        title="extension of Z/4 |x Z/4 along m x E",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring total quotient ring", lambda i: is_total_quotient_ring(i.base)),
-            ("base ring not Gaussian", lambda i: not is_gaussian(i.base)),
-            ("f injective", lambda i: _h(i).f_injective),
-            ("f(A) meets J beyond zero", lambda i: not _h(i).fa_meet_j_zero),
-            ("J proper and nonzero", _j_proper_nonzero),
-            ("J inside Rad(B)", _j_in_rad),
-            ("J inside Z(B)", lambda i: _h(i).j_in_zb),
-        ],
-        conclusions=[
-            ("amalgamation Prufer", True, lambda i: is_prufer(i.ring)),
-            ("amalgamation Gaussian", False, lambda i: is_gaussian(i.ring)),
-            ("amalgamation local total quotient ring", True, _r_local_tqr),
-        ],
-    )
-
-
-def _example_2_11(ev: Evaluator) -> ExampleCase:
-    inst = _quotient_surrogate(ev, TpaExpr(2, 2, 3))
-    return ExampleCase(
-        example_id="2.11",
-        title="two-variable truncated power series surrogate",
-        instance=inst,
-        hypotheses=[
-            ("base ring local", _base_local),
-            ("base ring total quotient ring", lambda i: is_total_quotient_ring(i.base)),
-            ("base ring not Gaussian", lambda i: not is_gaussian(i.base)),
-            ("f not injective", lambda i: not _h(i).f_injective),
-            ("J proper and nonzero", _j_proper_nonzero),
-            ("J inside Rad(B)", _j_in_rad),
-            ("J inside Z(B)", lambda i: _h(i).j_in_zb),
-            ("target ring local", lambda i: is_local(i.target) is not None),
-        ],
-        conclusions=[
-            ("amalgamation Prufer", True, lambda i: is_prufer(i.ring)),
-            ("amalgamation Gaussian", False, lambda i: is_gaussian(i.ring)),
-            ("amalgamation local total quotient ring", True, _r_local_tqr),
-        ],
-        notes=["finite surrogate seed: tpa(2,2,3)"],
-    )
-
-
-EXAMPLE_BUILDERS: dict[str, Callable[[Evaluator], ExampleCase]] = {
-    "2.4": _example_2_4,
-    "2.5": _example_2_5,
-    "2.6": _example_2_6,
-    "2.7": _example_2_7,
-    "2.9": _example_2_9,
-    "2.10": _example_2_10,
-    "2.11": _example_2_11,
+    ),
+    "2.9": ExampleCase(
+        "duplication along an ideal with nonzero square",
+        "dup(zmod(8);2)",
+        ("base ring local", "base ring total quotient ring", "I proper and nonzero", "I^2 nonzero"),
+        _PRUFER_LOCAL_TQR,
+    ),
+    "2.10": ExampleCase(
+        "extension of Z/4 |x Z/4 along m x E",
+        "amalg(trivext(zmod(4);regular),trivext(trivext(zmod(4);regular);resfield(1)),embed;1,2,16)",
+        ("base ring local", "base ring total quotient ring", "base ring not Gaussian", "f injective",
+         "f(A) meets J beyond zero", "J proper and nonzero", "J inside Rad(B)", "J inside Z(B)"),
+        _PRUFER_LOCAL_TQR,
+    ),
+    "2.11": ExampleCase(
+        "two-variable truncated power series surrogate",
+        "amalg(trivext(tpa(2,2,3);quotmod(regular;8,16,32)),"
+        "quot(trivext(tpa(2,2,3);quotmod(regular;8,16,32));2,4),proj;1)",
+        ("base ring local", "base ring total quotient ring", "base ring not Gaussian", "f not injective",
+         "J proper and nonzero", "J inside Rad(B)", "J inside Z(B)", "target ring local"),
+        _PRUFER_LOCAL_TQR,
+        notes=("finite surrogate seed: tpa(2,2,3)",),
+    ),
 }
 
-EXAMPLE_IDS = tuple(sorted(EXAMPLE_BUILDERS, key=lambda s: [int(x) for x in s.split(".")]))
+EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def _hypothesis_results(case: ExampleCase, inst: AmalgamationInstance) -> list[tuple[str, bool]]:
-    return [(name, bool(check(inst))) for name, check in case.hypotheses]
+    return [(name, bool(PREDICATES[name](inst))) for name in case.hypotheses]
 
 
 def _failed(hyp_results: list[tuple[str, bool]]) -> str:
     return ", ".join(name for name, ok in hyp_results if not ok)
 
 
-def _evaluate_example(case: ExampleCase, ev: Evaluator) -> ExampleReport:
-    """Re-check the hypotheses on the surrogate, or on the named replacement
-    when the surrogate misses one, then check the conclusions; `inconclusive`
-    when the instance checked still misses a hypothesis."""
+def _evaluate_example(example_id: str, case: ExampleCase, ev: Evaluator) -> ExampleReport:
+    """Build the example's instance, re-check the hypotheses on it, or on the
+    named replacement when it misses one, then check the conclusions;
+    `inconclusive` when the instance checked still misses a hypothesis."""
     start = time.perf_counter()
-    inst = case.instance
+    inst = ev.instance(parse(case.expression))
     hyp_results = _hypothesis_results(case, inst)
     failed = _failed(hyp_results)
     replaced_with = None
@@ -1005,11 +881,11 @@ def _evaluate_example(case: ExampleCase, ev: Evaluator) -> ExampleReport:
 
     concl = []
     if status != "inconclusive":
-        concl = [(name, expected, bool(check(inst))) for name, expected, check in case.conclusions]
+        concl = [(name, expected, bool(PREDICATES[name](inst))) for name, expected in case.conclusions]
     if status is None:
         status = "pass" if all(expected == actual for _, expected, actual in concl) else "violation"
     return ExampleReport(
-        example_id=case.example_id,
+        example_id=example_id,
         title=case.title,
         status=status,
         instance_label=inst.label,
@@ -1030,6 +906,7 @@ def reproduce_examples(
     then check its stated conclusions; out-of-scope entries are reported as
     such with the reason rather than skipped silently.  Rings are built under
     `size_cap`, or under the catalog's cap when a catalog is given; the
-    catalog supplies nothing else."""
-    ev = Evaluator(size_cap=catalog.params.size_cap if catalog is not None else size_cap)
-    return [_evaluate_example(EXAMPLE_BUILDERS[ex_id](ev), ev) for ex_id in example_ids or EXAMPLE_IDS]
+    catalog supplies nothing else.  Each example gets its own Evaluator, so
+    no example's rings outlive its report."""
+    cap = catalog.params.size_cap if catalog is not None else size_cap
+    return [_evaluate_example(ex_id, EXAMPLES[ex_id], Evaluator(cap)) for ex_id in example_ids or EXAMPLE_IDS]

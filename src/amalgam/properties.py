@@ -437,8 +437,7 @@ def is_prufer(ring: FiniteRing) -> bool:
     invertible because 1 * 1 = 1.  The test suite compares this against the
     sweep over every ideal of each enumerable catalog ring.
     """
-    regular = ~ring.zero_divisor_mask
-    if not ring.units_mask[regular].all():
+    if not is_total_quotient_ring(ring):
         # cannot happen over a finite ring; deciding it would need the lattice
         raise InternalCheckError(f"regular non-unit found in finite ring {ring.label}")
     return True

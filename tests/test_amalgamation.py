@@ -3,8 +3,8 @@ import pytest
 
 from amalgam.amalgamation import amalgamate, duplication, f_image_plus_j
 from amalgam.errors import CapExceededError, InternalCheckError, MixedRingError, NotLocalError
-from amalgam.expressions import Evaluator
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.expressions import Evaluator, parse
+from amalgam.harness import EXAMPLES
 from amalgam.ideals import Ideal, ideal_generated, maximal_ideals
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.properties import is_gaussian, is_local, is_prufer, is_total_quotient_ring
@@ -67,7 +67,7 @@ def test_block_build_matches_direct_formula_on_catalog(catalog):
 
 @pytest.mark.parametrize("example_id", ["2.4", "2.10", "2.11"])
 def test_block_build_matches_direct_formula_on_examples(example_id):
-    assert_matches_direct_formula(EXAMPLE_BUILDERS[example_id](Evaluator()).instance)
+    assert_matches_direct_formula(Evaluator().instance(parse(EXAMPLES[example_id].expression)))
 
 
 def test_additive_subgroup_not_closed_under_f_image_times_j():

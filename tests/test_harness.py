@@ -8,11 +8,25 @@ import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
 from amalgam.errors import CapExceededError, InternalCheckError
-from amalgam.expressions import Evaluator, ProjHomExpr, QuotExpr, parse
+from amalgam.amalgamation import amalgamate
+from amalgam.expressions import (
+    EmbedHomExpr,
+    Evaluator,
+    ProjHomExpr,
+    QuotExpr,
+    QuotmodExpr,
+    RegularExpr,
+    ResfieldExpr,
+    TpaExpr,
+    TrivextExpr,
+    ZmodExpr,
+    parse,
+)
 from amalgam.harness import (
     CLAUSE_IDS,
     CLAUSES,
-    EXAMPLE_BUILDERS,
+    EXAMPLES,
+    PREDICATES,
     CatalogParams,
     ExampleCase,
     _evaluate_example,
@@ -22,8 +36,8 @@ from amalgam.harness import (
     verify_duplication_criterion,
     verify_instance,
 )
-from amalgam.ideals import all_ideals
-from amalgam.properties import is_gaussian
+from amalgam.ideals import Ideal, all_ideals, ideal_product
+from amalgam.properties import is_local
 from amalgam.rings import coset_tables, pair_indices, quotient
 
 
@@ -177,46 +191,34 @@ def test_duplication_criterion_includes_named_cases(small_catalog):
 
 def _synthetic_case(replacement):
     return ExampleCase(
-        example_id="t.1",
         title="synthetic case whose surrogate misses a hypothesis",
-        instance=Evaluator().instance(parse("dup(zmod(8);2)")),  # J^2 != 0
-        hypotheses=[
-            ("base ring local", lambda i: i.hypotheses.a_local),
-            ("J squared zero", lambda i: i.hypotheses.j_squared_zero),
-            ("J nonzero", lambda i: i.hypotheses.j_nonzero),
-        ],
-        conclusions=[
-            (
-                "criterion agrees with pair check",
-                True,
-                lambda i: is_gaussian(i.ring)
-                == (is_gaussian(i.base) and bool(i.hypotheses.fa_j_stable)),
-            )
-        ],
+        expression="dup(zmod(8);2)",  # J^2 != 0
+        hypotheses=("base ring local", "J^2 = 0", "J proper and nonzero"),
+        conclusions=(("amalgamation Gaussian", True),),
         replacement=replacement,
     )
 
 
 def test_example_fallback_machinery():
     ev = Evaluator()
-    surrogate_note = "surrogate dup(zmod(8);2) failed re-checked hypotheses: J squared zero"
+    surrogate_note = "surrogate dup(zmod(8);2) failed re-checked hypotheses: J^2 = 0"
 
-    report = _evaluate_example(_synthetic_case("dup(zmod(8);4)"), ev)
+    report = _evaluate_example("t.1", _synthetic_case("dup(zmod(8);4)"), ev)
     assert report.status == "pass"
     assert report.replaced_with == report.instance_label == "dup(zmod(8);4)"
     assert all(ok for _, ok in report.hypothesis_results)
-    assert report.conclusion_results == [("criterion agrees with pair check", True, True)]
+    assert report.conclusion_results == [("amalgamation Gaussian", True, True)]
     assert surrogate_note in report.notes
 
-    # the named replacement is re-checked too: J = 0 misses "J nonzero"
-    report = _evaluate_example(_synthetic_case("dup(zmod(8);)"), ev)
+    # the named replacement is re-checked too: J = 0 misses "J proper and nonzero"
+    report = _evaluate_example("t.1", _synthetic_case("dup(zmod(8);)"), ev)
     assert report.status == "inconclusive"
     assert report.replaced_with == "dup(zmod(8);)"
-    assert ("J nonzero", False) in report.hypothesis_results
+    assert ("J proper and nonzero", False) in report.hypothesis_results
     assert report.conclusion_results == []
-    assert report.notes[-1] == "replacement dup(zmod(8);) failed re-checked hypotheses: J nonzero"
+    assert report.notes[-1] == "replacement dup(zmod(8);) failed re-checked hypotheses: J proper and nonzero"
 
-    report = _evaluate_example(_synthetic_case(None), ev)
+    report = _evaluate_example("t.1", _synthetic_case(None), ev)
     assert report.status == "inconclusive"
     assert report.replaced_with is None
     assert report.instance_label == "dup(zmod(8);2)"
@@ -226,12 +228,16 @@ def test_example_fallback_machinery():
 def test_example_2_7_replacement_is_the_first_catalog_match(catalog, example_reports):
     # independent route to example 2.7's named replacement: the linear scan
     # of the catalog for the first spec meeting every hypothesis
-    case = EXAMPLE_BUILDERS["2.7"](Evaluator())
-    assert not all(check(case.instance) for _, check in case.hypotheses)
+    case = EXAMPLES["2.7"]
+
+    def meets_hypotheses(inst):
+        return all(PREDICATES[name](inst) for name in case.hypotheses)
+
+    assert not meets_hypotheses(Evaluator().instance(parse(case.expression)))
     scanned = next(
         inst
         for inst in (spec.build(catalog.params.size_cap) for spec in catalog.specs)
-        if all(check(inst) for _, check in case.hypotheses)
+        if meets_hypotheses(inst)
     )
     named = Evaluator().instance(parse(case.replacement))
     assert scanned.label == named.label == case.replacement
@@ -247,7 +253,7 @@ def test_example_2_7_replacement_is_the_first_catalog_match(catalog, example_rep
 
 @pytest.mark.parametrize("cid", ["thm-2.1:3c2", "thm-2.1:4c1", "thm-2.1:4c2"])
 def test_unsatisfiable_clause_match_is_an_internal_error(cid, small_catalog, monkeypatch, capsys):
-    monkeypatch.setitem(CLAUSES, cid, dataclasses.replace(CLAUSES[cid], applies=lambda h: True))
+    monkeypatch.setitem(CLAUSES, cid, dataclasses.replace(CLAUSES[cid], hypotheses=()))
     # raised on the first instance, not after the sweep
     with pytest.raises(InternalCheckError, match=re.escape(small_catalog.specs[0].label)):
         verify_clauses(small_catalog, [cid])
@@ -278,3 +284,72 @@ def test_violation_path_reports_witness(small_catalog, monkeypatch):
     assert verdict.violations > 0
     assert verdict.witness is not None and "::" in verdict.witness
     assert not verdict.ok
+
+
+def test_every_clause_and_example_name_is_a_predicate():
+    # the three vacuous clauses are never read past their first failing
+    # conjunct on a catalog instance, so a misspelled late name would not
+    # surface in any sweep
+    names = [name for clause in CLAUSES.values() for name in clause.hypotheses or ()]
+    for case in EXAMPLES.values():
+        names += [*case.hypotheses, *(name for name, _ in case.conclusions)]
+    assert set(names) <= set(PREDICATES), set(names) - set(PREDICATES)
+
+
+def _along_m_times_module(ev, base_expr, module_expr):
+    """The local base amalgamated with its idealization by the module E,
+    along J = m x E, f the idealization embedding."""
+    target_expr = TrivextExpr(base_expr, module_expr)
+    base, target = ev.ring(base_expr), ev.ring(target_expr)
+    j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
+    return amalgamate(base, target, ev.resolve_hom(EmbedHomExpr(), base, target_expr), j)
+
+
+def _quotient_surrogate(ev, seed_expr):
+    """Extend the seed by seed/m^2, quotient by 0 x (m/m^2), and amalgamate
+    the extension with that quotient along the image of 0 x (seed/m^2)."""
+    seed = ev.ring(seed_expr)
+    m = is_local(seed)
+    mod_expr = QuotmodExpr(RegularExpr(), ideal_product(m, m).generators())
+    ext_expr = TrivextExpr(seed_expr, mod_expr)
+    ext = ev.ring(ext_expr)
+    quot_module = ev.module(mod_expr, seed)
+    image_of_m = sorted(set(int(quot_module.quotient_projection[x]) for x in m.indices))
+    quot_expr = QuotExpr(ext_expr, Ideal(ext, image_of_m).generators())  # 0 x (m/m^2)
+    target = ev.ring(quot_expr)
+    f = ev.resolve_hom(ProjHomExpr(), ext, quot_expr)
+    j = Ideal(target, sorted(set(int(f.map[x]) for x in range(quot_module.size))))  # image of 0 x (seed/m^2)
+    return amalgamate(ext, target, f, j)
+
+
+CONSTRUCTIONS = {
+    "2.4": lambda ev: _along_m_times_module(ev, ZmodExpr(16), RegularExpr()),
+    "2.7": lambda ev: _quotient_surrogate(ev, TrivextExpr(TpaExpr(2, 1, 3), ResfieldExpr(2))),
+    "2.10": lambda ev: _along_m_times_module(ev, TrivextExpr(ZmodExpr(4), RegularExpr()), ResfieldExpr(1)),
+    "2.11": lambda ev: _quotient_surrogate(ev, TpaExpr(2, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("example_id", sorted(CONSTRUCTIONS))
+def test_example_text_rederives_from_its_construction(example_id):
+    # the reference for the literal generator indices in the example texts
+    built = CONSTRUCTIONS[example_id](Evaluator())
+    parsed = Evaluator().instance(parse(EXAMPLES[example_id].expression))
+    assert built.label == parsed.label == EXAMPLES[example_id].expression
+    for a, b in ((built.base, parsed.base), (built.target, parsed.target), (built.ring, parsed.ring)):
+        assert a.same_tables(b) and a.element_names == b.element_names
+    assert (built.f.map == parsed.f.map).all()
+    assert built.j.members == parsed.j.members
+
+
+# sha256 over the suite's verdict records, then its example records, one
+# record per line.  An intended output change re-records it and declares
+# the change.
+SUITE_RECORDS_DIGEST = "7ef6ad5c417b0793c5a290abe06247da4a3724b66ad7a3795389ef548481ba82"
+
+
+def test_suite_records_digest(suite_verdicts, example_reports):
+    h = hashlib.sha256()
+    for rec in [*suite_verdicts.values(), *example_reports.values()]:
+        h.update(" ".join(f"{k}={v}" for k, v in rec.record_pairs()).encode() + b"\n")
+    assert h.hexdigest() == SUITE_RECORDS_DIGEST

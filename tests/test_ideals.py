@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from amalgam import ideals
 from amalgam.errors import AmalgamError, CapExceededError, MixedRingError, NotAnIdealError
 from amalgam.expressions import Evaluator, parse
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.harness import EXAMPLES
 from amalgam.ideals import (
     MAX_IDEALS,
     Ideal,
@@ -255,7 +255,7 @@ def test_ideal_from_a_mask_row_keeps_the_row():
 def test_ideal_guard_refuses_exactly_past_max_ideals():
     # example 2.10's ring has 485 ideals; the refusal names the guard, not
     # how far the enumeration got
-    ring = EXAMPLE_BUILDERS["2.10"](Evaluator()).instance.ring
+    ring = Evaluator().ring(parse(EXAMPLES["2.10"].expression))
     lattice = member_lists(ring, max_ideals=512)
     assert len(lattice) == 485
     assert lattice == pairwise_ideals(ring, max_ideals=512)

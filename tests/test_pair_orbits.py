@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from amalgam.errors import AmalgamError
 from amalgam.expressions import Evaluator, parse
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.harness import EXAMPLES
 from amalgam.properties import _unit_orbits, local_gaussian_pair_check
 from amalgam.rings import truncated_poly_algebra, zmod
 from pair_oracle import oracle_pair_check
@@ -40,7 +40,7 @@ def test_orbit_check_matches_oracle_on_small_catalog_specs(catalog):
 
 
 def test_orbit_check_matches_oracle_on_example_rings():
-    rings = [build(Evaluator()).instance.ring for build in EXAMPLE_BUILDERS.values()]
+    rings = [Evaluator().ring(parse(case.expression)) for case in EXAMPLES.values()]
     assert len(rings) == 7 and max(ring.size for ring in rings) == 2048
     _, failing = _check_local_factors(rings)
     assert failing > 0

@@ -4,7 +4,7 @@ import pytest
 import amalgam.properties
 from amalgam.errors import BudgetExceededError, CapExceededError, InternalCheckError, NotLocalError
 from amalgam.expressions import Evaluator, parse
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.harness import EXAMPLES
 from amalgam.ideals import (
     Ideal,
     all_ideals,
@@ -159,8 +159,7 @@ def test_prufer_examples(catalog):
     for ring in catalog.rings:
         assert _prufer_by_lattice_sweep(all_ideals(ring)) == is_prufer(ring), ring.label
 
-    ev = Evaluator()
-    r29, r210, r211 = (EXAMPLE_BUILDERS[x](ev).instance.ring for x in ("2.9", "2.10", "2.11"))
+    r29, r210, r211 = (_example_ring(x) for x in ("2.9", "2.10", "2.11"))
     assert _prufer_by_lattice_sweep(all_ideals(r29)) and is_prufer(r29)
     # 485 ideals, above the ideal-count guard: swept by the uncached enumerator
     lattice = [Ideal(r210, np.flatnonzero(row)) for row in enumerate_ideals(r210, max_ideals=512)]
@@ -175,7 +174,7 @@ def test_prufer_examples(catalog):
 def test_lattice_guard_ignores_earlier_larger_enumerations():
     # example 2.10's 256-element ring has 485 ideals; a wider sweep of its
     # lattice must not lift the fixed guard for later callers
-    ring = EXAMPLE_BUILDERS["2.10"](Evaluator()).instance.ring
+    ring = _example_ring("2.10")
     assert len(enumerate_ideals(ring, max_ideals=512)) == 485
     with pytest.raises(CapExceededError):
         all_ideals(ring)
@@ -185,11 +184,8 @@ def test_lattice_guard_ignores_earlier_larger_enumerations():
 def _example_ring(example_id):
     """The ring an example's conclusions are checked on: its replacement's
     when it names one (2.7's surrogate misses a hypothesis), else its own."""
-    ev = Evaluator()
-    case = EXAMPLE_BUILDERS[example_id](ev)
-    if case.replacement is not None:
-        return ev.instance(parse(case.replacement)).ring
-    return case.instance.ring
+    case = EXAMPLES[example_id]
+    return Evaluator().ring(parse(case.replacement or case.expression))
 
 
 def test_distributive_lattice_oracle_agrees_with_certified_verdict(catalog):
@@ -209,9 +205,8 @@ def _sum_mask(ring, left, right):
 
 def test_m3_certificate_revalidates_past_the_guard():
     # 2.10: 256 elements and 485 ideals; 2.11: 1,024 elements
-    ev = Evaluator()
     for example_id in ("2.10", "2.11"):
-        ring = EXAMPLE_BUILDERS[example_id](ev).instance.ring
+        ring = _example_ring(example_id)
         with pytest.raises(CapExceededError):
             all_ideals(ring)
         assert not is_arithmetical(ring)
@@ -248,7 +243,7 @@ def test_chain_certificate_is_the_m_adic_filtration():
 def test_lying_chain_route_is_an_internal_error():
     # a lying principal-membership matrix sends each factor to the wrong
     # certificate, which must refuse it: both re-validate without the matrix
-    ring = EXAMPLE_BUILDERS["2.11"](Evaluator()).instance.ring
+    ring = _example_ring("2.11")
     assert ring.local_factors[0][0] is ring
     ring.__dict__["principal_membership"] = np.ones((ring.size, ring.size), dtype=bool)
     with pytest.raises(InternalCheckError, match="chain certificate|m-adic filtration"):

@@ -9,7 +9,7 @@ from amalgam import cli
 from amalgam.amalgamation import amalgamate, duplication, f_image_plus_j
 from amalgam.errors import InternalCheckError
 from amalgam.expressions import ComposeHomExpr, EmbedHomExpr, Evaluator, ProjHomExpr, parse
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.harness import EXAMPLES
 from amalgam.ideals import ideal_generated
 from amalgam.modules import trivial_extension, vspace_over_residue
 from amalgam.properties import is_arithmetical, property_report
@@ -140,10 +140,9 @@ def test_compose_hom_resolves_with_one_hom_construction(monkeypatch):
 
 def test_chain_ring_is_arithmetical_with_at_most_one_local_factor(catalog):
     rings = list(catalog.rings)
-    for build in EXAMPLE_BUILDERS.values():
-        inst = build(Evaluator()).instance
-        if inst is not None:
-            rings += [inst.ring, inst.base, inst.target, inst.fimage_plus_j]
+    for case in EXAMPLES.values():
+        inst = Evaluator().instance(parse(case.expression))
+        rings += [inst.ring, inst.base, inst.target, inst.fimage_plus_j]
     for ring in rings:
         assert is_chain_ring(ring) == (is_arithmetical(ring) and len(ring.local_factors) <= 1), ring.label
     for ring in (zmod(1), zmod(8), zmod(12), product(zmod(2), zmod(2))):

@@ -11,8 +11,8 @@ import pytest
 
 import amalgam.rings
 from amalgam.errors import HomomorphismError
-from amalgam.expressions import Evaluator
-from amalgam.harness import EXAMPLE_BUILDERS
+from amalgam.expressions import Evaluator, parse
+from amalgam.harness import EXAMPLES
 from amalgam.properties import _unit_orbits, is_local, local_gaussian_pair_check
 from amalgam.rings import FiniteRing, RingHom, truncated_poly_algebra
 from pair_oracle import pair_condition_matrix
@@ -38,7 +38,7 @@ def _blocked_results(ring: FiniteRing):
 
 @pytest.fixture(scope="module")
 def rings_to_check(catalog):
-    ex_2_11 = EXAMPLE_BUILDERS["2.11"](Evaluator()).instance.ring
+    ex_2_11 = Evaluator().ring(parse(EXAMPLES["2.11"].expression))
     return [*catalog.rings, ex_2_11]
 
 
@@ -62,7 +62,7 @@ def test_blocked_membership_pairs_and_witness_match_one_block(monkeypatch, rings
 
 
 def test_principal_membership_by_definition():
-    ring = EXAMPLE_BUILDERS["2.10"](Evaluator()).instance.ring
+    ring = Evaluator().ring(parse(EXAMPLES["2.10"].expression))
     expected = np.zeros((ring.size, ring.size), dtype=bool)
     for x in range(ring.size):
         expected[x, ring.mul[x]] = True
