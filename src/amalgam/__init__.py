@@ -9,10 +9,10 @@ exhaustively generated catalog.
 
 from .amalgamation import (
     AmalgamationInstance,
-    HypothesisReport,
     amalgamate,
     duplication,
     f_image_plus_j,
+    holds,
     hypothesis_report,
 )
 from .errors import (
@@ -53,7 +53,6 @@ from .ideals import (
     ideal_sum,
     is_distributive_lattice,
     maximal_ideals,
-    nilradical,
     principal_ideal,
 )
 from .modules import (

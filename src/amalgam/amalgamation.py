@@ -20,36 +20,24 @@ with x -> (pA(x), pB(x)) injective, which is exactly the statement that the
 tables are the subring of A x B (f(A)+J rests on its inclusion the same
 way), so no sampled axiom screen runs.  The tests also materialize A x B
 and compare tables under the embedding.
+
+`PREDICATES` names every side condition and conclusion that the clauses
+and worked examples read.  `holds(inst, name)` evaluates one on its first
+read and keeps the value in `inst.facts`, so an instance computes only the
+facts some reader asks for, each once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapExceededError, InternalCheckError, MixedRingError
-from .ideals import Ideal, ideal_product, nilradical
-from .properties import is_local, is_reduced
+from .ideals import Ideal, ideal_product
+from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced, is_total_quotient_ring
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, hom_identity, pair_indices
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Side conditions of the transfer statements, computed for one instance."""
-
-    a_local: bool
-    maximal_ideal_a: Ideal | None
-    j_proper: bool
-    j_nonzero: bool
-    j_in_rad_b: bool
-    j_in_zb: bool
-    f_injective: bool
-    fa_meet_j_zero: bool
-    j_meet_nilp_zero: bool
-    j_squared_zero: bool
-    a_reduced: bool
-    fa_j_stable: bool | None  # f(a)J = f(a)^2 J for all a in m; None when A not local
 
 
 @dataclass(eq=False, repr=False)
@@ -65,10 +53,7 @@ class AmalgamationInstance:
     to_target: RingHom
     zero_j: Ideal
     label: str
-
-    @cached_property
-    def hypotheses(self) -> HypothesisReport:
-        return hypothesis_report(self)
+    facts: dict[str, bool] = field(default_factory=dict)  # PREDICATES values read so far, by name
 
     @cached_property
     def fimage_plus_j(self) -> FiniteRing:
@@ -176,36 +161,84 @@ def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing
     return sub, proof.homs[0]
 
 
-def hypothesis_report(inst: AmalgamationInstance) -> HypothesisReport:
-    base, target, f, j = inst.base, inst.target, inst.f, inst.j
-    m = is_local(base)
-    # B is finite, hence Artinian, so its Jacobson radical is its nilradical
-    rad = nilradical(target)
+def _maximal_squares_to_zero(inst: AmalgamationInstance) -> bool:
+    m = is_local(inst.base)
+    return m is not None and ideal_product(m, m).is_zero
 
-    fa_j_stable: bool | None = None
-    if m is not None:
-        fa_j_stable = True
-        for a in m.indices:
-            fa = int(f.map[a])
-            fa2 = int(target.mul[fa, fa])
-            left = set(int(v) for v in target.mul[fa, j.indices])
-            right = set(int(v) for v in target.mul[fa2, j.indices])
-            if left != right:
-                fa_j_stable = False
-                break
 
-    image = frozenset(int(v) for v in np.unique(f.map))
-    return HypothesisReport(
-        a_local=m is not None,
-        maximal_ideal_a=m,
-        j_proper=j.is_proper,
-        j_nonzero=not j.is_zero,
-        j_in_rad_b=j.members <= rad.members,
-        j_in_zb=bool(target.zero_divisor_mask[j.indices].all()),
-        f_injective=f.is_injective,
-        fa_meet_j_zero=(image & j.members) == {target.zero},
-        j_meet_nilp_zero=(j.members & rad.members) == {target.zero},
-        j_squared_zero=ideal_product(j, j).is_zero,
-        a_reduced=is_reduced(base),
-        fa_j_stable=fa_j_stable,
-    )
+def _fa_j_stable(inst: AmalgamationInstance) -> bool:
+    """f(a)J = f(a)^2 J for every a in the maximal ideal m of a local base.
+
+    Row i of each matrix is the mask of x_i J in B, x_i = f(a_i) or f(a_i)^2,
+    so the statement is one comparison of two (|m|, |B|) masks.
+    """
+    m = is_local(inst.base)
+    if m is None:
+        return False
+    target = inst.target
+
+    def times_j(x: np.ndarray) -> np.ndarray:
+        masks = np.zeros((x.size, target.size), dtype=bool)
+        masks[np.arange(x.size)[:, None], target.mul[x][:, inst.j.indices]] = True
+        return masks
+
+    fm = inst.f.map[m.indices]
+    return bool((times_j(fm) == times_j(target.mul[fm, fm])).all())
+
+
+def _ring_local_tqr(inst: AmalgamationInstance) -> bool:
+    return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
+
+
+# Every side condition and conclusion a clause or worked example reads, by
+# the name the example reports print.  Each is computed on its first read
+# through `holds`; a negated name reads its positive name.  B is finite, so
+# its Jacobson radical is its nilradical, read off the nilpotent mask.
+PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
+    "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
+    "base ring local": lambda i: is_local(i.base) is not None,
+    "base ring local and not a field": lambda i: holds(i, "base ring local") and holds(i, "base ring not a field"),
+    "base ring not a field": lambda i: not is_field(i.base),
+    "base ring reduced": lambda i: is_reduced(i.base),
+    "base ring arithmetical": lambda i: is_arithmetical(i.base),
+    "base ring not arithmetical": lambda i: not holds(i, "base ring arithmetical"),
+    "base ring Gaussian": lambda i: is_gaussian(i.base),
+    "base ring not Gaussian": lambda i: not holds(i, "base ring Gaussian"),
+    "base ring total quotient ring": lambda i: is_total_quotient_ring(i.base),
+    "maximal ideal squares to zero": _maximal_squares_to_zero,
+    "target ring local": lambda i: is_local(i.target) is not None,
+    "target ring Gaussian": lambda i: is_gaussian(i.target),
+    "f injective": lambda i: i.f.is_injective,
+    "f not injective": lambda i: not holds(i, "f injective"),
+    "f(A) meets J only in zero": lambda i: int(i.j.mask[np.unique(i.f.map)].sum()) == 1,
+    "f(A) meets J beyond zero": lambda i: not holds(i, "f(A) meets J only in zero"),
+    "f(A) + J is the whole target": lambda i: i.fimage_plus_j.size == i.target.size,
+    "J proper": lambda i: i.j.is_proper,
+    "J proper and nonzero": lambda i: holds(i, "J proper") and not i.j.is_zero,
+    "I proper and nonzero": lambda i: holds(i, "J proper and nonzero"),
+    "J inside Rad(B)": lambda i: bool(i.target.nilpotent_mask[i.j.indices].all()),
+    "J inside Z(B)": lambda i: bool(i.target.zero_divisor_mask[i.j.indices].all()),
+    "J inside Nilp(B)": lambda i: holds(i, "J inside Rad(B)") and holds(i, "J meets Nilp(B) beyond zero"),
+    "J meets Nilp(B) only in zero": lambda i: int(i.target.nilpotent_mask[i.j.indices].sum()) == 1,
+    "J meets Nilp(B) beyond zero": lambda i: not holds(i, "J meets Nilp(B) only in zero"),
+    "J^2 = 0": lambda i: ideal_product(i.j, i.j).is_zero,
+    "J^2 nonzero": lambda i: not holds(i, "J^2 = 0"),
+    "I^2 nonzero": lambda i: holds(i, "J^2 nonzero"),
+    "f(a)J = f(a)^2 J on m": _fa_j_stable,
+    "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
+    "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
+    "amalgamation Prufer": lambda i: is_prufer(i.ring),
+    "amalgamation local total quotient ring": _ring_local_tqr,
+}
+
+
+def holds(inst: AmalgamationInstance, name: str) -> bool:
+    """`PREDICATES[name]` on inst, evaluated on its first read and kept."""
+    if name not in inst.facts:
+        inst.facts[name] = bool(PREDICATES[name](inst))
+    return inst.facts[name]
+
+
+def hypothesis_report(inst: AmalgamationInstance, names: tuple[str, ...]) -> str | None:
+    """The first of `names` that fails on inst, read in order, or None."""
+    return next((name for name in names if not holds(inst, name)), None)

@@ -1,11 +1,13 @@
 """Executable verification of the transfer statements over a generated catalog.
 
 Each clause is one entry of `CLAUSES`: a description, its hypotheses as a
-tuple of names from the predicate table `PREDICATES`, read in order until
-one fails, and a conclusion over the constructed rings.  A sweep over the
-catalog yields one Verdict per clause; a violation means a bug in this
-package (the statements are proven), so the harness treats any violation
-as a hard failure with a witness.
+tuple of names from the predicate table `amalgamation.PREDICATES`, read in
+order by `hypothesis_report` until one fails (`verify CLAUSE EXPR` names
+it), and a conclusion over the constructed rings, which reads its facts
+through the same per-instance memo, `holds`.  A sweep over the catalog
+yields one Verdict per clause; a violation means a bug in this package
+(the statements are proven), so the harness treats any violation as a hard
+failure with a witness.
 
 Each worked example is one entry of `EXAMPLES`, stated as data over the
 same table: the expression text of its instance (the `instance` it
@@ -43,12 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amalgamation import (
-    AmalgamationInstance,
-    HypothesisReport,
-    amalgamate,
-    duplication,
-)
+from .amalgamation import AmalgamationInstance, amalgamate, duplication, holds, hypothesis_report
 from .errors import CapExceededError, InternalCheckError
 from .expressions import (
     EmbedHomExpr,
@@ -333,62 +330,6 @@ class Verdict:
         return pairs
 
 
-# -- named predicates -------------------------------------------------------------
-
-
-def _maximal_squares_to_zero(inst: AmalgamationInstance) -> bool:
-    m = inst.hypotheses.maximal_ideal_a
-    return m is not None and ideal_product(m, m).is_zero
-
-
-def _j_proper_nonzero(inst: AmalgamationInstance) -> bool:
-    return inst.hypotheses.j_proper and inst.hypotheses.j_nonzero
-
-
-def _ring_local_tqr(inst: AmalgamationInstance) -> bool:
-    return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
-
-
-# Every hypothesis and conclusion a clause or worked example reads, by the
-# name the example reports print.
-PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
-    "base ring local": lambda i: i.hypotheses.a_local,
-    "base ring local and not a field": lambda i: i.hypotheses.a_local and not is_field(i.base),
-    "base ring not a field": lambda i: not is_field(i.base),
-    "base ring reduced": lambda i: i.hypotheses.a_reduced,
-    "base ring arithmetical": lambda i: is_arithmetical(i.base),
-    "base ring not arithmetical": lambda i: not is_arithmetical(i.base),
-    "base ring Gaussian": lambda i: is_gaussian(i.base),
-    "base ring not Gaussian": lambda i: not is_gaussian(i.base),
-    "base ring total quotient ring": lambda i: is_total_quotient_ring(i.base),
-    "maximal ideal squares to zero": _maximal_squares_to_zero,
-    "target ring local": lambda i: is_local(i.target) is not None,
-    "target ring Gaussian": lambda i: is_gaussian(i.target),
-    "f injective": lambda i: i.hypotheses.f_injective,
-    "f not injective": lambda i: not i.hypotheses.f_injective,
-    "f(A) meets J only in zero": lambda i: i.hypotheses.fa_meet_j_zero,
-    "f(A) meets J beyond zero": lambda i: not i.hypotheses.fa_meet_j_zero,
-    "f(A) + J is the whole target": lambda i: i.fimage_plus_j.size == i.target.size,
-    "J proper": lambda i: i.hypotheses.j_proper,
-    "J proper and nonzero": _j_proper_nonzero,
-    "I proper and nonzero": _j_proper_nonzero,
-    "J inside Rad(B)": lambda i: i.hypotheses.j_in_rad_b,
-    "J inside Z(B)": lambda i: i.hypotheses.j_in_zb,
-    # Rad(B) is read off the nilpotent mask, B being finite
-    "J inside Nilp(B)": lambda i: i.hypotheses.j_in_rad_b and not i.hypotheses.j_meet_nilp_zero,
-    "J meets Nilp(B) only in zero": lambda i: i.hypotheses.j_meet_nilp_zero,
-    "J meets Nilp(B) beyond zero": lambda i: not i.hypotheses.j_meet_nilp_zero,
-    "J^2 = 0": lambda i: i.hypotheses.j_squared_zero,
-    "J^2 nonzero": lambda i: not i.hypotheses.j_squared_zero,
-    "I^2 nonzero": lambda i: not i.hypotheses.j_squared_zero,
-    "f(a)J = f(a)^2 J on m": lambda i: bool(i.hypotheses.fa_j_stable),
-    "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
-    "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
-    "amalgamation Prufer": lambda i: is_prufer(i.ring),
-    "amalgamation local total quotient ring": _ring_local_tqr,
-}
-
-
 # -- clauses --------------------------------------------------------------------
 
 
@@ -404,35 +345,35 @@ class Clause:
 
     description: str
     hypotheses: tuple[str, ...] | None = None
-    holds: Callable[[AmalgamationInstance, HypothesisReport], tuple[bool, str | None]] | None = None
+    holds: Callable[[AmalgamationInstance], tuple[bool, str | None]] | None = None
 
 
-def _gaussian_equiv_rhs(inst: AmalgamationInstance, h: HypothesisReport) -> bool:
-    return is_gaussian(inst.base) and bool(h.fa_j_stable)
+def _gaussian_equiv_rhs(inst: AmalgamationInstance) -> bool:
+    return holds(inst, "base ring Gaussian") and holds(inst, "f(a)J = f(a)^2 J on m")
 
 
-def _locality_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
+def _locality_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
     lhs = is_local(inst.ring) is not None
-    rhs = h.a_local and h.j_in_rad_b
-    return lhs == rhs, f"R_local={lhs} base_local={h.a_local} J_in_rad={h.j_in_rad_b}"
+    local, in_rad = holds(inst, "base ring local"), holds(inst, "J inside Rad(B)")
+    return lhs == (local and in_rad), f"R_local={lhs} base_local={local} J_in_rad={in_rad}"
 
 
-def _gaussian_descends(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
-    if not is_gaussian(inst.ring):
+def _gaussian_descends(inst: AmalgamationInstance) -> tuple[bool, str | None]:
+    if not holds(inst, "amalgamation Gaussian"):
         return True, None
-    ok = is_gaussian(inst.base) and is_gaussian(inst.fimage_plus_j)
+    ok = holds(inst, "base ring Gaussian") and is_gaussian(inst.fimage_plus_j)
     return ok, None if ok else "R Gaussian but base or f(A)+J is not"
 
 
-def _gaussian_criterion_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
-    lhs = is_gaussian(inst.ring)
-    rhs = _gaussian_equiv_rhs(inst, h)
+def _gaussian_criterion_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
+    lhs = holds(inst, "amalgamation Gaussian")
+    rhs = _gaussian_equiv_rhs(inst)
     return lhs == rhs, f"R_gaussian={lhs} rhs={rhs}"
 
 
-def _disjoint_image_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
+def _disjoint_image_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
     sub = inst.fimage_plus_j
-    lhs = is_gaussian(inst.ring)
+    lhs = holds(inst, "amalgamation Gaussian")
     rhs = is_gaussian(sub)
     if lhs != rhs:
         return False, f"R_gaussian={lhs} fimage_gaussian={rhs}"
@@ -441,18 +382,18 @@ def _disjoint_image_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tu
     return True, None
 
 
-def _duplication_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
-    lhs = is_gaussian(inst.ring)
-    rhs = is_gaussian(inst.base) and h.j_squared_zero and bool(h.fa_j_stable)
+def _duplication_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
+    lhs = holds(inst, "amalgamation Gaussian")
+    rhs = _gaussian_equiv_rhs(inst) and holds(inst, "J^2 = 0")
     return lhs == rhs, f"lhs={lhs} rhs={rhs}"
 
 
-def _local_tqr_holds(inst: AmalgamationInstance, h: HypothesisReport) -> tuple[bool, str | None]:
+def _local_tqr_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
     ring = inst.ring
     maximal = is_local(ring)
     if maximal is None:
         return False, "R is not local"
-    expected = frozenset(int(v) for v in pair_indices(h.maximal_ideal_a.indices, len(inst.j)))
+    expected = frozenset(int(v) for v in pair_indices(is_local(inst.base).indices, len(inst.j)))
     if maximal.members != expected:
         return False, "maximal ideal of R is not m |><| J"
     if not is_total_quotient_ring(ring):
@@ -500,7 +441,7 @@ CLAUSES: dict[str, Clause] = {
     ),
     "cor-2.3": Clause(
         "duplication Gaussian iff base Gaussian, I^2=0 and aI=a^2I on m",
-        ("base ring local", "J proper"),
+        ("instance is a duplication", "base ring local", "J proper"),
         _duplication_holds,
     ),
     "prop-2.8:1": Clause(
@@ -527,7 +468,7 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> bool | None:
     """
     clause = CLAUSES[v.clause]
     v.checked += 1
-    if not all(PREDICATES[name](inst) for name in clause.hypotheses):
+    if hypothesis_report(inst, clause.hypotheses) is not None:
         return None
     if clause.holds is None:
         raise InternalCheckError(
@@ -535,7 +476,7 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> bool | None:
             f" ({VACUITY_REASON})"
         )
     v.applicable += 1
-    ok, detail = clause.holds(inst, inst.hypotheses)
+    ok, detail = clause.holds(inst)
     if not ok:
         v.violations += 1
         if v.witness is None:
@@ -571,17 +512,16 @@ def verify_clauses(
     if instance_ids or want_chain:
         for spec in catalog.specs:
             inst = spec.build(catalog.params.size_cap)
-            h = inst.hypotheses
             for cid in instance_ids:
                 v = verdicts[cid]
-                if cid == "lemma-2.2" and not h.j_in_rad_b:
+                if cid == "lemma-2.2" and not holds(inst, "J inside Rad(B)"):
                     v.counts["j_not_in_rad"] += 1
                 if _score(v, inst) is None:
                     continue
                 for tag in spec.tags:
                     v.counts[f"tag_{tag}"] += 1
                 if cid == "thm-2.1:2":
-                    v.counts["rhs_true" if _gaussian_equiv_rhs(inst, h) else "rhs_false"] += 1
+                    v.counts["rhs_true" if _gaussian_equiv_rhs(inst) else "rhs_false"] += 1
             if sweep is not None:
                 sweep.fold(inst.label, _hierarchy_facts(inst.ring))
     if sweep is not None:
@@ -613,23 +553,16 @@ def verify_clauses(
     return out
 
 
-def _is_duplication(inst: AmalgamationInstance) -> bool:
-    return inst.base is inst.target and bool((inst.f.map == np.arange(inst.base.size)).all())
-
-
 def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
     """Evaluate one clause on one instance (CLI `verify CLAUSE EXPR`)."""
     if clause_id not in CLAUSES or CLAUSES[clause_id].hypotheses is None:
         raise KeyError(f"clause {clause_id!r} cannot run on a single instance")
     v = Verdict(clause=clause_id, status="hypotheses-unmet")
-    if clause_id == "cor-2.3" and not _is_duplication(inst):
-        v.checked, v.reason = 1, "instance is not a duplication"
-        return v
     ok = _score(v, inst)
-    if ok is not None:
+    if ok is None:
+        v.reason = f"hypothesis fails: {hypothesis_report(inst, CLAUSES[clause_id].hypotheses)}"
+    else:
         v.status = "verified" if ok else "violation"
-    elif clause_id == "cor-2.3":
-        v.reason = "duplication criterion needs a local base and proper ideal"
     return v
 
 
@@ -644,7 +577,7 @@ def verify_duplication_criterion(catalog: Catalog) -> Verdict:
                 continue
             inst = duplication(ring, ideal, catalog.params.size_cap)
             if _score(v, inst):
-                v.counts["gaussian_true" if is_gaussian(inst.ring) else "gaussian_false"] += 1
+                v.counts["gaussian_true" if holds(inst, "amalgamation Gaussian") else "gaussian_false"] += 1
     v.status = "violation" if v.violations else ("verified" if v.applicable else "vacuous")
     return v
 
@@ -843,7 +776,7 @@ EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def _hypothesis_results(case: ExampleCase, inst: AmalgamationInstance) -> list[tuple[str, bool]]:
-    return [(name, bool(PREDICATES[name](inst))) for name in case.hypotheses]
+    return [(name, holds(inst, name)) for name in case.hypotheses]
 
 
 def _failed(hyp_results: list[tuple[str, bool]]) -> str:
@@ -881,7 +814,7 @@ def _evaluate_example(example_id: str, case: ExampleCase, ev: Evaluator) -> Exam
 
     concl = []
     if status != "inconclusive":
-        concl = [(name, expected, bool(PREDICATES[name](inst))) for name, expected in case.conclusions]
+        concl = [(name, expected, holds(inst, name)) for name, expected in case.conclusions]
     if status is None:
         status = "pass" if all(expected == actual for _, expected, actual in concl) else "violation"
     return ExampleReport(

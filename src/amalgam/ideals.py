@@ -387,10 +387,6 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     return list(ring.maximal_ideals)
 
 
-def nilradical(ring: FiniteRing) -> Ideal:
-    return Ideal._from_mask(ring, ring.nilpotent_mask)
-
-
 def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
     """Check I /\\ (J + K) == (I /\\ J) + (I /\\ K) over all ideal triples.
 

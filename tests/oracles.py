@@ -5,9 +5,12 @@ of principal ideals; `properties.is_arithmetical` decides it per local
 factor and certifies each answer.  `distinguished_ideals`,
 `amalg_max_ideals` and `product_embedding_check` check an amalgamation's
 distinguished ideals, maximal ideals and tables against its base and
-target rings.  `jacobson_radical` intersects the maximal ideals, where
-`amalgamation.hypothesis_report` reads the nilradical (the two agree on a
-finite ring, which is Artinian).
+target rings.  `jacobson_radical` intersects the maximal ideals and
+`nilradical` collects the nilpotents; `amalgamation.PREDICATES` reads
+Rad(B) off the nilpotent mask (the two agree on a finite ring, which is
+Artinian).  `set_side_conditions` computes four side conditions of
+`amalgamation.PREDICATES` with Python sets, where the package compares
+masks.
 """
 import numpy as np
 
@@ -30,6 +33,31 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     for m in maximal_ideals(ring):
         mask &= m.mask
     return Ideal._from_mask(ring, mask)
+
+
+def nilradical(ring: FiniteRing) -> Ideal:
+    return Ideal._from_mask(ring, ring.nilpotent_mask)
+
+
+def set_side_conditions(inst: AmalgamationInstance) -> dict[str, bool]:
+    """Four side conditions from member sets, one element of m at a time."""
+    target, f, j = inst.target, inst.f, inst.j
+    m = is_local(inst.base)
+    fa_j_stable = m is not None
+    for a in m.indices if m is not None else ():
+        fa = int(f.map[a])
+        fa2 = int(target.mul[fa, fa])
+        if set(int(v) for v in target.mul[fa, j.indices]) != set(int(v) for v in target.mul[fa2, j.indices]):
+            fa_j_stable = False
+            break
+    image = frozenset(int(v) for v in np.unique(f.map))
+    nil = nilradical(target).members
+    return {
+        "f(a)J = f(a)^2 J on m": fa_j_stable,
+        "J inside Rad(B)": j.members <= jacobson_radical(target).members,
+        "f(A) meets J only in zero": (image & j.members) == {target.zero},
+        "J meets Nilp(B) only in zero": (j.members & nil) == {target.zero},
+    }
 
 
 def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from amalgam.amalgamation import holds
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import VACUITY_REASON, build_catalog, verify_clauses
 from amalgam.ideals import Ideal, ideal_generated
@@ -121,8 +122,7 @@ def test_criterion_06_duplication_criterion_exhaustive(suite_verdicts, catalog):
 
     z4 = zmod(4)
     dup_4 = duplication(z4, ideal_generated(z4, [2]))
-    h = dup_4.hypotheses
-    rhs = is_gaussian(z4) and h.j_squared_zero and bool(h.fa_j_stable)
+    rhs = is_gaussian(z4) and holds(dup_4, "J^2 = 0") and holds(dup_4, "f(a)J = f(a)^2 J on m")
     lhs, _ = local_gaussian_pair_check(dup_4.ring)
     ok_2_3 = rhs == lhs is True
 

@@ -209,7 +209,13 @@ def test_verify_single_instance(capsys):
     assert "verified" in out
     code, out, _ = run_cli(capsys, "verify", "thm-2.1:2", "dup(zmod(8);2)", "--machine")
     assert code == 0
-    assert "status=hypotheses-unmet" in out
+    assert out == (
+        "kind=verdict clause=thm-2.1:2 status=hypotheses-unmet checked=1 applicable=0 violations=0"
+        " reason=hypothesis_fails:_J^2_:_0\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", "cor-2.3", "amalg(zmod(4),quot(zmod(4);2),proj;1)")
+    assert code == 0
+    assert "reason: hypothesis fails: instance is a duplication" in out
 
 
 def test_verify_requires_instance_or_catalog(capsys):

@@ -1,14 +1,19 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import re
+import weakref
+from collections import Counter
 
 import pytest
 
+import amalgam.amalgamation
 import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
 from amalgam.errors import CapExceededError, InternalCheckError
-from amalgam.amalgamation import amalgamate
+from amalgam.amalgamation import PREDICATES, amalgamate, holds
 from amalgam.expressions import (
     EmbedHomExpr,
     Evaluator,
@@ -26,7 +31,6 @@ from amalgam.harness import (
     CLAUSE_IDS,
     CLAUSES,
     EXAMPLES,
-    PREDICATES,
     CatalogParams,
     ExampleCase,
     _evaluate_example,
@@ -39,6 +43,7 @@ from amalgam.harness import (
 from amalgam.ideals import Ideal, all_ideals, ideal_product
 from amalgam.properties import is_local
 from amalgam.rings import coset_tables, pair_indices, quotient
+from oracles import set_side_conditions
 
 
 SMALL_PARAMS = CatalogParams(
@@ -142,13 +147,42 @@ def test_hom_kernels_pass_the_closure_check(small_catalog):
 
 def test_catalog_instance_statistics(catalog):
     with_sq_zero = with_sq_nonzero = 0
-    for spec in catalog.specs[:300]:
-        inst = spec.build()
-        if inst.hypotheses.j_squared_zero:
+    examples = [Evaluator().instance(parse(case.expression)) for case in EXAMPLES.values()]
+    for inst in [*(spec.build() for spec in catalog.specs[:300]), *examples]:
+        if holds(inst, "J^2 = 0"):
             with_sq_zero += 1
         else:
             with_sq_nonzero += 1
+        # the mask comparisons agree with the member-set loops they replaced
+        for name, expected in set_side_conditions(inst).items():
+            assert holds(inst, name) == expected, (inst.label, name)
     assert with_sq_zero > 0 and with_sq_nonzero > 0
+
+
+def test_each_predicate_is_evaluated_at_most_once_per_instance(small_catalog, monkeypatch):
+    seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    repeats, nonlocal_reads, evaluated = [], [], Counter()
+
+    def counted(name, predicate):
+        def wrapper(inst):
+            names = seen.setdefault(inst, set())
+            if name in names:
+                repeats.append((inst.label, name))
+            names.add(name)
+            evaluated[name] += 1
+            if name == "f(a)J = f(a)^2 J on m" and is_local(inst.base) is None:
+                nonlocal_reads.append(inst.label)
+            return predicate(inst)
+
+        return wrapper
+
+    for name, predicate in list(PREDICATES.items()):
+        monkeypatch.setitem(PREDICATES, name, counted(name, predicate))
+    verify_clauses(small_catalog, list(CLAUSE_IDS), with_search=True)
+    harness.reproduce_examples()
+    assert repeats == []
+    assert nonlocal_reads == []
+    assert evaluated["f(a)J = f(a)^2 J on m"] > 0 and evaluated["instance is a duplication"] > 0
 
 
 def test_small_catalog_sweep_clean(small_catalog):
@@ -165,16 +199,20 @@ def test_verify_single_instance_statuses():
     assert verdict.status == "verified"
     # J^2 != 0 leaves thm-2.1:2 without its hypotheses
     verdict = verify_instance(Evaluator().instance(parse("dup(zmod(8);2)")), "thm-2.1:2")
-    assert verdict.status == "hypotheses-unmet"
+    assert (verdict.status, verdict.checked, verdict.applicable) == ("hypotheses-unmet", 1, 0)
+    assert verdict.reason == "hypothesis fails: J^2 = 0"
     verdict = verify_instance(Evaluator().instance(parse("dup(zmod(8);4)")), "thm-2.1:2")
     assert verdict.status == "verified"
     verdict = verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), "lemma-2.2")
     assert verdict.status == "verified"
-    # a non-duplication is rejected by the duplication criterion
-    verdict = verify_instance(
-        Evaluator().instance(parse("amalg(zmod(4),quot(zmod(4);2),proj;1)")), "cor-2.3"
-    )
-    assert verdict.status == "hypotheses-unmet"
+    # an unmet verdict names the first conjunct that fails
+    not_dup = Evaluator().instance(parse("amalg(zmod(4),quot(zmod(4);2),proj;1)"))
+    verdict = verify_instance(not_dup, "cor-2.3")
+    assert (verdict.status, verdict.checked, verdict.applicable) == ("hypotheses-unmet", 1, 0)
+    assert verdict.reason == "hypothesis fails: instance is a duplication"
+    verdict = verify_instance(not_dup, "lemma-2.2")
+    assert (verdict.status, verdict.checked, verdict.applicable) == ("hypotheses-unmet", 1, 0)
+    assert verdict.reason == "hypothesis fails: J proper"
 
 
 def test_verify_unknown_clause():
@@ -293,6 +331,16 @@ def test_every_clause_and_example_name_is_a_predicate():
     names = [name for clause in CLAUSES.values() for name in clause.hypotheses or ()]
     for case in EXAMPLES.values():
         names += [*case.hypotheses, *(name for name, _ in case.conclusions)]
+    # and every name that conclusion code, or a predicate, reads through `holds`
+    read = [
+        node.args[1].value
+        for module in (harness, amalgam.amalgamation)
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holds"
+        and isinstance(node.args[1], ast.Constant)
+    ]
+    assert len(read) >= 20
+    names += read
     assert set(names) <= set(PREDICATES), set(names) - set(PREDICATES)
 
 

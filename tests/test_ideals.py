@@ -21,12 +21,11 @@ from amalgam.ideals import (
     ideal_sum,
     is_distributive_lattice,
     maximal_ideals,
-    nilradical,
     principal_ideal,
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
 from amalgam.rings import FiniteRing, product, truncated_poly_algebra, zmod
-from oracles import jacobson_radical
+from oracles import jacobson_radical, nilradical
 from test_cli_generated import ring_grammar
 
 
@@ -395,7 +394,7 @@ def test_radicals_examples():
 
 
 def test_jacobson_radical_is_the_nilradical_on_the_catalog(catalog):
-    # hypothesis_report reads J(B) as Nil(B): a finite ring is Artinian
+    # amalgamation.PREDICATES reads J(B) as Nil(B): a finite ring is Artinian
     rings = {id(ring): ring for ring in catalog.rings}
     rings.update((id(spec.target), spec.target) for spec in catalog.specs)
     assert len(rings) >= len(catalog.rings)
