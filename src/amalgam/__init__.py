@@ -29,6 +29,7 @@ from .errors import (
     NotMaximalError,
     ParseError,
     StructureError,
+    UnknownClauseError,
 )
 from .expressions import Evaluator, parse
 from .harness import (

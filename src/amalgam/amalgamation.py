@@ -186,14 +186,19 @@ def _fa_j_stable(inst: AmalgamationInstance) -> bool:
     return bool((times_j(fm) == times_j(target.mul[fm, fm])).all())
 
 
-def _ring_local_tqr(inst: AmalgamationInstance) -> bool:
-    return is_local(inst.ring) is not None and is_total_quotient_ring(inst.ring)
+def _maximal_is_m_times_j(inst: AmalgamationInstance) -> bool:
+    """R and the base are local, and R's maximal ideal is m |><| J = m x J."""
+    m, big_m = is_local(inst.base), is_local(inst.ring)
+    if m is None or big_m is None:
+        return False
+    return np.array_equal(big_m.indices, pair_indices(m.indices, len(inst.j)))
 
 
 # Every side condition and conclusion a clause or worked example reads, by
-# the name the example reports print.  Each is computed on its first read
-# through `holds`; a negated name reads its positive name.  B is finite, so
-# its Jacobson radical is its nilradical, read off the nilpotent mask.
+# the name the example reports print; "amalgamation" and R both name the
+# constructed ring.  Each is computed on its first read through `holds`; a
+# negated name reads its positive name.  B is finite, so its Jacobson
+# radical is its nilradical, read off the nilpotent mask.
 PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
     "base ring local": lambda i: is_local(i.base) is not None,
@@ -228,7 +233,16 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
     "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
     "amalgamation Prufer": lambda i: is_prufer(i.ring),
-    "amalgamation local total quotient ring": _ring_local_tqr,
+    "amalgamation local": lambda i: is_local(i.ring) is not None,
+    "amalgamation total quotient ring": lambda i: is_total_quotient_ring(i.ring),
+    "amalgamation local total quotient ring": (
+        lambda i: holds(i, "amalgamation local") and holds(i, "amalgamation total quotient ring")
+    ),
+    "maximal ideal of R is m |><| J": _maximal_is_m_times_j,
+    "f(A) + J Gaussian": lambda i: is_gaussian(i.fimage_plus_j),
+    "pB maps R bijectively onto f(A) + J": (
+        lambda i: int(np.unique(i.to_target.map).size) == i.ring.size == i.fimage_plus_j.size
+    ),
 }
 
 

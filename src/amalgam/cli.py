@@ -16,7 +16,8 @@ LF); `--timing` prints elapsed times to stderr only, keeping stdout stable.
 `--max-ring-size` caps every ring built, the worked examples included; the
 ideal-lattice guard is fixed (256 elements, 128 ideals) and has no flag.
 Exit codes: 0 clean, 1 violation or counterexample, 2 usage/parse/cap error,
-3 internal error (a built-in self-check failed: a bug in this package).
+3 internal error (a built-in self-check failed, or a KeyError escaped: a bug
+in this package).
 """
 from __future__ import annotations
 
@@ -369,9 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _USAGE_ERROR
+    except KeyError as exc:  # escaped from package code: a bug, never bad input
+        sys.stderr.write(f"internal error (a bug in amalgam, please report it): KeyError {exc}\n")
+        return _INTERNAL_ERROR
     except InternalCheckError as exc:
         sys.stderr.write(f"internal error (a bug in amalgam, please report it): {exc}\n")
         return _INTERNAL_ERROR

@@ -69,3 +69,7 @@ class ParseError(AmalgamError):
         self.line = line
         self.column = column
         self.expected = expected
+
+
+class UnknownClauseError(AmalgamError):
+    """A clause id names no clause, or a clause that cannot run on one instance."""

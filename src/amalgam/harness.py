@@ -1,13 +1,15 @@
 """Executable verification of the transfer statements over a generated catalog.
 
-Each clause is one entry of `CLAUSES`: a description, its hypotheses as a
-tuple of names from the predicate table `amalgamation.PREDICATES`, read in
-order by `hypothesis_report` until one fails (`verify CLAUSE EXPR` names
-it), and a conclusion over the constructed rings, which reads its facts
-through the same per-instance memo, `holds`.  A sweep over the catalog
-yields one Verdict per clause; a violation means a bug in this package
-(the statements are proven), so the harness treats any violation as a hard
-failure with a witness.
+Each clause is one entry of `CLAUSES`, stated as data: a description, its
+hypotheses as a tuple of names from the predicate table
+`amalgamation.PREDICATES`, read in order by `hypothesis_report` until one
+fails (`verify CLAUSE EXPR` names it), and its conclusion as statements
+(premise names, "=>" or "<=>", consequent names) over the same table.  One
+evaluator reads every statement through the per-instance memo `holds`; a
+"=>" reads its consequent only when its premise holds.  A sweep over the
+catalog yields one Verdict per clause; a violation means a bug in this
+package (the statements are proven), so the harness treats any violation as
+a hard failure with a witness that lists every name read, with its value.
 
 Each worked example is one entry of `EXAMPLES`, stated as data over the
 same table: the expression text of its instance (the `instance` it
@@ -41,12 +43,11 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .amalgamation import AmalgamationInstance, amalgamate, duplication, holds, hypothesis_report
-from .errors import CapExceededError, InternalCheckError
+from .errors import CapExceededError, InternalCheckError, UnknownClauseError
 from .expressions import (
     EmbedHomExpr,
     Evaluator,
@@ -66,15 +67,7 @@ from .expressions import (
 )
 from .ideals import Ideal, all_ideals, ideal_product
 from .modules import FiniteModule
-from .properties import (
-    is_arithmetical,
-    is_field,
-    is_gaussian,
-    is_local,
-    is_prufer,
-    is_reduced,
-    is_total_quotient_ring,
-)
+from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, hom_identity, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
@@ -333,10 +326,16 @@ class Verdict:
 # -- clauses --------------------------------------------------------------------
 
 
+# One statement of a conclusion: (premise, "=>" or "<=>", consequent), each
+# side a conjunction of `PREDICATES` names.
+Statement = tuple[tuple[str, ...], str, tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class Clause:
-    """One statement: its hypotheses, as `PREDICATES` names that must all
-    hold, and a conclusion that returns (holds, detail).
+    """One clause of the paper: its hypotheses, as `PREDICATES` names that
+    must all hold, and its conclusion, `Statement`s over the same names that
+    must all hold on every instance meeting them.
 
     A clause without a conclusion has hypotheses that no finite instance
     meets, so meeting them is an internal error.  `chain` has neither: it
@@ -345,87 +344,67 @@ class Clause:
 
     description: str
     hypotheses: tuple[str, ...] | None = None
-    holds: Callable[[AmalgamationInstance], tuple[bool, str | None]] | None = None
+    conclusion: tuple[Statement, ...] = ()
 
 
-def _gaussian_equiv_rhs(inst: AmalgamationInstance) -> bool:
-    return holds(inst, "base ring Gaussian") and holds(inst, "f(a)J = f(a)^2 J on m")
+def _conjunction(inst: AmalgamationInstance, names: tuple[str, ...], read: list[tuple[str, bool]]) -> bool:
+    """Whether every name holds on inst, read in order up to the first that
+    fails; each name read is appended to `read` with its value."""
+    for name in names:
+        read.append((name, holds(inst, name)))
+        if not read[-1][1]:
+            return False
+    return True
 
 
-def _locality_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    lhs = is_local(inst.ring) is not None
-    local, in_rad = holds(inst, "base ring local"), holds(inst, "J inside Rad(B)")
-    return lhs == (local and in_rad), f"R_local={lhs} base_local={local} J_in_rad={in_rad}"
-
-
-def _gaussian_descends(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    if not holds(inst, "amalgamation Gaussian"):
-        return True, None
-    ok = holds(inst, "base ring Gaussian") and is_gaussian(inst.fimage_plus_j)
-    return ok, None if ok else "R Gaussian but base or f(A)+J is not"
-
-
-def _gaussian_criterion_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    lhs = holds(inst, "amalgamation Gaussian")
-    rhs = _gaussian_equiv_rhs(inst)
-    return lhs == rhs, f"R_gaussian={lhs} rhs={rhs}"
-
-
-def _disjoint_image_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    sub = inst.fimage_plus_j
-    lhs = holds(inst, "amalgamation Gaussian")
-    rhs = is_gaussian(sub)
-    if lhs != rhs:
-        return False, f"R_gaussian={lhs} fimage_gaussian={rhs}"
-    if not int(np.unique(inst.to_target.map).size) == inst.ring.size == sub.size:
-        return False, "pB is not a bijection onto f(A)+J"
-    return True, None
-
-
-def _duplication_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    lhs = holds(inst, "amalgamation Gaussian")
-    rhs = _gaussian_equiv_rhs(inst) and holds(inst, "J^2 = 0")
-    return lhs == rhs, f"lhs={lhs} rhs={rhs}"
-
-
-def _local_tqr_holds(inst: AmalgamationInstance) -> tuple[bool, str | None]:
-    ring = inst.ring
-    maximal = is_local(ring)
-    if maximal is None:
-        return False, "R is not local"
-    expected = frozenset(int(v) for v in pair_indices(is_local(inst.base).indices, len(inst.j)))
-    if maximal.members != expected:
-        return False, "maximal ideal of R is not m |><| J"
-    if not is_total_quotient_ring(ring):
-        return False, "R is not a total quotient ring"
-    if not is_prufer(ring):
-        return False, "R is not Prufer"
-    return True, None
+def _conclusion_holds(inst: AmalgamationInstance, clause: Clause) -> tuple[bool, list[tuple[str, bool]]]:
+    """Whether every statement of the clause's conclusion holds on inst, read
+    in order up to the first that fails, and the names read with their
+    values.  A "=>" reads its consequent only when its premise holds."""
+    read: list[tuple[str, bool]] = []
+    for premise, op, consequent in clause.conclusion:
+        lhs = _conjunction(inst, premise, read)
+        if op == "=>":
+            ok = not lhs or _conjunction(inst, consequent, read)
+        else:
+            ok = lhs == _conjunction(inst, consequent, read)
+        if not ok:
+            return False, read
+    return True, read
 
 
 _THEOREM = ("base ring local", "J proper and nonzero", "J inside Rad(B)")
 _LOCAL_TQR = (*_THEOREM, "J inside Z(B)", "base ring total quotient ring")
+_R_GAUSSIAN = ("amalgamation Gaussian",)
+_R_LOCAL_TQR: Statement = (
+    (),
+    "=>",
+    ("amalgamation local", "maximal ideal of R is m |><| J", "amalgamation total quotient ring", "amalgamation Prufer"),
+)
 
 CLAUSES: dict[str, Clause] = {
     "lemma-2.2": Clause(
         "R local iff base local and J inside Rad(B)",
         ("J proper",),
-        _locality_holds,
+        ((("amalgamation local",), "<=>", ("base ring local", "J inside Rad(B)")),),
     ),
     "thm-2.1:1": Clause(
         "R Gaussian implies base and f(A)+J Gaussian",
         _THEOREM,
-        _gaussian_descends,
+        ((_R_GAUSSIAN, "=>", ("base ring Gaussian", "f(A) + J Gaussian")),),
     ),
     "thm-2.1:2": Clause(
         "J^2=0: R Gaussian iff base Gaussian and f(a)J=f(a)^2J on m",
         (*_THEOREM, "J^2 = 0"),
-        _gaussian_criterion_holds,
+        ((_R_GAUSSIAN, "<=>", ("base ring Gaussian", "f(a)J = f(a)^2 J on m")),),
     ),
     "thm-2.1:3c1": Clause(
         "f injective, f(A) meet J = 0: R Gaussian iff f(A)+J Gaussian",
         (*_THEOREM, "f injective", "f(A) meets J only in zero"),
-        _disjoint_image_holds,
+        (
+            (_R_GAUSSIAN, "<=>", ("f(A) + J Gaussian",)),
+            ((), "=>", ("pB maps R bijectively onto f(A) + J",)),
+        ),
     ),
     "thm-2.1:3c2": Clause(
         "f injective, f(A) meet J != 0, base reduced: criterion of thm-2.1:2",
@@ -442,17 +421,17 @@ CLAUSES: dict[str, Clause] = {
     "cor-2.3": Clause(
         "duplication Gaussian iff base Gaussian, I^2=0 and aI=a^2I on m",
         ("instance is a duplication", "base ring local", "J proper"),
-        _duplication_holds,
+        ((_R_GAUSSIAN, "<=>", ("base ring Gaussian", "f(a)J = f(a)^2 J on m", "J^2 = 0")),),
     ),
     "prop-2.8:1": Clause(
         "base local TQR, f injective, f(A) meet J != 0: R local TQR (Prufer)",
         (*_LOCAL_TQR, "f injective", "f(A) meets J beyond zero"),
-        _local_tqr_holds,
+        (_R_LOCAL_TQR,),
     ),
     "prop-2.8:2": Clause(
         "base local TQR, f not injective: R local TQR (Prufer)",
         (*_LOCAL_TQR, "f not injective"),
-        _local_tqr_holds,
+        (_R_LOCAL_TQR,),
     ),
     "chain": Clause("arithmetical => Gaussian => Prufer over the catalog"),
 }
@@ -460,28 +439,29 @@ CLAUSES: dict[str, Clause] = {
 CLAUSE_IDS = tuple(CLAUSES)
 
 
-def _score(v: Verdict, inst: AmalgamationInstance) -> bool | None:
+def _score(v: Verdict, inst: AmalgamationInstance) -> tuple[str | None, bool]:
     """Check v's clause on one instance and fold the outcome into v.
 
-    Returns None when the hypotheses are unmet, else whether the conclusion
-    holds.
+    Returns the first hypothesis that fails, or None when all hold, and
+    whether the conclusion holds (False when it was not read).
     """
     clause = CLAUSES[v.clause]
     v.checked += 1
-    if hypothesis_report(inst, clause.hypotheses) is not None:
-        return None
-    if clause.holds is None:
+    failed = hypothesis_report(inst, clause.hypotheses)
+    if failed is not None:
+        return failed, False
+    if not clause.conclusion:
         raise InternalCheckError(
             f"{v.clause}: {inst.label} meets hypotheses that no finite instance meets"
             f" ({VACUITY_REASON})"
         )
     v.applicable += 1
-    ok, detail = clause.holds(inst)
+    ok, read = _conclusion_holds(inst, clause)
     if not ok:
         v.violations += 1
         if v.witness is None:
-            v.witness = f"{inst.label} :: {detail}"
-    return ok
+            v.witness = f"{inst.label} :: " + "; ".join(f"{name}: {value}" for name, value in read)
+    return None, ok
 
 
 def _machine_check_vacuity(catalog: Catalog) -> None:
@@ -504,7 +484,7 @@ def verify_clauses(
     instance_ids = [c for c in clause_ids if c not in ("cor-2.3", "chain")]
     for cid in instance_ids:
         if cid not in CLAUSES:
-            raise KeyError(f"unknown clause {cid!r}")
+            raise UnknownClauseError(f"unknown clause {cid!r}")
     verdicts = {cid: Verdict(clause=cid, status="vacuous") for cid in instance_ids}
     want_chain = "chain" in clause_ids or with_search
     sweep = _HierarchySweep() if want_chain else None
@@ -516,12 +496,13 @@ def verify_clauses(
                 v = verdicts[cid]
                 if cid == "lemma-2.2" and not holds(inst, "J inside Rad(B)"):
                     v.counts["j_not_in_rad"] += 1
-                if _score(v, inst) is None:
+                if _score(v, inst)[0] is not None:
                     continue
                 for tag in spec.tags:
                     v.counts[f"tag_{tag}"] += 1
                 if cid == "thm-2.1:2":
-                    v.counts["rhs_true" if _gaussian_equiv_rhs(inst) else "rhs_false"] += 1
+                    rhs = CLAUSES[cid].conclusion[0][2]
+                    v.counts["rhs_true" if all(holds(inst, name) for name in rhs) else "rhs_false"] += 1
             if sweep is not None:
                 sweep.fold(inst.label, _hierarchy_facts(inst.ring))
     if sweep is not None:
@@ -534,7 +515,7 @@ def verify_clauses(
             v.status = "violation"
         elif v.applicable:
             v.status = "verified"
-        elif CLAUSES[cid].holds is None:
+        elif not CLAUSES[cid].conclusion:
             _machine_check_vacuity(catalog)
             v.reason = VACUITY_REASON
         else:
@@ -556,11 +537,11 @@ def verify_clauses(
 def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
     """Evaluate one clause on one instance (CLI `verify CLAUSE EXPR`)."""
     if clause_id not in CLAUSES or CLAUSES[clause_id].hypotheses is None:
-        raise KeyError(f"clause {clause_id!r} cannot run on a single instance")
+        raise UnknownClauseError(f"clause {clause_id!r} cannot run on a single instance")
     v = Verdict(clause=clause_id, status="hypotheses-unmet")
-    ok = _score(v, inst)
-    if ok is None:
-        v.reason = f"hypothesis fails: {hypothesis_report(inst, CLAUSES[clause_id].hypotheses)}"
+    failed, ok = _score(v, inst)
+    if failed is not None:
+        v.reason = f"hypothesis fails: {failed}"
     else:
         v.status = "verified" if ok else "violation"
     return v
@@ -576,7 +557,7 @@ def verify_duplication_criterion(catalog: Catalog) -> Verdict:
             if ideal.is_whole:
                 continue
             inst = duplication(ring, ideal, catalog.params.size_cap)
-            if _score(v, inst):
+            if _score(v, inst)[1]:
                 v.counts["gaussian_true" if holds(inst, "amalgamation Gaussian") else "gaussian_false"] += 1
     v.status = "violation" if v.violations else ("verified" if v.applicable else "vacuous")
     return v

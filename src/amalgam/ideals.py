@@ -170,7 +170,10 @@ def _distinct(ring: FiniteRing, values: np.ndarray) -> np.ndarray:
 
 
 def _additive_closure(ring: FiniteRing, seed: np.ndarray) -> np.ndarray:
-    """Close a set (already closed under negation and ring action) under +."""
+    """Close a set (already closed under negation and ring action) under +.
+
+    Reads only `.add` and `.size`, so a module's submodules close the same way.
+    """
     cur = _distinct(ring, seed)
     while True:
         nxt = _distinct(ring, ring.add[cur[:, None], cur])
@@ -185,10 +188,7 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     Computed as the additive closure of the set of ring multiples of the
     generators; that set is already closed under the ring action.
     """
-    glist = sorted(set(int(g) for g in gens))
-    if not glist:
-        return Ideal(ring, [ring.zero], _validated=True)
-    seed = np.concatenate([ring.mul[:, glist].ravel(), [ring.zero]])
+    seed = np.concatenate([ring.mul[:, sorted(set(int(g) for g in gens))].ravel(), [ring.zero]])
     return Ideal(ring, _additive_closure(ring, seed), _validated=True)
 
 

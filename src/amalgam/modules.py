@@ -19,8 +19,8 @@ from .errors import (
     NotMaximalError,
     StructureError,
 )
-from .ideals import Ideal, maximal_ideals
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _max_digits, _row_blocks, quotient
+from .ideals import Ideal, _additive_closure, maximal_ideals
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _cosets, _max_digits, _row_blocks, quotient
 
 
 class FiniteModule:
@@ -145,15 +145,8 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> frozenset[int]:
     """Smallest submodule containing gens (closure of ring multiples under +)."""
-    glist = sorted(set(int(g) for g in gens))
-    if not glist:
-        return frozenset({module.zero})
-    cur = np.unique(np.concatenate([module.action[:, glist].ravel(), [module.zero]]))
-    while True:
-        nxt = np.unique(module.add[np.ix_(cur, cur)])
-        if nxt.size == cur.size:
-            return frozenset(int(i) for i in nxt)
-        cur = nxt
+    seed = np.concatenate([module.action[:, sorted(set(int(g) for g in gens))].ravel(), [module.zero]])
+    return frozenset(_additive_closure(module, seed).tolist())
 
 
 def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarray:
@@ -175,21 +168,13 @@ def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: st
     The returned module carries the coset map as `quotient_projection`
     (source index -> quotient index).
     """
-    sub = frozenset(int(m) for m in members)
-    idx = _check_submodule(module, sub)
-    rep = module.add[:, idx].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
-    q = len(reps)
-    pos = np.full(module.size, -1, dtype=np.int64)
-    pos[reps] = np.arange(q)
-    qadd = pos[rep[module.add[np.ix_(reps, reps)]]].astype(np.int32)
-    qact = pos[rep[module.action[:, reps]]].astype(np.int32)
+    proj, reps = _cosets(module.add, _check_submodule(module, frozenset(int(m) for m in members)))
     names = [f"[{module.element_names[r]}]" for r in reps]
     label = f"quotmod({module.label};{gens_label})" if gens_label else f"quotmod({module.label})"
-    out = FiniteModule(module.ring, q, qadd, qact, label, names)
-    projection = pos[rep].astype(np.int32)
-    projection.flags.writeable = False
-    out.quotient_projection = projection
+    qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
+    out = FiniteModule(module.ring, len(reps), qadd, qact, label, names)
+    proj.flags.writeable = False
+    out.quotient_projection = proj
     return out
 
 

@@ -620,21 +620,27 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
     return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", names, proof)
 
 
+def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets of an additive subgroup (of a ring or a module, by its
+    addition table), each named by its minimal member: the int32 index map
+    onto them and their representatives ascending."""
+    rep = add[:, members].min(axis=1)
+    reps = np.unique(rep)
+    if len(reps) * len(members) != len(add):
+        raise InternalCheckError("coset count does not divide the carrier")
+    pos = np.full(len(add), -1, dtype=np.int32)
+    pos[reps] = np.arange(len(reps))
+    return pos[rep], reps
+
+
 def coset_tables(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The cosets of an ideal, each named by its minimal member: the index map
     onto them, their representatives ascending, and the quotient's int32
     `(size, add, mul, neg, zero, one)`, the tables `quotient` builds its ring on."""
-    rep = ring.add[:, ideal.indices].min(axis=1)
-    reps = np.unique(rep)
-    q = len(reps)
-    if q * len(ideal) != ring.size:
-        raise InternalCheckError("coset count does not divide the ring")
-    pos = np.full(ring.size, -1, dtype=np.int32)
-    pos[reps] = np.arange(q)
-    proj = pos[rep]
-    cosets = np.ix_(reps, reps)
-    add, mul, neg = proj[ring.add[cosets]], proj[ring.mul[cosets]], proj[ring.neg[reps]]
-    return proj, reps, (q, add, mul, neg, int(proj[ring.zero]), int(proj[ring.one]))
+    proj, reps = _cosets(ring.add, ideal.indices)
+    pairs = np.ix_(reps, reps)
+    add, mul, neg = proj[ring.add[pairs]], proj[ring.mul[pairs]], proj[ring.neg[reps]]
+    return proj, reps, (len(reps), add, mul, neg, int(proj[ring.zero]), int(proj[ring.one]))
 
 
 def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:

@@ -12,8 +12,8 @@ import amalgam.amalgamation
 import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
-from amalgam.errors import CapExceededError, InternalCheckError
-from amalgam.amalgamation import PREDICATES, amalgamate, holds
+from amalgam.errors import CapExceededError, InternalCheckError, UnknownClauseError
+from amalgam.amalgamation import PREDICATES, amalgamate, f_image_plus_j, holds
 from amalgam.expressions import (
     EmbedHomExpr,
     Evaluator,
@@ -185,6 +185,24 @@ def test_each_predicate_is_evaluated_at_most_once_per_instance(small_catalog, mo
     assert evaluated["f(a)J = f(a)^2 J on m"] > 0 and evaluated["instance is a duplication"] > 0
 
 
+def test_fimage_plus_j_is_built_only_for_gaussian_r(small_catalog, monkeypatch):
+    # thm-2.1:1 reads "f(A) + J Gaussian" only once R is Gaussian
+    built = set()
+
+    def counted(target, f, j):
+        built.add((id(f), id(j)))
+        return f_image_plus_j(target, f, j)
+
+    monkeypatch.setattr(amalgam.amalgamation, "f_image_plus_j", counted)
+    assert verify_clauses(small_catalog, ["thm-2.1:1"])["thm-2.1:1"].status == "verified"
+    gaussian = set()
+    for spec in small_catalog.specs:
+        if (id(spec.f), id(spec.j)) in built:
+            inst = spec.build()
+            gaussian.add(holds(inst, "amalgamation Gaussian"))
+    assert gaussian == {True}
+
+
 def test_small_catalog_sweep_clean(small_catalog):
     verdicts = verify_clauses(small_catalog, list(CLAUSE_IDS), with_search=True)
     for cid, v in verdicts.items():
@@ -216,8 +234,18 @@ def test_verify_single_instance_statuses():
 
 
 def test_verify_unknown_clause():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownClauseError):
         verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), "lemma-9.9")
+    with pytest.raises(UnknownClauseError):
+        verify_instance(Evaluator().instance(parse("dup(zmod(4);2)")), "chain")
+    assert main(["verify", "lemma-9.9", "dup(zmod(4);2)"]) == 2
+
+
+def test_unknown_predicate_name_is_an_internal_error(monkeypatch, capsys):
+    # a misspelled `PREDICATES` name is a bug in this package, not bad input
+    monkeypatch.setitem(CLAUSES, "lemma-2.2", dataclasses.replace(CLAUSES["lemma-2.2"], hypotheses=("J proprer",)))
+    assert main(["verify", "lemma-2.2", "dup(zmod(4);2)"]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_duplication_criterion_includes_named_cases(small_catalog):
@@ -307,21 +335,35 @@ def test_verdict_records_are_stable(small_catalog):
     assert a == b
 
 
-def test_violation_path_reports_witness(small_catalog, monkeypatch):
+# one name each clause's conclusion reads on every instance meeting its
+# hypotheses (thm-2.1:1's consequent on those whose R is Gaussian)
+FLIPPED = {
+    "lemma-2.2": "amalgamation local",
+    "thm-2.1:1": "base ring Gaussian",
+    "thm-2.1:2": "amalgamation Gaussian",
+    "thm-2.1:3c1": "pB maps R bijectively onto f(A) + J",
+    "cor-2.3": "f(a)J = f(a)^2 J on m",
+    "prop-2.8:1": "maximal ideal of R is m |><| J",
+    "prop-2.8:2": "amalgamation total quotient ring",
+}
+
+
+def test_flipped_names_cover_every_conclusion():
+    assert set(FLIPPED) == {cid for cid, clause in CLAUSES.items() if clause.conclusion}
+    for cid, name in FLIPPED.items():
+        assert any(name in (*premise, *consequent) for premise, _, consequent in CLAUSES[cid].conclusion)
+
+
+@pytest.mark.parametrize("cid", sorted(FLIPPED))
+def test_violation_path_reports_witness(cid, small_catalog, monkeypatch):
     # the statements are proven, so a violation can only come from a bug;
-    # simulate one by inverting the locality predicate and check reporting
-    def broken_is_local(ring):
-        from amalgam.properties import is_local as real
-
-        result = real(ring)
-        return None if result is not None else "not-none"
-
-    monkeypatch.setattr(harness, "is_local", broken_is_local)
-    verdict = verify_clauses(small_catalog, ["lemma-2.2"])["lemma-2.2"]
-    assert verdict.status == "violation"
-    assert verdict.violations > 0
-    assert verdict.witness is not None and "::" in verdict.witness
+    # simulate one by negating a predicate the conclusion reads
+    name = FLIPPED[cid]
+    monkeypatch.setitem(PREDICATES, name, lambda inst, real=PREDICATES[name]: not real(inst))
+    verdict = verify_clauses(small_catalog, [cid])[cid]
+    assert verdict.status == "violation" and verdict.violations > 0
     assert not verdict.ok
+    assert ":: " in verdict.witness and f"{name}: " in verdict.witness
 
 
 def test_every_clause_and_example_name_is_a_predicate():
@@ -329,9 +371,13 @@ def test_every_clause_and_example_name_is_a_predicate():
     # conjunct on a catalog instance, so a misspelled late name would not
     # surface in any sweep
     names = [name for clause in CLAUSES.values() for name in clause.hypotheses or ()]
+    for clause in CLAUSES.values():
+        for premise, op, consequent in clause.conclusion:
+            assert op in ("=>", "<=>")
+            names += [*premise, *consequent]
     for case in EXAMPLES.values():
         names += [*case.hypotheses, *(name for name, _ in case.conclusions)]
-    # and every name that conclusion code, or a predicate, reads through `holds`
+    # and every name that harness code, or a predicate, reads through `holds`
     read = [
         node.args[1].value
         for module in (harness, amalgam.amalgamation)
@@ -339,7 +385,7 @@ def test_every_clause_and_example_name_is_a_predicate():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holds"
         and isinstance(node.args[1], ast.Constant)
     ]
-    assert len(read) >= 20
+    assert len(read) >= 15
     names += read
     assert set(names) <= set(PREDICATES), set(names) - set(PREDICATES)
 
