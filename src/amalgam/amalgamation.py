@@ -21,6 +21,10 @@ tables are the subring of A x B (f(A)+J rests on its inclusion the same
 way), so no sampled axiom screen runs.  The tests also materialize A x B
 and compare tables under the embedding.
 
+`amalgamate` checks the size cap and the closure of J at once; the tables,
+pA, pB and {0} x J are built and proved on the instance's first read of
+any of them, so an instance whose ring no reader asks for never builds it.
+
 `PREDICATES` names every side condition and conclusion that the clauses
 and worked examples read.  `holds(inst, name)` evaluates one on its first
 read and keeps the value in `inst.facts`, so an instance computes only the
@@ -42,18 +46,74 @@ from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, ho
 
 @dataclass(eq=False, repr=False)
 class AmalgamationInstance:
-    """Bundle (A, B, f, J) together with the constructed ring and its maps."""
+    """Bundle (A, B, f, J); the ring, pA, pB and {0} x J are built and proved
+    on their first read."""
 
     base: FiniteRing
     target: FiniteRing
     f: RingHom
     j: Ideal
-    ring: FiniteRing
-    to_base: RingHom
-    to_target: RingHom
-    zero_j: Ideal
     label: str
+    # jpos, jadd, jmul, fj of `amalgamate`: J positions, checked closed
+    j_tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     facts: dict[str, bool] = field(default_factory=dict)  # PREDICATES values read so far, by name
+
+    @cached_property
+    def _proved(self) -> tuple[FiniteRing, RingHom, RingHom, Ideal]:
+        """The ring from its tables, proved by pA and pB, and the kernel {0} x J of pA."""
+        base, target, jlist = self.base, self.target, self.j.indices
+        jpos, jadd, jmul, fj = self.j_tables
+        na, nj = base.size, len(jlist)
+        size = na * nj
+        # element a * nj + p is the pair (a, j_p); the tables are (a1, p1, a2, p2)
+        add = (base.add * nj)[:, None, :, None] + jadd[None, :, None, :]
+        mul = np.empty((na, nj, na, nj), dtype=np.int32)
+        base_mul = base.mul * nj
+        # jadd[x, y] is jadd_flat[x * nj + y]: gather with precomputed row offsets
+        jadd_flat = jadd.ravel()
+        fj_rows = fj * nj  # row offset of f(a1) j2, indexed (a1, p2)
+        fj_t = fj.T[None, :, :, None]  # f(a2) j1, indexed (., p1, a2, .)
+        jmul_t = jmul[None, :, None, :]
+        for start, stop in _row_blocks(na, nj * na * nj):
+            cross = np.take(jadd_flat, fj_rows[start:stop, None, None, :] + fj_t)  # f(a1) j2 + f(a2) j1
+            cross *= nj
+            cross += jmul_t
+            cross = np.take(jadd_flat, cross)  # ... + j1 j2
+            np.add(base_mul[start:stop, None, :, None], cross, out=mul[start:stop])
+        add, mul = add.reshape(size, size), mul.reshape(size, size)
+        ia = np.repeat(np.arange(na), nj)
+        jb = np.tile(jlist, na)
+        neg = np.repeat(base.neg * nj, nj) + np.tile(jpos[target.neg[jlist]], na)
+        zero = int(base.zero * nj + jpos[target.zero])
+        one = int(base.one * nj + jpos[target.zero])
+
+        second = target.add[self.f.map[ia], jb]
+        names = [
+            f"({base.element_names[a]},{target.element_names[s]})" for a, s in zip(ia, second)
+        ]
+        proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
+        ring = FiniteRing(size, add, mul, neg, zero, one, self.label, names, proof)
+        to_base, to_target = proof.homs
+        zero_j = to_base.kernel()
+        if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):
+            raise InternalCheckError("kernel of pA differs from {0} x J")
+        return ring, to_base, to_target, zero_j
+
+    @property
+    def ring(self) -> FiniteRing:
+        return self._proved[0]
+
+    @property
+    def to_base(self) -> RingHom:
+        return self._proved[1]
+
+    @property
+    def to_target(self) -> RingHom:
+        return self._proved[2]
+
+    @property
+    def zero_j(self) -> Ideal:
+        return self._proved[3]
 
     @cached_property
     def fimage_plus_j(self) -> FiniteRing:
@@ -61,7 +121,7 @@ class AmalgamationInstance:
         return f_image_plus_j(self.target, self.f, self.j)[0]
 
     def __repr__(self) -> str:
-        return f"AmalgamationInstance({self.label}, |R|={self.ring.size})"
+        return f"AmalgamationInstance({self.label}, |R|={self.base.size * len(self.j)})"
 
 
 def amalgamate(
@@ -72,7 +132,9 @@ def amalgamate(
     size_cap: int = DEFAULT_SIZE_CAP,
     label: str | None = None,
 ) -> AmalgamationInstance:
-    """Construct base |><|^f j from a validated hom and an ideal of the target."""
+    """base |><|^f j from a validated hom and an ideal of the target.  The
+    size cap and the closure of J are checked here; the ring is built on the
+    instance's first read of it."""
     if f.source is not base or f.target is not target:
         raise MixedRingError("amalgamate: hom endpoints do not match the given rings")
     if j.ring is not target:
@@ -82,55 +144,20 @@ def amalgamate(
     if size > size_cap:
         raise CapExceededError(f"amalgamation would have {size} elements, cap is {size_cap}")
 
-    na, jlist = base.size, j.indices
+    jlist = j.indices
     jpos = np.full(target.size, -1, dtype=np.int32)
     jpos[jlist] = np.arange(nj, dtype=np.int32)
-    fmap = f.map
     # J positions of j1 + j2, j1 * j2 and f(a) * j
     jadd = jpos[target.add[np.ix_(jlist, jlist)]]
     jmul = jpos[target.mul[np.ix_(jlist, jlist)]]
-    fj = jpos[target.mul[np.ix_(fmap, jlist)]]
+    fj = jpos[target.mul[np.ix_(f.map, jlist)]]
     if jadd.min() < 0 or jmul.min() < 0 or fj.min() < 0:
         raise InternalCheckError("ideal not closed under the amalgamation rule")
-
-    # element a * nj + p is the pair (a, j_p); the tables are (a1, p1, a2, p2)
-    add = (base.add * nj)[:, None, :, None] + jadd[None, :, None, :]
-    mul = np.empty((na, nj, na, nj), dtype=np.int32)
-    base_mul = base.mul * nj
-    # jadd[x, y] is jadd_flat[x * nj + y]: gather with precomputed row offsets
-    jadd_flat = jadd.ravel()
-    fj_rows = fj * nj  # row offset of f(a1) j2, indexed (a1, p2)
-    fj_t = fj.T[None, :, :, None]  # f(a2) j1, indexed (., p1, a2, .)
-    jmul_t = jmul[None, :, None, :]
-    for start, stop in _row_blocks(na, nj * na * nj):
-        cross = np.take(jadd_flat, fj_rows[start:stop, None, None, :] + fj_t)  # f(a1) j2 + f(a2) j1
-        cross *= nj
-        cross += jmul_t
-        cross = np.take(jadd_flat, cross)  # ... + j1 j2
-        np.add(base_mul[start:stop, None, :, None], cross, out=mul[start:stop])
-    add, mul = add.reshape(size, size), mul.reshape(size, size)
-    ia = np.repeat(np.arange(na), nj)
-    jb = np.tile(jlist, na)
-    neg = np.repeat(base.neg * nj, nj) + np.tile(jpos[target.neg[jlist]], na)
-    zero = int(base.zero * nj + jpos[target.zero])
-    one = int(base.one * nj + jpos[target.zero])
-
-    second = target.add[fmap[ia], jb]
-    names = [
-        f"({base.element_names[a]},{target.element_names[s]})" for a, s in zip(ia, second)
-    ]
     if label is None:
         gens = ",".join(str(g) for g in j.generators())
         hom_tag = f.label or "hom"
         label = f"amalg({base.label},{target.label},{hom_tag};{gens})"
-
-    proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
-    ring = FiniteRing(size, add, mul, neg, zero, one, label, names, proof)
-    to_base, to_target = proof.homs
-    zero_j = to_base.kernel()
-    if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):
-        raise InternalCheckError("kernel of pA differs from {0} x J")
-    return AmalgamationInstance(base, target, f, j, ring, to_base, to_target, zero_j, label)
+    return AmalgamationInstance(base, target, f, j, label, (jpos, jadd, jmul, fj))
 
 
 def duplication(ring: FiniteRing, ideal: Ideal, size_cap: int = DEFAULT_SIZE_CAP) -> AmalgamationInstance:
@@ -201,7 +228,7 @@ def _maximal_is_m_times_j(inst: AmalgamationInstance) -> bool:
 # radical is its nilradical, read off the nilpotent mask.
 PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
-    "base ring local": lambda i: is_local(i.base) is not None,
+    "base ring local": lambda i: i.base.is_local,
     "base ring local and not a field": lambda i: holds(i, "base ring local") and holds(i, "base ring not a field"),
     "base ring not a field": lambda i: not is_field(i.base),
     "base ring reduced": lambda i: is_reduced(i.base),
@@ -211,7 +238,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "base ring not Gaussian": lambda i: not holds(i, "base ring Gaussian"),
     "base ring total quotient ring": lambda i: is_total_quotient_ring(i.base),
     "maximal ideal squares to zero": _maximal_squares_to_zero,
-    "target ring local": lambda i: is_local(i.target) is not None,
+    "target ring local": lambda i: i.target.is_local,
     "target ring Gaussian": lambda i: is_gaussian(i.target),
     "f injective": lambda i: i.f.is_injective,
     "f not injective": lambda i: not holds(i, "f injective"),
@@ -233,7 +260,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
     "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
     "amalgamation Prufer": lambda i: is_prufer(i.ring),
-    "amalgamation local": lambda i: is_local(i.ring) is not None,
+    "amalgamation local": lambda i: i.ring.is_local,
     "amalgamation total quotient ring": lambda i: is_total_quotient_ring(i.ring),
     "amalgamation local total quotient ring": (
         lambda i: holds(i, "amalgamation local") and holds(i, "amalgamation total quotient ring")

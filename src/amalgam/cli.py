@@ -359,6 +359,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_ring_size", DEFAULT_SIZE_CAP) < 1:
+        sys.stderr.write(f"error: --max-ring-size must be >= 1, got {args.max_ring_size}\n")
+        return _USAGE_ERROR
     try:
         code = args.func(args)
     except ParseError as exc:

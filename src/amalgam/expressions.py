@@ -365,11 +365,23 @@ class Evaluator:
         return built
 
     def instance(self, expr: RingExpr) -> AmalgamationInstance:
-        """The amalgamation instance behind a dup/amalg expression."""
-        self.ring(expr)
-        if expr not in self._instances:
+        """The amalgamation instance behind a dup/amalg expression, its ring
+        not yet built."""
+        if expr in self._instances:
+            return self._instances[expr]
+        if isinstance(expr, DupExpr):
+            base = self.ring(expr.ring)
+            inst = duplication(base, self._ideal(base, expr.gens), self.size_cap)
+        elif isinstance(expr, AmalgExpr):
+            base = self.ring(expr.base)
+            target = self.ring(expr.target)
+            f = self.resolve_hom(expr.hom, base, expr.target)
+            inst = amalgamate(base, target, f, self._ideal(target, expr.gens), self.size_cap)
+        else:
+            self.ring(expr)  # an expression that fails to evaluate reports that first
             raise EvaluationError(f"{expr.unparse()} is not an amalgamation expression")
-        return self._instances[expr]
+        self._instances[expr] = inst
+        return inst
 
     def _build(self, expr: RingExpr) -> FiniteRing:
         if isinstance(expr, ZmodExpr):
@@ -391,19 +403,8 @@ class Evaluator:
             module = self.module(expr.module, base)
             ext, self._homs[expr] = trivial_extension(base, module, self.size_cap)
             return ext
-        if isinstance(expr, DupExpr):
-            base = self.ring(expr.ring)
-            inst = duplication(base, self._ideal(base, expr.gens), self.size_cap)
-            self._instances[expr] = inst
-            return inst.ring
-        if isinstance(expr, AmalgExpr):
-            base = self.ring(expr.base)
-            target = self.ring(expr.target)
-            f = self.resolve_hom(expr.hom, base, expr.target)
-            ideal = self._ideal(target, expr.gens)
-            inst = amalgamate(base, target, f, ideal, self.size_cap)
-            self._instances[expr] = inst
-            return inst.ring
+        if isinstance(expr, (DupExpr, AmalgExpr)):
+            return self.instance(expr).ring
         raise EvaluationError(f"unsupported expression {expr!r}")
 
     def _ideal(self, ring: FiniteRing, gens: tuple[int, ...]) -> Ideal:

@@ -211,7 +211,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     second_generation = [
         (expr, ring)
         for expr, ring in zip(exprs, rings)
-        if isinstance(expr, TrivextExpr) and ring.size <= 16 and is_local(ring) is not None
+        if isinstance(expr, TrivextExpr) and ring.size <= 16 and ring.is_local
     ]
     for expr, ring in second_generation:
         extend(expr, ResfieldExpr(1))
@@ -231,7 +231,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     # a thin layer of extensions over quotients, so embed-after-proj
     # compositions have catalog instances
     for expr, ring in [(e, r) for e, r in zip(exprs, rings) if isinstance(e, QuotExpr)]:
-        if ring.size <= 8 and is_local(ring) is not None and ring.size > 1:
+        if ring.size <= 8 and ring.is_local:
             extend(expr, ResfieldExpr(1))
 
     # amalgamation instances
@@ -467,7 +467,7 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> tuple[str | None, bool]:
 def _machine_check_vacuity(catalog: Catalog) -> None:
     """Verify over the catalog that every reduced local ring is a field."""
     for ring in catalog.rings:
-        if is_local(ring) is not None and is_reduced(ring) and not is_field(ring):
+        if ring.is_local and is_reduced(ring) and not is_field(ring):
             raise InternalCheckError(
                 f"{ring.label}: finite reduced local ring that is not a field"
             )
@@ -551,7 +551,7 @@ def verify_duplication_criterion(catalog: Catalog) -> Verdict:
     """cor-2.3 over every local catalog ring of size <= 16 and every proper ideal."""
     v = Verdict(clause="cor-2.3", status="vacuous")
     for ring in catalog.rings:
-        if ring.size > 16 or is_local(ring) is None:
+        if ring.size > 16 or not ring.is_local:
             continue
         for ideal in all_ideals(ring):
             if ideal.is_whole:

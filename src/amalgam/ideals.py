@@ -272,8 +272,9 @@ def ideal_count_lower_bound(ring: FiniteRing) -> int:
     return bound
 
 
-def _local_ideals(factor: FiniteRing, budget: int, too_many: CapExceededError) -> np.ndarray:
-    """Every ideal of a local factor as bool rows, unsorted; refuses past `budget`.
+def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
+    """Every ideal of a local factor as bool rows, unsorted; refuses past
+    `budget` with a CapExceededError saying `refusal`.
 
     Every ideal is a sum of principal ideals, so the distinct rows of
     `principal_membership` are closed under joins with them, in
@@ -298,7 +299,7 @@ def _local_ideals(factor: FiniteRing, budget: int, too_many: CapExceededError) -
                 found[key] = None
                 new.append(row)
         if len(found) > budget:
-            raise too_many
+            raise CapExceededError(refusal)
         return masks[new]
 
     frontier = admit(factor.principal_membership)
@@ -345,13 +346,15 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
         raise CapExceededError(
             f"ideal lattice enumeration needs |ring| <= {MAX_LATTICE_SIZE}, got {ring.size}"
         )
-    too_many = CapExceededError(f"{ring.label} has more than {max_ideals} ideals")
+    # a message, not an exception object: an exception kept in a local of a
+    # frame on its own traceback would tie that frame, and the ring, in a cycle
+    refusal = f"{ring.label} has more than {max_ideals} ideals"
     if ideal_count_lower_bound(ring) > max_ideals:
-        raise too_many
+        raise CapExceededError(refusal)
     n = ring.size
     lattice = np.ones((1, n), dtype=bool)
-    for factor, proj in ring.local_factors:
-        pulled = _local_ideals(factor, max_ideals // len(lattice), too_many)[:, proj.map]
+    for factor, proj in ring.local_factor_homs():
+        pulled = _local_ideals(factor, max_ideals // len(lattice), refusal)[:, proj.map]
         lattice = (lattice[:, None, :] & pulled[None, :, :]).reshape(-1, n)
     packed = np.packbits(lattice, axis=1)
     # lexsort's last key is the primary one: size ascending, then bytes 0, 1, ... descending
@@ -383,8 +386,9 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Maximal ideals, one per local factor (`FiniteRing.maximal_ideals`)."""
-    return list(ring.maximal_ideals)
+    """Maximal ideals, one per local factor, built afresh on each call from the
+    masks the ring keeps (`FiniteRing.maximal_masks`)."""
+    return [Ideal._from_mask(ring, mask) for mask in ring.maximal_masks]
 
 
 def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:

@@ -19,7 +19,7 @@ from .errors import (
     NotMaximalError,
     StructureError,
 )
-from .ideals import Ideal, _additive_closure, maximal_ideals
+from .ideals import Ideal, _additive_closure
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _cosets, _max_digits, _row_blocks, quotient
 
 
@@ -108,7 +108,7 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
     annihilates every element."""
     if m.ring is not ring:
         raise MixedRingError("vspace_over_residue: ideal belongs to a different ring")
-    if not any(mx.members == m.members for mx in maximal_ideals(ring)):
+    if not any(np.array_equal(mask, m.mask) for mask in ring.maximal_masks):
         raise NotMaximalError("vspace_over_residue requires a maximal ideal")
     if dim < 1:
         raise ValueError("vector space dimension must be >= 1")

@@ -106,9 +106,9 @@ def content(f: Polynomial) -> Ideal:
 
 
 def is_local(ring: FiniteRing) -> Ideal | None:
-    """The unique maximal ideal if there is exactly one, else None."""
-    ms = maximal_ideals(ring)
-    return ms[0] if len(ms) == 1 else None
+    """The unique maximal ideal if there is exactly one, else None; a caller
+    that needs only the answer reads `ring.is_local`, which builds no ideal."""
+    return maximal_ideals(ring)[0] if ring.is_local else None
 
 
 def is_reduced(ring: FiniteRing) -> bool:
@@ -159,7 +159,7 @@ def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] |
     row-major order: a is the first element whose orbit row fails, b the
     first element failing against it.
     """
-    if is_local(ring) is None:
+    if not ring.is_local:
         raise NotLocalError(f"{ring.label} is not local")
     mul, zero = ring.mul, ring.zero
     reps, orbit = _unit_orbits(ring)
@@ -225,7 +225,7 @@ def gaussian_check(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]
 
 
 def _gaussian_check_uncached(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]:
-    for factor, _proj in ring.local_factors:
+    for factor, _proj in ring.local_factor_homs():
         ok, pair = local_gaussian_pair_check(factor)
         if not ok:
             a, b = pair
@@ -392,7 +392,7 @@ def is_arithmetical(ring: FiniteRing) -> bool:
     without enumerating the full-ring ideal lattice.
     """
     verdict = True
-    for factor, _proj in ring.local_factors:
+    for factor, _proj in ring.local_factor_homs():
         in_principal = factor.principal_membership
         incomparable = ~(in_principal | in_principal.T)
         if incomparable.any():
@@ -485,8 +485,9 @@ def property_report(ring: FiniteRing, oracle_degree: int | None = None) -> Prope
         reduced=is_reduced(ring),
         field=is_field(ring),
         total_quotient_ring=is_total_quotient_ring(ring),
-        # a finite ring is a chain ring iff arithmetical with <= 1 local factor
-        chain_ring=arith_ok and len(ring.local_factors) <= 1,
+        # a finite ring is a chain ring iff arithmetical with no proper local
+        # factor (it is local, or the zero ring)
+        chain_ring=arith_ok and not ring.local_factors,
         gaussian=gauss_ok,
         arithmetical=arith_ok,
         prufer=is_prufer(ring),

@@ -20,6 +20,13 @@ blocks of at most `_BLOCK_ENTRIES` entries, so their memory is O(output +
 block) rather than a handful of n x n temporaries; every pair is still
 checked.  Commutativity compares each table with its transpose one pair
 of `_TILE`-wide square tiles at a time, which keeps both tiles in cache.
+
+No cached value of a ring refers back to it: `local_factors` keeps the
+proper factors and their projection maps and `maximal_masks` the masks, and
+the homs and ideals callers read (`local_factor_homs`,
+`ideals.maximal_ideals`) wrap them afresh without re-validating.  So a ring
+sits in no reference cycle and is freed by its refcount once its last user
+drops it.
 """
 from __future__ import annotations
 
@@ -303,15 +310,19 @@ class FiniteRing:
         return tuple(prim)
 
     @cached_property
-    def local_factors(self) -> tuple[tuple[FiniteRing, RingHom], ...]:
-        """Local factor rings cut out by the primitive idempotents.
+    def local_factors(self) -> tuple[tuple[FiniteRing, np.ndarray], ...] | None:
+        """The proper local factor rings cut out by the primitive idempotents,
+        each with the index map of its projection; None for a local ring,
+        which is its own single factor, and () for the zero ring.
 
-        Factor i is the quotient by <1 - e_i> (the annihilator of e_i) with
-        the canonical projection; the factor sizes multiply to |ring|.  A
-        ring that is already local is its own single factor.
+        Factor i is the quotient by <1 - e_i> (the annihilator of e_i), whose
+        projection `quotient` validates once as a ring hom; the factor sizes
+        multiply to |ring|.  Only the factors and maps are kept, never a hom
+        or an ideal of this ring, so the cache holds no reference back to it
+        (read the pairs through `local_factor_homs`).
         """
         if self.primitive_idempotent_list == (self.one,):
-            return ((self, hom_identity(self)),)
+            return None
         factors = []
         total = 1
         for e in self.primitive_idempotent_list:
@@ -320,22 +331,43 @@ class FiniteRing:
             fac, proj = quotient(self, kernel)
             if len(fac.idempotent_list) > (2 if fac.size > 1 else 1):
                 raise InternalCheckError("local factor has nontrivial idempotents")
-            factors.append((fac, proj))
+            factors.append((fac, proj.map))
             total *= fac.size
         if self.size > 1 and total != self.size:
             raise InternalCheckError("local factor sizes do not multiply to ring size")
         return tuple(factors)
 
+    @property
+    def is_local(self) -> bool:
+        """Exactly one maximal ideal: the ring is its own single local factor."""
+        return self.local_factors is None
+
+    def local_factor_homs(self) -> tuple[tuple[FiniteRing, RingHom], ...]:
+        """(factor, projection) per local factor, in factor order; a local ring
+        is its own single factor under the identity.  The homs wrap the maps
+        of `local_factors`, validated when each factor was built, and are made
+        afresh on each call."""
+        if self.local_factors is None:
+            identity = np.arange(self.size, dtype=np.int32)
+            identity.flags.writeable = False
+            return ((self, RingHom._from_map(self, self, identity, "id")),)
+        return tuple((fac, RingHom._from_map(self, fac, m, "proj")) for fac, m in self.local_factors)
+
     @cached_property
-    def maximal_ideals(self) -> tuple[Ideal, ...]:
-        """Maximal ideals, one per local factor, in factor order.
+    def maximal_masks(self) -> tuple[np.ndarray, ...]:
+        """Membership masks of the maximal ideals, one per local factor, in
+        factor order (`ideals.maximal_ideals` reads them as ideals).
 
         The maximal ideals of a finite commutative ring are the pullbacks of
         the non-units of its local factors, so no lattice enumeration runs.
         """
-        return tuple(
-            Ideal._from_mask(self, ~factor.units_mask[proj.map]) for factor, proj in self.local_factors
-        )
+        if self.local_factors is None:
+            masks = [~self.units_mask]
+        else:
+            masks = [~fac.units_mask[m] for fac, m in self.local_factors]
+        for mask in masks:
+            mask.flags.writeable = False
+        return tuple(masks)
 
     @cached_property
     def ideal_lattice(self) -> np.ndarray | str:
@@ -388,6 +420,14 @@ class RingHom:
         self.map = m
         self.label = label
         self._validate()
+
+    @classmethod
+    def _from_map(cls, source: FiniteRing, target: FiniteRing, index_map: np.ndarray, label: str | None) -> RingHom:
+        """The hom given by `index_map`, a read-only int32 map already known to
+        be a ring hom (one validated before, or the identity): no checks run."""
+        hom = cls.__new__(cls)
+        hom.source, hom.target, hom.map, hom.label = source, target, index_map, label
+        return hom
 
     def _validate(self) -> None:
         src, tgt, m = self.source, self.target, self.map

@@ -1,6 +1,8 @@
 import time
 from pathlib import Path
 
+import pytest
+
 import amalgam.cli
 import amalgam.harness
 import amalgam.properties
@@ -110,6 +112,15 @@ def test_negative_oracle_degree_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --oracle-degree")
+
+
+@pytest.mark.parametrize("command", [("props", "zmod(2)"), ("verify", "lemma-2.2", "dup(zmod(4);2)"), ("examples",)])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_ring_size_below_one_is_a_usage_error(capsys, command, cap):
+    code, out, err = run_cli(capsys, *command, "--max-ring-size", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-ring-size must be >= 1, got {cap}\n"
 
 
 def test_examples_build_no_catalog(capsys, monkeypatch, example_reports):

@@ -5,14 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-from amalgam import cli
-from amalgam.amalgamation import amalgamate, duplication, f_image_plus_j
+from amalgam import cli, rings
+from amalgam.amalgamation import PREDICATES, amalgamate, duplication, f_image_plus_j, holds
 from amalgam.errors import InternalCheckError
 from amalgam.expressions import ComposeHomExpr, EmbedHomExpr, Evaluator, ProjHomExpr, parse
-from amalgam.harness import EXAMPLES
-from amalgam.ideals import ideal_generated
+from amalgam.harness import EXAMPLES, reproduce_examples
+from amalgam.ideals import ideal_generated, maximal_ideals
 from amalgam.modules import trivial_extension, vspace_over_residue
-from amalgam.properties import is_arithmetical, property_report
+from amalgam.properties import gaussian_check, is_arithmetical, is_local, property_report
 from amalgam.rings import FiniteRing, Proof, RingHom, product, quotient, truncated_poly_algebra, zmod
 from oracles import is_chain_ring
 
@@ -84,8 +84,8 @@ def test_only_derived_rings_skip_the_cubic_screen(monkeypatch):
     quotient(z12, ideal_generated(z12, [4]))
     product(z4, z4)
     product(z1, z3)
-    amalgamate(z4, target, embed, ideal_generated(target, [1, 4]))
-    duplication(z8, ideal_generated(z8, [4]))
+    amalgamate(z4, target, embed, ideal_generated(target, [1, 4])).ring  # built on first read
+    duplication(z8, ideal_generated(z8, [4])).ring
     f_image_plus_j(target, embed, ideal_generated(target, [4]))
     for build in (
         lambda: zmod(20),
@@ -97,7 +97,20 @@ def test_only_derived_rings_skip_the_cubic_screen(monkeypatch):
             build()
 
 
-def test_derived_ring_keeps_no_reference_to_its_proof():
+def _record_rings(monkeypatch) -> list[tuple[str, weakref.ref]]:
+    """(label, weakref) of every ring constructed from now on."""
+    built = []
+    init = FiniteRing.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.label, weakref.ref(self)))
+
+    monkeypatch.setattr(FiniteRing, "__init__", recording)
+    return built
+
+
+def test_derived_ring_keeps_no_reference_to_its_proof(monkeypatch):
     z12 = zmod(12)
     gc.disable()
     try:
@@ -106,8 +119,57 @@ def test_derived_ring_keeps_no_reference_to_its_proof():
         ref = weakref.ref(quot)
         del quot, proj
         assert ref() is None  # freed by its refcount: no ring -> hom -> ring cycle
+
+        # nor does any cache: one ring per constructor, every structure read
+        built = _record_rings(monkeypatch)
+        ev = Evaluator()
+        for text in (
+            "zmod(12)",
+            "tpa(2,2,2)",
+            "product(zmod(4),tpa(2,2,2))",
+            "quot(zmod(12);4)",
+            "trivext(zmod(4);resfield(1))",
+            "dup(zmod(6);2)",
+            "amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)",
+            # refused by the ideal guard: by its lower bound, then while enumerating
+            "trivext(zmod(2);resfield(5))",
+            "dup(trivext(zmod(8);resfield(1));1,4)",
+        ):
+            property_report(ev.ring(parse(text)))
+        inst = ev.instance(parse("amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)"))
+        for name in PREDICATES:
+            holds(inst, name)
+        property_report(inst.fimage_plus_j)
+        labels = [label for label, _ in built]
+        assert any(label.startswith("quot(dup(zmod(6);2);") for label in labels)  # a local factor
+        assert any(label.startswith("subring(fimage+J;") for label in labels)
+        del ev, inst
+        assert [label for label, ref in built if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_structure_is_computed_once_and_unread_rings_are_not_built(monkeypatch):
+    quotients, validated = [], []
+    real_quotient, real_validate = rings.quotient, RingHom._validate
+    monkeypatch.setattr(rings, "quotient", lambda *args: quotients.append(args) or real_quotient(*args))
+    monkeypatch.setattr(RingHom, "_validate", lambda self: validated.append(self) or real_validate(self))
+    ring = Evaluator().ring(parse("product(zmod(4),tpa(2,2,2))"))  # a chain factor and a Gaussian non-chain one
+    validated.clear()
+    for _ in range(3):
+        assert len(ring.local_factors) == len(ring.local_factor_homs()) == len(maximal_ideals(ring)) == 2
+        assert not ring.is_local and is_local(ring) is None
+        assert gaussian_check(ring)[0] and not is_arithmetical(ring)
+    # the quotient's proof validates its projection, once per factor
+    assert len(quotients) == 2 and [h.label for h in validated] == ["proj", "proj"]
+
+    # example 2.7 misses a hypothesis on its surrogate, whose ring nobody reads
+    surrogate = Evaluator().instance(parse(EXAMPLES["2.7"].expression)).label
+    built = _record_rings(monkeypatch)
+    (report,) = reproduce_examples(example_ids=("2.7",))
+    assert report.status == "pass" and report.replaced_with is not None
+    labels = [label for label, _ in built]
+    assert report.replaced_with in labels and surrogate not in labels
 
 
 def test_compose_hom_resolves_with_one_hom_construction(monkeypatch):
@@ -144,6 +206,6 @@ def test_chain_ring_is_arithmetical_with_at_most_one_local_factor(catalog):
         inst = Evaluator().instance(parse(case.expression))
         rings += [inst.ring, inst.base, inst.target, inst.fimage_plus_j]
     for ring in rings:
-        assert is_chain_ring(ring) == (is_arithmetical(ring) and len(ring.local_factors) <= 1), ring.label
+        assert is_chain_ring(ring) == (is_arithmetical(ring) and len(ring.local_factor_homs()) <= 1), ring.label
     for ring in (zmod(1), zmod(8), zmod(12), product(zmod(2), zmod(2))):
         assert property_report(ring).chain_ring == is_chain_ring(ring), ring.label

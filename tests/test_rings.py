@@ -11,7 +11,7 @@ from amalgam.errors import (
 )
 from amalgam.harness import _tpa_parameter_sweep
 from amalgam.expressions import ComposeHomExpr, Evaluator, IdHomExpr, ProjHomExpr, parse
-from amalgam.ideals import ideal_generated
+from amalgam.ideals import ideal_generated, maximal_ideals
 from amalgam.rings import (
     FiniteRing,
     RingHom,
@@ -248,21 +248,23 @@ def test_primitive_idempotents_oracle():
 
 
 def test_factor_local_sizes():
-    assert sorted(f.size for f, _ in zmod(6).local_factors) == [2, 3]
+    assert sorted(f.size for f, _ in zmod(6).local_factor_homs()) == [2, 3]
     z4 = zmod(4)
-    facs = z4.local_factors
+    facs = z4.local_factor_homs()
     assert len(facs) == 1 and facs[0][0] is z4  # a local ring is its own factor
+    assert z4.local_factors is None and z4.is_local
     p = product(zmod(4), zmod(2))
-    assert sorted(f.size for f, _ in p.local_factors) == [2, 4]
+    assert sorted(f.size for f, _ in p.local_factor_homs()) == [2, 4]
 
 
 def test_factor_local_zero_ring():
-    assert zmod(1).local_factors == ()
+    assert zmod(1).local_factors == () == zmod(1).local_factor_homs()
+    assert not zmod(1).is_local
 
 
 def test_factor_reconstruction_bijection():
     for ring in (zmod(6), zmod(12), product(zmod(2), zmod(2)), product(zmod(4), zmod(9))):
-        factors = ring.local_factors
+        factors = ring.local_factor_homs()
         sizes = [f.size for f, _ in factors]
         images = set()
         for x in range(ring.size):
@@ -281,7 +283,7 @@ def test_factor_reconstruction_bijection():
 def test_localize_at_max():
     # the i-th maximal ideal is the kernel of the i-th factor's residue map
     def factor_of(ring, m):
-        (pair,) = [pair for pair, mx in zip(ring.local_factors, ring.maximal_ideals) if mx == m]
+        (pair,) = [pair for pair, mx in zip(ring.local_factor_homs(), maximal_ideals(ring)) if mx == m]
         return pair[0]
 
     z6 = zmod(6)
@@ -291,9 +293,9 @@ def test_localize_at_max():
     p = product(zmod(2), zmod(2))
     assert factor_of(p, ideal_generated(p, [1])).size == 2  # {(0,0),(0,1)}
     for ring in (z6, z4, p, zmod(12), product(zmod(4), zmod(9))):
-        for (factor, proj), m in zip(ring.local_factors, ring.maximal_ideals):
+        for (factor, proj), m in zip(ring.local_factor_homs(), maximal_ideals(ring)):
             assert (m.mask == ~factor.units_mask[proj.map]).all()
-    assert ideal_generated(z6, []) not in z6.maximal_ideals
+    assert ideal_generated(z6, []) not in maximal_ideals(z6)
 
 
 def test_validate_catches_broken_tables():
