@@ -225,7 +225,8 @@ def _maximal_is_m_times_j(inst: AmalgamationInstance) -> bool:
 # the name the example reports print; "amalgamation" and R both name the
 # constructed ring.  Each is computed on its first read through `holds`; a
 # negated name reads its positive name.  B is finite, so its Jacobson
-# radical is its nilradical, read off the nilpotent mask.
+# radical is its nilradical, read off the nilpotent mask, and "J inside
+# Nilp(B)" is "J inside Rad(B)".
 PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
     "base ring local": lambda i: i.base.is_local,
@@ -250,7 +251,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "I proper and nonzero": lambda i: holds(i, "J proper and nonzero"),
     "J inside Rad(B)": lambda i: bool(i.target.nilpotent_mask[i.j.indices].all()),
     "J inside Z(B)": lambda i: bool(i.target.zero_divisor_mask[i.j.indices].all()),
-    "J inside Nilp(B)": lambda i: holds(i, "J inside Rad(B)") and holds(i, "J meets Nilp(B) beyond zero"),
+    "J inside Nilp(B)": lambda i: holds(i, "J inside Rad(B)"),
     "J meets Nilp(B) only in zero": lambda i: int(i.target.nilpotent_mask[i.j.indices].sum()) == 1,
     "J meets Nilp(B) beyond zero": lambda i: not holds(i, "J meets Nilp(B) only in zero"),
     "J^2 = 0": lambda i: ideal_product(i.j, i.j).is_zero,

@@ -256,13 +256,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     reports = reproduce_examples(catalog)
     _timing(args.timing, "suite", time.perf_counter() - started)
     violation = False
-    for cid in CLAUSE_IDS:
-        for line in _verdict_lines(verdicts[cid], args.machine):
+    for verdict in verdicts.values():  # every clause, then the search
+        for line in _verdict_lines(verdict, args.machine):
             _emit(line)
-        violation = violation or not verdicts[cid].ok
-    for line in _verdict_lines(verdicts["search"], args.machine):
-        _emit(line)
-    violation = violation or not verdicts["search"].ok
+        violation = violation or not verdict.ok
     for report in reports:
         for line in _example_lines(report, args.machine):
             _emit(line)

@@ -377,8 +377,7 @@ class Evaluator:
             target = self.ring(expr.target)
             f = self.resolve_hom(expr.hom, base, expr.target)
             inst = amalgamate(base, target, f, self._ideal(target, expr.gens), self.size_cap)
-        else:
-            self.ring(expr)  # an expression that fails to evaluate reports that first
+        else:  # refused by its node type, before any of it is evaluated
             raise EvaluationError(f"{expr.unparse()} is not an amalgamation expression")
         self._instances[expr] = inst
         return inst

@@ -6,8 +6,11 @@ hypotheses as a tuple of names from the predicate table
 fails (`verify CLAUSE EXPR` names it), and its conclusion as statements
 (premise names, "=>" or "<=>", consequent names) over the same table.  One
 evaluator reads every statement through the per-instance memo `holds`; a
-"=>" reads its consequent only when its premise holds.  A sweep over the
-catalog yields one Verdict per clause; a violation means a bug in this
+"=>" reads its consequent only when its premise holds; its tallies count
+the instances meeting its hypotheses on which named facts read a value.  One
+sweep loop scores clauses over (instance, tags) pairs, the catalog's specs
+or cor-2.3's small duplications, and takes the rows `chain` and the search
+read.  It yields one Verdict per clause; a violation means a bug in this
 package (the statements are proven), so the harness treats any violation as
 a hard failure with a witness that lists every name read, with its value.
 
@@ -43,6 +46,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -334,8 +338,9 @@ Statement = tuple[tuple[str, ...], str, tuple[str, ...]]
 @dataclass(frozen=True)
 class Clause:
     """One clause of the paper: its hypotheses, as `PREDICATES` names that
-    must all hold, and its conclusion, `Statement`s over the same names that
-    must all hold on every instance meeting them.
+    must all hold, its conclusion, `Statement`s over the same names that
+    must all hold on every instance meeting them, and its tallies, (count
+    key, a conjunction of names, value), counted over those instances.
 
     A clause without a conclusion has hypotheses that no finite instance
     meets, so meeting them is an internal error.  `chain` has neither: it
@@ -345,6 +350,7 @@ class Clause:
     description: str
     hypotheses: tuple[str, ...] | None = None
     conclusion: tuple[Statement, ...] = ()
+    tallies: tuple[tuple[str, tuple[str, ...], bool], ...] = ()
 
 
 def _conjunction(inst: AmalgamationInstance, names: tuple[str, ...], read: list[tuple[str, bool]]) -> bool:
@@ -376,6 +382,7 @@ def _conclusion_holds(inst: AmalgamationInstance, clause: Clause) -> tuple[bool,
 _THEOREM = ("base ring local", "J proper and nonzero", "J inside Rad(B)")
 _LOCAL_TQR = (*_THEOREM, "J inside Z(B)", "base ring total quotient ring")
 _R_GAUSSIAN = ("amalgamation Gaussian",)
+_THM_2_1_2_RHS = ("base ring Gaussian", "f(a)J = f(a)^2 J on m")
 _R_LOCAL_TQR: Statement = (
     (),
     "=>",
@@ -387,6 +394,7 @@ CLAUSES: dict[str, Clause] = {
         "R local iff base local and J inside Rad(B)",
         ("J proper",),
         ((("amalgamation local",), "<=>", ("base ring local", "J inside Rad(B)")),),
+        (("j_not_in_rad", ("J inside Rad(B)",), False),),
     ),
     "thm-2.1:1": Clause(
         "R Gaussian implies base and f(A)+J Gaussian",
@@ -396,7 +404,8 @@ CLAUSES: dict[str, Clause] = {
     "thm-2.1:2": Clause(
         "J^2=0: R Gaussian iff base Gaussian and f(a)J=f(a)^2J on m",
         (*_THEOREM, "J^2 = 0"),
-        ((_R_GAUSSIAN, "<=>", ("base ring Gaussian", "f(a)J = f(a)^2 J on m")),),
+        ((_R_GAUSSIAN, "<=>", _THM_2_1_2_RHS),),
+        (("rhs_true", _THM_2_1_2_RHS, True), ("rhs_false", _THM_2_1_2_RHS, False)),
     ),
     "thm-2.1:3c1": Clause(
         "f injective, f(A) meet J = 0: R Gaussian iff f(A)+J Gaussian",
@@ -422,6 +431,7 @@ CLAUSES: dict[str, Clause] = {
         "duplication Gaussian iff base Gaussian, I^2=0 and aI=a^2I on m",
         ("instance is a duplication", "base ring local", "J proper"),
         ((_R_GAUSSIAN, "<=>", ("base ring Gaussian", "f(a)J = f(a)^2 J on m", "J^2 = 0")),),
+        (("gaussian_true", _R_GAUSSIAN, True), ("gaussian_false", _R_GAUSSIAN, False)),
     ),
     "prop-2.8:1": Clause(
         "base local TQR, f injective, f(A) meet J != 0: R local TQR (Prufer)",
@@ -464,73 +474,74 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> tuple[str | None, bool]:
     return None, ok
 
 
-def _machine_check_vacuity(catalog: Catalog) -> None:
-    """Verify over the catalog that every reduced local ring is a field."""
-    for ring in catalog.rings:
-        if ring.is_local and is_reduced(ring) and not is_field(ring):
-            raise InternalCheckError(
-                f"{ring.label}: finite reduced local ring that is not a field"
-            )
+# The arithmetical => Gaussian => Prufer facts of one ring: (label,
+# arithmetical, Gaussian, Prufer), read by `chain` and the search.
+Row = tuple[str, bool, bool, bool]
+
+
+def _row(ring: FiniteRing) -> Row:
+    return ring.label, is_arithmetical(ring), is_gaussian(ring), is_prufer(ring)
+
+
+def _sweep(verdicts: list[Verdict], population: Iterable, rows: list[Row] | None = None) -> None:
+    """Score each verdict's clause on every (instance, tags) pair.  On an
+    instance meeting the clause's hypotheses, count its tags and the
+    clause's tallies; with `rows`, append the row of each instance ring."""
+    for inst, tags in population:
+        for v in verdicts:
+            if _score(v, inst)[0] is not None:
+                continue
+            for tag in tags:
+                v.counts[f"tag_{tag}"] += 1
+            for key, names, value in CLAUSES[v.clause].tallies:
+                if all(holds(inst, name) for name in names) == value:
+                    v.counts[key] += 1
+        if rows is not None:
+            rows.append(_row(inst.ring))
+
+
+def _finish(v: Verdict, catalog: Catalog) -> Verdict:
+    """Set the status of a swept instance clause from its counts; a vacuous
+    clause's reason is machine-checked over the catalog's rings."""
+    if v.violations:
+        v.status = "violation"
+    elif v.applicable:
+        v.status = "verified"
+    elif not CLAUSES[v.clause].conclusion:
+        for ring in catalog.rings:
+            if ring.is_local and is_reduced(ring) and not is_field(ring):
+                raise InternalCheckError(f"{ring.label}: finite reduced local ring that is not a field")
+        v.reason = VACUITY_REASON
+    else:
+        v.reason = "no hypothesis-satisfying instances in the catalog"
+    return v
 
 
 def verify_clauses(
     catalog: Catalog, clause_ids: list[str], with_search: bool = False
 ) -> dict[str, Verdict]:
-    """Single sweep over the catalog instances evaluating several clauses.
-
-    Every instance is built exactly once; `chain` (and the witness search,
-    when requested) piggybacks on the same pass.
-    """
-    instance_ids = [c for c in clause_ids if c not in ("cor-2.3", "chain")]
-    for cid in instance_ids:
+    """Score several clauses in one sweep over the catalog's specs, each
+    instance built once; `chain` and the search read the rows it takes, then
+    those of the catalog's rings.  cor-2.3 sweeps its own population."""
+    for cid in clause_ids:
         if cid not in CLAUSES:
             raise UnknownClauseError(f"unknown clause {cid!r}")
-    verdicts = {cid: Verdict(clause=cid, status="vacuous") for cid in instance_ids}
-    want_chain = "chain" in clause_ids or with_search
-    sweep = _HierarchySweep() if want_chain else None
-
-    if instance_ids or want_chain:
-        for spec in catalog.specs:
-            inst = spec.build(catalog.params.size_cap)
-            for cid in instance_ids:
-                v = verdicts[cid]
-                if cid == "lemma-2.2" and not holds(inst, "J inside Rad(B)"):
-                    v.counts["j_not_in_rad"] += 1
-                if _score(v, inst)[0] is not None:
-                    continue
-                for tag in spec.tags:
-                    v.counts[f"tag_{tag}"] += 1
-                if cid == "thm-2.1:2":
-                    rhs = CLAUSES[cid].conclusion[0][2]
-                    v.counts["rhs_true" if all(holds(inst, name) for name in rhs) else "rhs_false"] += 1
-            if sweep is not None:
-                sweep.fold(inst.label, _hierarchy_facts(inst.ring))
-    if sweep is not None:
-        for ring in catalog.rings:
-            sweep.fold(ring.label, _hierarchy_facts(ring))
-
-    for cid in instance_ids:
-        v = verdicts[cid]
-        if v.violations:
-            v.status = "violation"
-        elif v.applicable:
-            v.status = "verified"
-        elif not CLAUSES[cid].conclusion:
-            _machine_check_vacuity(catalog)
-            v.reason = VACUITY_REASON
-        else:
-            v.reason = "no hypothesis-satisfying instances in the catalog"
-
-    out: dict[str, Verdict] = {}
-    for cid in clause_ids:
-        if cid == "cor-2.3":
-            out[cid] = verify_duplication_criterion(catalog)
-        elif cid == "chain":
-            out[cid] = sweep.chain_verdict()
-        else:
-            out[cid] = verdicts[cid]
-    if with_search:
-        out["search"] = sweep.search_verdict()
+    out = {cid: Verdict(clause=cid, status="vacuous") for cid in clause_ids}
+    over_specs = [v for cid, v in out.items() if cid not in ("cor-2.3", "chain")]
+    rows: list[Row] | None = [] if "chain" in out or with_search else None
+    if over_specs or rows is not None:
+        cap = catalog.params.size_cap
+        _sweep(over_specs, ((spec.build(cap), spec.tags) for spec in catalog.specs), rows)
+    for v in over_specs:
+        _finish(v, catalog)
+    if "cor-2.3" in out:
+        out["cor-2.3"] = verify_duplication_criterion(catalog)
+    if rows is not None:
+        rows += map(_row, catalog.rings)
+        if "chain" in out:
+            out["chain"] = _chain(rows)
+        if with_search:
+            out["search"] = _search(rows)
     return out
 
 
@@ -549,83 +560,43 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
 
 def verify_duplication_criterion(catalog: Catalog) -> Verdict:
     """cor-2.3 over every local catalog ring of size <= 16 and every proper ideal."""
-    v = Verdict(clause="cor-2.3", status="vacuous")
-    for ring in catalog.rings:
-        if ring.size > 16 or not ring.is_local:
-            continue
-        for ideal in all_ideals(ring):
-            if ideal.is_whole:
-                continue
-            inst = duplication(ring, ideal, catalog.params.size_cap)
-            if _score(v, inst)[1]:
-                v.counts["gaussian_true" if holds(inst, "amalgamation Gaussian") else "gaussian_false"] += 1
-    v.status = "violation" if v.violations else ("verified" if v.applicable else "vacuous")
-    return v
-
-
-def _hierarchy_facts(ring: FiniteRing) -> tuple[bool, bool, bool]:
-    return (
-        is_arithmetical(ring),
-        is_gaussian(ring),
-        is_prufer(ring),
+    cap = catalog.params.size_cap
+    population = (
+        (duplication(ring, ideal, cap), ())
+        for ring in catalog.rings
+        if ring.size <= 16 and ring.is_local
+        for ideal in all_ideals(ring)
+        if not ideal.is_whole
     )
+    v = Verdict(clause="cor-2.3", status="vacuous")
+    _sweep([v], population)
+    return _finish(v, catalog)
 
 
-class _HierarchySweep:
-    """Accumulates the arithmetical => Gaussian => Prufer sweep and the
-    non-reversal witness search over every ring it inspects."""
+def _chain(rows: list[Row]) -> Verdict:
+    """arithmetical => Gaussian => Prufer on every row; the first row that
+    breaks it is the witness."""
+    broken = [(label, a, g, p) for label, a, g, p in rows if (a and not g) or (g and not p)]
+    witness = "{} :: arith={} gauss={} prufer={}".format(*broken[0]) if broken else None
+    status = "violation" if broken else "verified"
+    return Verdict("chain", status, len(rows), len(rows), len(broken), witness)
 
-    def __init__(self):
-        self.checked = 0
-        self.violations = 0
-        self.witness: str | None = None
-        self.gauss_not_arith: str | None = None
-        self.prufer_not_gauss: str | None = None
-        self.counts: Counter[str] = Counter()
 
-    def fold(self, label: str, facts: tuple[bool, bool, bool]) -> None:
-        arith, gauss, pruf = facts
-        self.checked += 1
-        if (arith and not gauss) or (gauss and not pruf):
-            self.violations += 1
-            if self.witness is None:
-                self.witness = f"{label} :: arith={arith} gauss={gauss} prufer={pruf}"
-        if gauss and not arith:
-            self.counts["gaussian_not_arithmetical"] += 1
-            if self.gauss_not_arith is None:
-                self.gauss_not_arith = label
-        if pruf and not gauss:
-            self.counts["prufer_not_gaussian"] += 1
-            if self.prufer_not_gauss is None:
-                self.prufer_not_gauss = label
-
-    def chain_verdict(self) -> Verdict:
-        return Verdict(
-            clause="chain",
-            status="violation" if self.violations else "verified",
-            checked=self.checked,
-            applicable=self.checked,
-            violations=self.violations,
-            witness=self.witness,
-        )
-
-    def search_verdict(self) -> Verdict:
-        found_both = self.gauss_not_arith is not None and self.prufer_not_gauss is not None
-        details = {}
-        if self.gauss_not_arith:
-            details["gaussian_not_arithmetical"] = self.gauss_not_arith
-        if self.prufer_not_gauss:
-            details["prufer_not_gaussian"] = self.prufer_not_gauss
-        return Verdict(
-            clause="search",
-            status="verified" if found_both else "violation",
-            checked=self.checked,
-            applicable=self.checked,
-            violations=0 if found_both else 1,
-            reason="non-reversal demonstrated on witnesses, not proven in general",
-            counts=Counter(self.counts),
-            details=details,
-        )
+def _search(rows: list[Row]) -> Verdict:
+    """The non-reversals, witnessed by the first Gaussian ring that is not
+    arithmetical and the first Prufer ring that is not Gaussian."""
+    found = {
+        "gaussian_not_arithmetical": [label for label, a, g, _ in rows if g and not a],
+        "prufer_not_gaussian": [label for label, _, g, p in rows if p and not g],
+    }
+    found = {key: labels for key, labels in found.items() if labels}
+    missing = int(len(found) < 2)
+    return Verdict(
+        "search", "violation" if missing else "verified", len(rows), len(rows), missing,
+        reason="non-reversal demonstrated on witnesses, not proven in general",
+        counts=Counter({key: len(labels) for key, labels in found.items()}),
+        details={key: labels[0] for key, labels in found.items()},
+    )
 
 
 # -- worked examples -------------------------------------------------------------

@@ -8,7 +8,7 @@ distinguished ideals, maximal ideals and tables against its base and
 target rings.  `jacobson_radical` intersects the maximal ideals and
 `nilradical` collects the nilpotents; `amalgamation.PREDICATES` reads
 Rad(B) off the nilpotent mask (the two agree on a finite ring, which is
-Artinian).  `set_side_conditions` computes four side conditions of
+Artinian).  `set_side_conditions` computes five side conditions of
 `amalgamation.PREDICATES` with Python sets, where the package compares
 masks.
 """
@@ -40,7 +40,7 @@ def nilradical(ring: FiniteRing) -> Ideal:
 
 
 def set_side_conditions(inst: AmalgamationInstance) -> dict[str, bool]:
-    """Four side conditions from member sets, one element of m at a time."""
+    """Five side conditions from member sets, one element of m at a time."""
     target, f, j = inst.target, inst.f, inst.j
     m = is_local(inst.base)
     fa_j_stable = m is not None
@@ -57,6 +57,7 @@ def set_side_conditions(inst: AmalgamationInstance) -> dict[str, bool]:
         "J inside Rad(B)": j.members <= jacobson_radical(target).members,
         "f(A) meets J only in zero": (image & j.members) == {target.zero},
         "J meets Nilp(B) only in zero": (j.members & nil) == {target.zero},
+        "J inside Nilp(B)": j.members <= nil,
     }
 
 

@@ -94,6 +94,7 @@ def test_duplication_along_zero():
     inst = duplication(z4, ideal_generated(z4, []))
     assert inst.ring.size == 4
     assert inst.to_base.is_injective and inst.to_base.is_surjective
+    assert holds(inst, "J inside Nilp(B)") and holds(inst, "J meets Nilp(B) only in zero")
 
 
 def test_amalgamate_validates_inputs():

@@ -171,12 +171,19 @@ def test_hom_resolution_errors():
         ("amalg(zmod(4),quot(zmod(8);4),compose(proj,embed);2)", "embed hom requires a trivext(...) target"),
         ("amalg(zmod(4),trivext(zmod(2);regular),embed;1)", "embed hom source does not match the extension base"),
         ("amalg(zmod(2),quot(zmod(8);4),proj;1)", "proj hom source does not match the quotient base"),
-        ("trivext(zmod(6);resfield(1))", "resfield over zmod(6) needs a local base ring"),
+        ("trivext(zmod(6);resfield(1))", "trivext(zmod(6);resfield(1)) is not an amalgamation expression"),
         ("dup(zmod(4);9)", "generator index 9 out of range for zmod(4) (size 4)"),
     ]:
         with pytest.raises(EvaluationError) as err:
             Evaluator().instance(parse(text))
         assert str(err.value) == message, text
+
+
+def test_non_amalgamation_is_refused_before_it_is_evaluated():
+    ev = Evaluator()
+    with pytest.raises(EvaluationError, match="is not an amalgamation expression"):
+        ev.instance(parse("tpa(2,1,12)"))
+    assert ev._rings == {} and ev._instances == {}
 
 
 def test_quot_proj_identity_hom():

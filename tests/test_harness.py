@@ -253,6 +253,21 @@ def test_duplication_criterion_includes_named_cases(small_catalog):
     assert verdict.status == "verified"
     assert verdict.counts.get("gaussian_true", 0) > 0
     assert verdict.counts.get("gaussian_false", 0) > 0
+    assert verdict.counts["gaussian_true"] + verdict.counts["gaussian_false"] == verdict.applicable
+    # tags are catalog data, and the duplications carry none
+    assert not any(key.startswith("tag_") for key in verdict.counts)
+
+
+def test_tallies_count_the_instances_meeting_the_hypotheses(small_catalog):
+    verdicts = verify_clauses(small_catalog, ["lemma-2.2", "thm-2.1:2", "cor-2.3"])
+    lemma = verdicts["lemma-2.2"]
+    outside_rad = sum(not spec.target.nilpotent_mask[spec.j.indices].all() for spec in small_catalog.specs)
+    assert lemma.applicable == len(small_catalog.specs)
+    assert 0 < lemma.counts["j_not_in_rad"] == outside_rad
+    thm = verdicts["thm-2.1:2"]
+    assert thm.counts["rhs_true"] > 0 and thm.counts["rhs_true"] + thm.counts["rhs_false"] == thm.applicable
+    cor = verdicts["cor-2.3"]
+    assert cor.applicable > 0 and cor.counts["gaussian_true"] + cor.counts["gaussian_false"] == cor.applicable
 
 
 def _synthetic_case(replacement):
@@ -366,6 +381,18 @@ def test_violation_path_reports_witness(cid, small_catalog, monkeypatch):
     assert ":: " in verdict.witness and f"{name}: " in verdict.witness
 
 
+def test_chain_and_search_violation_paths(small_catalog, monkeypatch):
+    # with no ring Gaussian, every arithmetical ring breaks the chain and
+    # neither non-reversal has a witness
+    monkeypatch.setattr(harness, "is_gaussian", lambda ring: False)
+    verdicts = verify_clauses(small_catalog, ["chain"], with_search=True)
+    chain, search = verdicts["chain"], verdicts["search"]
+    assert chain.status == "violation" and chain.violations > 0 and not chain.ok
+    assert re.fullmatch(r"\S+ :: arith=True gauss=False prufer=True", chain.witness)
+    assert search.status == "violation" and search.violations == 1
+    assert search.checked == chain.checked == len(small_catalog.specs) + len(small_catalog.rings)
+
+
 def test_every_clause_and_example_name_is_a_predicate():
     # the three vacuous clauses are never read past their first failing
     # conjunct on a catalog instance, so a misspelled late name would not
@@ -375,6 +402,8 @@ def test_every_clause_and_example_name_is_a_predicate():
         for premise, op, consequent in clause.conclusion:
             assert op in ("=>", "<=>")
             names += [*premise, *consequent]
+        for _, tallied, _ in clause.tallies:
+            names += tallied
     for case in EXAMPLES.values():
         names += [*case.hypotheses, *(name for name, _ in case.conclusions)]
     # and every name that harness code, or a predicate, reads through `holds`
@@ -385,7 +414,8 @@ def test_every_clause_and_example_name_is_a_predicate():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holds"
         and isinstance(node.args[1], ast.Constant)
     ]
-    assert len(read) >= 15
+    # harness reads only names stated as data; the predicates read 14
+    assert len(read) >= 14
     names += read
     assert set(names) <= set(PREDICATES), set(names) - set(PREDICATES)
 

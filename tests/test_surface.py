@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 import amalgam
+import amalgam.harness as harness
 
 SRC = Path(amalgam.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,13 +70,43 @@ def test_every_public_function_has_a_caller():
     assert orphans == [], f"public functions with no caller in src/ or the README: {orphans}"
 
 
-def test_perfbench_entry_points_resolve():
+def _perfbench_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_perfbench_entry_points_resolve():
+    spans = _perfbench_spans()
     assert spans.ENTRY_POINTS
     for layer, module, path in spans.ENTRY_POINTS:
         target = importlib.import_module(f"amalgam.{module}")
         for part in path.split("."):
             assert hasattr(target, part), f"{layer}: amalgam.{module}.{path} does not resolve"
             target = getattr(target, part)
+
+
+def test_perfbench_tracer_sees_the_sweep_through_its_entry_points():
+    # the tracer resolves every entry point as `run.py --trace 1` does, and
+    # the sweep reaches the traced names, cor-2.3's population included
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    params = harness.CatalogParams(
+        zmod_max=4, tpa_carrier_max=4, product_max=4, trivext_max=8, quotient_base_max=4, instance_max=8
+    )
+    try:
+        tracer.install()
+        catalog = harness.build_catalog(params)
+        harness.verify_clauses(catalog, ["lemma-2.2", "cor-2.3", "chain"], with_search=True)
+    finally:
+        tracer.restore()
+    seen = {spans.LAYERS[span[0]] for span in tracer.spans}
+    assert {
+        "harness.build_catalog",
+        "harness.verify_clauses",
+        "harness.verify_duplication_criterion",
+        "amalgamation.amalgamate",
+        "amalgamation.hypothesis_report",
+        "properties.is_prufer",
+    } <= seen
