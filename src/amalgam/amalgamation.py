@@ -1,20 +1,17 @@
 """The amalgamation of A with B along an ideal J with respect to f: A -> B.
 
 The carrier is {(a, f(a)+j) : a in A, j in J}, a subring of A x B.  Element
-a * |J| + p is the pair (a, j_p), with j_p the p-th member of J, so the +
-and * tables are |A| x |A| blocks of |J| x |J| tables.  They are built from
-three small tables in J positions: jadd[p1, p2] (j1 + j2), jmul[p1, p2]
-(j1 j2) and fj[a, p] (f(a) j_p).  An entry outside J in any of the three
-means J is not closed under the amalgamation rule (an InternalCheckError;
-since f(0) = 0 this is the same as every sum and product below landing in
-J).  Then
+a * |J| + p is the pair (a, j_p), with j_p the p-th member of J.  The
+tables come from three small tables in J positions: jadd[p1, p2] (j1 + j2),
+jmul[p1, p2] (j1 j2) and fj[a, p] (f(a) j_p).  An entry outside J in any of
+the three means J is not closed under the amalgamation rule (an
+InternalCheckError; since f(0) = 0 this is the same as every sum and
+product below landing in J).  Then `rings.pair_ring_tables` fills
 
     (a1, j1) + (a2, j2) = (a1 + a2, j1 + j2)
     (a1, j1) * (a2, j2) = (a1 a2, f(a1) j2 + f(a2) j1 + j1 j2)
 
-fill int32 tables of shape (|A|, |J|, |A|, |J|), the product over slices of
-a1 so that each temporary stays within one row block, its sums gathered
-from the flattened jadd.  The ring rests on its
+as it fills the tables of the idealization A |x E.  The ring rests on its
 `rings.Proof`: pA and pB onto the two coordinates, validated as ring homs,
 with x -> (pA(x), pB(x)) injective, which is exactly the statement that the
 tables are the subring of A x B (f(A)+J rests on its inclusion the same
@@ -41,7 +38,7 @@ import numpy as np
 from .errors import CapExceededError, InternalCheckError, MixedRingError
 from .ideals import Ideal, ideal_product
 from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced, is_total_quotient_ring
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, _row_blocks, hom_identity, pair_indices
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, Proof, RingHom, hom_identity, pair_indices, pair_ring_tables
 
 
 @dataclass(eq=False, repr=False)
@@ -64,35 +61,15 @@ class AmalgamationInstance:
         base, target, jlist = self.base, self.target, self.j.indices
         jpos, jadd, jmul, fj = self.j_tables
         na, nj = base.size, len(jlist)
-        size = na * nj
-        # element a * nj + p is the pair (a, j_p); the tables are (a1, p1, a2, p2)
-        add = (base.add * nj)[:, None, :, None] + jadd[None, :, None, :]
-        mul = np.empty((na, nj, na, nj), dtype=np.int32)
-        base_mul = base.mul * nj
-        # jadd[x, y] is jadd_flat[x * nj + y]: gather with precomputed row offsets
-        jadd_flat = jadd.ravel()
-        fj_rows = fj * nj  # row offset of f(a1) j2, indexed (a1, p2)
-        fj_t = fj.T[None, :, :, None]  # f(a2) j1, indexed (., p1, a2, .)
-        jmul_t = jmul[None, :, None, :]
-        for start, stop in _row_blocks(na, nj * na * nj):
-            cross = np.take(jadd_flat, fj_rows[start:stop, None, None, :] + fj_t)  # f(a1) j2 + f(a2) j1
-            cross *= nj
-            cross += jmul_t
-            cross = np.take(jadd_flat, cross)  # ... + j1 j2
-            np.add(base_mul[start:stop, None, :, None], cross, out=mul[start:stop])
-        add, mul = add.reshape(size, size), mul.reshape(size, size)
+        tables = pair_ring_tables(base, jadd, jpos[target.neg[jlist]], jpos[target.zero], fj, jmul)
         ia = np.repeat(np.arange(na), nj)
         jb = np.tile(jlist, na)
-        neg = np.repeat(base.neg * nj, nj) + np.tile(jpos[target.neg[jlist]], na)
-        zero = int(base.zero * nj + jpos[target.zero])
-        one = int(base.one * nj + jpos[target.zero])
-
         second = target.add[self.f.map[ia], jb]
         names = [
             f"({base.element_names[a]},{target.element_names[s]})" for a, s in zip(ia, second)
         ]
         proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
-        ring = FiniteRing(size, add, mul, neg, zero, one, self.label, names, proof)
+        ring = FiniteRing(*tables, self.label, names, proof)
         to_base, to_target = proof.homs
         zero_j = to_base.kernel()
         if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):

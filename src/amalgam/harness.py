@@ -206,7 +206,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
             if ring.size * field_size**2 <= 32:
                 extend(expr, ResfieldExpr(2))
             msq = ideal_product(m, m)
-            if not msq.is_zero and msq.members != m.members:
+            if not msq.is_zero:  # m is nilpotent, so m^2 = m only when m = 0
                 if ring.size * (ring.size // len(msq)) <= 64:
                     extend(expr, QuotmodExpr(RegularExpr(), msq.generators()))
         elif m is None and 1 < ring.size <= 8:

@@ -8,14 +8,12 @@ per ring (`FiniteRing.ideal_lattice`) under one fixed guard,
 `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The lattice is held as
 one sorted bool matrix, a row per ideal; `Ideal` objects are built from its
 rows only for callers that iterate (`all_ideals`) and for the three ideals
-of a distributivity witness.  The ideal guard first refuses, before any
-enumeration work, the rings whose proven lower bound on the ideal count
-(`ideal_count_lower_bound`, from the layers and socle of each local factor)
-is past `MAX_IDEALS`.  Every other ring is enumerated as the product of its
+of a distributivity witness.  A ring is enumerated as the product of its
 local factors' lattices, each factor closed under joins in whole-frontier
-rounds under a budget of `MAX_IDEALS` over the ideals so far; the counts
-multiply, so the guard stays exact: it refuses the rings with more than
-`MAX_IDEALS` ideals and no others, whatever the enumeration order.  The
+rounds under a budget of `MAX_IDEALS` over the ideals so far.  The counts
+multiply, so this one budget is an exact guard: it refuses the rings with
+more than `MAX_IDEALS` ideals and no others, whatever the enumeration
+order, and a factor stops within one row block of overrunning it.  The
 radicals work elementwise and need no guard.
 """
 from __future__ import annotations
@@ -24,18 +22,17 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import CapExceededError, InternalCheckError, MixedRingError, NotAnIdealError
+from .errors import CapExceededError, MixedRingError, NotAnIdealError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rings import FiniteRing
 
 MAX_LATTICE_SIZE = 256
 
-# Refuse lattice enumeration past this many ideals: up front when the layer
-# and socle bound (`ideal_count_lower_bound`) already exceeds it, else once
-# the enumeration has found more, so the refusal stays exact.  Rings with
-# large square-zero socles have subspace-lattice blowups even at small
-# carrier sizes.  No verdict needs the lattice: it serves catalog
+# Refuse lattice enumeration past this many ideals, as soon as the
+# enumeration has found more, so the refusal is exact and bounds the work.
+# Rings with large square-zero socles have subspace-lattice blowups even at
+# small carrier sizes.  No verdict needs the lattice: it serves catalog
 # construction, cor-2.3 and the distributivity witness of `property_report`,
 # while the arithmetical cross-check certifies each local factor of every
 # ring without it.
@@ -216,62 +213,6 @@ def ideal_intersect(left: Ideal, right: Ideal) -> Ideal:
     return Ideal(left.ring, left.members & right.members, _validated=True)
 
 
-def _subspace_count(q: int, d: int) -> int:
-    """S_q(d), the number of subspaces of F_q^d: the sum of the Gaussian
-    binomials [d, k]_q, each got from the last by [d, k+1] = [d, k] *
-    (q^(d-k) - 1) / (q^(k+1) - 1)."""
-    total, binom = 0, 1
-    for k in range(d + 1):
-        total += binom
-        binom = binom * (q ** (d - k) - 1) // (q ** (k + 1) - 1)
-    return total
-
-
-def _dimension(q: int, order: int) -> int:
-    """log_q of `order`, the size of an F_q-vector space."""
-    d = 0
-    while order > 1:
-        order //= q
-        d += 1
-    return d
-
-
-def ideal_count_lower_bound(ring: FiniteRing) -> int:
-    """A proven lower bound on the number of ideals, from no lattice work.
-
-    The ring is the product of its local factors eR, e running over the
-    primitive idempotents; the maximal ideal m of eR is its nilradical and
-    its residue field F_q has q = |eR| / |m|.  m kills each layer
-    m^i/m^(i+1) and the socle ann(m), so eR acts on them through F_q: every
-    F_q-subspace of a layer pulls back to an ideal between m^(i+1) and m^i,
-    and every F_q-subspace of the socle is an ideal.  With d_i = log_q
-    |m^i/m^(i+1)|, s = log_q |ann(m)| and S_q(d) the subspace count of
-    F_q^d, eR has at least max(1 + sum_i (S_q(d_i) - 1), S_q(s)) ideals.
-    The ideal lattice of the ring is the product of its factors' lattices,
-    so the bounds multiply.  Everything is read off the ring's own tables.
-    """
-    bound = 1
-    for e in ring.primitive_idempotent_list:
-        factor = _distinct(ring, ring.mul[e])
-        m = factor[ring.nilpotent_mask[factor]]
-        q = factor.size // m.size
-        socle = np.zeros(ring.size, dtype=bool)
-        socle[factor[(ring.mul[factor[:, None], m] == ring.zero).all(axis=1)]] = True
-        # |m^0|, |m^1|, ...: m kills a power inside the socle, so it is the last nonzero one
-        sizes, power = [factor.size, m.size], m
-        while not socle[power].all():
-            power = _additive_closure(ring, ring.mul[power[:, None], m])
-            if power.size == sizes[-1]:
-                raise InternalCheckError(f"maximal ideal of a local factor of {ring.label} is not nilpotent")
-            sizes.append(power.size)
-        sizes.append(1)
-        layered = 1 + sum(
-            _subspace_count(q, _dimension(q, big // small)) - 1 for big, small in zip(sizes, sizes[1:])
-        )
-        bound *= max(layered, _subspace_count(q, _dimension(q, int(socle.sum()))))
-    return bound
-
-
 def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
     """Every ideal of a local factor as bool rows, unsorted; refuses past
     `budget` with a CapExceededError saying `refusal`.
@@ -334,13 +275,11 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
     lists the lexicographically smaller is the one holding the least
     element of their symmetric difference, i.e. the one whose mask has the
     first set bit where they differ.  Refuses carriers above
-    `MAX_LATTICE_SIZE` and rings with more than `max_ideals` ideals,
-    whatever the enumeration order: first, before any enumeration work,
-    those whose `ideal_count_lower_bound` is past `max_ideals`; then each
-    factor is closed under a budget of `max_ideals // (ideals so far)`, which
-    it overruns exactly when the ring has more than `max_ideals` ideals, as
-    the counts multiply.  Callers want `all_ideals`, which enumerates each
-    ring once under the fixed guard.
+    `MAX_LATTICE_SIZE`, and rings with more than `max_ideals` ideals,
+    whatever the enumeration order: each factor is closed under a budget of
+    `max_ideals // (ideals so far)`, which it overruns exactly when the ring
+    has more than `max_ideals` ideals, as the counts multiply.  Callers want
+    `all_ideals`, which enumerates each ring once under the fixed guard.
     """
     if ring.size > MAX_LATTICE_SIZE:
         raise CapExceededError(
@@ -349,8 +288,6 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
     # a message, not an exception object: an exception kept in a local of a
     # frame on its own traceback would tie that frame, and the ring, in a cycle
     refusal = f"{ring.label} has more than {max_ideals} ideals"
-    if ideal_count_lower_bound(ring) > max_ideals:
-        raise CapExceededError(refusal)
     n = ring.size
     lattice = np.ones((1, n), dtype=bool)
     for factor, proj in ring.local_factor_homs():

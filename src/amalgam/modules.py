@@ -20,7 +20,17 @@ from .errors import (
     StructureError,
 )
 from .ideals import Ideal, _additive_closure
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, _check_cap, _cosets, _max_digits, _row_blocks, quotient
+from .rings import (
+    DEFAULT_SIZE_CAP,
+    FiniteRing,
+    RingHom,
+    _check_cap,
+    _cosets,
+    _max_digits,
+    _row_blocks,
+    pair_ring_tables,
+    quotient,
+)
 
 
 class FiniteModule:
@@ -163,19 +173,12 @@ def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarra
 
 
 def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str = "") -> FiniteModule:
-    """Quotient by a submodule, cosets named by their minimal member.
-
-    The returned module carries the coset map as `quotient_projection`
-    (source index -> quotient index).
-    """
+    """Quotient by a submodule, cosets named by their minimal member."""
     proj, reps = _cosets(module.add, _check_submodule(module, frozenset(int(m) for m in members)))
     names = [f"[{module.element_names[r]}]" for r in reps]
     label = f"quotmod({module.label};{gens_label})" if gens_label else f"quotmod({module.label})"
     qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
-    out = FiniteModule(module.ring, len(reps), qadd, qact, label, names)
-    proj.flags.writeable = False
-    out.quotient_projection = proj
-    return out
+    return FiniteModule(module.ring, len(reps), qadd, qact, label, names)
 
 
 def trivial_extension(
@@ -190,22 +193,12 @@ def trivial_extension(
         raise MixedRingError("trivial_extension: module is over a different ring")
     ne = module.size
     size = ring.size * ne
-    _check_cap(size, size_cap, f"trivext({ring.label};{module.label})")
-
-    idx = np.arange(size)
-    ia, ie = idx // ne, idx % ne
-    # int32 (a1, e1, a2, e2) tables; mul's module term a1.e2 + a2.e1 is gathered by row block
-    add = ((ring.add * ne)[:, None, :, None] + module.add[None, :, None, :]).reshape(size, size)
-    mul = np.empty((ring.size, ne, ring.size, ne), dtype=np.int32)
-    act, madd_flat = module.action, module.add.ravel()
-    for start, stop in _row_blocks(ring.size, size * ne):
-        cross = np.take(madd_flat, (act[start:stop] * ne)[:, None, None, :] + act.T[None, :, :, None])
-        np.add((ring.mul[start:stop] * ne)[:, None, :, None], cross, out=mul[start:stop])
-    neg = ring.neg[ia] * ne + module.neg[ie]
-    zero = ring.zero * ne + module.zero
-    one = ring.one * ne + module.zero
-    names = [f"({ring.element_names[a]}|{module.element_names[e]})" for a, e in zip(ia, ie)]
     label = f"trivext({ring.label};{module.label})"
-    ext = FiniteRing(size, add, mul.reshape(size, size), neg, zero, one, label, names)
+    _check_cap(size, size_cap, label)
+
+    tables = pair_ring_tables(ring, module.add, module.neg, module.zero, module.action)
+    ia, ie = np.divmod(np.arange(size), ne)
+    names = [f"({ring.element_names[a]}|{module.element_names[e]})" for a, e in zip(ia, ie)]
+    ext = FiniteRing(*tables, label, names)
     embed = RingHom(ring, ext, np.arange(ring.size) * ne + module.zero, label="embed")
     return ext, embed

@@ -67,10 +67,6 @@ class Polynomial:
             cs.pop()
         return Polynomial(ring, tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"Poly[{self.ring.label}](0)"

@@ -497,6 +497,36 @@ def pair_indices(first: np.ndarray, width: int) -> np.ndarray:
     return (np.asarray(first)[:, None] * width + np.arange(width)[None, :]).ravel()
 
 
+def pair_ring_tables(base: FiniteRing, xadd, xneg, xzero, act, xmul=None) -> tuple:
+    """The tables of the ring on pairs (a, x), a in `base` and x in the
+    additive group with table `xadd`, element a * |X| + x, with
+
+        (a1, x1) + (a2, x2) = (a1 + a2, x1 + x2)
+        (a1, x1) * (a2, x2) = (a1 a2, a1.x2 + a2.x1 + x1 x2),
+
+    a.x = act[a, x] and x1 x2 = xmul[x1, x2], or 0 when `xmul` is None (an
+    idealization A |x E).  Returns `(size, add, mul, neg, zero, one)` like
+    `coset_tables`.  The int32 tables have shape (|A|, |X|, |A|, |X|); the
+    product is filled over slices of a1 so that each temporary stays within
+    one row block, its sums gathered from the flattened `xadd`."""
+    na, k = base.size, len(xadd)
+    size = na * k
+    add = ((base.add * k)[:, None, :, None] + xadd[None, :, None, :]).reshape(size, size)
+    mul = np.empty((na, k, na, k), dtype=np.int32)
+    xadd_flat = xadd.ravel()
+    act_rows = act * k  # row offset of a1.x2 in xadd_flat, indexed (a1, x2)
+    act_t = act.T[None, :, :, None]  # a2.x1, indexed (., x1, a2, .)
+    for start, stop in _row_blocks(na, size * k):
+        cross = np.take(xadd_flat, act_rows[start:stop, None, None, :] + act_t)  # a1.x2 + a2.x1
+        if xmul is not None:
+            cross *= k
+            cross += xmul[None, :, None, :]
+            cross = np.take(xadd_flat, cross)  # ... + x1 x2
+        np.add((base.mul[start:stop] * k)[:, None, :, None], cross, out=mul[start:stop])
+    neg = np.repeat(base.neg * k, k) + np.tile(xneg, na)
+    return size, add, mul.reshape(size, size), neg, base.zero * k + xzero, base.one * k + xzero
+
+
 def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """The ring of integers mod n; element i is the residue i."""
     if n < 1:

@@ -434,11 +434,14 @@ def _quotient_surrogate(ev, seed_expr):
     the extension with that quotient along the image of 0 x (seed/m^2)."""
     seed = ev.ring(seed_expr)
     m = is_local(seed)
-    mod_expr = QuotmodExpr(RegularExpr(), ideal_product(m, m).generators())
+    msq = ideal_product(m, m)
+    mod_expr = QuotmodExpr(RegularExpr(), msq.generators())
     ext_expr = TrivextExpr(seed_expr, mod_expr)
     ext = ev.ring(ext_expr)
     quot_module = ev.module(mod_expr, seed)
-    image_of_m = sorted(set(int(quot_module.quotient_projection[x]) for x in m.indices))
+    # seed/m^2 as a module has the cosets of the ring quotient, named alike
+    coset = quotient(seed, msq)[1].map
+    image_of_m = sorted(set(int(coset[x]) for x in m.indices))
     quot_expr = QuotExpr(ext_expr, Ideal(ext, image_of_m).generators())  # 0 x (m/m^2)
     target = ev.ring(quot_expr)
     f = ev.resolve_hom(ProjHomExpr(), ext, quot_expr)

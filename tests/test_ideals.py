@@ -14,7 +14,6 @@ from amalgam.ideals import (
     Ideal,
     all_ideals,
     enumerate_ideals,
-    ideal_count_lower_bound,
     ideal_generated,
     ideal_intersect,
     ideal_product,
@@ -24,7 +23,7 @@ from amalgam.ideals import (
     principal_ideal,
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
-from amalgam.rings import FiniteRing, product, truncated_poly_algebra, zmod
+from amalgam.rings import product, truncated_poly_algebra, zmod
 from oracles import jacobson_radical, nilradical
 from test_cli_generated import ring_grammar
 
@@ -267,53 +266,33 @@ def test_ideal_guard_refuses_exactly_past_max_ideals():
     assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
 
 
-def test_ideal_count_lower_bound_exact_on_hand_checked_rings():
-    assert ideal_count_lower_bound(zmod(8)) == 4  # chain ring: Z/8 > (2) > (4) > 0
-    assert ideal_count_lower_bound(truncated_poly_algebra(2, 2, 2)) == 6  # 0, three lines, m, R
-    assert ideal_count_lower_bound(product(zmod(2), zmod(4))) == 2 * 3
-    assert ideal_count_lower_bound(zmod(1)) == 1
-
-
-def test_ideal_count_lower_bound_below_count_and_refusing_only_past_the_guard(rings_to_64):
-    refused_by_bound = 0
+def test_guard_refuses_exactly_when_the_pairwise_oracle_does(rings_to_64):
+    refused = 0
     for ring in rings_to_64:
-        bound = ideal_count_lower_bound(ring)
-        if bound > MAX_IDEALS:
-            refused_by_bound += 1
-            with pytest.raises(CapExceededError):
-                pairwise_ideals(ring)
-            continue
         try:
             count = len(all_ideals(ring))
         except CapExceededError:
+            refused += 1
             with pytest.raises(CapExceededError):
                 pairwise_ideals(ring)
             continue
-        assert bound <= count, ring.label
-    assert refused_by_bound > 0
+        assert count == len(pairwise_ideals(ring)), ring.label
+    assert refused > 0
 
 
-def test_guard_refuses_from_the_bound_before_enumerating(monkeypatch):
-    # F2[x1..x5]/(x)^2: m/m^2 has 374 subspaces, so 375 ideals at least
+def test_guard_refuses_a_square_zero_blowup_by_the_cap():
+    # F2[x1..x5]/(x)^2: each of the 374 subspaces of m = F2^5 is an ideal, and so is R
     ring = truncated_poly_algebra(2, 5, 2)
-    assert ideal_count_lower_bound(ring) == 375
-
-    def no_enumeration(_ring):
-        raise AssertionError("enumeration started on a ring the bound refuses")
-
-    # principal membership feeds the enumerator's first step, before any coset closure
-    monkeypatch.setattr(FiniteRing, "principal_membership", property(no_enumeration))
     with pytest.raises(CapExceededError) as exc:
         all_ideals(ring)
     assert str(exc.value) == f"{ring.label} has more than {MAX_IDEALS} ideals"
-    with pytest.raises(AssertionError):
-        enumerate_ideals(ring, max_ideals=375)
+    assert len(enumerate_ideals(ring, max_ideals=375)) == 375
 
 
 def test_guard_stays_exact_on_a_product_of_local_rings():
-    # Z/8 |x F2 has 9 ideals (7 by the bound), so its square has 81 (49)
+    # Z/8 |x F2 has 9 ideals, so its square has 81
     ring = Evaluator().ring(parse("product(trivext(zmod(8);resfield(1)),trivext(zmod(8);resfield(1)))"))
-    assert len(ring.local_factors) == 2 and ideal_count_lower_bound(ring) == 49
+    assert len(ring.local_factors) == 2
     lattice = member_lists(ring, max_ideals=81)
     assert len(lattice) == 81 and lattice == pairwise_ideals(ring, max_ideals=81)
     with pytest.raises(CapExceededError) as exc:
@@ -322,10 +301,10 @@ def test_guard_stays_exact_on_a_product_of_local_rings():
 
 
 def test_no_factor_is_closed_once_its_budget_is_exceeded(monkeypatch):
-    # the 128-element local factor has 210 ideals (72 by the bound), the field 2
+    # the 128-element local factor has 210 ideals, the field 2
     ring = Evaluator().ring(parse("product(zmod(2),dup(trivext(zmod(8);resfield(1));1,4))"))
     big, field = (factor for factor, _ in ring.local_factors)
-    assert (big.size, field.size) == (128, 2) and ideal_count_lower_bound(ring) == 144
+    assert (big.size, field.size) == (128, 2)
     closed = []
     local_ideals = ideals._local_ideals
 

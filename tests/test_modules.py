@@ -77,14 +77,6 @@ def test_submodule_and_quotient():
         module_quotient(m, {0, 1})
 
 
-def test_quotient_projection_attached():
-    z4 = zmod(4)
-    m = ring_as_module(z4)
-    q = module_quotient(m, submodule_generated(m, [2]), "2")
-    proj = q.quotient_projection
-    assert proj.tolist() == [0, 1, 0, 1]
-
-
 def test_trivial_extension_square_zero():
     z4 = zmod(4)
     m = ideal_generated(z4, [2])

@@ -1,10 +1,12 @@
-"""The public surface of `src/` carries no code that only tests use.
+"""`src/` carries no code that only tests use, and no dead import.
 
 Every public module-level function in `amalgam` must have a caller
 elsewhere in the package (its re-export in `__init__` does not count), or
-appear in the README's "Library use" example.  Test oracles live in
-`tests/`.  The perfbench tracer patches layer entry points by name, so each
-of them must still resolve.
+appear in the README's "Library use" example; every private one, and every
+method and property of a class, must have a reader in the package.  Every
+name a module imports must be read in it.  Test oracles live in `tests/`.
+The perfbench tracer patches layer entry points by name, so each of them
+must still resolve.
 """
 import ast
 import importlib
@@ -55,19 +57,64 @@ def _library_use_names() -> set[str]:
     return set(re.findall(r"\w+", block))
 
 
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_public_function_has_a_caller():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # private functions too: the README's "Library use" names only public ones
+    trees = _src_trees()
     references = [ref for module, tree in trees.items() if module != "__init__" for ref in _References(module, tree).found]
     library_use = _library_use_names()
     orphans = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in library_use:
+            if not isinstance(node, ast.FunctionDef) or node.name in library_use:
                 continue
             own = set(map(id, ast.walk(node)))
             if not any(key == (module, node.name) and id(ref) not in own for key, ref in references):
                 orphans.append(f"{module}.{node.name}")
-    assert orphans == [], f"public functions with no caller in src/ or the README: {orphans}"
+    assert orphans == [], f"functions with no caller in src/ or the README: {orphans}"
+
+
+# Methods and properties that no code in src/ reads, kept on purpose.
+UNREAD_IN_SRC = {
+    # the exhaustive axiom re-check that the tests run on every catalog ring and module
+    "rings.FiniteRing.validate",
+    "modules.FiniteModule.validate",
+    # pA and its kernel {0} x J, which the README's "Library use" names and the test oracles read
+    "amalgamation.AmalgamationInstance.to_base",
+    "amalgamation.AmalgamationInstance.zero_j",
+}
+
+
+def test_every_method_and_property_has_a_reader():
+    trees = _src_trees()
+    reads = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                own = set(map(id, ast.walk(node)))
+                if not any(read.attr == node.name and id(read) not in own for read in reads):
+                    unread.append(f"{module}.{cls.name}.{node.name}")
+    # an exemption whose method has gained a reader is dropped
+    assert set(unread) == UNREAD_IN_SRC, f"methods with no reader in src/: {sorted(set(unread) - UNREAD_IN_SRC)}"
+
+
+def test_every_import_is_read():
+    unread = []
+    for module, tree in _src_trees().items():
+        if module == "__init__":  # its imports are the package's re-exports
+            continue
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unread += [f"{module}.{name}" for name in names if name not in loads]
+    assert unread == [], f"imported names never read: {unread}"
 
 
 def _perfbench_spans():
