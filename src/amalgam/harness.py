@@ -128,7 +128,8 @@ def _tpa_parameter_sweep(carrier_max: int) -> list[TpaExpr]:
 
 
 def _table_key(size: int, zero: int, one: int, add: np.ndarray, mul: np.ndarray) -> bytes:
-    """The catalog's identity of a ring: its size, zero, one and int32 tables."""
+    """The catalog's identity of a ring: its size, zero, one and tables, all
+    in `rings.TABLE_DTYPE` (a quotient candidate's coset tables as well)."""
     return np.array([size, zero, one], dtype="<u4").tobytes() + add.tobytes() + mul.tobytes()
 
 

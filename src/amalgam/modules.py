@@ -1,9 +1,10 @@
 """Finite modules over a finite ring, and the trivial ring extension.
 
 Modules carry their own addition and action tables (same policy as rings:
-explicit, immutable, exhaustively checkable).  The trivial extension
-A |x E is the ring on A x E with (a,e)(a',e') = (aa', a.e' + a'.e); the
-ideal 0 x E always squares to zero.
+explicit, immutable, exhaustively checkable, and held in
+`rings.TABLE_DTYPE`, so no module passes `rings.MAX_TABLE_SIZE` = 65,536
+elements).  The trivial extension A |x E is the ring on A x E with
+(a,e)(a',e') = (aa', a.e' + a'.e); the ideal 0 x E always squares to zero.
 """
 from __future__ import annotations
 
@@ -24,10 +25,13 @@ from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
     RingHom,
+    TABLE_DTYPE,
+    _as_table,
     _check_cap,
     _cosets,
     _max_digits,
     _row_blocks,
+    _table_cap,
     pair_ring_tables,
     quotient,
 )
@@ -47,14 +51,8 @@ class FiniteModule:
     ):
         self.ring = ring
         self.size = int(size)
-        self.add = np.ascontiguousarray(np.asarray(add, dtype=np.int32))
-        self.action = np.ascontiguousarray(np.asarray(action, dtype=np.int32))
-        if self.add.shape != (size, size):
-            raise StructureError("module addition table has wrong shape")
-        if self.action.shape != (ring.size, size):
-            raise StructureError("module action table has wrong shape")
-        self.add.flags.writeable = False
-        self.action.flags.writeable = False
+        self.add = _as_table(add, (size, size), "module addition")
+        self.action = _as_table(action, (ring.size, size), "module action")
         self.zero = int(self.action[ring.zero, 0])
         self.label = label
         if element_names is None:
@@ -124,23 +122,26 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
         raise ValueError("vector space dimension must be >= 1")
     field, proj = quotient(ring, m)
     q = field.size
-    # compare dim with log_q(size_cap) first: q**dim may be astronomically large
-    if dim > _max_digits(q, size_cap):
+    # compare dim with log_q(cap) first: q**dim may be astronomically large
+    cap = _table_cap(size_cap)
+    if dim > _max_digits(q, cap):
         raise CapExceededError(
-            f"resfield({dim}) over {ring.label} would have {q}^{dim} elements, cap is {size_cap}"
+            f"resfield({dim}) over {ring.label} would have {q}^{dim} elements, cap is {cap}"
         )
     size = q**dim
-    radix = q ** np.arange(dim, dtype=np.int32)
-    digits = (np.arange(size, dtype=np.int32)[:, None] // radix) % q
+    radix = (q ** np.arange(dim)).astype(TABLE_DTYPE)  # q^(dim-1) < size
+    digits = (np.arange(size)[:, None] // radix) % q
 
     def digitwise(op: np.ndarray, left: np.ndarray) -> np.ndarray:
         """table[x, y] = sum_k op[left[x, k], digits[y, k]] q^k, filled in
-        int32 one digit and one row block at a time."""
-        table = np.zeros((len(left), size), dtype=np.int32)
+        `TABLE_DTYPE` one digit and one row block at a time.  The flat index
+        into `op` is formed in int64, as q^2 passes 2^31 past q = 46,340."""
+        table = np.zeros((len(left), size), dtype=TABLE_DTYPE)
         op_flat = op.ravel()
         for start, stop in _row_blocks(len(left), size):
             for k in range(dim):
-                table[start:stop] += np.take(op_flat, left[start:stop, k, None] * q + digits[:, k]) * radix[k]
+                flat = left[start:stop, k, None].astype(np.int64) * q + digits[:, k]
+                table[start:stop] += np.take(op_flat, flat) * radix[k]
         return table
 
     add = digitwise(field.add, digits)

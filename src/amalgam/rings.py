@@ -3,12 +3,18 @@
 A ring of size n lives on the index carrier 0..n-1 with dense numpy tables
 for + and *, a negation table, and distinguished zero/one indices.  Tables
 make every checker in the package an exhaustive (and vectorizable) loop.
+Every ring and module table holds carrier indices in `TABLE_DTYPE`
+(uint16, 2 bytes an entry), so a 4,096-element ring's two tables take
+32 MB each and no carrier can pass `MAX_TABLE_SIZE` = 65,536 elements.
+Arithmetic on table entries that can leave the carrier, such as the flat
+index x * n + y, is done in int64: NumPy keeps `uint16 * int` in uint16
+and wraps it silently.
 
-Constructors refuse carriers above a configurable size cap instead of
-degrading.  Every constructed ring passes an O(n^2) axiom screen.  The ring
-of `product`, `quotient`, `amalgamation.amalgamate`/`duplication` or
-`f_image_plus_j` then rests on a `Proof`, the ring homs deriving it from
-accepted rings; only `zmod`, `truncated_poly_algebra` and
+Constructors refuse carriers above a configurable size cap, and always
+above `MAX_TABLE_SIZE`, before they allocate anything.  Every constructed
+ring passes an O(n^2) axiom screen.  The ring of `product`, `quotient`,
+`amalgamation.amalgamate`/`duplication` or `f_image_plus_j` then rests on
+a `Proof`, the ring homs deriving it from accepted rings; only `zmod`, `truncated_poly_algebra` and
 `modules.trivial_extension` (and raw tables) get a fixed-seed sample of the
 O(n^3) axioms, drawn once per carrier size and gathered from the flattened
 tables (every triple, in one vectorised pass, up to n = 16).
@@ -49,6 +55,9 @@ from .errors import (
 from .ideals import Ideal, enumerate_ideals, ideal_generated
 
 DEFAULT_SIZE_CAP = 4096
+# dtype of every ring and module table; it indexes carriers of up to MAX_TABLE_SIZE elements
+TABLE_DTYPE = np.uint16
+MAX_TABLE_SIZE = 1 << 16
 
 # Full O(n^3) axiom verification is quadratic-memory-free but still cubic
 # time; above this carrier size `validate` falls back to a fixed-seed sample.
@@ -85,7 +94,9 @@ def _is_symmetric(table: np.ndarray) -> bool:
 def _sample_triples(n: int, count: int) -> np.ndarray:
     """The fixed-seed triples (a, b, c) the sampled axiom screen checks on a
     carrier of n elements: `default_rng(0).integers(0, n, size=(3, count))`,
-    drawn once per (n, count) and kept read-only in int32.  A pure function
+    drawn once per (n, count) and kept read-only in int32, which holds any
+    index below `MAX_TABLE_SIZE`; the screen forms each flat index x * n + y
+    in int64.  A pure function
     of its arguments with a read-only result, so the process-wide memo of
     32 entries (at most 1.5 MB at the construction sample count) cannot leak
     state between callers."""
@@ -95,7 +106,14 @@ def _sample_triples(n: int, count: int) -> np.ndarray:
 
 
 def _as_table(arr, shape, what: str) -> np.ndarray:
-    table = np.ascontiguousarray(np.asarray(arr, dtype=np.int32))
+    """A read-only, C-contiguous `TABLE_DTYPE` copy or view of `arr`; entries
+    of any other dtype are range-checked first, so none wraps in the cast."""
+    table = np.asarray(arr)
+    if table.dtype != TABLE_DTYPE:
+        if table.size and (table.min() < 0 or table.max() >= MAX_TABLE_SIZE):
+            raise StructureError(f"{what} table entries out of carrier range")
+        table = table.astype(TABLE_DTYPE)
+    table = np.ascontiguousarray(table)
     if table.shape != shape:
         raise StructureError(f"{what} table has shape {table.shape}, expected {shape}")
     table.flags.writeable = False
@@ -205,14 +223,17 @@ class FiniteRing:
         if sample is not None and n**3 > sample:
             a, b, c = _sample_triples(n, sample)
             add_flat, mul_flat = add.ravel(), mul.ravel()
-            an = a * n
-            ab, bc, ac = an + b, b * n + c, an + c  # flat positions of (a, b), (b, c), (a, c)
+
+            def at(x, y):  # flat position of (x, y), formed in int64
+                return x.astype(np.int64) * n + y
+
+            ab, bc, ac = at(a, b), at(b, c), at(a, c)
             add_bc, mul_ab = add_flat[bc], mul_flat[ab]
-            if not (add_flat[add_flat[ab] * n + c] == add_flat[an + add_bc]).all():
+            if not (add_flat[at(add_flat[ab], c)] == add_flat[at(a, add_bc)]).all():
                 raise StructureError("addition not associative (sampled)")
-            if not (mul_flat[mul_ab * n + c] == mul_flat[an + mul_flat[bc]]).all():
+            if not (mul_flat[at(mul_ab, c)] == mul_flat[at(a, mul_flat[bc])]).all():
                 raise StructureError("multiplication not associative (sampled)")
-            if not (mul_flat[an + add_bc] == add_flat[mul_ab * n + mul_flat[ac]]).all():
+            if not (mul_flat[at(a, add_bc)] == add_flat[at(mul_ab, mul_flat[ac])]).all():
                 raise StructureError("distributivity fails (sampled)")
             return
         if n**3 <= CONSTRUCTION_SAMPLE_COUNT and (
@@ -482,9 +503,15 @@ def hom_identity(ring: FiniteRing) -> RingHom:
 # -- constructors -------------------------------------------------------------
 
 
+def _table_cap(size_cap: int) -> int:
+    """The cap in force: `size_cap`, but never above `MAX_TABLE_SIZE`."""
+    return min(size_cap, MAX_TABLE_SIZE)
+
+
 def _check_cap(size: int, size_cap: int, what: str) -> None:
-    if size > size_cap:
-        raise CapExceededError(f"{what} would have {size} elements, cap is {size_cap}")
+    cap = _table_cap(size_cap)
+    if size > cap:
+        raise CapExceededError(f"{what} would have {size} elements, cap is {cap}")
 
 
 def pair_indices(first: np.ndarray, width: int) -> np.ndarray:
@@ -506,25 +533,26 @@ def pair_ring_tables(base: FiniteRing, xadd, xneg, xzero, act, xmul=None) -> tup
 
     a.x = act[a, x] and x1 x2 = xmul[x1, x2], or 0 when `xmul` is None (an
     idealization A |x E).  Returns `(size, add, mul, neg, zero, one)` like
-    `coset_tables`.  The int32 tables have shape (|A|, |X|, |A|, |X|); the
-    product is filled over slices of a1 so that each temporary stays within
-    one row block, its sums gathered from the flattened `xadd`."""
+    `coset_tables`.  Both tables are `TABLE_DTYPE`, which holds every entry
+    a * |X| + x below the size.  The product is written one row block of
+    rows (a1, x1) at a time, its sums gathered from the flattened `xadd` at
+    flat indices formed in int64, so that each temporary stays within a block."""
     na, k = base.size, len(xadd)
     size = na * k
+    xadd = np.asarray(xadd, dtype=TABLE_DTYPE)
     add = ((base.add * k)[:, None, :, None] + xadd[None, :, None, :]).reshape(size, size)
-    mul = np.empty((na, k, na, k), dtype=np.int32)
+    mul = np.empty((size, size), dtype=TABLE_DTYPE)
     xadd_flat = xadd.ravel()
-    act_rows = act * k  # row offset of a1.x2 in xadd_flat, indexed (a1, x2)
-    act_t = act.T[None, :, :, None]  # a2.x1, indexed (., x1, a2, .)
-    for start, stop in _row_blocks(na, size * k):
-        cross = np.take(xadd_flat, act_rows[start:stop, None, None, :] + act_t)  # a1.x2 + a2.x1
+    act_rows = np.asarray(act, dtype=np.int64) * k  # row offset of a.x in xadd_flat, indexed (a, x)
+    for start, stop in _row_blocks(size, size):
+        a1, x1 = np.divmod(np.arange(start, stop), k)
+        # indexed (row, a2, x2): a1.x2 + a2.x1, then ... + x1 x2
+        cross = np.take(xadd_flat, act_rows[a1][:, None, :] + act.T[x1][:, :, None])
         if xmul is not None:
-            cross *= k
-            cross += xmul[None, :, None, :]
-            cross = np.take(xadd_flat, cross)  # ... + x1 x2
-        np.add((base.mul[start:stop] * k)[:, None, :, None], cross, out=mul[start:stop])
+            cross = np.take(xadd_flat, cross.astype(np.int64) * k + xmul[x1][:, None, :])
+        np.add((base.mul[a1] * k)[:, :, None], cross, out=mul[start:stop].reshape(-1, na, k))
     neg = np.repeat(base.neg * k, k) + np.tile(xneg, na)
-    return size, add, mul.reshape(size, size), neg, base.zero * k + xzero, base.one * k + xzero
+    return size, add, mul, neg, base.zero * k + xzero, base.one * k + xzero
 
 
 def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -532,13 +560,16 @@ def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if n < 1:
         raise ValueError("zmod requires n >= 1")
     _check_cap(n, size_cap, f"zmod({n})")
-    # reduced in place, in int32 while the products of residues fit
-    idx = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2**31 else np.int64)
-    add = idx[:, None] + idx[None, :]
-    add %= n
-    mul = idx[:, None] * idx[None, :]
-    mul %= n
-    neg = (-idx) % n
+    # reduced one row block at a time in uint32, which holds (n - 1)^2 for
+    # every n up to MAX_TABLE_SIZE, and written into the tables
+    idx = np.arange(n, dtype=np.uint32)
+    add = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    for start, stop in _row_blocks(n, n):
+        rows = idx[start:stop, None]
+        add[start:stop] = (rows + idx) % n
+        mul[start:stop] = (rows * idx) % n
+    neg = (n - idx) % n
     return FiniteRing(n, add, mul, neg, 0, 1 % n, f"zmod({n})")
 
 
@@ -603,12 +634,13 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
     if t < 1:
         raise ValueError("tpa requires truncation order >= 1")
     # The carrier has p^m elements for m monomials.  Compare m with
-    # log_p(size_cap) before counting (for t >= 2 the count is at least
+    # log_p(cap) before counting (for t >= 2 the count is at least
     # k + t - 1), enumerating, or testing the primality of a huge p.
-    max_m = _max_digits(p, size_cap)
+    cap = _table_cap(size_cap)
+    max_m = _max_digits(p, cap)
     if (t >= 2 and k + t - 1 > max_m) or tpa_monomial_count(k, t) > max_m:
         raise CapExceededError(
-            f"tpa({p},{k},{t}) would have more than {p}^{max_m} elements, cap is {size_cap}"
+            f"tpa({p},{k},{t}) would have more than {p}^{max_m} elements, cap is {cap}"
         )
     if not _is_prime(p):
         raise ValueError(f"tpa requires a prime characteristic, got {p}")
@@ -635,16 +667,17 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
     # Element x = d p^i + r with r < p^i is d*mono_i + r, so its row of either
     # table follows from row r: add[x, y] is add[r, y] with digit i of y
     # moved by d (mod p), and mul[x, y] = (d*mono_i) y + r y, the sum
-    # gathered from the finished `add`.  Both tables are filled in place in
-    # int32, rows r < p^i before rows x >= p^i.
-    add = np.empty((size, size), dtype=np.int32)
-    mul = np.empty((size, size), dtype=np.int32)
+    # gathered from the finished `add`.  Both tables are filled in place,
+    # rows r < p^i before rows x >= p^i.  A shift may be negative: it is
+    # added mod 2^16, which gives every sum exactly, as each lies in the carrier.
+    add = np.empty((size, size), dtype=TABLE_DTYPE)
+    mul = np.empty((size, size), dtype=TABLE_DTYPE)
     add[0] = idx
     mul[0] = 0
     for i, d in itertools.product(range(m), range(1, p)):
         low = int(radix[i])
         shift = low * ((digits[:, i] + d) % p - digits[:, i])
-        np.add(add[:low], shift.astype(np.int32), out=add[d * low : (d + 1) * low])
+        np.add(add[:low], shift.astype(TABLE_DTYPE), out=add[d * low : (d + 1) * low])
     add_flat = add.ravel()
     for i, d in itertools.product(range(m), range(1, p)):
         low = int(radix[i])
@@ -653,7 +686,7 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
         offsets = ((d * digits[:, valid]) % p @ radix[prodmap[i, valid]]) * size
         for start, stop in _row_blocks(low, size):
             mul[d * low + start : d * low + stop] = add_flat[offsets + mul[start:stop]]
-    neg = (((-digits) % p) @ radix).astype(np.int32)
+    neg = ((-digits) % p) @ radix
 
     names = []
     for i in range(size):
@@ -692,21 +725,22 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
 
 def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cosets of an additive subgroup (of a ring or a module, by its
-    addition table), each named by its minimal member: the int32 index map
-    onto them and their representatives ascending."""
+    addition table), each named by its minimal member: the `TABLE_DTYPE`
+    index map onto them and their representatives ascending."""
     rep = add[:, members].min(axis=1)
     reps = np.unique(rep)
     if len(reps) * len(members) != len(add):
         raise InternalCheckError("coset count does not divide the carrier")
-    pos = np.full(len(add), -1, dtype=np.int32)
+    pos = np.zeros(len(add), dtype=TABLE_DTYPE)  # read only at the representatives
     pos[reps] = np.arange(len(reps))
     return pos[rep], reps
 
 
 def coset_tables(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The cosets of an ideal, each named by its minimal member: the index map
-    onto them, their representatives ascending, and the quotient's int32
-    `(size, add, mul, neg, zero, one)`, the tables `quotient` builds its ring on."""
+    onto them, their representatives ascending, and the quotient's
+    `(size, add, mul, neg, zero, one)`, the tables `quotient` builds its ring
+    on, gathered straight into `TABLE_DTYPE` through the index map."""
     proj, reps = _cosets(ring.add, ideal.indices)
     pairs = np.ix_(reps, reps)
     add, mul, neg = proj[ring.add[pairs]], proj[ring.mul[pairs]], proj[ring.neg[reps]]

@@ -129,3 +129,23 @@ def test_relabelled_multiplication_fails_distributivity_alone(n):
     expected = screen(n, ring.add, mul)
     assert expected is not None and expected.startswith("distributivity fails")
     assert screen_message(ring, ring.add, mul) == expected
+
+
+def test_fault_past_2_16_at_a_sampled_triple_raises_the_sampled_error():
+    # at 4,096 elements the flat index a * n + b of a sampled pair passes 2^16,
+    # so the screen must form it in int64 to read the planted entry
+    ring = zmod(4096)
+    n = ring.size
+    a, b, c = next(
+        (int(a), int(b), int(c))
+        for a, b, c in _sample_triples(n, CONSTRUCTION_SAMPLE_COUNT).T
+        if a * n + b >= 2**16 and min(a, b, c) >= 2 and a != b and (a + b) % n != 0
+    )
+    faults = [
+        (with_fault(ring.add, a, b, (a + b + 1) % n), ring.mul),
+        (ring.add, with_fault(ring.mul, a, b, (a * b + 1) % n)),
+    ]
+    for add, mul in faults:
+        expected = sampled_screen(n, add, mul)
+        assert expected is not None and expected.endswith("(sampled)")
+        assert screen_message(ring, add, mul) == expected

@@ -2,24 +2,30 @@
 
 tracemalloc counts numpy buffers the same way on every machine, so these
 bounds do not depend on the allocator or on resident-set accounting.
-Example 2.4's 2,048-element instance has two int32 tables of 16 MB each;
-building them entry by entry through n x n int64 index arrays peaked at
-160 MB, and the unblocked Gaussian pair check at 52 MB above its start.
-tpa(2,1,12) has two int32 tables of 64 MB each; building its addition
-through an n x n x m int64 temporary peaked at 3.1 GB of resident memory.
+Every table is uint16.  Example 2.4's 2,048-element instance has two
+tables of 8 MB each; its build peaks near 21 MB, 38 MB with int32 tables,
+and building them entry by entry through n x n int64 index arrays peaked
+at 160 MB.  The unblocked Gaussian pair check peaked at 52 MB above its
+start.  tpa(2,1,12) has two tables of 32 MB each; its build peaks near
+67 MB, 132 MB with int32 tables, and building its addition through an
+n x n x m int64 temporary peaked at 3.1 GB of resident memory.
 trivext(zmod(64);regular) and product(zmod(64),zmod(64)) have the same two
-tables; gathering them through n x n int64 index arrays peaked at 320 and
-192 MB.  The enumeration of a 256-element ideal lattice peaked at 3.1 MB
-above its start when each round's temporaries were not cut into row blocks.
-resfield(11) over zmod(2) and resfield(10) over zmod(4) have one 16 MB and
-one 4 MB int32 addition table; gathering them through (q^d, q^d, d) int64
-arrays peaked at 560 and 128 MB.
+tables and peak near 67 and 69 MB (133 with int32 tables); gathering them
+through n x n int64 index arrays peaked at 320 and 192 MB.  The
+enumeration of a 256-element ideal lattice peaked at 3.1 MB above its
+start when each round's temporaries were not cut into row blocks.
+resfield(11) over zmod(2) and resfield(10) over zmod(4) have one 8 MB and
+one 2 MB addition table and peak near 12 and 6 MB; gathering them through
+(q^d, q^d, d) int64 arrays peaked at 560 and 128 MB.  A ring past the
+65,536 elements a uint16 table can index is refused before any table is
+allocated, whatever the cap.
 """
 import gc
 import tracemalloc
 
 import pytest
 
+from amalgam import cli
 from amalgam.amalgamation import amalgamate
 from amalgam.errors import CapExceededError
 from amalgam.harness import reproduce_examples
@@ -27,7 +33,7 @@ from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExp
 from amalgam.ideals import Ideal, enumerate_ideals
 from amalgam.modules import vspace_over_residue
 from amalgam.properties import is_gaussian, is_local
-from amalgam.rings import pair_indices, truncated_poly_algebra, zmod
+from amalgam.rings import hom_identity, pair_indices, product, truncated_poly_algebra, zmod
 
 MB = 1 << 20
 
@@ -53,7 +59,7 @@ def test_example_2_4_build_and_gaussian_peaks():
         tracemalloc.stop()
 
     assert ring.size == 2048 and not gaussian
-    assert build_peak <= 64 * MB, f"build peaked at {build_peak / MB:.1f} MB"
+    assert build_peak <= 28 * MB, f"build peaked at {build_peak / MB:.1f} MB"
     assert gaussian_peak - start <= 24 * MB, f"is_gaussian peaked at {(gaussian_peak - start) / MB:.1f} MB"
 
 
@@ -65,7 +71,7 @@ def test_tpa_2_1_12_build_peak():
     finally:
         tracemalloc.stop()
     assert ring.size == 4096
-    assert peak <= 200 * MB, f"tpa(2,1,12) build peaked at {peak / MB:.1f} MB"
+    assert peak <= 96 * MB, f"tpa(2,1,12) build peaked at {peak / MB:.1f} MB"
 
 
 @pytest.mark.parametrize("label", ["trivext(zmod(64);regular)", "product(zmod(64),zmod(64))"])
@@ -77,7 +83,7 @@ def test_trivext_and_product_build_peaks(label):
     finally:
         tracemalloc.stop()
     assert ring.size == 4096
-    assert peak <= 160 * MB, f"{label} build peaked at {peak / MB:.1f} MB"
+    assert peak <= 96 * MB, f"{label} build peaked at {peak / MB:.1f} MB"
 
 
 @pytest.mark.parametrize(
@@ -101,7 +107,7 @@ def test_lattice_enumeration_temporaries_peak(label, count):
     assert peak - start <= 1.5 * MB, f"enumerating {label} peaked at {(peak - start) / MB:.2f} MB"
 
 
-@pytest.mark.parametrize("n, dim, bound", [(2, 11, 64), (4, 10, 16)])
+@pytest.mark.parametrize("n, dim, bound", [(2, 11, 32), (4, 10, 8)])
 def test_vspace_over_residue_build_peak(n, dim, bound):
     base = zmod(n)
     m = is_local(base)
@@ -127,5 +133,39 @@ def test_examples_free_their_rings_without_the_cyclic_gc():
         tracemalloc.stop()
         gc.enable()
     assert all(report.ok for report in reports)
-    assert peak <= 44 * MB, f"examples peaked at {peak / MB:.1f} MB"
+    assert peak <= 28 * MB, f"examples peaked at {peak / MB:.1f} MB"
     assert held <= 4 * MB, f"examples still hold {held / MB:.1f} MB"
+
+
+def test_props_past_the_table_limit_exits_2_before_allocating(capsys):
+    # two 70,000^2 int32 tables would take 19.6 GB each; the cap refuses first
+    tracemalloc.start()
+    try:
+        code = cli.main(["props", "--max-ring-size", "100000", "zmod(70000)"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "zmod(70000) would have 70000 elements, cap is 65536" in capsys.readouterr().err
+    assert peak <= 1 * MB, f"refusing zmod(70000) peaked at {peak / MB:.2f} MB"
+
+
+def test_every_constructor_refuses_past_the_table_limit_under_a_larger_cap():
+    big = 10**6
+    z2, z300 = zmod(2), zmod(300)
+    m = is_local(z2)
+    builds = [
+        lambda: truncated_poly_algebra(2, 1, 17, size_cap=big),
+        lambda: product(z300, z300, size_cap=big),
+        lambda: vspace_over_residue(z2, m, 17, size_cap=big),
+        lambda: amalgamate(z300, z300, hom_identity(z300), Ideal(z300, range(300)), size_cap=big),
+    ]
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="cap is 65536"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 * MB, f"a refusal peaked at {peak / MB:.2f} MB"

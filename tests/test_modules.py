@@ -15,7 +15,7 @@ from amalgam.modules import (
 )
 from amalgam.properties import is_local
 from amalgam.expressions import Evaluator, parse
-from amalgam.rings import pair_indices, quotient, zmod
+from amalgam.rings import TABLE_DTYPE, pair_indices, quotient, zmod
 
 
 def test_ring_as_module_examples():
@@ -55,7 +55,7 @@ def test_vspace_tables_match_the_coordinatewise_formula(monkeypatch, label, dim)
         monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", entries)
         module = vspace_over_residue(ring, m, dim)
         assert (module.add == add).all() and (module.action == act).all()
-        assert module.add.dtype == module.action.dtype == np.int32
+        assert module.add.dtype == module.action.dtype == TABLE_DTYPE
 
 
 def test_vspace_requires_maximal():

@@ -13,6 +13,7 @@ from amalgam.harness import _tpa_parameter_sweep
 from amalgam.expressions import ComposeHomExpr, Evaluator, IdHomExpr, ProjHomExpr, parse
 from amalgam.ideals import ideal_generated, maximal_ideals
 from amalgam.rings import (
+    TABLE_DTYPE,
     FiniteRing,
     RingHom,
     _is_symmetric,
@@ -131,11 +132,11 @@ def test_tpa_tables_match_the_formula(p, k, t):
     ring = truncated_poly_algebra(p, k, t)
     add, mul = _tpa_by_formula(p, k, t)
     assert (ring.add == add).all() and (ring.mul == mul).all()
-    assert ring.add.dtype == ring.mul.dtype == np.int32
+    assert ring.add.dtype == ring.mul.dtype == TABLE_DTYPE
 
 
-# sha256 of add.tobytes() + mul.tobytes(), int32, as the entry-by-entry
-# formula gives them
+# sha256 of add.tobytes() + mul.tobytes() in int32, as the entry-by-entry
+# formula gives them; the tables are widened to int32 before hashing
 TPA_DIGESTS = {
     (2, 1, 12): "c29075d525a8b79f3933dc34fcc6ba3eb11b37448c79b1528c2cb231a02aca8d",
     (3, 1, 7): "21b4a115b2835c6296b3a315c1842b3b6346f0b78acae2a85ccc92f1d05ac382",
@@ -145,7 +146,8 @@ TPA_DIGESTS = {
 @pytest.mark.parametrize("p,k,t", sorted(TPA_DIGESTS))
 def test_large_tpa_tables_match_the_formula_digest(p, k, t):
     ring = truncated_poly_algebra(p, k, t)
-    assert hashlib.sha256(ring.add.tobytes() + ring.mul.tobytes()).hexdigest() == TPA_DIGESTS[p, k, t]
+    tables = ring.add.astype(np.int32).tobytes() + ring.mul.astype(np.int32).tobytes()
+    assert hashlib.sha256(tables).hexdigest() == TPA_DIGESTS[p, k, t]
 
 
 def test_tpa_rejects_non_prime():
