@@ -345,8 +345,9 @@ class Evaluator:
     """Builds rings/instances from ASTs, memoizing shared subexpressions.
 
     Memoization makes structurally identical subexpressions evaluate to the
-    *same* ring object, which is what lets "proj"/"embed" hom specs resolve
-    against the target's construction path.
+    *same* ring object.  `hom` resolves every hom spec against the target's
+    construction path: building a quot(...) or trivext(...) target keeps its
+    projection or embedding, and "proj"/"embed" read that hom back.
     """
 
     def __init__(self, size_cap: int = DEFAULT_SIZE_CAP):
@@ -375,7 +376,7 @@ class Evaluator:
         elif isinstance(expr, AmalgExpr):
             base = self.ring(expr.base)
             target = self.ring(expr.target)
-            f = self.resolve_hom(expr.hom, base, expr.target)
+            _, f = self.hom(expr.hom, expr.target, base)
             inst = amalgamate(base, target, f, self._ideal(target, expr.gens), self.size_cap)
         else:  # refused by its node type, before any of it is evaluated
             raise EvaluationError(f"{expr.unparse()} is not an amalgamation expression")
@@ -443,41 +444,37 @@ class Evaluator:
             return module_quotient(inner, sub, _elems(expr.gens))
         raise EvaluationError(f"unsupported module expression {expr!r}")
 
-    def resolve_hom(self, hexpr: HomExpr, source: FiniteRing, target_expr: RingExpr) -> RingHom:
+    def hom(self, hexpr: HomExpr, target_expr: RingExpr, source: FiniteRing | None = None) -> tuple[RingExpr, RingHom]:
+        """The source expression and hom that a spec names into the target.
+
+        "id" maps the target to itself, "proj" needs a quot(...) target and
+        "embed" a trivext(...) one; "compose(g,f)" reads g against the target
+        and f against g's source.  A given `source` ring is checked at the
+        innermost hom only; without one, the hom maps out of its source
+        expression's ring."""
         target = self.ring(target_expr)
-        self._peel(hexpr, target_expr)  # refuses proj and embed against the wrong target
         if isinstance(hexpr, ComposeHomExpr):
-            mid_expr = self._peel(hexpr.outer, target_expr)
-            inner = self.resolve_hom(hexpr.inner, source, mid_expr)
-            outer = self.resolve_hom(hexpr.outer, self.ring(mid_expr), target_expr)
-            return RingHom(source, target, outer.map[inner.map], label=hexpr.unparse())
+            mid_expr, outer = self.hom(hexpr.outer, target_expr)
+            source_expr, inner = self.hom(hexpr.inner, mid_expr, source)
+            return source_expr, RingHom(inner.source, target, outer.map[inner.map], label=hexpr.unparse())
         if isinstance(hexpr, IdHomExpr):
+            source = target if source is None else source
             if source.size != target.size:
                 raise EvaluationError("id hom requires equal-size rings")
-            return RingHom(source, target, np.arange(source.size), label="id")
-        hom = self._homs[target_expr]
-        if hom.source is source:
-            return hom
-        if hom.source.same_tables(source):
-            return RingHom(source, target, hom.map, label=hexpr.unparse())
-        base = "quotient" if isinstance(hexpr, ProjHomExpr) else "extension"
-        raise EvaluationError(f"{hexpr.unparse()} hom source does not match the {base} base")
-
-    def _peel(self, hexpr: HomExpr, target_expr: RingExpr) -> RingExpr:
-        """The source expression of a hom spec read against the target's tree.
-
-        This is where "proj" and "embed" are checked against the target's
-        outermost constructor."""
-        if isinstance(hexpr, IdHomExpr):
-            return target_expr
+            return target_expr, RingHom(source, target, np.arange(source.size), label="id")
         if isinstance(hexpr, ProjHomExpr):
             if not isinstance(target_expr, QuotExpr):
                 raise EvaluationError("proj hom requires a quot(...) target")
-            return target_expr.ring
-        if isinstance(hexpr, EmbedHomExpr):
+            base = "quotient"
+        elif isinstance(hexpr, EmbedHomExpr):
             if not isinstance(target_expr, TrivextExpr):
                 raise EvaluationError("embed hom requires a trivext(...) target")
-            return target_expr.ring
-        if isinstance(hexpr, ComposeHomExpr):
-            return self._peel(hexpr.inner, self._peel(hexpr.outer, target_expr))
-        raise EvaluationError(f"unsupported hom expression {hexpr!r}")
+            base = "extension"
+        else:
+            raise EvaluationError(f"unsupported hom expression {hexpr!r}")
+        hom = self._homs[target_expr]
+        if source is None or hom.source is source:
+            return target_expr.ring, hom
+        if hom.source.same_tables(source):
+            return target_expr.ring, RingHom(source, target, hom.map, label=hexpr.unparse())
+        raise EvaluationError(f"{hexpr.unparse()} hom source does not match the {base} base")

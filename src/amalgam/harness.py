@@ -42,6 +42,7 @@ at once, and the sweep machine-checks the fact over the catalog and reports
 """
 from __future__ import annotations
 
+import functools
 import re
 import time
 from collections import Counter
@@ -51,10 +52,12 @@ from typing import Iterable
 import numpy as np
 
 from .amalgamation import AmalgamationInstance, amalgamate, duplication, holds, hypothesis_report
-from .errors import CapExceededError, InternalCheckError, UnknownClauseError
+from .errors import EvaluationError, InternalCheckError, UnknownClauseError
 from .expressions import (
+    ComposeHomExpr,
     EmbedHomExpr,
     Evaluator,
+    IdHomExpr,
     ModuleExpr,
     ProductExpr,
     ProjHomExpr,
@@ -66,18 +69,26 @@ from .expressions import (
     TpaExpr,
     TrivextExpr,
     ZmodExpr,
-    ComposeHomExpr,
     parse,
 )
 from .ideals import Ideal, all_ideals, ideal_product
 from .modules import FiniteModule
 from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, hom_identity, pair_indices, tpa_monomial_count
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
 
 # -- catalog -------------------------------------------------------------------
+
+# The homs the catalog tries against every ring, with their spec tags; a hom
+# that does not apply to a target (an EvaluationError) gives it no specs.
+CATALOG_HOMS = (
+    ("identity", IdHomExpr()),
+    ("embed", EmbedHomExpr()),
+    ("proj", ProjHomExpr()),
+    ("compose-proj-embed", ComposeHomExpr(ProjHomExpr(), EmbedHomExpr())),
+)
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,12 @@ def _table_key(size: int, zero: int, one: int, add: np.ndarray, mul: np.ndarray)
 def build_catalog(params: CatalogParams | None = None) -> Catalog:
     """Deterministic generator-family catalog (not isomorphism-complete).
 
-    Rings come from the construction grammar; instances pair every canonical
-    hom (identity, idealization embedding, quotient projection, and their
-    depth-2 compositions) with every proper ideal J of the target subject to
-    |A| * |J| <= instance_max.  Rings are deduplicated by their tables, and
-    quotient candidates by their coset tables before any ring is built or
-    proved.
+    Rings come from the construction grammar; instances pair every hom of
+    `CATALOG_HOMS` that applies to a ring (identity, idealization embedding,
+    quotient projection, and projection after embedding) with every proper
+    ideal J of the target subject to |A| * |J| <= instance_max.  Rings are
+    deduplicated by their tables, and quotient candidates by their coset
+    tables before any ring is built or proved.
     """
     p = params or CatalogParams()
     ev = Evaluator(size_cap=p.size_cap)
@@ -149,17 +160,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     rings: list[FiniteRing] = []
     exprs: list[RingExpr] = []
     seen: set[bytes] = set()
-    ideals_of: dict[FiniteRing, list[Ideal]] = {}  # keyed by ring identity
-
-    def enumerable_ideals(ring: FiniteRing) -> list[Ideal]:
-        """The ideal lattice, taken once per ring and build, or nothing when
-        it is past the enumeration guard."""
-        if ring not in ideals_of:
-            try:
-                ideals_of[ring] = all_ideals(ring)
-            except CapExceededError:
-                ideals_of[ring] = []
-        return ideals_of[ring]
+    ideals = functools.cache(all_ideals)  # each ring's lattice once per build, keyed by identity
 
     def add_expr(expr: RingExpr) -> FiniteRing | None:
         ring = ev.ring(expr)
@@ -226,61 +227,41 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
     for expr, ring in list(zip(exprs, rings)):
         if ring.size > p.quotient_base_max:
             continue
-        for ideal in enumerable_ideals(ring):
+        for ideal in ideals(ring):
             if ideal.is_whole or ideal.is_zero:
                 continue
             size, add, mul, _, zero, one = coset_tables(ring, ideal)[2]
             if _table_key(size, zero, one, add, mul) not in seen:
                 add_expr(QuotExpr(expr, ideal.generators()))
 
-    # a thin layer of extensions over quotients, so embed-after-proj
-    # compositions have catalog instances
-    for expr, ring in [(e, r) for e, r in zip(exprs, rings) if isinstance(e, QuotExpr)]:
-        if ring.size <= 8 and ring.is_local:
-            extend(expr, ResfieldExpr(1))
-
     # amalgamation instances
     specs: list[InstanceSpec] = []
-
-    def push(base: FiniteRing, target: FiniteRing, f: RingHom, hom_tag: str, target_expr: RingExpr) -> None:
-        ex26_j = None
-        if hom_tag == "embed" and isinstance(target_expr.ring, TrivextExpr):
-            # the 0 x E ideal of the idealization B = A |x E
-            ex26_j = frozenset(pair_indices([base.zero], target.size // base.size).tolist())
-        for j in enumerable_ideals(target):
-            if j.is_whole or base.size * len(j) > p.instance_max:
+    for target_expr in exprs:
+        for hom_tag, hexpr in CATALOG_HOMS:
+            try:
+                source_expr, f = ev.hom(hexpr, target_expr)
+            except EvaluationError:
                 continue
-            tags = [hom_tag]
-            if j.is_zero:
-                tags.append("j-zero")
-            if j.members == ex26_j:
-                tags.append("ex2.6-shape")
-            gens = ",".join(str(g) for g in j.generators())
-            if hom_tag == "identity":
-                label = f"dup({base.label};{gens})"
-            else:
-                label = f"amalg({base.label},{target.label},{f.label or 'hom'};{gens})"
-            specs.append(InstanceSpec(base, target, f, j, label, tuple(tags)))
-
-    for expr, ring in zip(exprs, rings):
-        push(ring, ring, hom_identity(ring), "identity", expr)
-
-        if isinstance(expr, TrivextExpr):
-            base = ev.ring(expr.ring)
-            f = ev.resolve_hom(EmbedHomExpr(), base, expr)
-            push(base, ring, f, "embed", expr)
-            if isinstance(expr.ring, QuotExpr):
-                inner_base = ev.ring(expr.ring.ring)
-                f2 = ev.resolve_hom(ComposeHomExpr(EmbedHomExpr(), ProjHomExpr()), inner_base, expr)
-                push(inner_base, ring, f2, "compose-embed-proj", expr)
-        if isinstance(expr, QuotExpr):
-            base = ev.ring(expr.ring)
-            f = ev.resolve_hom(ProjHomExpr(), base, expr)
-            push(base, ring, f, "proj", expr)
-            if isinstance(expr.ring, TrivextExpr):
-                inner_base = ev.ring(expr.ring.ring)
-                f2 = ev.resolve_hom(ComposeHomExpr(ProjHomExpr(), EmbedHomExpr()), inner_base, expr)
-                push(inner_base, ring, f2, "compose-proj-embed", expr)
+            base, target = f.source, f.target
+            ex26_j = None
+            embedding = isinstance(target_expr, TrivextExpr) and source_expr is target_expr.ring
+            if embedding and isinstance(source_expr, TrivextExpr):
+                # f embeds an idealization A into B = A |x E: the 0 x E ideal
+                ex26_j = frozenset(pair_indices([base.zero], target.size // base.size).tolist())
+            for j in ideals(target):
+                if j.is_whole or base.size * len(j) > p.instance_max:
+                    continue
+                tags = [hom_tag]
+                if j.is_zero:
+                    tags.append("j-zero")
+                if j.members == ex26_j:
+                    tags.append("ex2.6-shape")
+                gens = ",".join(str(g) for g in j.generators())
+                if base is target:
+                    label = f"dup({base.label};{gens})"
+                else:
+                    label = f"amalg({base.label},{target.label},{f.label};{gens})"
+                specs.append(InstanceSpec(base, target, f, j, label, tuple(tags)))
 
     return Catalog(p, rings, exprs, modules, specs)
 

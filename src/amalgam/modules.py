@@ -173,11 +173,13 @@ def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarra
     return idx
 
 
-def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str = "") -> FiniteModule:
-    """Quotient by a submodule, cosets named by their minimal member."""
+def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str | None = None) -> FiniteModule:
+    """Quotient by a submodule, cosets named by their minimal member.  Given
+    the submodule's generator list, even an empty one, the label is the
+    expression `quotmod(M;gens)`."""
     proj, reps = _cosets(module.add, _check_submodule(module, frozenset(int(m) for m in members)))
     names = [f"[{module.element_names[r]}]" for r in reps]
-    label = f"quotmod({module.label};{gens_label})" if gens_label else f"quotmod({module.label})"
+    label = f"quotmod({module.label})" if gens_label is None else f"quotmod({module.label};{gens_label})"
     qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
     return FiniteModule(module.ring, len(reps), qadd, qact, label, names)
 

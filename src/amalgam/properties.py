@@ -347,7 +347,11 @@ def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
     level = np.sum([step.mask for step in steps], axis=0) - 1
     gens = np.asarray([int(np.argmax(level == k)) for k in range(len(steps))])
     principal_ok = all(principal_ideal(factor, g) == step for g, step in zip(gens, steps))
-    if not principal_ok or not (factor.mul == gens[level][None, :]).any(axis=0).all():
+    generator = gens[level]  # y must be a multiple of generator[y]
+    multiple = np.zeros(factor.size, dtype=bool)
+    for start, stop in _row_blocks(factor.size, factor.size):
+        multiple |= (factor.mul[start:stop] == generator).any(axis=0)
+    if not principal_ok or not multiple.all():
         raise InternalCheckError(f"chain certificate: {factor.label} has ideals off its m-adic filtration")
     return tuple(steps)
 
@@ -376,6 +380,17 @@ def m3_certificate(factor: FiniteRing, a: int, b: int) -> tuple[Ideal, Ideal, Id
     return j1, j2, j3
 
 
+def _first_incomparable(in_principal: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (a, b) in row-major order with neither a in (b) nor b in
+    (a), or None; read one `_row_blocks` block of rows at a time."""
+    n = in_principal.shape[0]
+    for start, stop in _row_blocks(n, n):
+        incomparable = ~(in_principal[start:stop] | in_principal[:, start:stop].T)
+        if incomparable.any():
+            return divmod(start * n + int(np.argmax(incomparable)), n)
+    return None
+
+
 def is_arithmetical(ring: FiniteRing) -> bool:
     """Every local factor a chain ring (Jensen), decided and certified factor
     by factor in one pass.
@@ -389,10 +404,9 @@ def is_arithmetical(ring: FiniteRing) -> bool:
     """
     verdict = True
     for factor, _proj in ring.local_factor_homs():
-        in_principal = factor.principal_membership
-        incomparable = ~(in_principal | in_principal.T)
-        if incomparable.any():
-            m3_certificate(factor, *divmod(int(np.argmax(incomparable)), factor.size))
+        pair = _first_incomparable(factor.principal_membership)
+        if pair is not None:
+            m3_certificate(factor, *pair)
             verdict = False
         else:
             chain_certificate(factor)

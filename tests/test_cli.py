@@ -138,6 +138,19 @@ def test_examples_build_no_catalog(capsys, monkeypatch, example_reports):
     assert "cap exceeded" in err
 
 
+def test_suite_refuses_a_cap_below_the_examples_before_the_sweep(capsys, monkeypatch):
+    # example 2.4 builds a 2,048-element ring
+    def not_reached(*_args, **_kwargs):
+        raise AssertionError("amalgam suite built or swept the catalog under a cap the examples refuse")
+
+    monkeypatch.setattr(amalgam.cli, "build_catalog", not_reached)
+    monkeypatch.setattr(amalgam.cli, "verify_clauses", not_reached)
+    code, out, err = run_cli(capsys, "suite", "--machine", "--max-ring-size", "2047")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap exceeded: ")
+
+
 def test_props_certifies_large_chain_rings(capsys):
     # past the 256-element lattice guard; the chain certificate needs no lattice
     for expr in ("zmod(4096)", "tpa(2,1,10)"):

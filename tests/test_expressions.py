@@ -8,6 +8,7 @@ from amalgam.expressions import (
     ComposeHomExpr,
     EmbedHomExpr,
     Evaluator,
+    IdHomExpr,
     ProjHomExpr,
     QuotExpr,
     ResfieldExpr,
@@ -111,6 +112,14 @@ def test_empty_element_list_is_the_zero_ideal():
     )
 
 
+def test_empty_quotmod_label_reparses():
+    # the quotient by the zero submodule keeps its empty generator list
+    for text in ("trivext(zmod(4);quotmod(regular;))", "trivext(tpa(2,1,3);quotmod(resfield(2);))"):
+        ring = Evaluator().ring(parse(text))
+        assert ring.label == text
+        assert Evaluator().ring(parse(ring.label)).same_tables(ring)
+
+
 def test_j_zero_catalog_labels_reparse(catalog):
     # instances along J = 0 print an empty generator list
     ev = Evaluator()
@@ -177,6 +186,28 @@ def test_hom_resolution_errors():
         with pytest.raises(EvaluationError) as err:
             Evaluator().instance(parse(text))
         assert str(err.value) == message, text
+
+
+def test_nested_compose_checks_the_source_at_its_innermost_hom():
+    for hom in ("compose(id,proj)", "compose(id,compose(id,proj))"):
+        with pytest.raises(EvaluationError) as err:
+            Evaluator().instance(parse(f"amalg(zmod(4),quot(zmod(8);4),{hom};2)"))
+        assert str(err.value) == "proj hom source does not match the quotient base", hom
+
+
+def test_hom_returns_the_source_expression_it_peeled():
+    ev = Evaluator()
+    target = parse("quot(trivext(quot(zmod(8);4);regular);2)")
+    for hexpr, source_expr in (
+        (IdHomExpr(), target),
+        (ProjHomExpr(), target.ring),
+        (ComposeHomExpr(ProjHomExpr(), EmbedHomExpr()), target.ring.ring),
+        (ComposeHomExpr(ProjHomExpr(), ComposeHomExpr(EmbedHomExpr(), ProjHomExpr())), target.ring.ring.ring),
+    ):
+        peeled, f = ev.hom(hexpr, target)
+        assert peeled == source_expr, hexpr
+        assert f.source is ev.ring(source_expr) and f.target is ev.ring(target)
+        assert f.label == hexpr.unparse()
 
 
 def test_non_amalgamation_is_refused_before_it_is_evaluated():

@@ -97,6 +97,11 @@ def test_default_catalog_digest(catalog):
     assert h.hexdigest() == DEFAULT_CATALOG_DIGEST
 
 
+def test_every_catalog_hom_has_default_catalog_specs(catalog):
+    counts = Counter(spec.tags[0] for spec in catalog.specs)
+    assert set(counts) == {tag for tag, _ in harness.CATALOG_HOMS}, counts
+
+
 def test_catalog_builds_only_the_quotients_it_keeps(monkeypatch):
     calls = []
 
@@ -137,7 +142,7 @@ def test_hom_kernels_pass_the_closure_check(small_catalog):
     quot_exprs = [e for e in small_catalog.ring_exprs if isinstance(e, QuotExpr)]
     assert quot_exprs
     for expr in quot_exprs:
-        proj = ev.resolve_hom(ProjHomExpr(), ev.ring(expr.ring), expr)
+        _, proj = ev.hom(ProjHomExpr(), expr, ev.ring(expr.ring))
         proj.kernel()._validate()
     for spec in small_catalog.specs:
         inst = spec.build()
@@ -426,7 +431,7 @@ def _along_m_times_module(ev, base_expr, module_expr):
     target_expr = TrivextExpr(base_expr, module_expr)
     base, target = ev.ring(base_expr), ev.ring(target_expr)
     j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
-    return amalgamate(base, target, ev.resolve_hom(EmbedHomExpr(), base, target_expr), j)
+    return amalgamate(base, target, ev.hom(EmbedHomExpr(), target_expr, base)[1], j)
 
 
 def _quotient_surrogate(ev, seed_expr):
@@ -444,7 +449,7 @@ def _quotient_surrogate(ev, seed_expr):
     image_of_m = sorted(set(int(coset[x]) for x in m.indices))
     quot_expr = QuotExpr(ext_expr, Ideal(ext, image_of_m).generators())  # 0 x (m/m^2)
     target = ev.ring(quot_expr)
-    f = ev.resolve_hom(ProjHomExpr(), ext, quot_expr)
+    _, f = ev.hom(ProjHomExpr(), quot_expr, ext)
     j = Ideal(target, sorted(set(int(f.map[x]) for x in range(quot_module.size))))  # image of 0 x (seed/m^2)
     return amalgamate(ext, target, f, j)
 

@@ -18,7 +18,11 @@ resfield(11) over zmod(2) and resfield(10) over zmod(4) have one 8 MB and
 one 2 MB addition table and peak near 12 and 6 MB; gathering them through
 (q^d, q^d, d) int64 arrays peaked at 560 and 128 MB.  A ring past the
 65,536 elements a uint16 table can index is refused before any table is
-allocated, whatever the cap.
+allocated, whatever the cap.  On zmod(4096) and tpa(2,1,12) the
+incomparable-pair scan of `is_arithmetical` and the multiple check of
+`chain_certificate` peaked at 33 and 17 MB above their start through
+n x n bool temporaries; read one row block at a time, both peak near
+11 MB, most of it the product m * m.
 """
 import gc
 import tracemalloc
@@ -32,7 +36,7 @@ from amalgam.harness import reproduce_examples
 from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExpr, ZmodExpr, parse
 from amalgam.ideals import Ideal, enumerate_ideals
 from amalgam.modules import vspace_over_residue
-from amalgam.properties import is_gaussian, is_local
+from amalgam.properties import chain_certificate, is_arithmetical, is_gaussian, is_local
 from amalgam.rings import hom_identity, pair_indices, product, truncated_poly_algebra, zmod
 
 MB = 1 << 20
@@ -44,7 +48,7 @@ def test_example_2_4_build_and_gaussian_peaks():
     target_expr = TrivextExpr(ZmodExpr(16), RegularExpr())
     target = ev.ring(target_expr)
     j = Ideal(target, pair_indices(is_local(base).indices, target.size // base.size))
-    f = ev.resolve_hom(EmbedHomExpr(), base, target_expr)
+    _, f = ev.hom(EmbedHomExpr(), target_expr, base)
 
     tracemalloc.start()
     try:
@@ -119,6 +123,26 @@ def test_vspace_over_residue_build_peak(n, dim, bound):
         tracemalloc.stop()
     assert module.size == 2**dim
     assert peak <= bound * MB, f"resfield({dim}) over zmod({n}) peaked at {peak / MB:.1f} MB"
+
+
+@pytest.mark.parametrize("label", ["zmod(4096)", "tpa(2,1,12)"])
+def test_arithmetical_and_chain_certificate_peaks(label):
+    ring = Evaluator().ring(parse(label))
+    ring.units_mask, ring.principal_membership  # built before the count starts
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        arithmetical = is_arithmetical(ring)
+        _, arithmetical_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start_chain, _ = tracemalloc.get_traced_memory()
+        chain_certificate(ring)
+        _, chain_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert arithmetical
+    assert arithmetical_peak - start <= 14 * MB, f"is_arithmetical peaked at {(arithmetical_peak - start) / MB:.1f} MB"
+    assert chain_peak - start_chain <= 14 * MB, f"chain_certificate peaked at {(chain_peak - start_chain) / MB:.1f} MB"
 
 
 def test_examples_free_their_rings_without_the_cyclic_gc():

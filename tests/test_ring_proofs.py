@@ -188,11 +188,11 @@ def test_compose_hom_resolves_with_one_hom_construction(monkeypatch):
         expr = parse(text)
         ring, source = ev.ring(expr), ev.ring(expr.ring.ring)
         mid = ev.ring(expr.ring)
-        outer = ev.resolve_hom(hexpr.outer, mid, expr)
-        inner = ev.resolve_hom(hexpr.inner, source, expr.ring)
+        _, outer = ev.hom(hexpr.outer, expr, mid)
+        _, inner = ev.hom(hexpr.inner, expr.ring, source)
         built.clear()
         monkeypatch.setattr(RingHom, "__init__", counting)
-        resolved = ev.resolve_hom(hexpr, source, expr)
+        _, resolved = ev.hom(hexpr, expr, source)
         monkeypatch.setattr(RingHom, "__init__", init)
         assert built == [resolved]
         assert resolved.source is source and resolved.target is ring

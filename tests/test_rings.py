@@ -228,9 +228,9 @@ def test_hom_compose_identity_law():
     ev = Evaluator()
     target_expr = parse("quot(zmod(4);2)")
     z4 = ev.ring(target_expr.ring)
-    proj = ev.resolve_hom(ProjHomExpr(), z4, target_expr)
+    _, proj = ev.hom(ProjHomExpr(), target_expr, z4)
     for hexpr in (ComposeHomExpr(ProjHomExpr(), IdHomExpr()), ComposeHomExpr(IdHomExpr(), ProjHomExpr())):
-        composed = ev.resolve_hom(hexpr, z4, target_expr)
+        _, composed = ev.hom(hexpr, target_expr, z4)
         assert (composed.map == proj.map).all() and composed.target is proj.target
 
 

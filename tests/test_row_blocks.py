@@ -13,7 +13,7 @@ import amalgam.rings
 from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLES
-from amalgam.properties import _unit_orbits, is_local, local_gaussian_pair_check
+from amalgam.properties import _first_incomparable, _unit_orbits, is_local, local_gaussian_pair_check
 from amalgam.rings import FiniteRing, RingHom, truncated_poly_algebra
 from pair_oracle import pair_condition_matrix
 
@@ -87,3 +87,19 @@ def test_hom_witness_past_the_first_block(monkeypatch, rows):
     blocked = _hom_error(ring, ring, index_map)
     assert whole.witness == blocked.witness == (4, 4)
     assert str(whole) == str(blocked) == "f(x*y) != f(x)*f(y) at (4, 4)"
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_first_incomparable_pair_matches_the_whole_matrix(monkeypatch, catalog, rows):
+    checked = 0
+    for ring in catalog.rings:
+        for factor, _proj in ring.local_factor_homs():
+            in_principal = factor.principal_membership
+            if rows is not None:
+                monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * factor.size)
+            incomparable = ~(in_principal | in_principal.T)
+            expected = divmod(int(np.argmax(incomparable)), factor.size) if incomparable.any() else None
+            assert _first_incomparable(in_principal) == expected, factor.label
+            checked += expected is not None
+    assert checked
+
