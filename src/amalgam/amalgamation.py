@@ -24,6 +24,15 @@ and compare tables under the embedding.
 pA, pB and {0} x J are built and proved on the instance's first read of
 any of them, so an instance whose ring no reader asks for never builds it.
 
+R's tables depend only on A and on jadd, jmul and fj, so instances that
+agree on those share one ring within a pass: an instance given a
+`RingMemo` takes the ring, pA and {0} x J of the matching entry, and with
+them every fact cached on the ring (Gaussian, arithmetical, local, ...).
+pB depends on B and f, so each instance still validates its own pB and
+the joint injectivity of (pA, pB) on the shared ring.  The memo holds the
+last `MEMO_RINGS` rings, and a shared ring keeps the label of the
+instance that built it, so readers name an instance by `inst.label`.
+
 `PREDICATES` names every side condition and conclusion that the clauses
 and worked examples read.  `holds(inst, name)` evaluates one on its first
 read and keeps the value in `inst.facts`, so an instance computes only the
@@ -31,6 +40,7 @@ facts some reader asks for, each once.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -66,26 +76,36 @@ class AmalgamationInstance:
     # jpos, jadd, jmul, fj of `amalgamate`: J positions, checked closed
     j_tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     facts: dict[str, bool] = field(default_factory=dict)  # PREDICATES values read so far, by name
+    memo: RingMemo | None = None  # rings shared with other instances of one pass
 
     @cached_property
     def _proved(self) -> tuple[FiniteRing, RingHom, RingHom, Ideal]:
-        """The ring from its tables, proved by pA and pB, and the kernel {0} x J of pA."""
+        """The ring from its tables, proved by pA and pB, and the kernel {0} x J
+        of pA; with a memo, the ring, pA and {0} x J of an earlier instance
+        with the same key, proved again by this instance's own pB."""
         base, target, jlist = self.base, self.target, self.j.indices
         jpos, jadd, jmul, fj = self.j_tables
         na, nj = base.size, len(jlist)
-        tables = pair_ring_tables(base, jadd, jpos[target.neg[jlist]], jpos[target.zero], fj, jmul)
         ia = np.repeat(np.arange(na), nj)
-        jb = np.tile(jlist, na)
-        second = target.add[self.f.map[ia], jb]
-        names = [
-            f"({base.element_names[a]},{target.element_names[s]})" for a, s in zip(ia, second)
-        ]
+        second = target.add[self.f.map[ia], np.tile(jlist, na)]
+        key = (base, jadd.tobytes(), jmul.tobytes(), fj.tobytes())
+        shared = None if self.memo is None else self.memo.get(key)
+        if shared is not None:
+            ring, to_base, zero_j = shared
+            proof = Proof(out_of=(to_base, (target, second, "pB")))
+            ring._prove(proof, self.label)
+            return ring, to_base, proof.homs[1], zero_j
+        tables = pair_ring_tables(base, jadd, jpos[target.neg[jlist]], jpos[target.zero], fj, jmul)
+        base_names, target_names = base.element_names, target.element_names
+        names = [f"({base_names[a]},{target_names[s]})" for a, s in zip(ia.tolist(), second.tolist())]
         proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
         ring = FiniteRing(*tables, self.label, names, proof)
         to_base, to_target = proof.homs
         zero_j = to_base.kernel()
         if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):
             raise InternalCheckError("kernel of pA differs from {0} x J")
+        if self.memo is not None:
+            self.memo.put(key, (ring, to_base, zero_j))
         return ring, to_base, to_target, zero_j
 
     @property
@@ -113,6 +133,37 @@ class AmalgamationInstance:
         return f"AmalgamationInstance({self.label}, |R|={self.base.size * len(self.j)})"
 
 
+# Rings a `RingMemo` keeps.  Unbounded, a memo keeps every R of a pass alive
+# (the full `amalgam suite` then peaked at about twice its memory); 16 rings
+# still catch every repeat in cor-2.3's population, where repeats are
+# adjacent, and about 87% of those over the catalog's specs.
+MEMO_RINGS = 16
+
+
+class RingMemo:
+    """The proved rings of one pass, keyed by what R's tables depend on: the
+    base ring and the J-position tables jadd, jmul and fj.  A bounded LRU of
+    (ring, pA, {0} x J) entries; `hits` and `builds` count its lookups."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, tuple[FiniteRing, RingHom, Ideal]] = OrderedDict()
+        self.hits = self.builds = 0
+
+    def get(self, key: tuple) -> tuple[FiniteRing, RingHom, Ideal] | None:
+        entry = self._entries.get(key)
+        if entry is None:
+            self.builds += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key: tuple, entry: tuple[FiniteRing, RingHom, Ideal]) -> None:
+        self._entries[key] = entry
+        if len(self._entries) > MEMO_RINGS:
+            self._entries.popitem(last=False)
+
+
 def amalgamate(
     base: FiniteRing,
     target: FiniteRing,
@@ -135,9 +186,10 @@ def amalgamate(
     jpos = np.full(target.size, -1, dtype=np.int32)
     jpos[jlist] = np.arange(nj, dtype=np.int32)
     # J positions of j1 + j2, j1 * j2 and f(a) * j
-    jadd = jpos[target.add[np.ix_(jlist, jlist)]]
-    jmul = jpos[target.mul[np.ix_(jlist, jlist)]]
-    fj = jpos[target.mul[np.ix_(f.map, jlist)]]
+    rows = jlist[:, None]
+    jadd = jpos[target.add[rows, jlist]]
+    jmul = jpos[target.mul[rows, jlist]]
+    fj = jpos[target.mul[f.map[:, None], jlist]]
     if jadd.min() < 0 or jmul.min() < 0 or fj.min() < 0:
         raise InternalCheckError("ideal not closed under the amalgamation rule")
     if label is None:
@@ -156,11 +208,14 @@ def duplication(ring: FiniteRing, ideal: Ideal, size_cap: int = DEFAULT_SIZE_CAP
 
 
 def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing, RingHom]:
-    """The subring f(A) + J of the target, with its inclusion map."""
+    """The subring f(A) + J of the target, with its inclusion map; the target
+    itself, with its identity, when f(A) + J is all of it."""
     if f.target is not target or j.ring is not target:
         raise MixedRingError("f_image_plus_j: mismatched rings")
     img = np.unique(f.map)
     carrier = np.unique(target.add[np.ix_(img, j.indices)])
+    if carrier.size == target.size:
+        return target, hom_identity(target)
     inside = np.zeros(target.size, dtype=bool)
     inside[carrier] = True
     sums, prods = target.add[np.ix_(carrier, carrier)], target.mul[np.ix_(carrier, carrier)]

@@ -51,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .amalgamation import AmalgamationInstance, amalgamate, duplication, holds, hypothesis_report
+from .amalgamation import AmalgamationInstance, RingMemo, amalgamate, duplication, holds, hypothesis_report
 from .errors import EvaluationError, InternalCheckError, UnknownClauseError
 from .expressions import (
     ComposeHomExpr,
@@ -461,15 +461,20 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> tuple[str | None, bool]:
 Row = tuple[str, bool, bool, bool]
 
 
-def _row(ring: FiniteRing) -> Row:
-    return ring.label, is_arithmetical(ring), is_gaussian(ring), is_prufer(ring)
+def _row(ring: FiniteRing, label: str) -> Row:
+    return label, is_arithmetical(ring), is_gaussian(ring), is_prufer(ring)
 
 
-def _sweep(verdicts: list[Verdict], population: Iterable, rows: list[Row] | None = None) -> None:
-    """Score each verdict's clause on every (instance, tags) pair.  On an
+def _sweep(
+    verdicts: list[Verdict], population: Iterable, shared: RingMemo, rows: list[Row] | None = None
+) -> None:
+    """Score each verdict's clause on every (instance, tags) pair, each
+    instance taking its ring through the pass's memo `shared`.  On an
     instance meeting the clause's hypotheses, count its tags and the
-    clause's tallies; with `rows`, append the row of each instance ring."""
+    clause's tallies; with `rows`, append the row of each instance ring,
+    under the instance's label (a shared ring has its first builder's)."""
     for inst, tags in population:
+        inst.memo = shared
         for v in verdicts:
             if _score(v, inst)[0] is not None:
                 continue
@@ -479,7 +484,7 @@ def _sweep(verdicts: list[Verdict], population: Iterable, rows: list[Row] | None
                 if all(holds(inst, name) for name in names) == value:
                     v.counts[key] += 1
         if rows is not None:
-            rows.append(_row(inst.ring))
+            rows.append(_row(inst.ring, inst.label))
 
 
 def _finish(v: Verdict, catalog: Catalog) -> Verdict:
@@ -504,22 +509,29 @@ def verify_clauses(
 ) -> dict[str, Verdict]:
     """Score several clauses in one sweep over the catalog's specs, each
     instance built once; `chain` and the search read the rows it takes, then
-    those of the catalog's rings.  cor-2.3 sweeps its own population."""
+    those of the catalog's rings.  cor-2.3 sweeps its own population.
+
+    One `RingMemo` serves the whole call: an instance whose base and
+    J-position tables match a ring of the last `MEMO_RINGS` takes that
+    ring, its pA and {0} x J, with every fact cached on the ring, and
+    proves it again by its own pB.  The memo is dropped on return, so no
+    ring outlives the call."""
     for cid in clause_ids:
         if cid not in CLAUSES:
             raise UnknownClauseError(f"unknown clause {cid!r}")
     out = {cid: Verdict(clause=cid, status="vacuous") for cid in clause_ids}
     over_specs = [v for cid, v in out.items() if cid not in ("cor-2.3", "chain")]
     rows: list[Row] | None = [] if "chain" in out or with_search else None
+    shared = RingMemo()
     if over_specs or rows is not None:
         cap = catalog.params.size_cap
-        _sweep(over_specs, ((spec.build(cap), spec.tags) for spec in catalog.specs), rows)
+        _sweep(over_specs, ((spec.build(cap), spec.tags) for spec in catalog.specs), shared, rows)
     for v in over_specs:
         _finish(v, catalog)
     if "cor-2.3" in out:
-        out["cor-2.3"] = verify_duplication_criterion(catalog)
+        out["cor-2.3"] = verify_duplication_criterion(catalog, shared)
     if rows is not None:
-        rows += map(_row, catalog.rings)
+        rows += (_row(ring, ring.label) for ring in catalog.rings)
         if "chain" in out:
             out["chain"] = _chain(rows)
         if with_search:
@@ -540,8 +552,9 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
     return v
 
 
-def verify_duplication_criterion(catalog: Catalog) -> Verdict:
-    """cor-2.3 over every local catalog ring of size <= 16 and every proper ideal."""
+def verify_duplication_criterion(catalog: Catalog, shared: RingMemo | None = None) -> Verdict:
+    """cor-2.3 over every local catalog ring of size <= 16 and every proper
+    ideal, the rings taken through `shared`, or a memo of its own."""
     cap = catalog.params.size_cap
     population = (
         (duplication(ring, ideal, cap), ())
@@ -551,7 +564,7 @@ def verify_duplication_criterion(catalog: Catalog) -> Verdict:
         if not ideal.is_whole
     )
     v = Verdict(clause="cor-2.3", status="vacuous")
-    _sweep([v], population)
+    _sweep([v], population, shared or RingMemo())
     return _finish(v, catalog)
 
 

@@ -400,8 +400,13 @@ def is_arithmetical(ring: FiniteRing) -> bool:
     incomparable pair the factor must pass `chain_certificate`, otherwise
     the first incomparable pair in row-major order must yield an
     `m3_certificate`.  So each verdict is cross-checked on every ring
-    without enumerating the full-ring ideal lattice.
+    without enumerating the full-ring ideal lattice.  Cached as
+    `FiniteRing.arithmetical_result`.
     """
+    return ring.arithmetical_result
+
+
+def _is_arithmetical_uncached(ring: FiniteRing) -> bool:
     verdict = True
     for factor, _proj in ring.local_factor_homs():
         pair = _first_incomparable(factor.principal_membership)

@@ -24,7 +24,11 @@ Checks that sweep all n^2 pairs of a table (hom validation, principal
 membership, the unit-orbit gather of the Gaussian pair check) run over row
 blocks of at most `_BLOCK_ENTRIES` entries, so their memory is O(output +
 block) rather than a handful of n x n temporaries; every pair is still
-checked.  Commutativity compares each table with its transpose one pair
+checked.  A hom of at least `_IMAGE_ROWS_MIN_SIZE` source elements whose
+distinct images have few target rows is checked against those rows,
+gathered once per op, instead of gathering target rows per block; a
+mismatch re-runs the row-major scan, which names the same witness.
+Commutativity compares each table with its transpose one pair
 of `_TILE`-wide square tiles at a time, which keeps both tiles in cache.
 
 No cached value of a ring refers back to it: `local_factors` keeps the
@@ -69,6 +73,12 @@ CONSTRUCTION_SAMPLE_COUNT = 4096
 _BLOCK_ENTRIES = 1 << 18
 # side of the square tiles in which `_is_symmetric` compares a table with its transpose
 _TILE = 128
+# `RingHom._validate` gathers the target's rows at the distinct images once
+# per op when the source has at least this many elements and those rows
+# hold at most this many entries; on smaller rings the `np.unique` it needs
+# costs about what it saves
+_IMAGE_ROWS_MIN_SIZE = 256
+_IMAGE_ROWS_ENTRIES = 4 * _BLOCK_ENTRIES
 
 
 def _row_blocks(rows: int, row_len: int):
@@ -124,8 +134,10 @@ def _as_table(arr, shape, what: str) -> np.ndarray:
 class Proof:
     """Index maps (other ring, index map, label) that make a derived ring a
     quotient (`onto`: one surjective) or a subring (`out_of`: jointly
-    injective) of accepted rings.  `FiniteRing` validates them as ring homs
-    and leaves them in `homs`, in that order; the ring keeps no reference."""
+    injective) of accepted rings; an `out_of` entry may instead be a hom
+    out of the ring validated before.  `FiniteRing` validates the maps as
+    ring homs and leaves them in `homs`, in that order; the ring keeps no
+    reference."""
 
     onto: tuple = ()
     out_of: tuple = ()
@@ -195,19 +207,21 @@ class FiniteRing:
         if not _is_symmetric(mul):
             raise StructureError("multiplication is not commutative")
 
-    def _prove(self, proof: Proof) -> None:
+    def _prove(self, proof: Proof, label: str | None = None) -> None:
         """Carry the cubic axioms over from accepted rings: along a hom onto this
-        ring, or along homs that jointly embed it.  A failure is a bug, not bad input."""
+        ring, or along homs that jointly embed it; an `out_of` entry may be a
+        hom out of this ring validated before.  A failure is a bug, not bad
+        input, reported under `label` (the ring's own by default)."""
         try:
-            onto = [RingHom(source, self, m, label) for source, m, label in proof.onto]
-            out_of = [RingHom(self, target, m, label) for target, m, label in proof.out_of]
+            onto = [RingHom(source, self, m, tag) for source, m, tag in proof.onto]
+            out_of = [h if isinstance(h, RingHom) else RingHom(self, *h) for h in proof.out_of]
         except HomomorphismError as exc:
-            raise InternalCheckError(f"proof of {self.label} fails: {exc}") from exc
+            raise InternalCheckError(f"proof of {label or self.label} fails: {exc}") from exc
         joint = np.zeros(self.size, dtype=np.int64)
         for h in out_of:
             joint = joint * h.target.size + h.map
         if not (any(h.is_surjective for h in onto) or np.unique(joint).size == self.size):
-            raise InternalCheckError(f"proof of {self.label} fails: no map is onto it or jointly injective")
+            raise InternalCheckError(f"proof of {label or self.label} fails: no map is onto it or jointly injective")
         proof.homs = (*onto, *out_of)
 
     def _check_cubic_axioms(self, sample: int | None) -> None:
@@ -409,6 +423,13 @@ class FiniteRing:
         return _gaussian_check_uncached(self)
 
     @cached_property
+    def arithmetical_result(self) -> bool:
+        """`properties.is_arithmetical`, decided and certified once."""
+        from .properties import _is_arithmetical_uncached  # properties imports this module
+
+        return _is_arithmetical_uncached(self)
+
+    @cached_property
     def principal_membership(self) -> np.ndarray:
         """Boolean matrix P with P[x, y] iff y is a multiple of x."""
         n = self.size
@@ -462,10 +483,36 @@ class RingHom:
             raise HomomorphismError(
                 f"f(1) = {tgt.element_names[m[src.one]]} != 1", witness=(src.one,)
             )
+        if src.size >= _IMAGE_ROWS_MIN_SIZE:
+            image, pos = np.unique(m, return_inverse=True)
+            few_rows = image.size * max(src.size, tgt.size) <= _IMAGE_ROWS_ENTRIES
+            if few_rows and self._agrees_on_image_rows(image, pos):
+                return
+        self._scan()
+
+    def _agrees_on_image_rows(self, image: np.ndarray, pos: np.ndarray) -> bool:
+        """Every pair, against the target's rows at the distinct images,
+        gathered once per op and held as positions in `image`, m[x] =
+        image[pos[x]]: rows[i, y] is the position of image[i] op f(y), or
+        len(image) when that lies outside the image, in the narrowest dtype."""
+        src, tgt, m = self.source, self.target, self.map
+        dtype = np.min_scalar_type(image.size)
+        at = np.full(tgt.size, image.size, dtype=dtype)
+        at[image] = np.arange(image.size)
+        pos = pos.astype(dtype)
+        for src_tab, tgt_tab in ((src.add, tgt.add), (src.mul, tgt.mul)):
+            rows = at[np.take(tgt_tab[image], m, axis=1)]
+            for start, stop in _row_blocks(src.size, src.size):
+                if not (np.take(pos, src_tab[start:stop]) == rows[pos[start:stop]]).all():
+                    return False
+        return True
+
+    def _scan(self) -> None:
+        """Every pair, one row block at a time, raising at the first failure
+        in row-major order, which is the witness."""
+        src, tgt, m = self.source, self.target, self.map
         n = src.size
         for op, src_tab, tgt_tab in (("+", src.add, tgt.add), ("*", src.mul, tgt.mul)):
-            # every pair, one row block at a time; the first failure in
-            # row-major order is the witness
             for start, stop in _row_blocks(n, max(n, tgt.size)):
                 lhs = np.take(m, src_tab[start:stop])
                 rhs = np.take(tgt_tab[m[start:stop]], m, axis=1)
@@ -529,14 +576,16 @@ def pair_ring_tables(base: FiniteRing, xadd, xneg, xzero, act, xmul=None) -> tup
     additive group with table `xadd`, element a * |X| + x, with
 
         (a1, x1) + (a2, x2) = (a1 + a2, x1 + x2)
-        (a1, x1) * (a2, x2) = (a1 a2, a1.x2 + a2.x1 + x1 x2),
+        (a1, x1) * (a2, x2) = (a1 a2, (a1.x2 + x1 x2) + a2.x1),
 
     a.x = act[a, x] and x1 x2 = xmul[x1, x2], or 0 when `xmul` is None (an
     idealization A |x E).  Returns `(size, add, mul, neg, zero, one)` like
     `coset_tables`.  Both tables are `TABLE_DTYPE`, which holds every entry
     a * |X| + x below the size.  The product is written one row block of
-    rows (a1, x1) at a time, its sums gathered from the flattened `xadd` at
-    flat indices formed in int64, so that each temporary stays within a block."""
+    rows (a1, x1) at a time: a1.x2 + x1 x2 for every x2 first, then one
+    gather from the flattened `xadd` adds a2.x1 for every a2, at flat
+    indices formed in int64 with the longer of the a2 and x2 axes
+    innermost, so that each temporary stays within a block."""
     na, k = base.size, len(xadd)
     size = na * k
     xadd = np.asarray(xadd, dtype=TABLE_DTYPE)
@@ -546,11 +595,16 @@ def pair_ring_tables(base: FiniteRing, xadd, xneg, xzero, act, xmul=None) -> tup
     act_rows = np.asarray(act, dtype=np.int64) * k  # row offset of a.x in xadd_flat, indexed (a, x)
     for start, stop in _row_blocks(size, size):
         a1, x1 = np.divmod(np.arange(start, stop), k)
-        # indexed (row, a2, x2): a1.x2 + a2.x1, then ... + x1 x2
-        cross = np.take(xadd_flat, act_rows[a1][:, None, :] + act.T[x1][:, :, None])
+        own = act_rows[a1]  # row offset of a1.x2 + x1 x2, indexed (row, x2)
         if xmul is not None:
-            cross = np.take(xadd_flat, cross.astype(np.int64) * k + xmul[x1][:, None, :])
-        np.add((base.mul[a1] * k)[:, :, None], cross, out=mul[start:stop].reshape(-1, na, k))
+            own = np.take(xadd_flat, own + xmul[x1]).astype(np.int64) * k
+        out = mul[start:stop].reshape(-1, na, k)
+        if k < na:  # indexed (row, x2, a2)
+            cross = np.take(xadd_flat, own[:, :, None] + act.T[x1][:, None, :])
+            np.add((base.mul[a1] * k)[:, None, :], cross, out=out.transpose(0, 2, 1))
+        else:  # indexed (row, a2, x2)
+            cross = np.take(xadd_flat, own[:, None, :] + act.T[x1][:, :, None])
+            np.add((base.mul[a1] * k)[:, :, None], cross, out=out)
     neg = np.repeat(base.neg * k, k) + np.tile(xneg, na)
     return size, add, mul, neg, base.zero * k + xzero, base.one * k + xzero
 
@@ -639,9 +693,9 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
     cap = _table_cap(size_cap)
     max_m = _max_digits(p, cap)
     if (t >= 2 and k + t - 1 > max_m) or tpa_monomial_count(k, t) > max_m:
-        raise CapExceededError(
-            f"tpa({p},{k},{t}) would have more than {p}^{max_m} elements, cap is {cap}"
-        )
+        # with no digit within the cap, p^0 = 1 would undersell the carrier
+        bound = f"more than {p}^{max_m}" if max_m else f"at least {p}"
+        raise CapExceededError(f"tpa({p},{k},{t}) would have {bound} elements, cap is {cap}")
     if not _is_prime(p):
         raise ValueError(f"tpa requires a prime characteristic, got {p}")
     if t == 1:  # only the constant monomial survives, whatever k is

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import amalgam.properties
 from amalgam.amalgamation import amalgamate, duplication, f_image_plus_j, holds
 from amalgam.errors import CapExceededError, InternalCheckError, MixedRingError, NotLocalError
 from amalgam.expressions import Evaluator, parse
@@ -144,6 +145,19 @@ def test_f_image_plus_j():
     ex = example_2_5_instance()
     sub2, _ = f_image_plus_j(ex.target, ex.f, ex.j)
     assert sub2.size == ex.target.size  # f(A) + (I x E) = A x E here
+
+
+def test_f_image_plus_j_is_the_target_when_it_is_all_of_it(monkeypatch):
+    ex = example_2_5_instance()
+    sub, incl = f_image_plus_j(ex.target, ex.f, ex.j)
+    assert sub is ex.target and incl.target is ex.target and (incl.map == np.arange(ex.target.size)).all()
+    # so one Gaussian verdict, cached on the target, answers both names
+    checked = []
+    real = amalgam.properties._gaussian_check_uncached
+    monkeypatch.setattr(amalgam.properties, "_gaussian_check_uncached", lambda r: checked.append(r) or real(r))
+    ex = example_2_5_instance()
+    assert holds(ex, "f(A) + J Gaussian") == holds(ex, "target ring Gaussian")
+    assert ex.fimage_plus_j is ex.target and checked == [ex.target]
 
 
 def test_distinguished_ideals():

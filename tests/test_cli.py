@@ -70,6 +70,16 @@ def test_tpa_cap_checked_before_enumeration(capsys):
     assert "cap exceeded" in err
 
 
+def test_tpa_cap_message_when_p_alone_passes_the_cap(capsys):
+    # no base-5 digit fits under a cap of 4, and 5^0 = 1 would undersell it
+    code, _, err = run_cli(capsys, "props", "tpa(5,1,1)", "--max-ring-size", "4")
+    assert code == 2
+    assert "tpa(5,1,1) would have at least 5 elements, cap is 4" in err
+    code, _, err = run_cli(capsys, "props", "tpa(5,1,2)", "--max-ring-size", "24")
+    assert code == 2
+    assert "tpa(5,1,2) would have more than 5^1 elements, cap is 24" in err
+
+
 def test_resfield_cap_checked_before_the_power(capsys):
     # 2**(10**12) must never be formed: the dimension is compared with log_2(cap)
     started = time.perf_counter()

@@ -131,6 +131,17 @@ def test_chain_and_arithmetical_examples():
     assert not is_arithmetical(non_arith)
 
 
+def test_arithmetical_verdict_is_certified_once_per_ring(monkeypatch):
+    runs = []
+    for name in ("chain_certificate", "m3_certificate"):
+        real = getattr(amalgam.properties, name)
+        monkeypatch.setattr(amalgam.properties, name, lambda *args, real=real, name=name: runs.append(name) or real(*args))
+    ring = product(zmod(4), truncated_poly_algebra(2, 2, 2))  # a chain factor and a non-chain one
+    for _ in range(3):
+        assert not is_arithmetical(ring) and not arithmetical_check(ring)[0]
+    assert sorted(runs) == ["chain_certificate", "m3_certificate"]
+
+
 def _colon_into_ring(ring, ideal):
     # (ring : I) = {x : x*I inside the ring}: inside the ring itself every
     # product lands in the carrier, so this is the whole ring; computed

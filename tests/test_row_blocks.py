@@ -4,7 +4,9 @@
 a ragged last block on most sizes) and compared with a run whose single
 block holds the whole table.  The pair matrix is the all-pairs oracle of
 `pair_oracle`; the pair check's unit-orbit gather runs over the same
-blocks, one to three unit rows at a time.
+blocks, one to three unit rows at a time.  Hom validation against the
+target's rows at the distinct images gives the row-major scan's message
+and witness on every corrupted map.
 """
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLES
 from amalgam.properties import _first_incomparable, _unit_orbits, is_local, local_gaussian_pair_check
-from amalgam.rings import FiniteRing, RingHom, truncated_poly_algebra
+from amalgam.rings import FiniteRing, RingHom, product, truncated_poly_algebra, zmod
 from pair_oracle import pair_condition_matrix
 
 ONE_BLOCK = 1 << 62
@@ -103,3 +105,49 @@ def test_first_incomparable_pair_matches_the_whole_matrix(monkeypatch, catalog, 
             checked += expected is not None
     assert checked
 
+
+
+def _first_failure(source, target, index_map):
+    """(message, witness) of the first pair failing f(x op y) = f(x) op f(y),
+    `+` before `*`, in row-major order over whole tables; None for a hom."""
+    m = np.asarray(index_map)
+    for op, src_tab, tgt_tab in (("+", source.add, target.add), ("*", source.mul, target.mul)):
+        bad = m[src_tab] != tgt_tab[m[:, None], m[None, :]]
+        if bad.any():
+            x, y = (int(v) for v in np.argwhere(bad)[0])
+            return f"f(x{op}y) != f(x){op}f(y) at ({x}, {y})", (x, y)
+    return None
+
+
+def _parity_maps():
+    """(source, target, hom map), with small images and injective, below and
+    above the size from which `RingHom._validate` compares image rows."""
+    z64, z256 = zmod(64), zmod(256)
+    idx64, idx256 = np.arange(64), np.arange(256)
+    z2_256 = product(z256, zmod(2))
+    return [
+        (z64, zmod(8), idx64 % 8),
+        (z64, _fresh(z64), idx64),
+        (z256, zmod(16), idx256 % 16),
+        (z256, z2_256, idx256 * 2 + idx256 % 2),  # x -> (x, x mod 2)
+        (z256, _fresh(z256), idx256),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_hom_validation_by_image_rows_matches_the_row_major_scan(monkeypatch, case):
+    source, target, index_map = _parity_maps()[case]
+    gated = []
+    real = RingHom._agrees_on_image_rows
+    monkeypatch.setattr(RingHom, "_agrees_on_image_rows", lambda self, *a: gated.append(1) or real(self, *a))
+    assert _first_failure(source, target, index_map) is None
+    RingHom(source, target, index_map)
+    assert bool(gated) == (source.size >= amalgam.rings._IMAGE_ROWS_MIN_SIZE)
+    rng = np.random.default_rng(case)
+    for _ in range(8):
+        corrupt = np.array(index_map)
+        x = int(rng.integers(2, source.size))  # neither zero nor one
+        corrupt[x] = (corrupt[x] + int(rng.integers(1, target.size))) % target.size
+        expected = _first_failure(source, target, corrupt)
+        error = _hom_error(source, target, corrupt)
+        assert expected is not None and (str(error), error.witness) == expected
