@@ -34,9 +34,11 @@ last `MEMO_RINGS` rings, and a shared ring keeps the label of the
 instance that built it, so readers name an instance by `inst.label`.
 
 `PREDICATES` names every side condition and conclusion that the clauses
-and worked examples read.  `holds(inst, name)` evaluates one on its first
-read and keeps the value in `inst.facts`, so an instance computes only the
-facts some reader asks for, each once.
+and worked examples read; each "{role} {fact}" name, such as "f(A) + J
+Gaussian", reads `properties.RING_FACTS[fact]` on the ring `ROLES[role]`.
+`holds(inst, name)` evaluates one on its first read and keeps the value in
+`inst.facts`, so an instance computes only the facts some reader asks for,
+each once.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ import numpy as np
 
 from .errors import InternalCheckError, MixedRingError
 from .ideals import Ideal, ideal_product
-from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced, is_total_quotient_ring
+from .properties import RING_FACTS, is_local
 from .rings import (
     DEFAULT_SIZE_CAP,
     TABLE_DTYPE,
@@ -265,26 +267,30 @@ def _maximal_is_m_times_j(inst: AmalgamationInstance) -> bool:
     return np.array_equal(big_m.indices, pair_indices(m.indices, len(inst.j)))
 
 
+# The four rings of an instance that a ring fact is read on: A, B, R, f(A) + J.
+ROLES: dict[str, Callable[[AmalgamationInstance], FiniteRing]] = {
+    "base ring": lambda i: i.base,
+    "target ring": lambda i: i.target,
+    "amalgamation": lambda i: i.ring,
+    "f(A) + J": lambda i: i.fimage_plus_j,
+}
+
 # Every side condition and conclusion a clause or worked example reads, by
 # the name the example reports print; "amalgamation" and R both name the
-# constructed ring.  Each is computed on its first read through `holds`; a
-# negated name reads its positive name.  B is finite, so its Jacobson
-# radical is its nilradical, read off the nilpotent mask, and "J inside
-# Nilp(B)" is "J inside Rad(B)".
+# constructed ring.  A "{role} {fact}" entry looks both tables up when read.
+# Each is computed on its first read through `holds`; a negated name reads
+# its positive name.  B is finite, so its Jacobson radical is its
+# nilradical, read off the nilpotent mask, and "J inside Nilp(B)" is
+# "J inside Rad(B)".
 PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
+    **{f"{role} {fact}": lambda i, role=role, fact=fact: RING_FACTS[fact](ROLES[role](i))
+       for role in ROLES for fact in RING_FACTS},
     "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
-    "base ring local": lambda i: i.base.is_local,
     "base ring local and not a field": lambda i: holds(i, "base ring local") and holds(i, "base ring not a field"),
-    "base ring not a field": lambda i: not is_field(i.base),
-    "base ring reduced": lambda i: is_reduced(i.base),
-    "base ring arithmetical": lambda i: is_arithmetical(i.base),
+    "base ring not a field": lambda i: not holds(i, "base ring field"),
     "base ring not arithmetical": lambda i: not holds(i, "base ring arithmetical"),
-    "base ring Gaussian": lambda i: is_gaussian(i.base),
     "base ring not Gaussian": lambda i: not holds(i, "base ring Gaussian"),
-    "base ring total quotient ring": lambda i: is_total_quotient_ring(i.base),
     "maximal ideal squares to zero": _maximal_squares_to_zero,
-    "target ring local": lambda i: i.target.is_local,
-    "target ring Gaussian": lambda i: is_gaussian(i.target),
     "f injective": lambda i: i.f.is_injective,
     "f not injective": lambda i: not holds(i, "f injective"),
     "f(A) meets J only in zero": lambda i: int(i.j.mask[np.unique(i.f.map)].sum()) == 1,
@@ -302,16 +308,10 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "J^2 nonzero": lambda i: not holds(i, "J^2 = 0"),
     "I^2 nonzero": lambda i: holds(i, "J^2 nonzero"),
     "f(a)J = f(a)^2 J on m": _fa_j_stable,
-    "amalgamation Gaussian": lambda i: is_gaussian(i.ring),
-    "amalgamation arithmetical": lambda i: is_arithmetical(i.ring),
-    "amalgamation Prufer": lambda i: is_prufer(i.ring),
-    "amalgamation local": lambda i: i.ring.is_local,
-    "amalgamation total quotient ring": lambda i: is_total_quotient_ring(i.ring),
     "amalgamation local total quotient ring": (
         lambda i: holds(i, "amalgamation local") and holds(i, "amalgamation total quotient ring")
     ),
     "maximal ideal of R is m |><| J": _maximal_is_m_times_j,
-    "f(A) + J Gaussian": lambda i: is_gaussian(i.fimage_plus_j),
     "pB maps R bijectively onto f(A) + J": (
         lambda i: int(np.unique(i.to_target.map).size) == i.ring.size == i.fimage_plus_j.size
     ),

@@ -47,7 +47,7 @@ from .harness import (
     verify_instance,
 )
 from .ideals import format_members
-from .properties import PropertyReport, property_report
+from .properties import PropertyReport, fact_field, property_report
 from .rings import DEFAULT_SIZE_CAP
 
 _USAGE_ERROR = 2
@@ -76,23 +76,11 @@ def _bool_word(value: bool) -> str:
 
 
 def _props_pairs(expr_text: str, report: PropertyReport) -> list[tuple[str, str]]:
-    pairs = [
-        ("kind", "props"),
-        ("expr", expr_text),
-        ("size", str(report.size)),
-        ("local", _bool_word(report.local)),
-    ]
-    if report.maximal_ideal is not None:
-        pairs.append(("maximal_ideal", format_members(report.maximal_ideal.members)))
-    pairs += [
-        ("reduced", _bool_word(report.reduced)),
-        ("field", _bool_word(report.field)),
-        ("total_quotient_ring", _bool_word(report.total_quotient_ring)),
-        ("chain_ring", _bool_word(report.chain_ring)),
-        ("arithmetical", _bool_word(report.arithmetical)),
-        ("gaussian", _bool_word(report.gaussian)),
-        ("prufer", _bool_word(report.prufer)),
-    ]
+    pairs = [("kind", "props"), ("expr", expr_text), ("size", str(report.size))]
+    for name, value in report.facts():
+        pairs.append((fact_field(name), _bool_word(value)))
+        if name == "local" and report.maximal_ideal is not None:
+            pairs.append(("maximal_ideal", format_members(report.maximal_ideal.members)))
     if report.oracle_degree is not None:
         pairs.append(("oracle_degree", str(report.oracle_degree)))
         pairs.append(("oracle_gaussian", _bool_word(bool(report.oracle_gaussian))))
@@ -130,17 +118,11 @@ def _cmd_props(args: argparse.Namespace) -> int:
         return 0
     _emit(f"ring                 {canonical}")
     _emit(f"size                 {report.size}")
-    if report.maximal_ideal is not None:
-        _emit(f"local                yes, maximal ideal {format_members(report.maximal_ideal.members)}")
-    else:
-        _emit("local                no")
-    _emit(f"reduced              {'yes' if report.reduced else 'no'}")
-    _emit(f"field                {'yes' if report.field else 'no'}")
-    _emit(f"total quotient ring  {'yes' if report.total_quotient_ring else 'no'}")
-    _emit(f"chain ring           {'yes' if report.chain_ring else 'no'}")
-    _emit(f"arithmetical         {'yes' if report.arithmetical else 'no'}")
-    _emit(f"gaussian             {'yes' if report.gaussian else 'no'}")
-    _emit(f"prufer               {'yes' if report.prufer else 'no'}")
+    for name, value in report.facts():
+        word = "yes" if value else "no"
+        if name == "local" and report.maximal_ideal is not None:
+            word += f", maximal ideal {format_members(report.maximal_ideal.members)}"
+        _emit(f"{name.lower():21s}{word}")
     if args.witness and report.gaussian_witness is not None:
         factor, a, b = report.gaussian_witness
         _emit(f"gaussian witness     pair ({a},{b}) in local factor {factor}")

@@ -73,7 +73,7 @@ from .expressions import (
 )
 from .ideals import Ideal, all_ideals, ideal_product
 from .modules import FiniteModule
-from .properties import is_arithmetical, is_field, is_gaussian, is_local, is_prufer, is_reduced
+from .properties import HIERARCHY, RING_FACTS, is_local
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, pair_indices, tpa_monomial_count
 
 VACUITY_REASON = "finite reduced local ring is a field"
@@ -456,13 +456,13 @@ def _score(v: Verdict, inst: AmalgamationInstance) -> tuple[str | None, bool]:
     return None, ok
 
 
-# The arithmetical => Gaussian => Prufer facts of one ring: (label,
-# arithmetical, Gaussian, Prufer), read by `chain` and the search.
+# The `properties.HIERARCHY` facts of one ring, (label, arithmetical,
+# Gaussian, Prufer), read by `chain` and the search.
 Row = tuple[str, bool, bool, bool]
 
 
 def _row(ring: FiniteRing, label: str) -> Row:
-    return label, is_arithmetical(ring), is_gaussian(ring), is_prufer(ring)
+    return label, *(RING_FACTS[name](ring) for name in HIERARCHY)
 
 
 def _sweep(
@@ -496,7 +496,7 @@ def _finish(v: Verdict, catalog: Catalog) -> Verdict:
         v.status = "verified"
     elif not CLAUSES[v.clause].conclusion:
         for ring in catalog.rings:
-            if ring.is_local and is_reduced(ring) and not is_field(ring):
+            if RING_FACTS["local"](ring) and RING_FACTS["reduced"](ring) and not RING_FACTS["field"](ring):
                 raise InternalCheckError(f"{ring.label}: finite reduced local ring that is not a field")
         v.reason = VACUITY_REASON
     else:

@@ -19,11 +19,14 @@ Arithmeticity is decided per local factor (chain ring or not) and each
 factor's answer is certified in the same pass, without the full-ring ideal
 lattice: a chain factor by its m-adic filtration, any other factor by an
 M3 of ideals.
+
+`RING_FACTS` states each ring fact once, for the clauses, the `chain` rows
+and `property_report`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -458,30 +461,56 @@ def is_prufer(ring: FiniteRing) -> bool:
     return True
 
 
-# -- consolidated report ---------------------------------------------------------
+# -- the fact table and the consolidated report --------------------------------
+
+
+# Every ring fact, by the name the clauses and `props` print, in `props`'
+# order.  The Prufer entry looks `is_prufer` up at each call, so a rebinding
+# of the module name (the perfbench tracer's) sees every call.
+RING_FACTS: dict[str, Callable[[FiniteRing], bool]] = {
+    "local": lambda ring: ring.is_local,
+    "reduced": is_reduced,
+    "field": is_field,
+    "total quotient ring": is_total_quotient_ring,
+    # a finite ring is a chain ring iff arithmetical with no proper local
+    # factor (it is local, or the zero ring)
+    "chain ring": lambda ring: is_arithmetical(ring) and not ring.local_factors,
+    "arithmetical": is_arithmetical,
+    "Gaussian": is_gaussian,
+    "Prufer": lambda ring: is_prufer(ring),
+}
+# The Bazzoni-Glaz chain: each of these facts implies the next.
+HIERARCHY = ("arithmetical", "Gaussian", "Prufer")
+
+
+def fact_field(name: str) -> str:
+    """The `PropertyReport` field, and `props --machine` key, of a ring fact."""
+    return name.lower().replace(" ", "_")
 
 
 @dataclass
 class PropertyReport:
-    """Named verdicts for one ring, with witnesses where meaningful."""
+    """The `RING_FACTS` verdicts of one ring, one field each, with witnesses."""
 
-    label: str
     size: int
-    local: bool
     maximal_ideal: Ideal | None
+    gaussian_witness: tuple[str, int, int] | None
+    arithmetical_witness: tuple[Ideal, Ideal, Ideal] | None
+    local: bool
     reduced: bool
     field: bool
     total_quotient_ring: bool
     chain_ring: bool
-    gaussian: bool
     arithmetical: bool
+    gaussian: bool
     prufer: bool
-    gaussian_witness: tuple[str, int, int] | None = None
-    arithmetical_witness: tuple[Ideal, Ideal, Ideal] | None = None
     oracle_degree: int | None = None
     oracle_gaussian: bool | None = None
     oracle_witness: tuple[Polynomial, Polynomial] | None = None
-    notes: list[str] = field(default_factory=list)
+
+    def facts(self) -> list[tuple[str, bool]]:
+        """(name, verdict) of every ring fact, in `RING_FACTS` order."""
+        return [(name, getattr(self, fact_field(name))) for name in RING_FACTS]
 
     def hierarchy_consistent(self) -> bool:
         """Arithmetical implies Gaussian implies Prufer."""
@@ -489,32 +518,14 @@ class PropertyReport:
 
 
 def property_report(ring: FiniteRing, oracle_degree: int | None = None) -> PropertyReport:
-    maximal = is_local(ring)
-    gauss_ok, gauss_wit = gaussian_check(ring)
-    arith_ok, arith_wit = arithmetical_check(ring)
     report = PropertyReport(
-        label=ring.label,
-        size=ring.size,
-        local=maximal is not None,
-        maximal_ideal=maximal,
-        reduced=is_reduced(ring),
-        field=is_field(ring),
-        total_quotient_ring=is_total_quotient_ring(ring),
-        # a finite ring is a chain ring iff arithmetical with no proper local
-        # factor (it is local, or the zero ring)
-        chain_ring=arith_ok and not ring.local_factors,
-        gaussian=gauss_ok,
-        arithmetical=arith_ok,
-        prufer=is_prufer(ring),
-        gaussian_witness=gauss_wit,
-        arithmetical_witness=arith_wit,
+        ring.size, is_local(ring), gaussian_check(ring)[1], arithmetical_check(ring)[1],
+        **{fact_field(name): bool(fact(ring)) for name, fact in RING_FACTS.items()},
     )
     if oracle_degree is not None:
-        ok, wit = gaussian_content_oracle(ring, oracle_degree)
         report.oracle_degree = oracle_degree
-        report.oracle_gaussian = ok
-        report.oracle_witness = wit
-        if not ok and gauss_ok:
+        report.oracle_gaussian, report.oracle_witness = gaussian_content_oracle(ring, oracle_degree)
+        if not report.oracle_gaussian and report.gaussian:
             raise InternalCheckError("content oracle found a counterexample on a Gaussian ring")
     if not report.hierarchy_consistent():
         raise InternalCheckError(f"property hierarchy violated on {ring.label}")

@@ -8,7 +8,7 @@ import amalgam.harness
 import amalgam.properties
 from amalgam.cli import _example_lines, main
 from amalgam.errors import InternalCheckError
-from amalgam.harness import EXAMPLE_IDS
+from amalgam.harness import CLAUSES, EXAMPLE_IDS, EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -288,3 +288,153 @@ def test_cli_byte_determinism(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# `props` stdout, byte for byte, as recorded before its printers read
+# `RING_FACTS`: (arguments, stdout), human and machine, with witnesses or
+# the content oracle.
+PROPS_OUTPUTS = (
+    (
+        ("props", "zmod(8)", "--witness"),
+        "ring                 zmod(8)\n"
+        "size                 8\n"
+        "local                yes, maximal ideal {0,2,4,6}\n"
+        "reduced              no\n"
+        "field                no\n"
+        "total quotient ring  yes\n"
+        "chain ring           yes\n"
+        "arithmetical         yes\n"
+        "gaussian             yes\n"
+        "prufer               yes\n",
+    ),
+    (
+        ("props", "zmod(8)", "--machine", "--witness"),
+        "kind=props expr=zmod(8) size=8 local=true maximal_ideal={0,2,4,6} reduced=false field=false total_quotient_ring=true chain_ring=true arithmetical=true gaussian=true prufer=true\n",
+    ),
+    (
+        ("props", "zmod(6)", "--witness"),
+        "ring                 zmod(6)\n"
+        "size                 6\n"
+        "local                no\n"
+        "reduced              yes\n"
+        "field                no\n"
+        "total quotient ring  yes\n"
+        "chain ring           no\n"
+        "arithmetical         yes\n"
+        "gaussian             yes\n"
+        "prufer               yes\n",
+    ),
+    (
+        ("props", "zmod(6)", "--machine", "--witness"),
+        "kind=props expr=zmod(6) size=6 local=false reduced=true field=false total_quotient_ring=true chain_ring=false arithmetical=true gaussian=true prufer=true\n",
+    ),
+    (
+        ("props", "trivext(zmod(4);regular)", "--witness"),
+        "ring                 trivext(zmod(4);regular)\n"
+        "size                 16\n"
+        "local                yes, maximal ideal {0,1,2,3,8,9,10,11}\n"
+        "reduced              no\n"
+        "field                no\n"
+        "total quotient ring  yes\n"
+        "chain ring           no\n"
+        "arithmetical         no\n"
+        "gaussian             no\n"
+        "prufer               yes\n"
+        "gaussian witness     pair (1,8) in local factor trivext(zmod(4);regular)\n"
+        "arithmetical witness I={0,1,2,3} J={0,2,8,10} K={0,2,9,11}\n",
+    ),
+    (
+        ("props", "trivext(zmod(4);regular)", "--machine", "--witness"),
+        "kind=props expr=trivext(zmod(4);regular) size=16 local=true maximal_ideal={0,1,2,3,8,9,10,11} reduced=false field=false total_quotient_ring=true chain_ring=false arithmetical=false gaussian=false prufer=true gaussian_witness=(1,8)intrivext(zmod(4);regular) arithmetical_witness={0,1,2,3}|{0,2,8,10}|{0,2,9,11}\n",
+    ),
+    (
+        ("props", "zmod(6)", "--oracle-degree", "1"),
+        "ring                 zmod(6)\n"
+        "size                 6\n"
+        "local                no\n"
+        "reduced              yes\n"
+        "field                no\n"
+        "total quotient ring  yes\n"
+        "chain ring           no\n"
+        "arithmetical         yes\n"
+        "gaussian             yes\n"
+        "prufer               yes\n"
+        "content oracle       degree 1: pass\n",
+    ),
+    (
+        ("props", "zmod(6)", "--oracle-degree", "1", "--machine"),
+        "kind=props expr=zmod(6) size=6 local=false reduced=true field=false total_quotient_ring=true chain_ring=false arithmetical=true gaussian=true prufer=true oracle_degree=1 oracle_gaussian=true\n",
+    ),
+)
+
+# `verify CLAUSE EXPR --machine` for every instance clause, in `CLAUSES`
+# order, on the instances of examples 2.5, 2.6, 2.9 and 2.10, recorded
+# before the role-fact predicates were generated: the reasons print the
+# first hypothesis that fails.
+VERIFY_RECORDS = {
+    "2.5": (
+        "kind=verdict clause=lemma-2.2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:3c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f(A)_meets_J_only_in_zero\n"
+        "kind=verdict clause=thm-2.1:3c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_base_ring_reduced\n"
+        "kind=verdict clause=thm-2.1:4c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=thm-2.1:4c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=cor-2.3 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_instance_is_a_duplication\n"
+        "kind=verdict clause=prop-2.8:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=prop-2.8:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+    ),
+    "2.6": (
+        "kind=verdict clause=lemma-2.2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:3c1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:3c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f(A)_meets_J_beyond_zero\n"
+        "kind=verdict clause=thm-2.1:4c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=thm-2.1:4c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=cor-2.3 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_instance_is_a_duplication\n"
+        "kind=verdict clause=prop-2.8:1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f(A)_meets_J_beyond_zero\n"
+        "kind=verdict clause=prop-2.8:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+    ),
+    "2.9": (
+        "kind=verdict clause=lemma-2.2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_J^2_:_0\n"
+        "kind=verdict clause=thm-2.1:3c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f(A)_meets_J_only_in_zero\n"
+        "kind=verdict clause=thm-2.1:3c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_base_ring_reduced\n"
+        "kind=verdict clause=thm-2.1:4c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=thm-2.1:4c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=cor-2.3 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=prop-2.8:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=prop-2.8:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+    ),
+    "2.10": (
+        "kind=verdict clause=lemma-2.2 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=thm-2.1:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_J^2_:_0\n"
+        "kind=verdict clause=thm-2.1:3c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f(A)_meets_J_only_in_zero\n"
+        "kind=verdict clause=thm-2.1:3c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_base_ring_reduced\n"
+        "kind=verdict clause=thm-2.1:4c1 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=thm-2.1:4c2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+        "kind=verdict clause=cor-2.3 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_instance_is_a_duplication\n"
+        "kind=verdict clause=prop-2.8:1 status=verified checked=1 applicable=1 violations=0\n"
+        "kind=verdict clause=prop-2.8:2 status=hypotheses-unmet checked=1 applicable=0 violations=0 reason=hypothesis_fails:_f_not_injective\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", PROPS_OUTPUTS, ids=[" ".join(argv[1:]) for argv, _ in PROPS_OUTPUTS])
+def test_props_output_is_pinned(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_verify_reasons_are_pinned(capsys):
+    for example_id, expected in VERIFY_RECORDS.items():
+        expression = EXAMPLES[example_id].expression
+        runs = [
+            run_cli(capsys, "verify", cid, expression, "--machine")
+            for cid, clause in CLAUSES.items()
+            if clause.hypotheses is not None
+        ]
+        assert {(code, err) for code, _, err in runs} == {(0, "")}
+        assert "".join(out for _, out, _ in runs) == expected, example_id

@@ -13,7 +13,7 @@ import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
 from amalgam.errors import CapExceededError, InternalCheckError, UnknownClauseError
-from amalgam.amalgamation import PREDICATES, amalgamate, f_image_plus_j, holds
+from amalgam.amalgamation import PREDICATES, ROLES, amalgamate, f_image_plus_j, holds
 from amalgam.expressions import (
     EmbedHomExpr,
     Evaluator,
@@ -41,7 +41,7 @@ from amalgam.harness import (
     verify_instance,
 )
 from amalgam.ideals import Ideal, all_ideals, ideal_product
-from amalgam.properties import is_local
+from amalgam.properties import RING_FACTS, is_local
 from amalgam.rings import coset_tables, pair_indices, quotient
 from oracles import set_side_conditions
 
@@ -389,7 +389,7 @@ def test_violation_path_reports_witness(cid, small_catalog, monkeypatch):
 def test_chain_and_search_violation_paths(small_catalog, monkeypatch):
     # with no ring Gaussian, every arithmetical ring breaks the chain and
     # neither non-reversal has a witness
-    monkeypatch.setattr(harness, "is_gaussian", lambda ring: False)
+    monkeypatch.setitem(RING_FACTS, "Gaussian", lambda ring: False)
     verdicts = verify_clauses(small_catalog, ["chain"], with_search=True)
     chain, search = verdicts["chain"], verdicts["search"]
     assert chain.status == "violation" and chain.violations > 0 and not chain.ok
@@ -419,10 +419,25 @@ def test_every_clause_and_example_name_is_a_predicate():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "holds"
         and isinstance(node.args[1], ast.Constant)
     ]
-    # harness reads only names stated as data; the predicates read 14
+    # harness reads only names stated as data; the predicates read 15
     assert len(read) >= 14
     names += read
     assert set(names) <= set(PREDICATES), set(names) - set(PREDICATES)
+
+
+def test_role_fact_predicates_are_the_fact_grid(small_catalog):
+    # every "{role} {fact}" name is generated from ROLES x RING_FACTS, once:
+    # the generated entries share one code object, and no hand-written
+    # entry replaces one of them
+    grid = {f"{role} {fact}": (role, fact) for role in ROLES for fact in RING_FACTS}
+    assert len(grid) == 4 * 8
+    code = PREDICATES["base ring local"].__code__
+    assert {name for name, predicate in PREDICATES.items() if predicate.__code__ is code} == set(grid)
+    cap = small_catalog.params.size_cap
+    for spec in small_catalog.specs:
+        inst = spec.build(cap)
+        for name, (role, fact) in grid.items():
+            assert holds(inst, name) == RING_FACTS[fact](ROLES[role](inst)), (inst.label, name)
 
 
 def _along_m_times_module(ev, base_expr, module_expr):

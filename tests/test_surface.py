@@ -157,3 +157,18 @@ def test_perfbench_tracer_sees_the_sweep_through_its_entry_points():
         "amalgamation.hypothesis_report",
         "properties.is_prufer",
     } <= seen
+
+
+def test_perfbench_tracer_sees_the_fact_table_calls_of_a_report():
+    # `RING_FACTS` looks `is_prufer` up at each call, so the tracer's
+    # rebinding of the module name sees the call a report makes through it
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        amalgam.properties.property_report(amalgam.rings.zmod(8))
+    finally:
+        tracer.restore()
+    seen = [spans.LAYERS[span[0]] for span in tracer.spans]
+    assert seen.count("properties.property_report") == 1
+    assert seen.count("properties.is_prufer") == 1
