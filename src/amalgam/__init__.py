@@ -3,8 +3,8 @@
 Builds finite commutative rings as explicit operation tables, constructs
 amalgamated algebras along ideals (plus trivial ring extensions,
 duplications, quotients, and products), decides the arithmetical /
-Gaussian / Prufer hierarchy, and verifies the transfer statements over an
-exhaustively generated catalog.
+Gaussian / Prufer hierarchy, and verifies the transfer statements over a
+catalog of rings listed as expression text.
 """
 
 from .amalgamation import (
@@ -36,7 +36,6 @@ from .harness import (
     CLAUSE_IDS,
     CLAUSES,
     Catalog,
-    CatalogParams,
     ExampleReport,
     Verdict,
     build_catalog,

@@ -239,6 +239,14 @@ def _maximal_squares_to_zero(inst: AmalgamationInstance) -> bool:
     return m is not None and ideal_product(m, m).is_zero
 
 
+def _j_squares_to_zero(inst: AmalgamationInstance) -> bool:
+    """J^2 = 0, read off the J product table: J^2 is the additive closure of
+    the products j1 j2, so it is zero iff every entry of jmul is the position
+    of zero."""
+    jpos, _, jmul, _ = inst.j_tables
+    return bool((jmul == jpos[inst.target.zero]).all())
+
+
 def _fa_j_stable(inst: AmalgamationInstance) -> bool:
     """f(a)J = f(a)^2 J for every a in the maximal ideal m of a local base.
 
@@ -304,7 +312,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "J inside Nilp(B)": lambda i: holds(i, "J inside Rad(B)"),
     "J meets Nilp(B) only in zero": lambda i: int(i.target.nilpotent_mask[i.j.indices].sum()) == 1,
     "J meets Nilp(B) beyond zero": lambda i: not holds(i, "J meets Nilp(B) only in zero"),
-    "J^2 = 0": lambda i: ideal_product(i.j, i.j).is_zero,
+    "J^2 = 0": _j_squares_to_zero,
     "J^2 nonzero": lambda i: not holds(i, "J^2 = 0"),
     "I^2 nonzero": lambda i: holds(i, "J^2 nonzero"),
     "f(a)J = f(a)^2 J on m": _fa_j_stable,

@@ -38,7 +38,6 @@ from .harness import (
     CLAUSE_IDS,
     CLAUSES,
     Catalog,
-    CatalogParams,
     ExampleReport,
     Verdict,
     build_catalog,
@@ -280,7 +279,7 @@ def _cmd_grammar(_args: argparse.Namespace) -> int:
 
 
 def _catalog_from_args(args: argparse.Namespace) -> Catalog:
-    return build_catalog(CatalogParams(size_cap=args.max_ring_size))
+    return build_catalog(size_cap=args.max_ring_size)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

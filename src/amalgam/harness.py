@@ -1,4 +1,9 @@
-"""Executable verification of the transfer statements over a generated catalog.
+"""Executable verification of the transfer statements over a catalog.
+
+The catalog's rings are frozen expression text, `catalog.CATALOG_RINGS`;
+`build_catalog` builds each and pairs it with the homs of `CATALOG_HOMS`
+and its proper ideals into deferred instances (the family generator the
+list came from lives with the tests, which re-derive the list from it).
 
 Each clause is one entry of `CLAUSES`, stated as data: a description, its
 hypotheses as a tuple of names from the predicate table
@@ -42,39 +47,28 @@ at once, and the sweep machine-checks the fact over the catalog and reports
 """
 from __future__ import annotations
 
-import functools
 import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from .amalgamation import AmalgamationInstance, RingMemo, amalgamate, duplication, holds, hypothesis_report
+from .catalog import CATALOG_RINGS
 from .errors import EvaluationError, InternalCheckError, UnknownClauseError
 from .expressions import (
     ComposeHomExpr,
     EmbedHomExpr,
     Evaluator,
     IdHomExpr,
-    ModuleExpr,
-    ProductExpr,
     ProjHomExpr,
-    QuotExpr,
-    QuotmodExpr,
-    RegularExpr,
-    ResfieldExpr,
     RingExpr,
-    TpaExpr,
     TrivextExpr,
-    ZmodExpr,
     parse,
 )
-from .ideals import Ideal, all_ideals, ideal_product
-from .modules import FiniteModule
-from .properties import HIERARCHY, RING_FACTS, is_local
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, coset_tables, pair_indices, tpa_monomial_count
+from .ideals import Ideal, all_ideals
+from .properties import HIERARCHY, RING_FACTS
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, pair_indices
 
 VACUITY_REASON = "finite reduced local ring is a field"
 
@@ -89,19 +83,8 @@ CATALOG_HOMS = (
     ("proj", ProjHomExpr()),
     ("compose-proj-embed", ComposeHomExpr(ProjHomExpr(), EmbedHomExpr())),
 )
-
-
-@dataclass(frozen=True)
-class CatalogParams:
-    """Generation parameters; identical parameters give identical catalogs."""
-
-    zmod_max: int = 16
-    tpa_carrier_max: int = 64
-    product_max: int = 64
-    trivext_max: int = 256
-    quotient_base_max: int = 32
-    instance_max: int = 256
-    size_cap: int = DEFAULT_SIZE_CAP
+# the bound |A| * |J| on the catalog's instances
+INSTANCE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -121,135 +104,41 @@ class InstanceSpec:
 
 @dataclass
 class Catalog:
-    params: CatalogParams
+    size_cap: int
     rings: list[FiniteRing]
     ring_exprs: list[RingExpr]
-    modules: list[FiniteModule]
     specs: list[InstanceSpec]
 
 
-def _tpa_parameter_sweep(carrier_max: int) -> list[TpaExpr]:
-    out = []
-    for p in (2, 3, 5, 7):
-        for k in (1, 2, 3):
-            for t in (2, 3, 4, 5, 6):
-                if p ** tpa_monomial_count(k, t) <= carrier_max:
-                    out.append(TpaExpr(p, k, t))
-    return out
+def build_catalog(labels: Iterable[str] = CATALOG_RINGS, size_cap: int = DEFAULT_SIZE_CAP) -> Catalog:
+    """The catalog over the ring labels, by default the frozen list of
+    `catalog.CATALOG_RINGS` (not isomorphism-complete).
 
-
-def _table_key(size: int, zero: int, one: int, add: np.ndarray, mul: np.ndarray) -> bytes:
-    """The catalog's identity of a ring: its size, zero, one and tables, all
-    in `rings.TABLE_DTYPE` (a quotient candidate's coset tables as well)."""
-    return np.array([size, zero, one], dtype="<u4").tobytes() + add.tobytes() + mul.tobytes()
-
-
-def build_catalog(params: CatalogParams | None = None) -> Catalog:
-    """Deterministic generator-family catalog (not isomorphism-complete).
-
-    Rings come from the construction grammar; instances pair every hom of
+    Each label is parsed and built by one Evaluator under `size_cap`; a ring
+    past the cap raises `CapExceededError`.  Instances pair every hom of
     `CATALOG_HOMS` that applies to a ring (identity, idealization embedding,
     quotient projection, and projection after embedding) with every proper
-    ideal J of the target subject to |A| * |J| <= instance_max.  Rings are
-    deduplicated by their tables, and quotient candidates by their coset
-    tables before any ring is built or proved.
+    ideal J of the target subject to |A| * |J| <= `INSTANCE_MAX`.
     """
-    p = params or CatalogParams()
-    ev = Evaluator(size_cap=p.size_cap)
-
-    rings: list[FiniteRing] = []
-    exprs: list[RingExpr] = []
-    seen: set[bytes] = set()
-    ideals = functools.cache(all_ideals)  # each ring's lattice once per build, keyed by identity
-
-    def add_expr(expr: RingExpr) -> FiniteRing | None:
-        ring = ev.ring(expr)
-        key = _table_key(ring.size, ring.zero, ring.one, ring.add, ring.mul)
-        if key in seen:
-            return None
-        seen.add(key)
-        rings.append(ring)
-        exprs.append(expr)
-        return ring
-
-    # base rings
-    for n in range(1, p.zmod_max + 1):
-        add_expr(ZmodExpr(n))
-    for te in _tpa_parameter_sweep(p.tpa_carrier_max):
-        add_expr(te)
-
-    # binary products of small bases
-    product_pool = [ZmodExpr(n) for n in range(2, 10)] + [TpaExpr(2, 1, 2)]
-    for i, left in enumerate(product_pool):
-        for right in product_pool[i:]:
-            if ev.ring(left).size * ev.ring(right).size <= p.product_max:
-                add_expr(ProductExpr(left, right))
-
-    # trivial extensions, two generations
-    modules: list[FiniteModule] = []
-
-    def extend(base_expr: RingExpr, module_expr: ModuleExpr) -> None:
-        base = ev.ring(base_expr)
-        module = ev.module(module_expr, base)
-        if base.size * module.size > p.trivext_max:
-            return
-        added = add_expr(TrivextExpr(base_expr, module_expr))
-        if added is not None:
-            modules.append(module)
-
-    first_generation = list(zip(exprs, rings))
-    for expr, ring in first_generation:
-        m = is_local(ring)
-        if m is not None and ring.size > 1:
-            if ring.size**2 <= 64:
-                extend(expr, RegularExpr())
-            extend(expr, ResfieldExpr(1))
-            field_size = ring.size // len(m)
-            if ring.size * field_size**2 <= 32:
-                extend(expr, ResfieldExpr(2))
-            msq = ideal_product(m, m)
-            if not msq.is_zero:  # m is nilpotent, so m^2 = m only when m = 0
-                if ring.size * (ring.size // len(msq)) <= 64:
-                    extend(expr, QuotmodExpr(RegularExpr(), msq.generators()))
-        elif m is None and 1 < ring.size <= 8:
-            extend(expr, RegularExpr())
-
-    second_generation = [
-        (expr, ring)
-        for expr, ring in zip(exprs, rings)
-        if isinstance(expr, TrivextExpr) and ring.size <= 16 and ring.is_local
-    ]
-    for expr, ring in second_generation:
-        extend(expr, ResfieldExpr(1))
-
-    # quotients of everything small enough; a candidate whose coset tables
-    # are already in the catalog is dropped before its ring is built
-    for expr, ring in list(zip(exprs, rings)):
-        if ring.size > p.quotient_base_max:
-            continue
-        for ideal in ideals(ring):
-            if ideal.is_whole or ideal.is_zero:
-                continue
-            size, add, mul, _, zero, one = coset_tables(ring, ideal)[2]
-            if _table_key(size, zero, one, add, mul) not in seen:
-                add_expr(QuotExpr(expr, ideal.generators()))
-
-    # amalgamation instances
+    ev = Evaluator(size_cap=size_cap)
+    exprs = [parse(label) for label in labels]
+    rings = [ev.ring(expr) for expr in exprs]
     specs: list[InstanceSpec] = []
-    for target_expr in exprs:
+    for target_expr, target in zip(exprs, rings):
+        proper = [j for j in all_ideals(target) if not j.is_whole]
         for hom_tag, hexpr in CATALOG_HOMS:
             try:
                 source_expr, f = ev.hom(hexpr, target_expr)
             except EvaluationError:
                 continue
-            base, target = f.source, f.target
+            base = f.source
             ex26_j = None
             embedding = isinstance(target_expr, TrivextExpr) and source_expr is target_expr.ring
             if embedding and isinstance(source_expr, TrivextExpr):
                 # f embeds an idealization A into B = A |x E: the 0 x E ideal
                 ex26_j = frozenset(pair_indices([base.zero], target.size // base.size).tolist())
-            for j in ideals(target):
-                if j.is_whole or base.size * len(j) > p.instance_max:
+            for j in proper:
+                if base.size * len(j) > INSTANCE_MAX:
                     continue
                 tags = [hom_tag]
                 if j.is_zero:
@@ -263,7 +152,7 @@ def build_catalog(params: CatalogParams | None = None) -> Catalog:
                     label = f"amalg({base.label},{target.label},{f.label};{gens})"
                 specs.append(InstanceSpec(base, target, f, j, label, tuple(tags)))
 
-    return Catalog(p, rings, exprs, modules, specs)
+    return Catalog(size_cap, rings, exprs, specs)
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -524,7 +413,7 @@ def verify_clauses(
     rows: list[Row] | None = [] if "chain" in out or with_search else None
     shared = RingMemo()
     if over_specs or rows is not None:
-        cap = catalog.params.size_cap
+        cap = catalog.size_cap
         _sweep(over_specs, ((spec.build(cap), spec.tags) for spec in catalog.specs), shared, rows)
     for v in over_specs:
         _finish(v, catalog)
@@ -555,7 +444,7 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
 def verify_duplication_criterion(catalog: Catalog, shared: RingMemo | None = None) -> Verdict:
     """cor-2.3 over every local catalog ring of size <= 16 and every proper
     ideal, the rings taken through `shared`, or a memo of its own."""
-    cap = catalog.params.size_cap
+    cap = catalog.size_cap
     population = (
         (duplication(ring, ideal, cap), ())
         for ring in catalog.rings
@@ -788,5 +677,5 @@ def reproduce_examples(
     `size_cap`, or under the catalog's cap when a catalog is given; the
     catalog supplies nothing else.  Each example gets its own Evaluator, so
     no example's rings outlive its report."""
-    cap = catalog.params.size_cap if catalog is not None else size_cap
+    cap = catalog.size_cap if catalog is not None else size_cap
     return [_evaluate_example(ex_id, EXAMPLES[ex_id], Evaluator(cap)) for ex_id in example_ids or EXAMPLE_IDS]

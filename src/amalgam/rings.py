@@ -12,13 +12,15 @@ and wraps it silently.
 
 Constructors refuse carriers above a configurable size cap, and always
 above `MAX_TABLE_SIZE`, before they allocate anything.  Every constructed
-ring passes an O(n^2) axiom screen.  The ring of `product`, `quotient`,
-`amalgamation.amalgamate`/`duplication` or `f_image_plus_j` then rests on
-a `Proof`, the ring homs deriving it from accepted rings; only `zmod`, `truncated_poly_algebra` and
-`modules.trivial_extension` (and raw tables) get a fixed-seed sample of the
-O(n^3) axioms, drawn once per carrier size and gathered from the flattened
-tables (every triple, in one vectorised pass, up to n = 16).
-`FiniteRing.validate` runs the full exhaustive check.
+ring has its table ranges, zero, one and negation checked.  The ring of
+`product`, `quotient`, `amalgamation.amalgamate`/`duplication` or
+`f_image_plus_j` then rests on a `Proof`, the ring homs deriving it from
+accepted rings, which imply its identities and commutativity as well.
+Only `zmod`, `truncated_poly_algebra` and `modules.trivial_extension` (and
+raw tables) get the O(n^2) identity and commutativity screen and a
+fixed-seed sample of the O(n^3) axioms, drawn once per carrier size and
+gathered from the flattened tables (every triple, in one vectorised pass,
+up to n = 16).  `FiniteRing.validate` runs the full exhaustive check.
 
 Checks that sweep all n^2 pairs of a table (hom validation, principal
 membership, the unit-orbit gather of the Gaussian pair check) run over row
@@ -177,41 +179,52 @@ class FiniteRing:
         self.element_names = list(element_names)
         if len(self.element_names) != size:
             raise StructureError("element_names length mismatch")
-        self._quick_check()
         if proof is None:
+            self._quick_check()
             self._check_cubic_axioms(sample=CONSTRUCTION_SAMPLE_COUNT)
         else:
+            self._check_carrier()
             self._prove(proof)
 
     # -- axiom checking ----------------------------------------------------
 
-    def _quick_check(self) -> None:
-        """The O(n^2) screen: ranges, identities, negation, commutativity."""
-        n, add, mul, neg = self.size, self.add, self.mul, self.neg
-        rng_ok = lambda t: t.min() >= 0 and t.max() < n  # noqa: E731
-        if not (rng_ok(add) and rng_ok(mul) and rng_ok(neg)):
+    def _check_carrier(self) -> None:
+        """Table ranges, the zero and one indices, and negation: what a
+        proof's homs do not imply (an entry out of range would reach them
+        as an IndexError, not a ring error)."""
+        n = self.size
+        # the tables are unsigned (`_as_table`), so only the maximum can leave the carrier
+        if max(int(self.add.max()), int(self.mul.max()), int(self.neg.max())) >= n:
             raise StructureError("table entries out of carrier range")
         if not 0 <= self.zero < n or not 0 <= self.one < n:
             raise StructureError("zero/one index out of range")
         if n > 1 and self.zero == self.one:
             raise StructureError("zero == one in a ring of size > 1")
-        idx = np.arange(n)
-        if not (add[self.zero] == idx).all():
-            raise StructureError("zero is not an additive identity")
-        if not (mul[self.one] == idx).all():
-            raise StructureError("one is not a multiplicative identity")
-        if not (add[idx, neg] == self.zero).all():
+        if not (self.add[np.arange(n), self.neg] == self.zero).all():
             raise StructureError("negation table is not an additive inverse")
-        if not _is_symmetric(add):
+
+    def _quick_check(self) -> None:
+        """The O(n^2) screen: the carrier, identities and commutativity."""
+        self._check_carrier()
+        idx = np.arange(self.size)
+        if not (self.add[self.zero] == idx).all():
+            raise StructureError("zero is not an additive identity")
+        if not (self.mul[self.one] == idx).all():
+            raise StructureError("one is not a multiplicative identity")
+        if not _is_symmetric(self.add):
             raise StructureError("addition is not commutative")
-        if not _is_symmetric(mul):
+        if not _is_symmetric(self.mul):
             raise StructureError("multiplication is not commutative")
 
     def _prove(self, proof: Proof, label: str | None = None) -> None:
-        """Carry the cubic axioms over from accepted rings: along a hom onto this
+        """Carry the axioms over from accepted rings: along a hom onto this
         ring, or along homs that jointly embed it; an `out_of` entry may be a
-        hom out of this ring validated before.  A failure is a bug, not bad
-        input, reported under `label` (the ring's own by default)."""
+        hom out of this ring validated before.  Both routes give the
+        identities and commutativity as well: a surjective phi has
+        add[phi x, phi y] = phi(x + y) = phi(y + x), and homs h_i with
+        h_i(1) = 1 have h_i(mul[1, y]) = h_i(y) for every i, so joint
+        injectivity gives mul[1, y] = y.  A failure is a bug, not bad input,
+        reported under `label` (the ring's own by default)."""
         try:
             onto = [RingHom(source, self, m, tag) for source, m, tag in proof.onto]
             out_of = [h if isinstance(h, RingHom) else RingHom(self, *h) for h in proof.out_of]

@@ -63,7 +63,7 @@ def test_block_build_matches_direct_formula_on_catalog(catalog):
     small = [spec for spec in catalog.specs if spec.base.size * len(spec.j) <= 64]
     assert len(small) > 1000
     for spec in small:
-        assert_matches_direct_formula(spec.build(catalog.params.size_cap))
+        assert_matches_direct_formula(spec.build(catalog.size_cap))
 
 
 @pytest.mark.parametrize("example_id", ["2.4", "2.10", "2.11"])

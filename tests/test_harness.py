@@ -31,10 +31,8 @@ from amalgam.harness import (
     CLAUSE_IDS,
     CLAUSES,
     EXAMPLES,
-    CatalogParams,
     ExampleCase,
     _evaluate_example,
-    _table_key,
     build_catalog,
     verify_clauses,
     verify_duplication_criterion,
@@ -43,22 +41,13 @@ from amalgam.harness import (
 from amalgam.ideals import Ideal, all_ideals, ideal_product
 from amalgam.properties import RING_FACTS, is_local
 from amalgam.rings import coset_tables, pair_indices, quotient
+from catalog_generator import SMALL_PARAMS, _table_key, generated_catalog
 from oracles import set_side_conditions
-
-
-SMALL_PARAMS = CatalogParams(
-    zmod_max=9,
-    tpa_carrier_max=8,
-    product_max=16,
-    trivext_max=32,
-    quotient_base_max=8,
-    instance_max=64,
-)
 
 
 @pytest.fixture(scope="module")
 def small_catalog():
-    return build_catalog(SMALL_PARAMS)
+    return generated_catalog(SMALL_PARAMS)
 
 
 def test_catalog_membership(catalog):
@@ -74,8 +63,8 @@ def test_catalog_membership(catalog):
 
 
 def test_catalog_deterministic():
-    a = build_catalog(SMALL_PARAMS)
-    b = build_catalog(SMALL_PARAMS)
+    a = generated_catalog(SMALL_PARAMS)
+    b = generated_catalog(SMALL_PARAMS)
     assert [r.label for r in a.rings] == [r.label for r in b.rings]
     assert [s.label for s in a.specs] == [s.label for s in b.specs]
     assert [s.tags for s in a.specs] == [s.tags for s in b.specs]
@@ -162,6 +151,21 @@ def test_catalog_instance_statistics(catalog):
         for name, expected in set_side_conditions(inst).items():
             assert holds(inst, name) == expected, (inst.label, name)
     assert with_sq_zero > 0 and with_sq_nonzero > 0
+
+
+def test_j_squared_zero_agrees_with_the_ideal_product(small_catalog):
+    # "J^2 = 0" reads the J product table; the ideal product is the reference
+    ev = Evaluator()
+    examples = [
+        ev.instance(parse(text))
+        for case in EXAMPLES.values()
+        for text in filter(None, (case.expression, case.replacement))
+    ]
+    values = set()
+    for inst in [*(spec.build() for spec in small_catalog.specs), *examples]:
+        values.add(holds(inst, "J^2 = 0"))
+        assert holds(inst, "J^2 = 0") == ideal_product(inst.j, inst.j).is_zero, inst.label
+    assert values == {True, False}
 
 
 def test_each_predicate_is_evaluated_at_most_once_per_instance(small_catalog, monkeypatch):
@@ -322,7 +326,7 @@ def test_example_2_7_replacement_is_the_first_catalog_match(catalog, example_rep
     assert not meets_hypotheses(Evaluator().instance(parse(case.expression)))
     scanned = next(
         inst
-        for inst in (spec.build(catalog.params.size_cap) for spec in catalog.specs)
+        for inst in (spec.build(catalog.size_cap) for spec in catalog.specs)
         if meets_hypotheses(inst)
     )
     named = Evaluator().instance(parse(case.replacement))
@@ -433,7 +437,7 @@ def test_role_fact_predicates_are_the_fact_grid(small_catalog):
     assert len(grid) == 4 * 8
     code = PREDICATES["base ring local"].__code__
     assert {name for name, predicate in PREDICATES.items() if predicate.__code__ is code} == set(grid)
-    cap = small_catalog.params.size_cap
+    cap = small_catalog.size_cap
     for spec in small_catalog.specs:
         inst = spec.build(cap)
         for name, (role, fact) in grid.items():

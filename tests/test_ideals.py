@@ -109,7 +109,7 @@ def rings_to_64(catalog):
     witnesses depend on the tables alone."""
     specs = [spec for spec in catalog.specs if spec.base.size * len(spec.j) <= 64]
     rings, seen = [], set()
-    for ring in list(catalog.rings) + [spec.build(catalog.params.size_cap).ring for spec in specs]:
+    for ring in list(catalog.rings) + [spec.build(catalog.size_cap).ring for spec in specs]:
         key = (ring.zero, ring.one, ring.add.tobytes(), ring.mul.tobytes())
         if key not in seen:
             seen.add(key)

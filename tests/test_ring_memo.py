@@ -17,22 +17,14 @@ import amalgam.amalgamation as amalgamation
 import amalgam.harness as harness
 from amalgam.amalgamation import MEMO_RINGS, PREDICATES, RingMemo
 from amalgam.errors import InternalCheckError
-from amalgam.harness import CatalogParams, build_catalog, verify_clauses, verify_duplication_criterion
+from amalgam.harness import verify_clauses, verify_duplication_criterion
 from amalgam.rings import FiniteRing, RingHom, pair_ring_tables
-
-SMALL_PARAMS = CatalogParams(
-    zmod_max=9,
-    tpa_carrier_max=8,
-    product_max=16,
-    trivext_max=32,
-    quotient_base_max=8,
-    instance_max=64,
-)
+from catalog_generator import SMALL_PARAMS, generated_catalog
 
 
 @pytest.fixture(scope="module")
 def small_catalog():
-    return build_catalog(SMALL_PARAMS)
+    return generated_catalog(SMALL_PARAMS)
 
 
 def _key(inst):
@@ -69,7 +61,7 @@ def _count_builds(monkeypatch) -> list:
 
 def test_cor_2_3_builds_one_ring_per_key_within_the_window(catalog, monkeypatch):
     population = [
-        amalgamation.duplication(ring, ideal, catalog.params.size_cap)
+        amalgamation.duplication(ring, ideal, catalog.size_cap)
         for ring in catalog.rings
         if ring.size <= 16 and ring.is_local
         for ideal in harness.all_ideals(ring)

@@ -7,7 +7,7 @@ import pytest
 
 from amalgam import cli, rings
 from amalgam.amalgamation import PREDICATES, amalgamate, duplication, f_image_plus_j, holds
-from amalgam.errors import InternalCheckError
+from amalgam.errors import InternalCheckError, StructureError
 from amalgam.expressions import ComposeHomExpr, EmbedHomExpr, Evaluator, ProjHomExpr, parse
 from amalgam.harness import EXAMPLES, reproduce_examples
 from amalgam.ideals import ideal_generated, maximal_ideals
@@ -55,6 +55,41 @@ def test_corrupted_derived_ring_fails_its_proof(name):
     mul[x, y] = mul[y, x] = (int(ring.mul[x, y]) + 1) % ring.size
     with pytest.raises(InternalCheckError):
         _rebuild(ring, proof, mul, f"corrupt {name}")
+
+
+def _asymmetric_mul(ring):
+    mul, add = ring.mul.copy(), ring.add
+    x, y = [v for v in range(ring.size) if v not in (ring.zero, ring.one)][:2]
+    mul[x, y] = (int(mul[x, y]) + 1) % ring.size
+    return add, mul
+
+
+def _broken_one_row(ring):
+    mul, add = ring.mul.copy(), ring.add
+    y = next(v for v in range(ring.size) if v not in (ring.zero, ring.one))
+    mul[ring.one, y] = mul[y, ring.one] = (y + 1) % ring.size  # still symmetric
+    return add, mul
+
+
+def _broken_zero_row(ring):
+    mul, add = ring.mul, ring.add.copy()
+    y = next(v for v in range(ring.size) if v not in (ring.zero, ring.one))
+    add[ring.zero, y] = add[y, ring.zero] = (y + 1) % ring.size  # still symmetric
+    return add, mul
+
+
+@pytest.mark.parametrize("corrupt", [_asymmetric_mul, _broken_one_row, _broken_zero_row])
+@pytest.mark.parametrize("name", ["quotient", "product", "amalgamate", "duplication", "f_image_plus_j"])
+def test_proof_alone_catches_broken_identities_and_commutativity(name, corrupt):
+    # a proven ring skips the O(n^2) identity and commutativity screen, so
+    # its proof is what refuses these tables: an internal error (exit 3),
+    # not the screen's StructureError (exit 2)
+    ring, proof = _derived(name)
+    add, mul = corrupt(ring)
+    with pytest.raises(InternalCheckError, match=f"proof of corrupt {name} fails"):
+        FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, f"corrupt {name}", ring.element_names, proof)
+    with pytest.raises(StructureError):  # the screen still refuses them without a proof
+        FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, "raw")
 
 
 def test_proof_kind_is_checked():

@@ -9,7 +9,6 @@ from amalgam.errors import (
     HomomorphismError,
     StructureError,
 )
-from amalgam.harness import _tpa_parameter_sweep
 from amalgam.expressions import ComposeHomExpr, Evaluator, IdHomExpr, ProjHomExpr, parse
 from amalgam.ideals import ideal_generated, maximal_ideals
 from amalgam.rings import (
@@ -24,6 +23,7 @@ from amalgam.rings import (
     truncated_poly_algebra,
     zmod,
 )
+from catalog_generator import _tpa_parameter_sweep
 
 
 def test_zmod_small_arithmetic():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import amalgam
 import amalgam.harness as harness
+from catalog_generator import TINY_PARAMS, generated_catalog
 
 SRC = Path(amalgam.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,12 +140,9 @@ def test_perfbench_tracer_sees_the_sweep_through_its_entry_points():
     # the sweep reaches the traced names, cor-2.3's population included
     spans = _perfbench_spans()
     tracer = spans.Tracer()
-    params = harness.CatalogParams(
-        zmod_max=4, tpa_carrier_max=4, product_max=4, trivext_max=8, quotient_base_max=4, instance_max=8
-    )
     try:
         tracer.install()
-        catalog = harness.build_catalog(params)
+        catalog = generated_catalog(TINY_PARAMS)
         harness.verify_clauses(catalog, ["lemma-2.2", "cor-2.3", "chain"], with_search=True)
     finally:
         tracer.restore()
