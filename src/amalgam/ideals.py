@@ -1,8 +1,9 @@
 """Ideal arithmetic and ideal-lattice enumeration for finite commutative rings.
 
 An ideal is stored as a read-only membership mask over the ring's index
-carrier, with its sorted indices and member set.  Every public constructor
-validates closure, so an `Ideal` in hand is always a real ideal of its ring.
+carrier, with its sorted indices and member set.  The ideal arithmetic wraps
+the masks it computes (`Ideal._from_mask`); `Ideal(ring, members)` validates
+input from outside, so an `Ideal` in hand is always a real ideal of its ring.
 Enumeration of the full lattice is the superlinear hot spot, so it runs once
 per ring (`FiniteRing.ideal_lattice`) under one fixed guard,
 `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The lattice is held as
@@ -42,51 +43,40 @@ MAX_IDEALS = 128
 class Ideal:
     """An ideal of a finite commutative ring, given by its member set.
 
-    Membership is validated at construction: contains zero, closed under
-    addition, negation, and multiplication by every ring element.
+    `Ideal(ring, members)`, for input from outside the package, validates
+    the members: in range, contains zero, closed under addition, negation,
+    and multiplication by every ring element.
     """
 
     __slots__ = ("ring", "members", "indices", "mask", "_generators")
 
-    def __init__(self, ring: FiniteRing, members: Iterable[int], *, _validated: bool = False):
-        self.ring = ring
-        values = members if isinstance(members, np.ndarray) else np.fromiter(members, dtype=np.int64)
-        idx = values.astype(np.int64).ravel()
-        if not (idx[1:] > idx[:-1]).all():  # sorted distinct input is kept as it is
-            idx = np.unique(idx)
+    def __init__(self, ring: FiniteRing, members: Iterable[int]):
+        idx = np.asarray(members if isinstance(members, np.ndarray) else list(members), dtype=np.int64).ravel()
         if idx.size == 0 or idx.min() < 0 or idx.max() >= ring.size:
             raise NotAnIdealError(f"members out of range for ring of size {ring.size}")
-        self.indices = idx
-        self.indices.flags.writeable = False
-        self.members = frozenset(idx.tolist())
-        mask = np.zeros(ring.size, dtype=bool)
-        mask[idx] = True
-        mask.flags.writeable = False
-        self.mask = mask
-        self._generators: tuple[int, ...] | None = None
-        if not _validated:
-            self._validate()
+        self._hold(ring, _distinct(ring, idx))
+        self._validate()
 
     @classmethod
     def _from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> Ideal:
-        """The ideal whose membership mask is `mask`, a bool row over the
-        carrier already known to be an ideal (a lattice row, a pullback of
-        non-units, a radical): no scatter, sort test or closure check.
-        The row is made read-only and kept, not copied."""
+        """The ideal whose mask is `mask`, a bool row over the carrier that the
+        package computed as an ideal, made read-only and kept: no closure check."""
         ideal = cls.__new__(cls)
-        ideal.ring = ring
-        mask.flags.writeable = False
-        ideal.mask = mask
-        idx = np.flatnonzero(mask)
-        idx.flags.writeable = False
-        ideal.indices = idx
-        ideal.members = frozenset(idx.tolist())
-        ideal._generators = None
+        ideal._hold(ring, mask)
         return ideal
+
+    def _hold(self, ring: FiniteRing, mask: np.ndarray) -> None:
+        self.ring = ring
+        mask.flags.writeable = False
+        self.mask = mask
+        self.indices = np.flatnonzero(mask)
+        self.indices.flags.writeable = False
+        self.members = frozenset(self.indices.tolist())
+        self._generators = None
 
     def _validate(self) -> None:
         ring, idx, mask = self.ring, self.indices, self.mask
-        if ring.zero not in self.members:
+        if not mask[ring.zero]:
             raise NotAnIdealError("ideal must contain zero")
         if not mask[ring.neg[idx]].all():
             raise NotAnIdealError("member set not closed under negation")
@@ -145,7 +135,7 @@ class Ideal:
         for x in self.indices.tolist():
             if not span[x]:
                 gens.append(x)
-                span[ring.add[np.flatnonzero(span)[:, None], _distinct(ring, ring.mul[x])]] = True
+                span[ring.add[np.flatnonzero(span)[:, None], np.flatnonzero(_distinct(ring, ring.mul[x]))]] = True
         self._generators = tuple(gens)
         return self._generators
 
@@ -160,23 +150,23 @@ def _check_same_ring(a: Ideal, b: Ideal) -> None:
 
 
 def _distinct(ring: FiniteRing, values: np.ndarray) -> np.ndarray:
-    """The distinct carrier indices among `values`, ascending (a scatter, not a sort)."""
+    """The membership mask of the carrier indices among `values` (a scatter, not a sort)."""
     mask = np.zeros(ring.size, dtype=bool)
     mask[values] = True
-    return np.nonzero(mask)[0]
+    return mask
 
 
 def _additive_closure(ring: FiniteRing, seed: np.ndarray) -> np.ndarray:
-    """Close a set (already closed under negation and ring action) under +.
+    """Close a set (holding zero, closed under negation and ring action) under +, as a mask.
 
     Reads only `.add` and `.size`, so a module's submodules close the same way.
     """
-    cur = _distinct(ring, seed)
+    mask = _distinct(ring, seed)
     while True:
-        nxt = _distinct(ring, ring.add[cur[:, None], cur])
-        if nxt.size == cur.size:
-            return nxt
-        cur = nxt
+        cur = np.flatnonzero(mask)
+        mask = _distinct(ring, ring.add[cur[:, None], cur])
+        if np.count_nonzero(mask) == cur.size:
+            return mask
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -186,31 +176,30 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     generators; that set is already closed under the ring action.
     """
     seed = np.concatenate([ring.mul[:, sorted(set(int(g) for g in gens))].ravel(), [ring.zero]])
-    return Ideal(ring, _additive_closure(ring, seed), _validated=True)
+    return Ideal._from_mask(ring, _additive_closure(ring, seed))
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
     """The ideal of multiples of x (no closure pass needed)."""
-    return Ideal(ring, np.unique(ring.mul[:, x]), _validated=True)
+    return Ideal._from_mask(ring, _distinct(ring, ring.mul[:, x]))
 
 
 def ideal_sum(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
-    sums = ring.add[left.indices[:, None], right.indices]
-    return Ideal(ring, _distinct(ring, sums), _validated=True)
+    return Ideal._from_mask(ring, _distinct(ring, ring.add[left.indices[:, None], right.indices]))
 
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
     prods = ring.mul[left.indices[:, None], right.indices].ravel()
-    return Ideal(ring, _additive_closure(ring, prods), _validated=True)
+    return Ideal._from_mask(ring, _additive_closure(ring, prods))
 
 
 def ideal_intersect(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
-    return Ideal(left.ring, left.members & right.members, _validated=True)
+    return Ideal._from_mask(left.ring, left.mask & right.mask)
 
 
 def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
@@ -328,23 +317,27 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     return [Ideal._from_mask(ring, mask) for mask in ring.maximal_masks]
 
 
+def lattice_order(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """Containment and join over the size-sorted rows of `_lattice_matrix`:
+    contains[i, j] iff ideal i lies in ideal j, and join[i, j], the row of
+    their sum, is the first ideal containing both."""
+    members = _lattice_matrix(ring).astype(np.float32)  # counts <= 256 are exact
+    contains = (members @ (1 - members).T) == 0
+    return contains, (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
+
+
 def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
     """Check I /\\ (J + K) == (I /\\ J) + (I /\\ K) over all ideal triples.
 
     Returns (True, None) or (False, witness_triple), the witness being the
     first failing triple in the canonical lattice order.  Joins and meets
-    are read off the containment matrix of the rows of `_lattice_matrix`,
-    which is sorted by size, so the join of two ideals is the first ideal
-    containing both and the meet the last one contained in both.  The join
-    table is built once; the meet row of I only when the scan reaches I.
-    `Ideal` objects are built for the three witness ideals only.
+    are read off `lattice_order`, the meet of two ideals being the last one
+    contained in both; the meet row of I is built only when the scan
+    reaches I.  `Ideal` objects are built for the three witness ideals only.
     """
     lattice = _lattice_matrix(ring)
     n = len(lattice)
-    # contains[i, j] iff ideal i is a subset of ideal j; counts <= 256 are exact in float32
-    members = lattice.astype(np.float32)
-    contains = (members @ (1 - members).T) == 0
-    join = (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
+    contains, join = lattice_order(ring)
     below = contains.T
     for i in range(n):
         meet = n - 1 - (below[i] & below)[:, ::-1].argmax(axis=1)

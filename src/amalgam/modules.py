@@ -157,7 +157,7 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> frozenset[int]:
     """Smallest submodule containing gens (closure of ring multiples under +)."""
     seed = np.concatenate([module.action[:, sorted(set(int(g) for g in gens))].ravel(), [module.zero]])
-    return frozenset(_additive_closure(module, seed).tolist())
+    return frozenset(np.flatnonzero(_additive_closure(module, seed)).tolist())
 
 
 def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarray:
@@ -173,13 +173,13 @@ def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarra
     return idx
 
 
-def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str | None = None) -> FiniteModule:
-    """Quotient by a submodule, cosets named by their minimal member.  Given
-    the submodule's generator list, even an empty one, the label is the
-    expression `quotmod(M;gens)`."""
+def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str) -> FiniteModule:
+    """Quotient by a submodule, cosets named by their minimal member and
+    labelled by the expression `quotmod(M;gens)`, `gens_label` being the
+    submodule's generator list (possibly empty)."""
     proj, reps = _cosets(module.add, _check_submodule(module, frozenset(int(m) for m in members)))
     names = [f"[{module.element_names[r]}]" for r in reps]
-    label = f"quotmod({module.label})" if gens_label is None else f"quotmod({module.label};{gens_label})"
+    label = f"quotmod({module.label};{gens_label})"
     qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
     return FiniteModule(module.ring, len(reps), qadd, qact, label, names)
 

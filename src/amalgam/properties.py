@@ -45,6 +45,7 @@ from .ideals import (
     ideal_product,
     ideal_sum,
     is_distributive_lattice,
+    lattice_order,
     maximal_ideals,
     principal_ideal,
 )
@@ -269,14 +270,11 @@ def gaussian_content_oracle(ring: FiniteRing, dmax: int) -> tuple[bool, tuple[Po
     principal_lid = np.asarray(
         [lid_of[principal_ideal(ring, x).members] for x in range(n)], dtype=np.int32
     )
-    sum_lid = np.zeros((nl, nl), dtype=np.int32)
+    sum_lid = lattice_order(ring)[1].astype(np.int32)
     prod_lid = np.zeros((nl, nl), dtype=np.int32)
     for i in range(nl):
         for j in range(i + 1):
-            s = lid_of[ideal_sum(lattice[i], lattice[j]).members]
-            p = lid_of[ideal_product(lattice[i], lattice[j]).members]
-            sum_lid[i, j] = sum_lid[j, i] = s
-            prod_lid[i, j] = prod_lid[j, i] = p
+            prod_lid[i, j] = prod_lid[j, i] = lid_of[ideal_product(lattice[i], lattice[j]).members]
 
     ncoef = dmax + 1
     idx = np.arange(npolys, dtype=np.int64)
@@ -341,7 +339,7 @@ def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
     m = is_local(factor)
     if m is None:
         raise InternalCheckError(f"chain certificate: {factor.label} is not local")
-    steps = [Ideal(factor, range(factor.size), _validated=True), m]
+    steps = [Ideal._from_mask(factor, np.ones(factor.size, dtype=bool)), m]
     while not steps[-1].is_zero:
         step = ideal_product(steps[-1], m)
         if len(step) == len(steps[-1]):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from amalgam import ideals
 from amalgam.errors import AmalgamError, CapExceededError, MixedRingError, NotAnIdealError
 from amalgam.expressions import Evaluator, parse
-from amalgam.harness import EXAMPLES
+from amalgam.harness import CLAUSE_IDS, EXAMPLES, reproduce_examples, verify_clauses
 from amalgam.ideals import (
     MAX_IDEALS,
     Ideal,
@@ -23,7 +26,9 @@ from amalgam.ideals import (
     principal_ideal,
 )
 from amalgam.modules import ring_as_module, trivial_extension, vspace_over_residue
+from amalgam.properties import property_report
 from amalgam.rings import product, truncated_poly_algebra, zmod
+from catalog_generator import SMALL_PARAMS, generated_catalog
 from oracles import jacobson_radical, nilradical
 from test_cli_generated import ring_grammar
 
@@ -151,7 +156,7 @@ def test_ideal_members_normalised():
         assert ideal.members == {0, 4, 8}
         assert ideal.mask.nonzero()[0].tolist() == [0, 4, 8]
     given_sorted = np.array([0, 3, 6, 9], dtype=np.int64)
-    ideal = Ideal(z12, given_sorted, _validated=True)
+    ideal = Ideal(z12, given_sorted)
     assert ideal.indices.tolist() == [0, 3, 6, 9] and ideal.indices is not given_sorted
     assert given_sorted.flags.writeable  # the caller's array is not frozen
     with pytest.raises(NotAnIdealError):
@@ -435,3 +440,77 @@ def test_principal_ideal_matches_generated():
     for ring in SMALL_RINGS:
         for x in range(ring.size):
             assert principal_ideal(ring, x).members == ideal_generated(ring, [x]).members
+
+
+def test_lattice_joins_are_the_pairwise_sums(catalog):
+    for ring in catalog.rings:
+        try:
+            lattice = all_ideals(ring)
+        except CapExceededError:
+            continue
+        lid_of = {ideal.members: i for i, ideal in enumerate(lattice)}
+        contains, join = ideals.lattice_order(ring)
+        for i, j in itertools.product(range(len(lattice)), repeat=2):
+            assert join[i, j] == lid_of[ideal_sum(lattice[i], lattice[j]).members]
+            assert contains[i, j] == (lattice[i] <= lattice[j])
+
+
+def _set_closure(add, seed):
+    """The additive closure of `seed` (holding zero), by Python sets."""
+    out = set(seed)
+    frontier = out
+    while frontier:
+        frontier = {add[a][b] for a in frontier for b in out} - out
+        out |= frontier
+    return out
+
+
+def _assert_held(ideal, ring, members):
+    assert ideal.ring is ring and ideal.members == members
+    assert ideal.indices.tolist() == sorted(members)
+    assert np.flatnonzero(ideal.mask).tolist() == sorted(members)
+    assert not ideal.mask.flags.writeable and not ideal.indices.flags.writeable
+
+
+def test_ideal_arithmetic_matches_a_set_oracle():
+    for ring in generated_catalog(SMALL_PARAMS).rings:
+        add, mul = ring.add.tolist(), ring.mul.tolist()
+        lattice = all_ideals(ring)
+        for x in range(ring.size):
+            _assert_held(principal_ideal(ring, x), ring, {row[x] for row in mul})
+        for ideal in lattice:
+            _assert_held(ideal_generated(ring, ideal.generators()), ring, ideal.members)
+        for a, b in itertools.combinations_with_replacement(lattice, 2):
+            _assert_held(ideal_sum(a, b), ring, {add[x][y] for x in a.members for y in b.members})
+            products = {mul[x][y] for x in a.members for y in b.members}
+            _assert_held(ideal_product(a, b), ring, _set_closure(add, products))
+            _assert_held(ideal_intersect(a, b), ring, a.members & b.members)
+
+
+def test_the_package_builds_no_ideal_through_the_checking_constructor(monkeypatch):
+    calls = []
+    validate = Ideal._validate
+    monkeypatch.setattr(Ideal, "_validate", lambda self: calls.append(self) or validate(self))
+    small = generated_catalog(SMALL_PARAMS)
+    verify_clauses(small, list(CLAUSE_IDS), with_search=True)
+    reproduce_examples()
+    for ring in small.rings:
+        property_report(ring)
+    assert calls == []
+    z12 = zmod(12)
+    with pytest.raises(NotAnIdealError):
+        Ideal(z12, [0, 4])  # 4 + 4 = 8 is missing
+    assert len(calls) == 1
+    assert list(inspect.signature(Ideal).parameters) == ["ring", "members"]  # no trust flag
+
+
+def test_src_never_calls_the_checking_constructor():
+    package = pathlib.Path(ideals.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Ideal" or getattr(node.func, "attr", None) == "Ideal")
+    ]
+    assert calls == []

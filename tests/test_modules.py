@@ -71,10 +71,10 @@ def test_submodule_and_quotient():
     assert sub == {0, 2}
     q = module_quotient(m, sub, "2")
     assert q.size == 2
-    whole = module_quotient(m, submodule_generated(m, [1]))
+    whole = module_quotient(m, submodule_generated(m, [1]), "1")
     assert whole.size == 1
     with pytest.raises(NotASubmoduleError):
-        module_quotient(m, {0, 1})
+        module_quotient(m, {0, 1}, "1")
 
 
 def test_trivial_extension_square_zero():
@@ -116,7 +116,7 @@ def test_module_axioms_validate():
     z4 = zmod(4)
     ring_as_module(z4).validate()
     vspace_over_residue(z4, ideal_generated(z4, [2]), 2).validate()
-    q = module_quotient(ring_as_module(z4), {0, 2})
+    q = module_quotient(ring_as_module(z4), {0, 2}, "2")
     q.validate()
 
 
