@@ -26,7 +26,6 @@ from .errors import (
     NotAnIdealError,
     NotASubmoduleError,
     NotLocalError,
-    NotMaximalError,
     ParseError,
     StructureError,
     UnknownClauseError,

@@ -30,8 +30,9 @@ agree on those share one ring within a pass: an instance given a
 them every fact cached on the ring (Gaussian, arithmetical, local, ...).
 pB depends on B and f, so each instance still validates its own pB and
 the joint injectivity of (pA, pB) on the shared ring.  The memo holds the
-last `MEMO_RINGS` rings, and a shared ring keeps the label of the
-instance that built it, so readers name an instance by `inst.label`.
+last `MEMO_RINGS` rings, and a shared ring keeps the label and the
+element names of the instance that built it, so readers name an instance
+by `inst.label`.
 
 `PREDICATES` names every side condition and conclusion that the clauses
 and worked examples read; each "{role} {fact}" name, such as "f(A) + J
@@ -145,7 +146,10 @@ MEMO_RINGS = 16
 class RingMemo:
     """The proved rings of one pass, keyed by what R's tables depend on: the
     base ring and the J-position tables jadd, jmul and fj.  A bounded LRU of
-    (ring, pA, {0} x J) entries; `hits` and `builds` count its lookups."""
+    (ring, pA, {0} x J) entries; `hits` and `builds` count its lookups.  A
+    shared ring's label and element names belong to the instance that built
+    it: its names spell that builder's (a, f(a) + j) pairs, not those of a
+    later instance that takes it."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[tuple, tuple[FiniteRing, RingHom, Ideal]] = OrderedDict()

@@ -25,19 +25,16 @@ class HomomorphismError(AmalgamError):
 
 
 class NotAnIdealError(AmalgamError):
-    """A member set is not an ideal of the given ring."""
+    """A member set is not an ideal of the given ring, or a generator index
+    lies outside it."""
 
 
 class NotASubmoduleError(AmalgamError):
-    """A member set is not a submodule of the given module."""
+    """A submodule generator index lies outside the given module."""
 
 
 class NotLocalError(AmalgamError):
     """An operation requiring a local ring was applied to a non-local one."""
-
-
-class NotMaximalError(AmalgamError):
-    """The given ideal is not maximal."""
 
 
 class MixedRingError(AmalgamError):

@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError
 from .ideals import Ideal, ideal_generated
-from .modules import (
-    FiniteModule,
-    module_quotient,
-    ring_as_module,
-    submodule_generated,
-    vspace_over_residue,
-)
-from .properties import is_local
+from .modules import FiniteModule, module_quotient, ring_as_module, trivial_extension, vspace_over_residue
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -40,7 +33,6 @@ from .rings import (
     zmod,
 )
 from .amalgamation import AmalgamationInstance, amalgamate, duplication
-from .modules import trivial_extension
 
 MAX_TEXT_BYTES = 64 * 1024
 # Constructor nesting (open parentheses) across ring, module and hom
@@ -427,21 +419,9 @@ class Evaluator:
         if isinstance(expr, RegularExpr):
             return ring_as_module(base)
         if isinstance(expr, ResfieldExpr):
-            m = is_local(base)
-            if m is None:
-                raise EvaluationError(
-                    f"resfield over {base.label} needs a local base ring"
-                )
-            return vspace_over_residue(base, m, expr.dim, self.size_cap)
+            return vspace_over_residue(base, expr.dim, self.size_cap)
         if isinstance(expr, QuotmodExpr):
-            inner = self.module(expr.module, base)
-            for g in expr.gens:
-                if not 0 <= g < inner.size:
-                    raise EvaluationError(
-                        f"module generator {g} out of range for {inner.label}"
-                    )
-            sub = submodule_generated(inner, expr.gens)
-            return module_quotient(inner, sub, _elems(expr.gens))
+            return module_quotient(self.module(expr.module, base), expr.gens)
         raise EvaluationError(f"unsupported module expression {expr!r}")
 
     def hom(self, hexpr: HomExpr, target_expr: RingExpr, source: FiniteRing | None = None) -> tuple[RingExpr, RingHom]:

@@ -173,9 +173,14 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing `gens`.
 
     Computed as the additive closure of the set of ring multiples of the
-    generators; that set is already closed under the ring action.
+    generators; that set is already closed under the ring action.  Raises
+    NotAnIdealError on a generator index outside the ring.
     """
-    seed = np.concatenate([ring.mul[:, sorted(set(int(g) for g in gens))].ravel(), [ring.zero]])
+    gens = [int(g) for g in gens]
+    for g in gens:
+        if not 0 <= g < ring.size:
+            raise NotAnIdealError(f"generator index {g} out of range for {ring.label} (size {ring.size})")
+    seed = np.concatenate([ring.mul[:, sorted(set(gens))].ravel(), [ring.zero]])
     return Ideal._from_mask(ring, _additive_closure(ring, seed))
 
 

@@ -3,7 +3,11 @@
 Modules carry their own addition and action tables (same policy as rings:
 explicit, immutable, exhaustively checkable, and held in
 `rings.TABLE_DTYPE`, so no module passes `rings.MAX_TABLE_SIZE` = 65,536
-elements).  The trivial extension A |x E is the ring on A x E with
+elements).  Each constructor takes the arguments of its grammar node and
+derives the rest: `vspace_over_residue` (`resfield(k)`) reads the maximal
+ideal of its local ring, and `module_quotient` (`quotmod(M;gens)`) generates
+its submodule from the generator indices it prints in its label.  The
+trivial extension A |x E is the ring on A x E with
 (a,e)(a',e') = (aa', a.e' + a'.e); the ideal 0 x E always squares to zero.
 """
 from __future__ import annotations
@@ -13,14 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    MixedRingError,
-    NotASubmoduleError,
-    NotMaximalError,
-    StructureError,
-)
-from .ideals import Ideal, _additive_closure
+from .errors import CapExceededError, MixedRingError, NotASubmoduleError, NotLocalError, StructureError
+from .ideals import _additive_closure, maximal_ideals
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -111,15 +109,15 @@ def ring_as_module(ring: FiniteRing) -> FiniteModule:
     return FiniteModule(ring, ring.size, ring.add, ring.mul, "regular", ring.element_names)
 
 
-def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteModule:
-    """(ring/m)^dim as a module; the ring acts through the projection, so m
-    annihilates every element."""
-    if m.ring is not ring:
-        raise MixedRingError("vspace_over_residue: ideal belongs to a different ring")
-    if not any(np.array_equal(mask, m.mask) for mask in ring.maximal_masks):
-        raise NotMaximalError("vspace_over_residue requires a maximal ideal")
+def vspace_over_residue(ring: FiniteRing, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteModule:
+    """(ring/m)^dim as a module, m the maximal ideal of the local ring; the
+    ring acts through the projection, so m annihilates every element.
+    Raises NotLocalError on a ring that is not local."""
+    if not ring.is_local:
+        raise NotLocalError(f"resfield over {ring.label} needs a local base ring")
     if dim < 1:
         raise ValueError("vector space dimension must be >= 1")
+    (m,) = maximal_ideals(ring)
     field, proj = quotient(ring, m)
     q = field.size
     # compare dim with log_q(cap) first: q**dim may be astronomically large
@@ -154,32 +152,25 @@ def vspace_over_residue(ring: FiniteRing, m: Ideal, dim: int, size_cap: int = DE
     return FiniteModule(ring, size, add, act, f"resfield({dim})", names)
 
 
-def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> frozenset[int]:
-    """Smallest submodule containing gens (closure of ring multiples under +)."""
-    seed = np.concatenate([module.action[:, sorted(set(int(g) for g in gens))].ravel(), [module.zero]])
-    return frozenset(np.flatnonzero(_additive_closure(module, seed)).tolist())
+def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> np.ndarray:
+    """The members of the smallest submodule containing gens, ascending
+    (closure of ring multiples under +).  Raises NotASubmoduleError on a
+    generator index outside the module."""
+    gens = [int(g) for g in gens]
+    for g in gens:
+        if not 0 <= g < module.size:
+            raise NotASubmoduleError(f"module generator {g} out of range for {module.label}")
+    seed = np.concatenate([module.action[:, sorted(set(gens))].ravel(), [module.zero]])
+    return np.flatnonzero(_additive_closure(module, seed))
 
 
-def _check_submodule(module: FiniteModule, members: frozenset[int]) -> np.ndarray:
-    idx = np.asarray(sorted(members), dtype=np.int64)
-    mask = np.zeros(module.size, dtype=bool)
-    mask[idx] = True
-    if module.zero not in members:
-        raise NotASubmoduleError("submodule must contain zero")
-    if not mask[module.add[np.ix_(idx, idx)]].all():
-        raise NotASubmoduleError("set not closed under module addition")
-    if not mask[module.action[:, idx]].all():
-        raise NotASubmoduleError("set not closed under the ring action")
-    return idx
-
-
-def module_quotient(module: FiniteModule, members: Iterable[int], gens_label: str) -> FiniteModule:
-    """Quotient by a submodule, cosets named by their minimal member and
-    labelled by the expression `quotmod(M;gens)`, `gens_label` being the
-    submodule's generator list (possibly empty)."""
-    proj, reps = _cosets(module.add, _check_submodule(module, frozenset(int(m) for m in members)))
+def module_quotient(module: FiniteModule, gens: Sequence[int]) -> FiniteModule:
+    """Quotient by the submodule generated by `gens` (possibly empty), cosets
+    named by their minimal member and labelled by the expression
+    `quotmod(M;gens)`, the generators printed as given."""
+    proj, reps = _cosets(module.add, submodule_generated(module, gens))
     names = [f"[{module.element_names[r]}]" for r in reps]
-    label = f"quotmod({module.label};{gens_label})"
+    label = f"quotmod({module.label};{','.join(str(g) for g in gens)})"
     qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
     return FiniteModule(module.ring, len(reps), qadd, qact, label, names)
 

@@ -71,18 +71,6 @@ class Polynomial:
             cs.pop()
         return Polynomial(ring, tuple(cs))
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"Poly[{self.ring.label}](0)"
-        names = self.ring.element_names
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.ring.zero:
-                continue
-            base = names[c] if i == 0 else (f"({names[c]})*X" if i == 1 else f"({names[c]})*X^{i}")
-            terms.append(base)
-        return f"Poly[{self.ring.label}](" + (" + ".join(terms) or "0") + ")"
-
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring is not g.ring:

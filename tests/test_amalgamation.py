@@ -15,8 +15,7 @@ from oracles import amalg_max_ideals, distinguished_ideals, product_embedding_ch
 
 def example_2_5_instance():
     z4 = zmod(4)
-    m = ideal_generated(z4, [2])
-    target, embed = trivial_extension(z4, vspace_over_residue(z4, m, 1))
+    target, embed = trivial_extension(z4, vspace_over_residue(z4, 1))
     j = ideal_generated(target, [1, 4])  # I x E with I = (2)
     return amalgamate(z4, target, embed, j)
 
@@ -222,7 +221,7 @@ def test_section_retraction():
 def test_projection_bijection_under_meet_zero():
     # f injective with f(A) /\ J = 0: pB is a bijection onto f(A) + J
     z4 = zmod(4)
-    target, embed = trivial_extension(z4, vspace_over_residue(z4, ideal_generated(z4, [2]), 1))
+    target, embed = trivial_extension(z4, vspace_over_residue(z4, 1))
     zxe = Ideal(target, pair_indices([z4.zero], 2))  # 0 x E
     inst = amalgamate(z4, target, embed, zxe)
     sub, _ = f_image_plus_j(target, embed, zxe)

@@ -226,9 +226,17 @@ def test_examples_honour_max_ring_size(capsys):
 
 
 def test_eval_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "props", "trivext(zmod(6);resfield(1))")
-    assert code == 2
-    assert "local" in err
+    assert run_cli(capsys, "props", "trivext(zmod(6);resfield(1))") == (
+        2, "", "error: resfield over zmod(6) needs a local base ring\n"
+    )
+
+
+# the first generator out of range in the text's order is named
+@pytest.mark.parametrize("gens", ["9", "9,5"])
+def test_quotmod_generator_refusal_is_pinned(capsys, gens):
+    assert run_cli(capsys, "props", f"trivext(zmod(4);quotmod(regular;{gens}))") == (
+        2, "", "error: module generator 9 out of range for regular\n"
+    )
 
 
 def test_verify_unknown_clause(capsys):

@@ -1,6 +1,8 @@
 """Generated CLI inputs: grammar-shaped expressions with arbitrary integer
 arguments (0, small values and 13-digit values alike) must end in a report
-(exit 0) or a clean refusal (exit 2), never in an exception."""
+(exit 0) or a clean refusal (exit 2), never in an exception.  Arbitrary
+text, and grammar strings one token away from well-formed, may also end in
+a violation (exit 1), but never in a traceback."""
 import re
 
 from hypothesis import HealthCheck, given, settings
@@ -96,3 +98,69 @@ def test_props_with_generated_oracle_degrees_exits_cleanly(text, degree, capsys)
     err = capsys.readouterr().err
     assert code in (0, 2), (text, degree, code, err)
     assert "Traceback" not in err
+
+
+# -- arbitrary text ------------------------------------------------------------
+
+# each command takes the text as its expression; argparse refuses a text
+# that reads as an option with a usage message and SystemExit(2)
+FUZZ_COMMANDS = (("props",), ("encode",), ("verify", "lemma-2.2"))
+TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|[(),;]")
+# lone surrogates drawn on their own: the default alphabet leaves out category Cs
+any_text = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=40)
+vocabulary = st.sampled_from(
+    [name for table in SYNTAX.values() for name in table] + ["(", ")", ",", ";", "0", "1", "2", "4", "9"]
+)
+
+
+@st.composite
+def one_token_off(draw):
+    """A `ring_grammar` string with one token inserted, deleted, or swapped
+    with another."""
+    tokens = TOKEN_RE.findall(draw(ring_grammar(small)))
+    i = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["insert", "delete", "swap"]))
+    if edit == "insert":
+        tokens.insert(i, draw(vocabulary))
+    elif edit == "delete":
+        del tokens[i]
+    else:
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    return "".join(tokens)
+
+
+def assert_exits_cleanly(capsys, text):
+    for command in FUZZ_COMMANDS:
+        try:
+            code = main([*command, text, "--max-ring-size", "64"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (command, text, code, err)
+        assert "Traceback" not in err, (command, text, err)
+        # echoed input is escaped, so both streams encode as strict UTF-8
+        out.encode("utf-8")
+        err.encode("utf-8")
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=st.one_of(any_text, one_token_off()))
+def test_arbitrary_text_exits_cleanly(text, capsys):
+    assert_exits_cleanly(capsys, text)
+
+
+def test_text_one_byte_past_the_limit_is_refused(capsys):
+    text = "zmod(" + "1" * (64 * 1024 - 5) + ")"
+    assert len(text.encode("utf-8")) == 64 * 1024 + 1
+    for command in FUZZ_COMMANDS:
+        assert main([*command, text, "--max-ring-size", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: expression text exceeds 64 KiB (line 1, column 1; expected: shorter input)\n"
+        )

@@ -212,8 +212,8 @@ def test_ideal_count_guard_on_socle_blowup():
     from amalgam.properties import is_prufer
 
     z2 = zmod(2)
-    base, _ = trivial_extension(z2, vspace_over_residue(z2, ideal_generated(z2, []), 2))
-    outer, _ = trivial_extension(base, vspace_over_residue(base, is_local_ideal(base), 1))
+    base, _ = trivial_extension(z2, vspace_over_residue(z2, 2))
+    outer, _ = trivial_extension(base, vspace_over_residue(base, 1))
     inst = duplication(outer, is_local_ideal(outer))
     with pytest.raises(CapExceededError):
         all_ideals(inst.ring)

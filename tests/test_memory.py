@@ -114,10 +114,9 @@ def test_lattice_enumeration_temporaries_peak(label, count):
 @pytest.mark.parametrize("n, dim, bound", [(2, 11, 32), (4, 10, 8)])
 def test_vspace_over_residue_build_peak(n, dim, bound):
     base = zmod(n)
-    m = is_local(base)
     tracemalloc.start()
     try:
-        module = vspace_over_residue(base, m, dim)
+        module = vspace_over_residue(base, dim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -177,11 +176,10 @@ def test_props_past_the_table_limit_exits_2_before_allocating(capsys):
 def test_every_constructor_refuses_past_the_table_limit_under_a_larger_cap():
     big = 10**6
     z2, z300 = zmod(2), zmod(300)
-    m = is_local(z2)
     builds = [
         lambda: truncated_poly_algebra(2, 1, 17, size_cap=big),
         lambda: product(z300, z300, size_cap=big),
-        lambda: vspace_over_residue(z2, m, 17, size_cap=big),
+        lambda: vspace_over_residue(z2, 17, size_cap=big),
         lambda: amalgamate(z300, z300, hom_identity(z300), Ideal(z300, range(300)), size_cap=big),
     ]
     for build in builds:

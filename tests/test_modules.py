@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import amalgam.rings
-from amalgam.errors import MixedRingError, NotASubmoduleError, NotMaximalError
+from amalgam.errors import MixedRingError, NotAnIdealError, NotASubmoduleError, NotLocalError
 from amalgam.ideals import Ideal, ideal_generated, ideal_product
 from amalgam.modules import (
     module_quotient,
@@ -29,11 +29,10 @@ def test_ring_as_module_examples():
 
 def test_vspace_annihilated_by_maximal():
     z4 = zmod(4)
-    m = ideal_generated(z4, [2])
-    e1 = vspace_over_residue(z4, m, 1)
+    e1 = vspace_over_residue(z4, 1)
     assert e1.size == 2
     assert (e1.action[2] == e1.zero).all()
-    e2 = vspace_over_residue(z4, m, 2)
+    e2 = vspace_over_residue(z4, 2)
     assert e2.size == 4
     # a unit acts bijectively
     assert sorted(int(v) for v in e2.action[3]) == list(range(4))
@@ -53,34 +52,42 @@ def test_vspace_tables_match_the_coordinatewise_formula(monkeypatch, label, dim)
     # one block, two rows per block (the last one ragged for odd q), one row per block
     for entries in (amalgam.rings._BLOCK_ENTRIES, 2 * q**dim, 1):
         monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", entries)
-        module = vspace_over_residue(ring, m, dim)
+        module = vspace_over_residue(ring, dim)
         assert (module.add == add).all() and (module.action == act).all()
         assert module.add.dtype == module.action.dtype == TABLE_DTYPE
 
 
 def test_vspace_requires_maximal():
-    z4 = zmod(4)
-    with pytest.raises(NotMaximalError):
-        vspace_over_residue(z4, ideal_generated(z4, []), 1)
+    # the unique maximal ideal of a local ring; a ring with two is refused
+    with pytest.raises(NotLocalError, match=r"^resfield over zmod\(6\) needs a local base ring$"):
+        vspace_over_residue(zmod(6), 1)
 
 
 def test_submodule_and_quotient():
     z4 = zmod(4)
     m = ring_as_module(z4)
-    sub = submodule_generated(m, [2])
-    assert sub == {0, 2}
-    q = module_quotient(m, sub, "2")
-    assert q.size == 2
-    whole = module_quotient(m, submodule_generated(m, [1]), "1")
+    assert submodule_generated(m, [2]).tolist() == [0, 2]
+    q = module_quotient(m, [2])
+    assert q.size == 2 and q.label == "quotmod(regular;2)"
+    whole = module_quotient(m, [1])
     assert whole.size == 1
-    with pytest.raises(NotASubmoduleError):
-        module_quotient(m, {0, 1}, "1")
+    assert module_quotient(m, []).label == "quotmod(regular;)"
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 8, 9])
+def test_generator_indices_outside_the_carrier_are_refused(bad):
+    # a negative index would wrap around the tables, one past the end would
+    # escape as a raw IndexError
+    z8 = zmod(8)
+    with pytest.raises(NotAnIdealError, match=rf"^generator index {bad} out of range for zmod\(8\) \(size 8\)$"):
+        ideal_generated(z8, [2, bad])
+    with pytest.raises(NotASubmoduleError, match=rf"^module generator {bad} out of range for regular$"):
+        submodule_generated(ring_as_module(z8), [2, bad])
 
 
 def test_trivial_extension_square_zero():
     z4 = zmod(4)
-    m = ideal_generated(z4, [2])
-    ext, embed = trivial_extension(z4, vspace_over_residue(z4, m, 1))
+    ext, embed = trivial_extension(z4, vspace_over_residue(z4, 1))
     zxe = Ideal(ext, pair_indices([z4.zero], 2))  # 0 x E
     assert ext.size == 8
     assert ideal_product(zxe, zxe).is_zero
@@ -115,8 +122,8 @@ def test_trivial_extension_mixing_rejected():
 def test_module_axioms_validate():
     z4 = zmod(4)
     ring_as_module(z4).validate()
-    vspace_over_residue(z4, ideal_generated(z4, [2]), 2).validate()
-    q = module_quotient(ring_as_module(z4), {0, 2}, "2")
+    vspace_over_residue(z4, 2).validate()
+    q = module_quotient(ring_as_module(z4), [2])
     q.validate()
 
 

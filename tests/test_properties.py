@@ -43,7 +43,7 @@ def ext_of(base_seed, module_kind, dim=1):
     if module_kind == "regular":
         module = ring_as_module(base)
     else:
-        module = vspace_over_residue(base, is_local(base), dim)
+        module = vspace_over_residue(base, dim)
     return trivial_extension(base, module)[0]
 
 

@@ -20,7 +20,7 @@ from oracles import is_chain_ring
 def _derived(name):
     """A real ring of one proving constructor, with the proof that derived it."""
     z4 = zmod(4)
-    target, embed = trivial_extension(z4, vspace_over_residue(z4, ideal_generated(z4, [2]), 1))
+    target, embed = trivial_extension(z4, vspace_over_residue(z4, 1))
     if name == "quotient":
         z12 = zmod(12)
         quot, proj = quotient(z12, ideal_generated(z12, [4]))
@@ -109,7 +109,7 @@ def test_failed_proof_exits_3(monkeypatch, capsys):
 
 def test_only_derived_rings_skip_the_cubic_screen(monkeypatch):
     z1, z3, z4, z12, z8 = zmod(1), zmod(3), zmod(4), zmod(12), zmod(8)
-    module = vspace_over_residue(z4, ideal_generated(z4, [2]), 1)
+    module = vspace_over_residue(z4, 1)
     target, embed = trivial_extension(z4, module)
 
     def refuse(self, sample):

@@ -118,6 +118,43 @@ def test_every_import_is_read():
     assert unread == [], f"imported names never read: {unread}"
 
 
+def test_every_error_class_is_raised():
+    # a class of errors.py that no code under src/ raises, and that is the
+    # base of no raised class, is surface nothing can reach
+    trees = _src_trees()
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in trees["errors"].body
+        if isinstance(node, ast.ClassDef)
+    }
+    reached = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    reached.add(exc.id)
+    frontier = reached & set(bases)
+    while frontier:
+        frontier = set().union(*(bases[name] for name in frontier)) & set(bases) - reached
+        reached |= frontier
+    assert set(bases) - reached == set(), f"error classes never raised: {sorted(set(bases) - reached)}"
+
+
+def test_the_grammar_module_imports_nothing_from_properties():
+    # the grammar builds rings and modules and decides none of their
+    # properties; a module constructor derives what it needs itself
+    imported = set()
+    for node in ast.walk(_src_trees()["expressions"]):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported |= {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported if re.match(r"(amalgam\.)?properties\b", name)}, sorted(imported)
+
+
 def _perfbench_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
