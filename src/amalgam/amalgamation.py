@@ -21,12 +21,12 @@ way), so no sampled axiom screen runs.  The tests also materialize A x B
 and compare tables under the embedding.
 
 `amalgamate` checks the size cap and the closure of J at once; the tables,
-pA, pB and {0} x J are built and proved on the instance's first read of
-any of them, so an instance whose ring no reader asks for never builds it.
+pA and pB are built and proved on the instance's first read of any of them,
+so an instance whose ring no reader asks for never builds it.
 
 R's tables depend only on A and on jadd, jmul and fj, so instances that
 agree on those share one ring within a pass: an instance given a
-`RingMemo` takes the ring, pA and {0} x J of the matching entry, and with
+`RingMemo` takes the ring and pA of the matching entry, and with
 them every fact cached on the ring (Gaussian, arithmetical, local, ...).
 pB depends on B and f, so each instance still validates its own pB and
 the joint injectivity of (pA, pB) on the shared ring.  The memo holds the
@@ -68,8 +68,8 @@ from .rings import (
 
 @dataclass(eq=False, repr=False)
 class AmalgamationInstance:
-    """Bundle (A, B, f, J); the ring, pA, pB and {0} x J are built and proved
-    on their first read."""
+    """Bundle (A, B, f, J); the ring, pA and pB are built and proved on their
+    first read."""
 
     base: FiniteRing
     target: FiniteRing
@@ -82,10 +82,10 @@ class AmalgamationInstance:
     memo: RingMemo | None = None  # rings shared with other instances of one pass
 
     @cached_property
-    def _proved(self) -> tuple[FiniteRing, RingHom, RingHom, Ideal]:
-        """The ring from its tables, proved by pA and pB, and the kernel {0} x J
-        of pA; with a memo, the ring, pA and {0} x J of an earlier instance
-        with the same key, proved again by this instance's own pB."""
+    def _proved(self) -> tuple[FiniteRing, RingHom, RingHom]:
+        """The ring from its tables, proved by pA and pB; with a memo, the ring
+        and pA of an earlier instance with the same key, proved again by this
+        instance's own pB."""
         base, target, jlist = self.base, self.target, self.j.indices
         jpos, jadd, jmul, fj = self.j_tables
         na, nj = base.size, len(jlist)
@@ -94,22 +94,19 @@ class AmalgamationInstance:
         key = (base, jadd.tobytes(), jmul.tobytes(), fj.tobytes())
         shared = None if self.memo is None else self.memo.get(key)
         if shared is not None:
-            ring, to_base, zero_j = shared
+            ring, to_base = shared
             proof = Proof(out_of=(to_base, (target, second, "pB")))
             ring._prove(proof, self.label)
-            return ring, to_base, proof.homs[1], zero_j
+            return ring, to_base, proof.homs[1]
         tables = pair_ring_tables(base, jadd, jpos[target.neg[jlist]], jpos[target.zero], fj, jmul)
         base_names, target_names = base.element_names, target.element_names
         names = [f"({base_names[a]},{target_names[s]})" for a, s in zip(ia.tolist(), second.tolist())]
         proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
         ring = FiniteRing(*tables, self.label, names, proof)
         to_base, to_target = proof.homs
-        zero_j = to_base.kernel()
-        if not np.array_equal(zero_j.indices, pair_indices([base.zero], nj)):
-            raise InternalCheckError("kernel of pA differs from {0} x J")
         if self.memo is not None:
-            self.memo.put(key, (ring, to_base, zero_j))
-        return ring, to_base, to_target, zero_j
+            self.memo.put(key, (ring, to_base))
+        return ring, to_base, to_target
 
     @property
     def ring(self) -> FiniteRing:
@@ -122,10 +119,6 @@ class AmalgamationInstance:
     @property
     def to_target(self) -> RingHom:
         return self._proved[2]
-
-    @property
-    def zero_j(self) -> Ideal:
-        return self._proved[3]
 
     @cached_property
     def fimage_plus_j(self) -> FiniteRing:
@@ -146,16 +139,16 @@ MEMO_RINGS = 16
 class RingMemo:
     """The proved rings of one pass, keyed by what R's tables depend on: the
     base ring and the J-position tables jadd, jmul and fj.  A bounded LRU of
-    (ring, pA, {0} x J) entries; `hits` and `builds` count its lookups.  A
+    (ring, pA) entries; `hits` and `builds` count its lookups.  A
     shared ring's label and element names belong to the instance that built
     it: its names spell that builder's (a, f(a) + j) pairs, not those of a
     later instance that takes it."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, tuple[FiniteRing, RingHom, Ideal]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[FiniteRing, RingHom]] = OrderedDict()
         self.hits = self.builds = 0
 
-    def get(self, key: tuple) -> tuple[FiniteRing, RingHom, Ideal] | None:
+    def get(self, key: tuple) -> tuple[FiniteRing, RingHom] | None:
         entry = self._entries.get(key)
         if entry is None:
             self.builds += 1
@@ -164,7 +157,7 @@ class RingMemo:
             self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: tuple, entry: tuple[FiniteRing, RingHom, Ideal]) -> None:
+    def put(self, key: tuple, entry: tuple[FiniteRing, RingHom]) -> None:
         self._entries[key] = entry
         if len(self._entries) > MEMO_RINGS:
             self._entries.popitem(last=False)
@@ -214,23 +207,19 @@ def duplication(ring: FiniteRing, ideal: Ideal, size_cap: int = DEFAULT_SIZE_CAP
 
 
 def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing, RingHom]:
-    """The subring f(A) + J of the target, with its inclusion map; the target
-    itself, with its identity, when f(A) + J is all of it."""
+    """The subring f(A) + J of the target, with its inclusion map, whose proof
+    checks the carrier's closure; the target, with its identity, when it is all."""
     if f.target is not target or j.ring is not target:
         raise MixedRingError("f_image_plus_j: mismatched rings")
     img = np.unique(f.map)
     carrier = np.unique(target.add[np.ix_(img, j.indices)])
     if carrier.size == target.size:
         return target, hom_identity(target)
-    inside = np.zeros(target.size, dtype=bool)
-    inside[carrier] = True
-    sums, prods = target.add[np.ix_(carrier, carrier)], target.mul[np.ix_(carrier, carrier)]
-    if not (inside[sums].all() and inside[prods].all()):
-        raise InternalCheckError("f(A) + J is not closed in the target")
     # positions in the carrier, gathered straight into the subring's tables
     pos = np.zeros(target.size, dtype=TABLE_DTYPE)
     pos[carrier] = np.arange(carrier.size)
-    sadd, smul, sneg = pos[sums], pos[prods], pos[target.neg[carrier]]
+    pairs = np.ix_(carrier, carrier)
+    sadd, smul, sneg = pos[target.add[pairs]], pos[target.mul[pairs]], pos[target.neg[carrier]]
     names = [target.element_names[c] for c in carrier]
     label = f"subring(fimage+J;{target.label})"
     proof = Proof(out_of=((target, carrier, "incl"),))

@@ -29,7 +29,6 @@ from .errors import (
     AmalgamError,
     BudgetExceededError,
     CapExceededError,
-    EvaluationError,
     InternalCheckError,
     ParseError,
 )
@@ -37,7 +36,6 @@ from .expressions import GRAMMAR_TEXT, Evaluator, parse
 from .harness import (
     CLAUSE_IDS,
     CLAUSES,
-    Catalog,
     ExampleReport,
     Verdict,
     build_catalog,
@@ -167,7 +165,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _USAGE_ERROR
     started = time.perf_counter()
     if args.catalog:
-        catalog = _catalog_from_args(args)
+        if args.expr is not None:
+            sys.stderr.write("error: verify takes an instance expression or --catalog, not both\n")
+            return _USAGE_ERROR
+        catalog = build_catalog(size_cap=args.max_ring_size)
         verdict = verify_clauses(catalog, [args.clause])[args.clause]
     else:
         if not args.expr:
@@ -218,7 +219,7 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    catalog = _catalog_from_args(args)
+    catalog = build_catalog(size_cap=args.max_ring_size)
     started = time.perf_counter()
     verdict = verify_clauses(catalog, [], with_search=True)["search"]
     _timing(args.timing, "search", time.perf_counter() - started)
@@ -236,7 +237,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     reports = reproduce_examples(size_cap=args.max_ring_size)
     elapsed = time.perf_counter() - started
-    catalog = _catalog_from_args(args)
+    catalog = build_catalog(size_cap=args.max_ring_size)
     started = time.perf_counter()
     verdicts = verify_clauses(catalog, list(CLAUSE_IDS), with_search=True)
     _timing(args.timing, "suite", elapsed + time.perf_counter() - started)
@@ -276,10 +277,6 @@ def _cmd_grammar(_args: argparse.Namespace) -> int:
 
 
 # -- plumbing -----------------------------------------------------------------------
-
-
-def _catalog_from_args(args: argparse.Namespace) -> Catalog:
-    return build_catalog(size_cap=args.max_ring_size)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -351,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
     except (CapExceededError, BudgetExceededError) as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
-        return _USAGE_ERROR
-    except EvaluationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR
     except KeyError as exc:  # escaped from package code: a bug, never bad input
         sys.stderr.write(f"internal error (a bug in amalgam, please report it): KeyError {exc}\n")

@@ -50,8 +50,8 @@ class InternalCheckError(AmalgamError):
 
 
 class EvaluationError(AmalgamError):
-    """A parsed expression cannot be built (bad arity semantics, bad indices,
-    or a homomorphism spec that does not fit the target's construction)."""
+    """A parsed expression cannot be built: a tpa argument out of its domain, an
+    instance asked of a non-amalgamation, or a hom spec that misfits its target."""
 
 
 class ParseError(AmalgamError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EvaluationError, ParseError
-from .ideals import Ideal, ideal_generated
+from .ideals import ideal_generated
 from .modules import FiniteModule, module_quotient, ring_as_module, trivial_extension, vspace_over_residue
 from .rings import (
     DEFAULT_SIZE_CAP,
@@ -364,12 +364,12 @@ class Evaluator:
             return self._instances[expr]
         if isinstance(expr, DupExpr):
             base = self.ring(expr.ring)
-            inst = duplication(base, self._ideal(base, expr.gens), self.size_cap)
+            inst = duplication(base, ideal_generated(base, expr.gens), self.size_cap)
         elif isinstance(expr, AmalgExpr):
             base = self.ring(expr.base)
             target = self.ring(expr.target)
             _, f = self.hom(expr.hom, expr.target, base)
-            inst = amalgamate(base, target, f, self._ideal(target, expr.gens), self.size_cap)
+            inst = amalgamate(base, target, f, ideal_generated(target, expr.gens), self.size_cap)
         else:  # refused by its node type, before any of it is evaluated
             raise EvaluationError(f"{expr.unparse()} is not an amalgamation expression")
         self._instances[expr] = inst
@@ -387,8 +387,7 @@ class Evaluator:
             return ring_product(self.ring(expr.left), self.ring(expr.right), self.size_cap)
         if isinstance(expr, QuotExpr):
             base = self.ring(expr.ring)
-            ideal = self._ideal(base, expr.gens)
-            quot, self._homs[expr] = quotient(base, ideal)
+            quot, self._homs[expr] = quotient(base, ideal_generated(base, expr.gens))
             return quot
         if isinstance(expr, TrivextExpr):
             base = self.ring(expr.ring)
@@ -398,14 +397,6 @@ class Evaluator:
         if isinstance(expr, (DupExpr, AmalgExpr)):
             return self.instance(expr).ring
         raise EvaluationError(f"unsupported expression {expr!r}")
-
-    def _ideal(self, ring: FiniteRing, gens: tuple[int, ...]) -> Ideal:
-        for g in gens:
-            if not 0 <= g < ring.size:
-                raise EvaluationError(
-                    f"generator index {g} out of range for {ring.label} (size {ring.size})"
-                )
-        return ideal_generated(ring, gens)
 
     def module(self, expr: ModuleExpr, base: FiniteRing) -> FiniteModule:
         key = (expr, id(base))

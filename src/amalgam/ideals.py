@@ -263,7 +263,7 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
 
     The lattice of a finite ring is the product of its local factors'
     lattices, so each factor's ideals (`_local_ideals`) are pulled back
-    along `proj.map` and ANDed with every row found so far; a local ring is
+    along its projection map and ANDed with every row found so far; a local ring is
     its own single factor, the zero ring has none.  Rows are sorted by
     size, then by packed mask bytes descending: of two equal-size member
     lists the lexicographically smaller is the one holding the least
@@ -284,8 +284,8 @@ def enumerate_ideals(ring: FiniteRing, max_ideals: int = MAX_IDEALS) -> np.ndarr
     refusal = f"{ring.label} has more than {max_ideals} ideals"
     n = ring.size
     lattice = np.ones((1, n), dtype=bool)
-    for factor, proj in ring.local_factor_homs():
-        pulled = _local_ideals(factor, max_ideals // len(lattice), refusal)[:, proj.map]
+    for factor, proj_map in ring.local_factor_maps():
+        pulled = _local_ideals(factor, max_ideals // len(lattice), refusal)[:, proj_map]
         lattice = (lattice[:, None, :] & pulled[None, :, :]).reshape(-1, n)
     packed = np.packbits(lattice, axis=1)
     # lexsort's last key is the primary one: size ascending, then bytes 0, 1, ... descending

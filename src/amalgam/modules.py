@@ -60,7 +60,7 @@ class FiniteModule:
 
     def _quick_check(self) -> None:
         n, add, act, ring = self.size, self.add, self.action, self.ring
-        if add.min() < 0 or add.max() >= n or act.min() < 0 or act.max() >= n:
+        if add.max() >= n or act.max() >= n:  # unsigned tables (`_as_table`)
             raise StructureError("module table entries out of range")
         if not (add == add.T).all():
             raise StructureError("module addition is not commutative")

@@ -213,7 +213,7 @@ def gaussian_check(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]
 
 
 def _gaussian_check_uncached(ring: FiniteRing) -> tuple[bool, tuple[str, int, int] | None]:
-    for factor, _proj in ring.local_factor_homs():
+    for factor, _ in ring.local_factor_maps():
         ok, pair = local_gaussian_pair_check(factor)
         if not ok:
             a, b = pair
@@ -397,7 +397,7 @@ def is_arithmetical(ring: FiniteRing) -> bool:
 
 def _is_arithmetical_uncached(ring: FiniteRing) -> bool:
     verdict = True
-    for factor, _proj in ring.local_factor_homs():
+    for factor, _ in ring.local_factor_maps():
         pair = _first_incomparable(factor.principal_membership)
         if pair is not None:
             m3_certificate(factor, *pair)

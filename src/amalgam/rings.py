@@ -34,11 +34,11 @@ Commutativity compares each table with its transpose one pair
 of `_TILE`-wide square tiles at a time, which keeps both tiles in cache.
 
 No cached value of a ring refers back to it: `local_factors` keeps the
-proper factors and their projection maps and `maximal_masks` the masks, and
-the homs and ideals callers read (`local_factor_homs`,
-`ideals.maximal_ideals`) wrap them afresh without re-validating.  So a ring
-sits in no reference cycle and is freed by its refcount once its last user
-drops it.
+proper factors and their projection maps and `maximal_masks` the masks,
+which callers read as pairs (`local_factor_maps`) or as ideals wrapped
+afresh (`ideals.maximal_ideals`).  So a ring sits in no reference cycle and
+is freed by its refcount once its last user drops it.  Every `RingHom` is
+validated when it is made.
 """
 from __future__ import annotations
 
@@ -185,13 +185,13 @@ class FiniteRing:
         else:
             self._check_carrier()
             self._prove(proof)
+            self._check_negation()
 
     # -- axiom checking ----------------------------------------------------
 
     def _check_carrier(self) -> None:
-        """Table ranges, the zero and one indices, and negation: what a
-        proof's homs do not imply (an entry out of range would reach them
-        as an IndexError, not a ring error)."""
+        """Table ranges and the zero and one indices, read before any other check
+        (an entry out of range would reach it as an IndexError, not a ring error)."""
         n = self.size
         # the tables are unsigned (`_as_table`), so only the maximum can leave the carrier
         if max(int(self.add.max()), int(self.mul.max()), int(self.neg.max())) >= n:
@@ -200,12 +200,17 @@ class FiniteRing:
             raise StructureError("zero/one index out of range")
         if n > 1 and self.zero == self.one:
             raise StructureError("zero == one in a ring of size > 1")
-        if not (self.add[np.arange(n), self.neg] == self.zero).all():
+
+    def _check_negation(self) -> None:
+        """Negation, which a proof's homs do not imply: a proved ring reads it
+        last, so tables its proof refuses are an internal error."""
+        if not (self.add[np.arange(self.size), self.neg] == self.zero).all():
             raise StructureError("negation table is not an additive inverse")
 
     def _quick_check(self) -> None:
-        """The O(n^2) screen: the carrier, identities and commutativity."""
+        """The O(n^2) screen: the carrier, negation, identities and commutativity."""
         self._check_carrier()
+        self._check_negation()
         idx = np.arange(self.size)
         if not (self.add[self.zero] == idx).all():
             raise StructureError("zero is not an additive identity")
@@ -367,7 +372,7 @@ class FiniteRing:
         projection `quotient` validates once as a ring hom; the factor sizes
         multiply to |ring|.  Only the factors and maps are kept, never a hom
         or an ideal of this ring, so the cache holds no reference back to it
-        (read the pairs through `local_factor_homs`).
+        (read the pairs through `local_factor_maps`).
         """
         if self.primitive_idempotent_list == (self.one,):
             return None
@@ -390,16 +395,10 @@ class FiniteRing:
         """Exactly one maximal ideal: the ring is its own single local factor."""
         return self.local_factors is None
 
-    def local_factor_homs(self) -> tuple[tuple[FiniteRing, RingHom], ...]:
-        """(factor, projection) per local factor, in factor order; a local ring
-        is its own single factor under the identity.  The homs wrap the maps
-        of `local_factors`, validated when each factor was built, and are made
-        afresh on each call."""
-        if self.local_factors is None:
-            identity = np.arange(self.size, dtype=np.int32)
-            identity.flags.writeable = False
-            return ((self, RingHom._from_map(self, self, identity, "id")),)
-        return tuple((fac, RingHom._from_map(self, fac, m, "proj")) for fac, m in self.local_factors)
+    def local_factor_maps(self) -> tuple[tuple[FiniteRing, np.ndarray], ...]:
+        """(factor, projection index map) per local factor, in factor order; a
+        local ring is its own single factor under `np.arange`."""
+        return ((self, np.arange(self.size)),) if self.is_local else self.local_factors
 
     @cached_property
     def maximal_masks(self) -> tuple[np.ndarray, ...]:
@@ -475,14 +474,6 @@ class RingHom:
         self.map = m
         self.label = label
         self._validate()
-
-    @classmethod
-    def _from_map(cls, source: FiniteRing, target: FiniteRing, index_map: np.ndarray, label: str | None) -> RingHom:
-        """The hom given by `index_map`, a read-only int32 map already known to
-        be a ring hom (one validated before, or the identity): no checks run."""
-        hom = cls.__new__(cls)
-        hom.source, hom.target, hom.map, hom.label = source, target, index_map, label
-        return hom
 
     def _validate(self) -> None:
         src, tgt, m = self.source, self.target, self.map

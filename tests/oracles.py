@@ -72,7 +72,8 @@ def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:
         raise NotLocalError(f"base ring {inst.base.label} is not local")
     m_join_j = Ideal(inst.ring, pair_indices(m.indices, len(inst.j)))
 
-    quot, proj = quotient(inst.ring, inst.zero_j)
+    zero_j = inst.to_base.kernel()
+    quot, proj = quotient(inst.ring, zero_j)
     induced = np.full(quot.size, -1, dtype=np.int64)
     induced[proj.map] = inst.to_base.map
     if not (induced[proj.map] == inst.to_base.map).all():
@@ -80,7 +81,7 @@ def distinguished_ideals(inst: AmalgamationInstance) -> tuple[Ideal, Ideal]:
     iso = RingHom(quot, inst.base, induced, label=None)
     if np.unique(iso.map).size != inst.base.size or quot.size != inst.base.size:
         raise InternalCheckError("induced map to the base is not bijective")
-    return inst.zero_j, m_join_j
+    return zero_j, m_join_j
 
 
 def amalg_max_ideals(inst: AmalgamationInstance) -> list[Ideal]:

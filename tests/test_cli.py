@@ -266,6 +266,18 @@ def test_verify_requires_instance_or_catalog(capsys):
     assert "instance expression or --catalog" in err
 
 
+@pytest.mark.parametrize("expr", ["garbage(((", "dup(zmod(8);2)"])
+def test_verify_refuses_an_expression_with_catalog(capsys, monkeypatch, expr):
+    # `verify CLAUSE (EXPR | --catalog)`: given both, neither is parsed or swept
+    def not_reached(*_args, **_kwargs):
+        raise AssertionError("verify built the catalog")
+
+    monkeypatch.setattr(amalgam.cli, "build_catalog", not_reached)
+    assert run_cli(capsys, "verify", "lemma-2.2", expr, "--catalog") == (
+        2, "", "error: verify takes an instance expression or --catalog, not both\n"
+    )
+
+
 def test_encode_command(capsys):
     code, out, _ = run_cli(capsys, "encode", "trivext(zmod(2);resfield(1))")
     assert code == 0

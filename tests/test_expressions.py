@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from amalgam.errors import EvaluationError, ParseError
+from amalgam.errors import EvaluationError, NotAnIdealError, ParseError
 from amalgam.expressions import (
     AmalgExpr,
     ComposeHomExpr,
@@ -181,11 +181,18 @@ def test_hom_resolution_errors():
         ("amalg(zmod(4),trivext(zmod(2);regular),embed;1)", "embed hom source does not match the extension base"),
         ("amalg(zmod(2),quot(zmod(8);4),proj;1)", "proj hom source does not match the quotient base"),
         ("trivext(zmod(6);resfield(1))", "trivext(zmod(6);resfield(1)) is not an amalgamation expression"),
-        ("dup(zmod(4);9)", "generator index 9 out of range for zmod(4) (size 4)"),
     ]:
         with pytest.raises(EvaluationError) as err:
             Evaluator().instance(parse(text))
         assert str(err.value) == message, text
+
+
+def test_ideal_generator_out_of_range_is_refused_by_the_ideal_layer():
+    # the Evaluator hands generators to `ideal_generated`, which names the first bad one
+    for text in ("dup(zmod(4);9)", "quot(zmod(4);1,9,5)"):
+        with pytest.raises(NotAnIdealError) as err:
+            Evaluator().ring(parse(text))
+        assert str(err.value) == "generator index 9 out of range for zmod(4) (size 4)", text
 
 
 def test_nested_compose_checks_the_source_at_its_innermost_hom():

@@ -135,8 +135,9 @@ def test_hom_kernels_pass_the_closure_check(small_catalog):
         proj.kernel()._validate()
     for spec in small_catalog.specs:
         inst = spec.build()
-        inst.zero_j._validate()
-        assert inst.zero_j.indices.tolist() == pair_indices([spec.base.zero], len(spec.j)).tolist()
+        zero_j = inst.to_base.kernel()
+        zero_j._validate()
+        assert zero_j.indices.tolist() == pair_indices([spec.base.zero], len(spec.j)).tolist()
 
 
 def test_catalog_instance_statistics(catalog):

@@ -19,7 +19,7 @@ def _check_local_factors(rings) -> tuple[int, int]:
     """(factors checked, factors failing); asserts agreement on each."""
     checked = failing = 0
     for ring in rings:
-        for factor, _proj in ring.local_factor_homs():
+        for factor, _proj in ring.local_factor_maps():
             expected = oracle_pair_check(factor)
             assert local_gaussian_pair_check(factor) == expected, factor.label
             checked += 1

@@ -255,7 +255,7 @@ def test_lying_chain_route_is_an_internal_error():
     # a lying principal-membership matrix sends each factor to the wrong
     # certificate, which must refuse it: both re-validate without the matrix
     ring = _example_ring("2.11")
-    assert ring.local_factor_homs()[0][0] is ring
+    assert ring.local_factor_maps()[0][0] is ring
     ring.__dict__["principal_membership"] = np.ones((ring.size, ring.size), dtype=bool)
     with pytest.raises(InternalCheckError, match="chain certificate|m-adic filtration"):
         is_arithmetical(ring)

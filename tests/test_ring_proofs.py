@@ -92,6 +92,19 @@ def test_proof_alone_catches_broken_identities_and_commutativity(name, corrupt):
         FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, "raw")
 
 
+def test_an_unclosed_carrier_fails_its_inclusion_proof():
+    # `f_image_plus_j` gathers its subring's tables through carrier positions
+    # and leaves closure to the inclusion's proof: {0,1,2,3} in Z/8 is not
+    # closed, and the proof, read before negation, refuses it as a bug (exit 3)
+    z8, carrier = zmod(8), np.arange(4)
+    pos = np.zeros(z8.size, dtype=rings.TABLE_DTYPE)
+    pos[carrier] = np.arange(carrier.size)
+    pairs = np.ix_(carrier, carrier)
+    tables = pos[z8.add[pairs]], pos[z8.mul[pairs]], pos[z8.neg[carrier]]
+    with pytest.raises(InternalCheckError, match=r"proof of sub fails: f\(x\+y\)"):
+        FiniteRing(4, *tables, 0, 1, "sub", proof=Proof(out_of=((z8, carrier, "incl"),)))
+
+
 def test_proof_kind_is_checked():
     z4, z2 = zmod(4), zmod(2)
     with pytest.raises(InternalCheckError):  # a hom, but not injective
@@ -193,7 +206,7 @@ def test_structure_is_computed_once_and_unread_rings_are_not_built(monkeypatch):
     ring = Evaluator().ring(parse("product(zmod(4),tpa(2,2,2))"))  # a chain factor and a Gaussian non-chain one
     validated.clear()
     for _ in range(3):
-        assert len(ring.local_factors) == len(ring.local_factor_homs()) == len(maximal_ideals(ring)) == 2
+        assert len(ring.local_factors) == len(ring.local_factor_maps()) == len(maximal_ideals(ring)) == 2
         assert not ring.is_local and is_local(ring) is None
         assert gaussian_check(ring)[0] and not is_arithmetical(ring)
     # the quotient's proof validates its projection, once per factor
@@ -242,6 +255,6 @@ def test_chain_ring_is_arithmetical_with_at_most_one_local_factor(catalog):
         inst = Evaluator().instance(parse(case.expression))
         rings += [inst.ring, inst.base, inst.target, inst.fimage_plus_j]
     for ring in rings:
-        assert is_chain_ring(ring) == (is_arithmetical(ring) and len(ring.local_factor_homs()) <= 1), ring.label
+        assert is_chain_ring(ring) == (is_arithmetical(ring) and len(ring.local_factor_maps()) <= 1), ring.label
     for ring in (zmod(1), zmod(8), zmod(12), product(zmod(2), zmod(2))):
         assert property_report(ring).chain_ring == is_chain_ring(ring), ring.label

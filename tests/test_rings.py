@@ -250,42 +250,41 @@ def test_primitive_idempotents_oracle():
 
 
 def test_factor_local_sizes():
-    assert sorted(f.size for f, _ in zmod(6).local_factor_homs()) == [2, 3]
+    assert sorted(f.size for f, _ in zmod(6).local_factor_maps()) == [2, 3]
     z4 = zmod(4)
-    facs = z4.local_factor_homs()
+    facs = z4.local_factor_maps()
     assert len(facs) == 1 and facs[0][0] is z4  # a local ring is its own factor
     assert z4.local_factors is None and z4.is_local
     p = product(zmod(4), zmod(2))
-    assert sorted(f.size for f, _ in p.local_factor_homs()) == [2, 4]
+    assert sorted(f.size for f, _ in p.local_factor_maps()) == [2, 4]
 
 
 def test_factor_local_zero_ring():
-    assert zmod(1).local_factors == () == zmod(1).local_factor_homs()
+    assert zmod(1).local_factors == () == zmod(1).local_factor_maps()
     assert not zmod(1).is_local
 
 
 def test_factor_reconstruction_bijection():
     for ring in (zmod(6), zmod(12), product(zmod(2), zmod(2)), product(zmod(4), zmod(9))):
-        factors = ring.local_factor_homs()
+        factors = ring.local_factor_maps()
         sizes = [f.size for f, _ in factors]
         images = set()
         for x in range(ring.size):
-            images.add(tuple(int(proj.map[x]) for _, proj in factors))
+            images.add(tuple(int(proj[x]) for _, proj in factors))
         assert len(images) == ring.size == int(np.prod(sizes))
         for x in range(ring.size):
             for y in range(ring.size):
                 s = int(ring.add[x, y])
                 p = int(ring.mul[x, y])
-                for _, proj in factors:
-                    fac = proj.target
-                    assert proj.map[s] == fac.add[proj.map[x], proj.map[y]]
-                    assert proj.map[p] == fac.mul[proj.map[x], proj.map[y]]
+                for fac, proj in factors:
+                    assert proj[s] == fac.add[proj[x], proj[y]]
+                    assert proj[p] == fac.mul[proj[x], proj[y]]
 
 
 def test_localize_at_max():
     # the i-th maximal ideal is the kernel of the i-th factor's residue map
     def factor_of(ring, m):
-        (pair,) = [pair for pair, mx in zip(ring.local_factor_homs(), maximal_ideals(ring)) if mx == m]
+        (pair,) = [pair for pair, mx in zip(ring.local_factor_maps(), maximal_ideals(ring)) if mx == m]
         return pair[0]
 
     z6 = zmod(6)
@@ -295,8 +294,8 @@ def test_localize_at_max():
     p = product(zmod(2), zmod(2))
     assert factor_of(p, ideal_generated(p, [1])).size == 2  # {(0,0),(0,1)}
     for ring in (z6, z4, p, zmod(12), product(zmod(4), zmod(9))):
-        for (factor, proj), m in zip(ring.local_factor_homs(), maximal_ideals(ring)):
-            assert (m.mask == ~factor.units_mask[proj.map]).all()
+        for (factor, proj), m in zip(ring.local_factor_maps(), maximal_ideals(ring)):
+            assert (m.mask == ~factor.units_mask[proj]).all()
     assert ideal_generated(z6, []) not in maximal_ideals(z6)
 
 

@@ -95,7 +95,7 @@ def test_hom_witness_past_the_first_block(monkeypatch, rows):
 def test_first_incomparable_pair_matches_the_whole_matrix(monkeypatch, catalog, rows):
     checked = 0
     for ring in catalog.rings:
-        for factor, _proj in ring.local_factor_homs():
+        for factor, _proj in ring.local_factor_maps():
             in_principal = factor.principal_membership
             if rows is not None:
                 monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * factor.size)

@@ -12,10 +12,12 @@ import ast
 import importlib
 import importlib.util
 import re
+from functools import cached_property
 from pathlib import Path
 
 import amalgam
 import amalgam.harness as harness
+import amalgam.rings
 from catalog_generator import TINY_PARAMS, generated_catalog
 
 SRC = Path(amalgam.__file__).parent
@@ -83,9 +85,8 @@ UNREAD_IN_SRC = {
     # the exhaustive axiom re-check that the tests run on every catalog ring and module
     "rings.FiniteRing.validate",
     "modules.FiniteModule.validate",
-    # pA and its kernel {0} x J, which the README's "Library use" names and the test oracles read
+    # pA, whose kernel is {0} x J: the README names it and the test oracles read it
     "amalgamation.AmalgamationInstance.to_base",
-    "amalgamation.AmalgamationInstance.zero_j",
 }
 
 
@@ -103,6 +104,33 @@ def test_every_method_and_property_has_a_reader():
                     unread.append(f"{module}.{cls.name}.{node.name}")
     # an exemption whose method has gained a reader is dropped
     assert set(unread) == UNREAD_IN_SRC, f"methods with no reader in src/: {sorted(set(unread) - UNREAD_IN_SRC)}"
+
+
+def test_only_the_trusted_ideal_constructor_skips_init():
+    # every `RingHom`, ring and module is made through `__init__`, which
+    # validates it; the one bypass is `Ideal._from_mask`, for the masks the
+    # package computed as ideals
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "__new__" or (
+                isinstance(child, ast.Constant) and child.value == "__new__"
+            ):
+                found.append(".".join(path))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, [*path, child.name] if named else path)
+
+    for module, tree in _src_trees().items():
+        visit(tree, [module])
+    assert found == ["ideals.Ideal._from_mask"]
+
+
+def test_readme_lists_the_cached_ring_attributes():
+    text = (ROOT / "README.md").read_text()
+    listed = text.split("cached\nas attributes:", 1)[1].split("; no cached value", 1)[0]
+    cached = {name for name, value in vars(amalgam.rings.FiniteRing).items() if isinstance(value, cached_property)}
+    assert set(re.findall(r"`(\w+)`", listed)) == cached
 
 
 def test_every_import_is_read():
