@@ -169,11 +169,10 @@ def amalgamate(
     f: RingHom,
     j: Ideal,
     size_cap: int = DEFAULT_SIZE_CAP,
-    label: str | None = None,
 ) -> AmalgamationInstance:
-    """base |><|^f j from a validated hom and an ideal of the target.  The
-    size cap and the closure of J are checked here; the ring is built on the
-    instance's first read of it."""
+    """base |><|^f j from a validated hom and an ideal of the target, named
+    by `instance_label`.  The size cap and the closure of J are checked here;
+    the ring is built on the instance's first read of it."""
     if f.source is not base or f.target is not target:
         raise MixedRingError("amalgamate: hom endpoints do not match the given rings")
     if j.ring is not target:
@@ -191,19 +190,20 @@ def amalgamate(
     fj = jpos[target.mul[f.map[:, None], jlist]]
     if jadd.min() < 0 or jmul.min() < 0 or fj.min() < 0:
         raise InternalCheckError("ideal not closed under the amalgamation rule")
-    if label is None:
-        gens = ",".join(str(g) for g in j.generators())
-        hom_tag = f.label or "hom"
-        label = f"amalg({base.label},{target.label},{hom_tag};{gens})"
-    return AmalgamationInstance(base, target, f, j, label, (jpos, jadd, jmul, fj))
+    return AmalgamationInstance(base, target, f, j, instance_label(base, target, f, j), (jpos, jadd, jmul, fj))
+
+
+def instance_label(base: FiniteRing, target: FiniteRing, f: RingHom, j: Ideal) -> str:
+    """dup(A;gens) when f is the identity of A, else amalg(A,B,f;gens)."""
+    gens = ",".join(str(g) for g in j.generators())
+    if f.is_identity:
+        return f"dup({base.label};{gens})"
+    return f"amalg({base.label},{target.label},{f.label or 'hom'};{gens})"
 
 
 def duplication(ring: FiniteRing, ideal: Ideal, size_cap: int = DEFAULT_SIZE_CAP) -> AmalgamationInstance:
     """Amalgamated duplication: base = target, f = identity, J = the ideal."""
-    gens = ",".join(str(g) for g in ideal.generators())
-    return amalgamate(
-        ring, ring, hom_identity(ring), ideal, size_cap, label=f"dup({ring.label};{gens})"
-    )
+    return amalgamate(ring, ring, hom_identity(ring), ideal, size_cap)
 
 
 def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing, RingHom]:
@@ -286,7 +286,7 @@ ROLES: dict[str, Callable[[AmalgamationInstance], FiniteRing]] = {
 PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     **{f"{role} {fact}": lambda i, role=role, fact=fact: RING_FACTS[fact](ROLES[role](i))
        for role in ROLES for fact in RING_FACTS},
-    "instance is a duplication": lambda i: i.base is i.target and bool((i.f.map == np.arange(i.base.size)).all()),
+    "instance is a duplication": lambda i: i.f.is_identity,
     "base ring local and not a field": lambda i: holds(i, "base ring local") and holds(i, "base ring not a field"),
     "base ring not a field": lambda i: not holds(i, "base ring field"),
     "base ring not arithmetical": lambda i: not holds(i, "base ring arithmetical"),

@@ -53,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .amalgamation import AmalgamationInstance, RingMemo, amalgamate, duplication, holds, hypothesis_report
+from .amalgamation import AmalgamationInstance, RingMemo, amalgamate, duplication, holds, hypothesis_report, instance_label
 from .catalog import CATALOG_RINGS
 from .errors import EvaluationError, InternalCheckError, UnknownClauseError
 from .expressions import (
@@ -95,11 +95,14 @@ class InstanceSpec:
     target: FiniteRing
     f: RingHom
     j: Ideal
-    label: str
     tags: tuple[str, ...]
 
+    @property
+    def label(self) -> str:
+        return instance_label(self.base, self.target, self.f, self.j)
+
     def build(self, size_cap: int = DEFAULT_SIZE_CAP) -> AmalgamationInstance:
-        return amalgamate(self.base, self.target, self.f, self.j, size_cap, label=self.label)
+        return amalgamate(self.base, self.target, self.f, self.j, size_cap)
 
 
 @dataclass
@@ -145,12 +148,7 @@ def build_catalog(labels: Iterable[str] = CATALOG_RINGS, size_cap: int = DEFAULT
                     tags.append("j-zero")
                 if j.members == ex26_j:
                     tags.append("ex2.6-shape")
-                gens = ",".join(str(g) for g in j.generators())
-                if base is target:
-                    label = f"dup({base.label};{gens})"
-                else:
-                    label = f"amalg({base.label},{target.label},{f.label};{gens})"
-                specs.append(InstanceSpec(base, target, f, j, label, tuple(tags)))
+                specs.append(InstanceSpec(base, target, f, j, tuple(tags)))
 
     return Catalog(size_cap, rings, exprs, specs)
 
@@ -402,8 +400,8 @@ def verify_clauses(
 
     One `RingMemo` serves the whole call: an instance whose base and
     J-position tables match a ring of the last `MEMO_RINGS` takes that
-    ring, its pA and {0} x J, with every fact cached on the ring, and
-    proves it again by its own pB.  The memo is dropped on return, so no
+    ring and its pA, with every fact cached on the ring, and proves it
+    again by its own pB.  The memo is dropped on return, so no
     ring outlives the call."""
     for cid in clause_ids:
         if cid not in CLAUSES:

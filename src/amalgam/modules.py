@@ -27,6 +27,7 @@ from .rings import (
     _as_table,
     _check_cap,
     _cosets,
+    _is_symmetric,
     _max_digits,
     _row_blocks,
     _table_cap,
@@ -62,7 +63,7 @@ class FiniteModule:
         n, add, act, ring = self.size, self.add, self.action, self.ring
         if add.max() >= n or act.max() >= n:  # unsigned tables (`_as_table`)
             raise StructureError("module table entries out of range")
-        if not (add == add.T).all():
+        if not _is_symmetric(add):
             raise StructureError("module addition is not commutative")
         if not (act[ring.zero] == self.zero).all():
             raise StructureError("0.e != 0 in module")

@@ -504,13 +504,17 @@ class PropertyReport:
 
 
 def property_report(ring: FiniteRing, oracle_degree: int | None = None) -> PropertyReport:
+    """Every ring fact with its witnesses.  With `oracle_degree`, the content
+    oracle runs first, so its pair budget and the lattice guard refuse before
+    any fact is computed."""
+    oracle = None if oracle_degree is None else gaussian_content_oracle(ring, oracle_degree)
     report = PropertyReport(
         ring.size, is_local(ring), gaussian_check(ring)[1], arithmetical_check(ring)[1],
         **{fact_field(name): bool(fact(ring)) for name, fact in RING_FACTS.items()},
     )
-    if oracle_degree is not None:
+    if oracle is not None:
         report.oracle_degree = oracle_degree
-        report.oracle_gaussian, report.oracle_witness = gaussian_content_oracle(ring, oracle_degree)
+        report.oracle_gaussian, report.oracle_witness = oracle
         if not report.oracle_gaussian and report.gaussian:
             raise InternalCheckError("content oracle found a counterexample on a Gaussian ring")
     if not report.hierarchy_consistent():

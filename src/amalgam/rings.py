@@ -476,9 +476,9 @@ class RingHom:
         self._validate()
 
     def _validate(self) -> None:
-        src, tgt, m = self.source, self.target, self.map
-        if src is tgt and (m == np.arange(src.size)).all():
+        if self.is_identity:
             return  # the identity map of a ring is a unital homomorphism
+        src, tgt, m = self.source, self.target, self.map
         if m[src.zero] != tgt.zero:
             raise HomomorphismError(
                 f"f(0) = {tgt.element_names[m[src.zero]]} != 0", witness=(src.zero,)
@@ -527,8 +527,10 @@ class RingHom:
                         f"f(x{op}y) != f(x){op}f(y) at ({x}, {y})", witness=(x, y)
                     )
 
-    def __call__(self, index: int) -> int:
-        return int(self.map[index])
+    @property
+    def is_identity(self) -> bool:
+        """f is the identity map of its source, the one f for which A |><|^f J is A |><| J."""
+        return self.source is self.target and bool((self.map == np.arange(self.source.size)).all())
 
     @property
     def is_injective(self) -> bool:

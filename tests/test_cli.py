@@ -180,6 +180,23 @@ def test_internal_check_error_exit_code(capsys, monkeypatch):
     assert "internal error" in err and "bug" in err
 
 
+@pytest.mark.parametrize(
+    "expr, degree, refusal",
+    [
+        ("zmod(64)", "2", "content oracle at degree 2 needs 64^6 pairs, budget is 16777216"),
+        ("zmod(300)", "0", "ideal lattice enumeration needs |ring| <= 256, got 300"),
+    ],
+    ids=["pair budget", "lattice guard"],
+)
+def test_content_oracle_refuses_before_any_fact_is_computed(capsys, monkeypatch, expr, degree, refusal):
+    # the pair budget and the lattice guard bound the work before it is spent
+    def no_fact_yet(ring):
+        raise AssertionError("a fact was computed before the content oracle's refusal")
+
+    monkeypatch.setattr(amalgam.properties, "gaussian_check", no_fact_yet)
+    assert run_cli(capsys, "props", expr, "--oracle-degree", degree) == (2, "", f"cap exceeded: {refusal}\n")
+
+
 def assert_parse_error(capsys, text):
     code, out, err = run_cli(capsys, "props", text)
     assert code == 2

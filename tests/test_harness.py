@@ -13,7 +13,7 @@ import amalgam.expressions
 import amalgam.harness as harness
 from amalgam.cli import main
 from amalgam.errors import CapExceededError, InternalCheckError, UnknownClauseError
-from amalgam.amalgamation import PREDICATES, ROLES, amalgamate, f_image_plus_j, holds
+from amalgam.amalgamation import PREDICATES, ROLES, amalgamate, duplication, f_image_plus_j, holds
 from amalgam.expressions import (
     EmbedHomExpr,
     Evaluator,
@@ -38,9 +38,9 @@ from amalgam.harness import (
     verify_duplication_criterion,
     verify_instance,
 )
-from amalgam.ideals import Ideal, all_ideals, ideal_product
+from amalgam.ideals import Ideal, all_ideals, ideal_generated, ideal_product
 from amalgam.properties import RING_FACTS, is_local
-from amalgam.rings import coset_tables, pair_indices, quotient
+from amalgam.rings import RingHom, coset_tables, pair_indices, product, quotient, zmod
 from catalog_generator import SMALL_PARAMS, _table_key, generated_catalog
 from oracles import set_side_conditions
 
@@ -89,6 +89,44 @@ def test_default_catalog_digest(catalog):
 def test_every_catalog_hom_has_default_catalog_specs(catalog):
     counts = Counter(spec.tags[0] for spec in catalog.specs)
     assert set(counts) == {tag for tag, _ in harness.CATALOG_HOMS}, counts
+
+
+def test_every_instance_label_is_derived_from_its_four_fields(catalog):
+    # `instance_label` names an instance from (A, B, f, J): `amalgamate`
+    # takes no label and a spec stores none
+    assert "label" not in inspect.signature(amalgamate).parameters
+    assert [f.name for f in dataclasses.fields(harness.InstanceSpec)] == ["base", "target", "f", "j", "tags"]
+    for spec in catalog.specs:
+        assert spec.label == spec.build().label
+
+
+def test_a_duplication_is_the_identity_of_its_own_ring():
+    # the swap of product(zmod(2),zmod(2)) is an automorphism of A, so B is
+    # A, yet A |><|^swap J is no duplication; the identity map gives one
+    ring = product(zmod(2), zmod(2))
+    j = ideal_generated(ring, [1])
+    swapped = amalgamate(ring, ring, RingHom(ring, ring, [0, 2, 1, 3]), j)
+    assert swapped.label == "amalg(product(zmod(2),zmod(2)),product(zmod(2),zmod(2)),hom;1)"
+    assert not swapped.f.is_identity and not holds(swapped, "instance is a duplication")
+    dup = duplication(ring, j)
+    assert dup.label == "dup(product(zmod(2),zmod(2));1)"
+    assert dup.f.is_identity and holds(dup, "instance is a duplication")
+
+
+def test_an_identity_amalgamation_is_named_as_its_duplication(capsys):
+    # B is A's own ring object and f its identity map, so the instance is
+    # dup(A;J) however the text wrote it; only `expr=` tells the lines apart
+    lines = []
+    for text in ("amalg(zmod(8),zmod(8),id;2)", "dup(zmod(8);2)"):
+        assert main(["props", text, "--machine", "--witness"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == (
+        "kind=props expr=amalg(zmod(8),zmod(8),id;2) size=32 local=true"
+        " maximal_ideal={0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27} reduced=false field=false"
+        " total_quotient_ring=true chain_ring=false arithmetical=false gaussian=false prufer=true"
+        " gaussian_witness=(1,8)indup(zmod(8);2) arithmetical_witness={0,2}|{0,16}|{0,18}\n"
+    )
+    assert lines[1] == lines[0].replace("expr=amalg(zmod(8),zmod(8),id;2)", "expr=dup(zmod(8);2)")
 
 
 def test_catalog_builds_only_the_quotients_it_keeps(monkeypatch):

@@ -106,24 +106,57 @@ def test_every_method_and_property_has_a_reader():
     assert set(unread) == UNREAD_IN_SRC, f"methods with no reader in src/: {sorted(set(unread) - UNREAD_IN_SRC)}"
 
 
-def test_only_the_trusted_ideal_constructor_skips_init():
-    # every `RingHom`, ring and module is made through `__init__`, which
-    # validates it; the one bypass is `Ideal._from_mask`, for the masks the
-    # package computed as ideals
+def _paths_where(predicate) -> list[str]:
+    """module.Class.function of every src/ node the predicate accepts."""
     found = []
 
     def visit(node, path):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "__new__" or (
-                isinstance(child, ast.Constant) and child.value == "__new__"
-            ):
+            if predicate(child):
                 found.append(".".join(path))
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
             visit(child, [*path, child.name] if named else path)
 
     for module, tree in _src_trees().items():
         visit(tree, [module])
-    assert found == ["ideals.Ideal._from_mask"]
+    return found
+
+
+def test_only_the_trusted_ideal_constructor_skips_init():
+    # every `RingHom`, ring and module is made through `__init__`, which
+    # validates it; the one bypass is `Ideal._from_mask`, for the masks the
+    # package computed as ideals
+    def names_new(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__new__" or (
+            isinstance(node, ast.Constant) and node.value == "__new__"
+        )
+
+    assert _paths_where(names_new) == ["ideals.Ideal._from_mask"]
+
+
+def test_only_instance_label_formats_an_instance_label():
+    # `dup(A;gens)` exactly when f is the identity of A, decided in one place
+    def formats_one(node):
+        return (
+            isinstance(node, ast.JoinedStr)
+            and isinstance(node.values[0], ast.Constant)
+            and node.values[0].value.startswith(("dup(", "amalg("))
+        )
+
+    assert set(_paths_where(formats_one)) == {"amalgamation.instance_label"}
+
+
+def test_only_is_identity_compares_a_map_with_the_identity():
+    def identity_test(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any(isinstance(op, ast.Attribute) and op.attr == "map" for op in operands) and any(
+            isinstance(op, ast.Call) and isinstance(op.func, ast.Attribute) and op.func.attr == "arange"
+            for op in operands
+        )
+
+    assert _paths_where(identity_test) == ["rings.RingHom.is_identity"]
 
 
 def test_readme_lists_the_cached_ring_attributes():
