@@ -30,9 +30,10 @@ agree on those share one ring within a pass: an instance given a
 them every fact cached on the ring (Gaussian, arithmetical, local, ...).
 pB depends on B and f, so each instance still validates its own pB and
 the joint injectivity of (pA, pB) on the shared ring.  The memo holds the
-last `MEMO_RINGS` rings, and a shared ring keeps the label and the
-element names of the instance that built it, so readers name an instance
-by `inst.label`.
+last `MEMO_RINGS` rings, and a shared ring keeps the label of the instance
+that built it, so readers name an instance by `inst.label`.  A ring holds
+no element names: `expressions.Evaluator.element_names` spells an
+instance's (a, f(a) + j) pairs through its own pA and pB.
 
 `PREDICATES` names every side condition and conclusion that the clauses
 and worked examples read; each "{role} {fact}" name, such as "f(A) + J
@@ -99,10 +100,8 @@ class AmalgamationInstance:
             ring._prove(proof, self.label)
             return ring, to_base, proof.homs[1]
         tables = pair_ring_tables(base, jadd, jpos[target.neg[jlist]], jpos[target.zero], fj, jmul)
-        base_names, target_names = base.element_names, target.element_names
-        names = [f"({base_names[a]},{target_names[s]})" for a, s in zip(ia.tolist(), second.tolist())]
         proof = Proof(out_of=((base, ia, "pA"), (target, second, "pB")))
-        ring = FiniteRing(*tables, self.label, names, proof)
+        ring = FiniteRing(*tables, self.label, proof)
         to_base, to_target = proof.homs
         if self.memo is not None:
             self.memo.put(key, (ring, to_base))
@@ -140,9 +139,7 @@ class RingMemo:
     """The proved rings of one pass, keyed by what R's tables depend on: the
     base ring and the J-position tables jadd, jmul and fj.  A bounded LRU of
     (ring, pA) entries; `hits` and `builds` count its lookups.  A
-    shared ring's label and element names belong to the instance that built
-    it: its names spell that builder's (a, f(a) + j) pairs, not those of a
-    later instance that takes it."""
+    shared ring's label belongs to the instance that built it."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[tuple, tuple[FiniteRing, RingHom]] = OrderedDict()
@@ -220,10 +217,9 @@ def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing
     pos[carrier] = np.arange(carrier.size)
     pairs = np.ix_(carrier, carrier)
     sadd, smul, sneg = pos[target.add[pairs]], pos[target.mul[pairs]], pos[target.neg[carrier]]
-    names = [target.element_names[c] for c in carrier]
     label = f"subring(fimage+J;{target.label})"
     proof = Proof(out_of=((target, carrier, "incl"),))
-    sub = FiniteRing(carrier.size, sadd, smul, sneg, int(pos[target.zero]), int(pos[target.one]), label, names, proof)
+    sub = FiniteRing(carrier.size, sadd, smul, sneg, int(pos[target.zero]), int(pos[target.one]), label, proof)
     return sub, proof.homs[0]
 
 

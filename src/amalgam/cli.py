@@ -258,16 +258,17 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
-    ring = Evaluator(size_cap=args.max_ring_size).ring(expr)
+    evaluator = Evaluator(size_cap=args.max_ring_size)
+    ring, names = evaluator.ring(expr), evaluator.element_names(expr)
     canonical = expr.unparse()
     if args.machine:
-        for i in range(ring.size):
-            _emit(_record([("kind", "encode"), ("expr", canonical), ("index", str(i)), ("name", ring.element_names[i])]))
+        for i, name in enumerate(names):
+            _emit(_record([("kind", "encode"), ("expr", canonical), ("index", str(i)), ("name", name)]))
         return 0
     _emit(f"element encoding for {canonical} (size {ring.size}, zero={ring.zero}, one={ring.one})")
     width = len(str(ring.size - 1))
-    for i in range(ring.size):
-        _emit(f"  {i:>{width}}  {ring.element_names[i]}")
+    for i, name in enumerate(names):
+        _emit(f"  {i:>{width}}  {name}")
     return 0
 
 

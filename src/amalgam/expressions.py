@@ -11,10 +11,13 @@ list generates the zero ideal (or submodule).  "proj" denotes the
 projection of the enclosing quot-constructed target, "embed" the
 idealization embedding of the enclosing trivext-constructed target, and
 "compose(g,f)" applies f first.  Canonical printing is compact (no
-whitespace); the parser accepts arbitrary whitespace.
+whitespace); the parser accepts arbitrary whitespace.  Rings and modules
+hold no element names; `Evaluator.element_names` spells them from the
+expression, for `amalgam encode`.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, fields
 
@@ -22,13 +25,19 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError
 from .ideals import ideal_generated
-from .modules import FiniteModule, module_quotient, ring_as_module, trivial_extension, vspace_over_residue
+from .modules import FiniteModule, module_quotient, ring_as_module, submodule_generated, trivial_extension
+from .modules import vspace_over_residue
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
     RingHom,
+    _check_cap,
+    _cosets,
+    _max_digits,
+    _table_cap,
     product as ring_product,
     quotient,
+    tpa_names,
     truncated_poly_algebra,
     zmod,
 )
@@ -333,6 +342,10 @@ def parse(text: str) -> RingExpr:
 # -- evaluation ---------------------------------------------------------------------
 
 
+def _cosets_named(names: list[str], reps: np.ndarray) -> list[str]:
+    return [f"[{names[r]}]" for r in reps]
+
+
 class Evaluator:
     """Builds rings/instances from ASTs, memoizing shared subexpressions.
 
@@ -349,6 +362,7 @@ class Evaluator:
         self._homs: dict[RingExpr, RingHom] = {}
         self._instances: dict[RingExpr, AmalgamationInstance] = {}
         self._modules: dict[tuple[ModuleExpr, int], FiniteModule] = {}
+        self._names: dict[RingExpr, list[str]] = {}
 
     def ring(self, expr: RingExpr) -> FiniteRing:
         if expr in self._rings:
@@ -375,6 +389,53 @@ class Evaluator:
         self._instances[expr] = inst
         return inst
 
+    def element_names(self, expr: RingExpr) -> list[str]:
+        """The name of each element of `expr`'s ring, by index, spelled from
+        the expression: zmod residues and tpa polynomials as themselves,
+        product and trivext pairs as (l,r) and (a|e), dup and amalg pairs as
+        (a,b) through the instance's pA and pB, and a coset of quot, resfield
+        or quotmod as [x], x its least member."""
+        if expr in self._names:
+            return self._names[expr]
+        ring = self.ring(expr)
+        if isinstance(expr, ZmodExpr):
+            names = [str(i) for i in range(ring.size)]
+        elif isinstance(expr, TpaExpr):
+            names = tpa_names(expr.p, expr.k, expr.t)
+        elif isinstance(expr, ProductExpr):
+            names = [f"({a},{b})" for a in self.element_names(expr.left) for b in self.element_names(expr.right)]
+        elif isinstance(expr, QuotExpr):
+            _, reps = np.unique(self._homs[expr].map, return_index=True)  # first index = least member
+            names = _cosets_named(self.element_names(expr.ring), reps)
+        elif isinstance(expr, TrivextExpr):
+            module = self._module_names(expr.module, expr.ring)
+            names = [f"({a}|{e})" for a in self.element_names(expr.ring) for e in module]
+        else:
+            inst = self.instance(expr)
+            base, target = (expr.ring, expr.ring) if isinstance(expr, DupExpr) else (expr.base, expr.target)
+            first, second = self.element_names(base), self.element_names(target)
+            names = [f"({first[a]},{second[b]})" for a, b in zip(inst.to_base.map, inst.to_target.map)]
+        self._names[expr] = names
+        return names
+
+    def _module_names(self, expr: ModuleExpr, ring_expr: RingExpr) -> list[str]:
+        """The name of each element of `expr`'s module over `ring_expr`'s ring,
+        by index; resfield(d) spells a vector of d residues as (r1,...,rd),
+        r1 least significant."""
+        base = self.ring(ring_expr)
+        if isinstance(expr, RegularExpr):
+            return self.element_names(ring_expr)
+        if isinstance(expr, ResfieldExpr):
+            _, reps = _cosets(base.add, np.flatnonzero(base.maximal_masks[0]))
+            field = _cosets_named(self.element_names(ring_expr), reps)
+            if expr.dim == 1:
+                return field
+            # index sum_k d_k q^k; product() varies its last coordinate fastest
+            return ["(" + ",".join(reversed(v)) + ")" for v in itertools.product(field, repeat=expr.dim)]
+        inner = self.module(expr.module, base)
+        _, reps = _cosets(inner.add, submodule_generated(inner, expr.gens))
+        return _cosets_named(self._module_names(expr.module, ring_expr), reps)
+
     def _build(self, expr: RingExpr) -> FiniteRing:
         if isinstance(expr, ZmodExpr):
             return zmod(expr.n, self.size_cap)
@@ -391,12 +452,27 @@ class Evaluator:
             return quot
         if isinstance(expr, TrivextExpr):
             base = self.ring(expr.ring)
+            size = self._module_size(expr.module, base)
+            if size is not None:  # refuse |A| |M| past the cap before M is built
+                _check_cap(base.size * size, self.size_cap, f"trivext({base.label};{expr.module.unparse()})")
             module = self.module(expr.module, base)
             ext, self._homs[expr] = trivial_extension(base, module, self.size_cap)
             return ext
         if isinstance(expr, (DupExpr, AmalgExpr)):
             return self.instance(expr).ring
         raise EvaluationError(f"unsupported expression {expr!r}")
+
+    def _module_size(self, expr: ModuleExpr, base: FiniteRing) -> int | None:
+        """|M| when it is known without building M: regular, or resfield(d)
+        within the cap over a local base.  None where building M refuses it
+        on its own, and for every quotmod, whose size needs M."""
+        if isinstance(expr, RegularExpr):
+            return base.size
+        if isinstance(expr, ResfieldExpr) and base.is_local:
+            q = base.size // int(base.maximal_masks[0].sum())
+            if expr.dim <= _max_digits(q, _table_cap(self.size_cap)):
+                return q**expr.dim
+        return None
 
     def module(self, expr: ModuleExpr, base: FiniteRing) -> FiniteModule:
         key = (expr, id(base))

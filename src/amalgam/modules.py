@@ -3,8 +3,9 @@
 Modules carry their own addition and action tables (same policy as rings:
 explicit, immutable, exhaustively checkable, and held in
 `rings.TABLE_DTYPE`, so no module passes `rings.MAX_TABLE_SIZE` = 65,536
-elements).  Each constructor takes the arguments of its grammar node and
-derives the rest: `vspace_over_residue` (`resfield(k)`) reads the maximal
+elements) and no element names, which `expressions.Evaluator` spells.
+Each constructor takes the arguments of its grammar node and derives the
+rest: `vspace_over_residue` (`resfield(k)`) reads the maximal
 ideal of its local ring, and `module_quotient` (`quotmod(M;gens)`) generates
 its submodule from the generator indices it prints in its label.  The
 trivial extension A |x E is the ring on A x E with
@@ -39,24 +40,13 @@ from .rings import (
 class FiniteModule:
     """A finite module over a finite commutative ring."""
 
-    def __init__(
-        self,
-        ring: FiniteRing,
-        size: int,
-        add,
-        action,
-        label: str,
-        element_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, ring: FiniteRing, size: int, add, action, label: str):
         self.ring = ring
         self.size = int(size)
         self.add = _as_table(add, (size, size), "module addition")
         self.action = _as_table(action, (ring.size, size), "module action")
         self.zero = int(self.action[ring.zero, 0])
         self.label = label
-        if element_names is None:
-            element_names = [str(i) for i in range(size)]
-        self.element_names = list(element_names)
         self._quick_check()
 
     def _quick_check(self) -> None:
@@ -107,7 +97,7 @@ class FiniteModule:
 
 def ring_as_module(ring: FiniteRing) -> FiniteModule:
     """The ring acting on itself by multiplication."""
-    return FiniteModule(ring, ring.size, ring.add, ring.mul, "regular", ring.element_names)
+    return FiniteModule(ring, ring.size, ring.add, ring.mul, "regular")
 
 
 def vspace_over_residue(ring: FiniteRing, dim: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteModule:
@@ -146,11 +136,7 @@ def vspace_over_residue(ring: FiniteRing, dim: int, size_cap: int = DEFAULT_SIZE
     add = digitwise(field.add, digits)
     # a acts coordinatewise through the residue field
     act = digitwise(field.mul, np.repeat(proj.map[:, None], dim, axis=1))
-    if dim == 1:
-        names = [field.element_names[int(row[0])] for row in digits]
-    else:
-        names = ["(" + ",".join(field.element_names[d] for d in row) + ")" for row in digits]
-    return FiniteModule(ring, size, add, act, f"resfield({dim})", names)
+    return FiniteModule(ring, size, add, act, f"resfield({dim})")
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> np.ndarray:
@@ -166,14 +152,13 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> np.ndarray
 
 
 def module_quotient(module: FiniteModule, gens: Sequence[int]) -> FiniteModule:
-    """Quotient by the submodule generated by `gens` (possibly empty), cosets
-    named by their minimal member and labelled by the expression
-    `quotmod(M;gens)`, the generators printed as given."""
+    """Quotient by the submodule generated by `gens` (possibly empty), one
+    element per coset in the order of its minimal member, labelled by the
+    expression `quotmod(M;gens)`, the generators printed as given."""
     proj, reps = _cosets(module.add, submodule_generated(module, gens))
-    names = [f"[{module.element_names[r]}]" for r in reps]
     label = f"quotmod({module.label};{','.join(str(g) for g in gens)})"
     qadd, qact = proj[module.add[np.ix_(reps, reps)]], proj[module.action[:, reps]]
-    return FiniteModule(module.ring, len(reps), qadd, qact, label, names)
+    return FiniteModule(module.ring, len(reps), qadd, qact, label)
 
 
 def trivial_extension(
@@ -192,8 +177,6 @@ def trivial_extension(
     _check_cap(size, size_cap, label)
 
     tables = pair_ring_tables(ring, module.add, module.neg, module.zero, module.action)
-    ia, ie = np.divmod(np.arange(size), ne)
-    names = [f"({ring.element_names[a]}|{module.element_names[e]})" for a, e in zip(ia, ie)]
-    ext = FiniteRing(*tables, label, names)
+    ext = FiniteRing(*tables, label)
     embed = RingHom(ring, ext, np.arange(ring.size) * ne + module.zero, label="embed")
     return ext, embed

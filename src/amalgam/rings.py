@@ -3,6 +3,9 @@
 A ring of size n lives on the index carrier 0..n-1 with dense numpy tables
 for + and *, a negation table, and distinguished zero/one indices.  Tables
 make every checker in the package an exhaustive (and vectorizable) loop.
+An element is its index: a ring holds no element names, and
+`expressions.Evaluator.element_names` spells them from the expression
+that built the ring (`tpa_names` for a `tpa`).
 Every ring and module table holds carrier indices in `TABLE_DTYPE`
 (uint16, 2 bytes an entry), so a 4,096-element ring's two tables take
 32 MB each and no carrier can pass `MAX_TABLE_SIZE` = 65,536 elements.
@@ -47,7 +50,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -162,7 +164,6 @@ class FiniteRing:
         zero: int,
         one: int,
         label: str,
-        element_names: Sequence[str] | None = None,
         proof: Proof | None = None,
     ):
         if size < 1:
@@ -174,11 +175,6 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.label = label
-        if element_names is None:
-            element_names = [str(i) for i in range(size)]
-        self.element_names = list(element_names)
-        if len(self.element_names) != size:
-            raise StructureError("element_names length mismatch")
         if proof is None:
             self._quick_check()
             self._check_cubic_axioms(sample=CONSTRUCTION_SAMPLE_COUNT)
@@ -480,13 +476,9 @@ class RingHom:
             return  # the identity map of a ring is a unital homomorphism
         src, tgt, m = self.source, self.target, self.map
         if m[src.zero] != tgt.zero:
-            raise HomomorphismError(
-                f"f(0) = {tgt.element_names[m[src.zero]]} != 0", witness=(src.zero,)
-            )
+            raise HomomorphismError(f"f(0) = {m[src.zero]} != 0", witness=(src.zero,))
         if m[src.one] != tgt.one:
-            raise HomomorphismError(
-                f"f(1) = {tgt.element_names[m[src.one]]} != 1", witness=(src.one,)
-            )
+            raise HomomorphismError(f"f(1) = {m[src.one]} != 1", witness=(src.one,))
         if src.size >= _IMAGE_ROWS_MIN_SIZE:
             image, pos = np.unique(m, return_inverse=True)
             few_rows = image.size * max(src.size, tgt.size) <= _IMAGE_ROWS_ENTRIES
@@ -642,12 +634,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _var_names(k: int) -> tuple[str, ...]:
-    if k <= 3:
-        return ("x", "y", "z")[:k]
-    return tuple(f"x{i + 1}" for i in range(k))
-
-
 def tpa_monomial_count(k: int, t: int) -> int:
     """Number of monomials of total degree < t in k variables: C(k+t-1, k)."""
     return math.comb(k + t - 1, k)
@@ -662,22 +648,35 @@ def _max_digits(p: int, size_cap: int) -> int:
 
 
 def _monomials(k: int, t: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree < t, graded then lex with x1 heaviest."""
+    """Exponent tuples of total degree < t, graded then lex with x1 heaviest;
+    for t = 1 only the constant monomial, as (), whatever k is."""
+    if t == 1:
+        return [()]
     monos = [e for e in itertools.product(range(t), repeat=k) if sum(e) < t]
     monos.sort(key=lambda e: (sum(e), tuple(-v for v in e)))
     return monos
 
 
-def _monomial_name(expts: tuple[int, ...], names: tuple[str, ...]) -> str:
-    if sum(expts) == 0:
-        return "1"
-    parts = []
-    for v, e in zip(names, expts):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts)
+def _monomial_name(expts: tuple[int, ...]) -> str:
+    """x, y, z for up to three variables, else x1, x2, ...; "1" for the constant."""
+    names = "xyz" if len(expts) <= 3 else [f"x{i + 1}" for i in range(len(expts))]
+    parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, expts) if e]
+    return "*".join(parts) or "1"
+
+
+def tpa_names(p: int, k: int, t: int) -> list[str]:
+    """The elements of tpa(p,k,t) spelled as polynomials, by index: base-p
+    digit j of an index is the coefficient of the j-th basis monomial."""
+    monos = [_monomial_name(e) for e in _monomials(k, t)]
+    names = []
+    for i in range(p ** len(monos)):
+        terms = []
+        for mono in monos:
+            i, c = divmod(i, p)
+            if c:
+                terms.append(str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")
+        names.append("+".join(terms) or "0")
+    return names
 
 
 def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -704,10 +703,7 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
         raise CapExceededError(f"tpa({p},{k},{t}) would have {bound} elements, cap is {cap}")
     if not _is_prime(p):
         raise ValueError(f"tpa requires a prime characteristic, got {p}")
-    if t == 1:  # only the constant monomial survives, whatever k is
-        var_names, monos = (), [()]
-    else:
-        var_names, monos = _var_names(k), _monomials(k, t)
+    monos = _monomials(k, t)
     m = len(monos)
     size = p**m
 
@@ -748,22 +744,7 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
             mul[d * low + start : d * low + stop] = add_flat[offsets + mul[start:stop]]
     neg = ((-digits) % p) @ radix
 
-    names = []
-    for i in range(size):
-        terms = []
-        for j in range(m):
-            c = int(digits[i, j])
-            if c == 0:
-                continue
-            mono = _monomial_name(monos[j], var_names)
-            if mono == "1":
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(mono)
-            else:
-                terms.append(f"{c}*{mono}")
-        names.append("+".join(terms) if terms else "0")
-    return FiniteRing(size, add, mul, neg, 0, 1, f"tpa({p},{k},{t})", names)
+    return FiniteRing(size, add, mul, neg, 0, 1, f"tpa({p},{k},{t})")
 
 
 def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -778,14 +759,13 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
     neg = a.neg[ia] * b.size + b.neg[ib]
     zero = a.zero * b.size + b.zero
     one = a.one * b.size + b.one
-    names = [f"({a.element_names[x]},{b.element_names[y]})" for x, y in zip(ia, ib)]
     proof = Proof(out_of=((a, ia, "pA"), (b, ib, "pB")))
-    return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", names, proof)
+    return FiniteRing(size, add, mul, neg, zero, one, f"product({a.label},{b.label})", proof)
 
 
 def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cosets of an additive subgroup (of a ring or a module, by its
-    addition table), each named by its minimal member: the `TABLE_DTYPE`
+    addition table), each represented by its minimal member: the `TABLE_DTYPE`
     index map onto them and their representatives ascending."""
     rep = add[:, members].min(axis=1)
     reps = np.unique(rep)
@@ -797,10 +777,11 @@ def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def coset_tables(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The cosets of an ideal, each named by its minimal member: the index map
-    onto them, their representatives ascending, and the quotient's
-    `(size, add, mul, neg, zero, one)`, the tables `quotient` builds its ring
-    on, gathered straight into `TABLE_DTYPE` through the index map."""
+    """The cosets of an ideal, each represented by its minimal member: the
+    index map onto them, their representatives ascending, and the
+    quotient's `(size, add, mul, neg, zero, one)`, the tables `quotient`
+    builds its ring on, gathered straight into `TABLE_DTYPE` through the
+    index map."""
     proj, reps = _cosets(ring.add, ideal.indices)
     pairs = np.ix_(reps, reps)
     add, mul, neg = proj[ring.add[pairs]], proj[ring.mul[pairs]], proj[ring.neg[reps]]
@@ -808,7 +789,7 @@ def coset_tables(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray
 
 
 def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
-    """Factor ring by an ideal, cosets named by their minimal member.
+    """Factor ring by an ideal, cosets in the order of their minimal member.
 
     Returns the quotient and the canonical projection (surjective, kernel
     exactly the ideal).
@@ -817,9 +798,8 @@ def quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingHom]:
         raise MixedRingError("quotient: ideal belongs to a different ring")
     proj_map, reps, tables = coset_tables(ring, ideal)
     gens = ",".join(str(g) for g in ideal.generators())
-    names = [f"[{ring.element_names[r]}]" for r in reps]
     proof = Proof(onto=((ring, proj_map, "proj"),))
-    quot = FiniteRing(*tables, f"quot({ring.label};{gens})", names, proof)
+    quot = FiniteRing(*tables, f"quot({ring.label};{gens})", proof)
     (proj,) = proof.homs
     if not np.array_equal(proj.kernel().mask, ideal.mask):
         raise InternalCheckError("projection kernel differs from the ideal")

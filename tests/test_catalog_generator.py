@@ -41,8 +41,9 @@ def test_generator_rederives_the_frozen_list(catalog):
     assert [ring.label for ring in rings] == list(CATALOG_RINGS), REGENERATE
     assert [expr.unparse() for expr in exprs] == list(CATALOG_RINGS), REGENERATE
     for generated, built in zip(rings, catalog.rings, strict=True):
+        # element names are spelled from the expression, which unparses
+        # alike; test_cli's encode digest pins them
         assert generated.same_tables(built), generated.label
-        assert generated.element_names == built.element_names, generated.label
     text = Path(amalgam.catalog.__file__).read_text(encoding="utf-8")
     assert render(list(CATALOG_RINGS)) == text, REGENERATE
 

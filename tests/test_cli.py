@@ -1,3 +1,4 @@
+import hashlib
 import time
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 import amalgam.cli
 import amalgam.harness
 import amalgam.properties
+from amalgam.catalog import CATALOG_RINGS
 from amalgam.cli import _example_lines, main
 from amalgam.errors import InternalCheckError
 from amalgam.harness import CLAUSES, EXAMPLE_IDS, EXAMPLES
@@ -302,6 +304,71 @@ def test_encode_command(capsys):
     assert "(1|[0])" in out
     code, out, _ = run_cli(capsys, "encode", "zmod(4)", "--machine")
     assert out.splitlines()[2] == "kind=encode expr=zmod(4) index=2 name=2"
+
+
+# sha256 (first 16 hex digits) over `encode --machine` stdout for every
+# catalog label, every worked-example expression and 2.7's replacement, in
+# that order; recorded while rings still stored their element names
+ENCODE_MACHINE_DIGEST = "bbc12b8559d141e1"
+
+
+def test_encode_machine_digest(capsys):
+    texts = (*CATALOG_RINGS, *(case.expression for case in EXAMPLES.values()), EXAMPLES["2.7"].replacement)
+    h = hashlib.sha256()
+    for text in texts:
+        code, out, err = run_cli(capsys, "encode", text, "--machine")
+        assert (code, err) == (0, ""), text
+        h.update(out.encode())
+    assert (len(texts), h.hexdigest()[:16]) == (166, ENCODE_MACHINE_DIGEST)
+
+
+# `encode`'s human form for one label per ring and module constructor: the
+# header's size, zero and one, and the element names in index order
+ENCODE_HUMAN = {
+    "zmod(3)": ("size 3, zero=0, one=1", "0 1 2"),
+    "tpa(2,2,2)": ("size 8, zero=0, one=1", "0 1 x 1+x y 1+y x+y 1+x+y"),
+    "product(zmod(2),tpa(2,1,2))": ("size 8, zero=0, one=5", "(0,0) (0,1) (0,x) (0,1+x) (1,0) (1,1) (1,x) (1,1+x)"),
+    "quot(tpa(2,1,3);4)": ("size 4, zero=0, one=1", "[0] [1] [x] [1+x]"),
+    "trivext(zmod(2);regular)": ("size 4, zero=0, one=2", "(0|0) (0|1) (1|0) (1|1)"),
+    "trivext(zmod(2);resfield(2))": (
+        "size 8, zero=0, one=4",
+        "(0|([0],[0])) (0|([1],[0])) (0|([0],[1])) (0|([1],[1])) "
+        "(1|([0],[0])) (1|([1],[0])) (1|([0],[1])) (1|([1],[1]))",
+    ),
+    "trivext(zmod(4);quotmod(regular;2))": (
+        "size 8, zero=0, one=2", "(0|[0]) (0|[1]) (1|[0]) (1|[1]) (2|[0]) (2|[1]) (3|[0]) (3|[1])"
+    ),
+    "dup(zmod(4);2)": ("size 8, zero=0, one=2", "(0,0) (0,2) (1,1) (1,3) (2,2) (2,0) (3,3) (3,1)"),
+    "amalg(zmod(4),trivext(zmod(4);resfield(1)),embed;1,4)": (
+        "size 16, zero=0, one=4",
+        "(0,(0|[0])) (0,(0|[1])) (0,(2|[0])) (0,(2|[1])) (1,(1|[0])) (1,(1|[1])) (1,(3|[0])) (1,(3|[1])) "
+        "(2,(2|[0])) (2,(2|[1])) (2,(0|[0])) (2,(0|[1])) (3,(3|[0])) (3,(3|[1])) (3,(1|[0])) (3,(1|[1]))",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(ENCODE_HUMAN))
+def test_encode_human_form_per_constructor(capsys, label):
+    header, names = ENCODE_HUMAN[label]
+    names = names.split()
+    width = len(str(len(names) - 1))
+    lines = [f"element encoding for {label} ({header})", *(f"  {i:>{width}}  {n}" for i, n in enumerate(names))]
+    assert run_cli(capsys, "encode", label) == (0, "\n".join(lines) + "\n", "")
+
+
+def test_props_on_nested_duplications_spells_no_names(capsys):
+    # each dup(X;) level doubles the length of an element's pair name, so a
+    # ring that stored its names would need 2^60 characters here
+    text = "dup(" * 60 + "zmod(2)" + ";)" * 60
+    code, out, err = run_cli(capsys, "props", text, "--machine")
+    assert (code, err) == (0, "") and "size=2 " in out
+
+
+def test_hom_message_prints_the_target_index(capsys):
+    # the identity map sends the one (index 3) of product(zmod(2),zmod(2))
+    # to index 3 of tpa(2,1,2), which is 1+x, not its one
+    expr = "amalg(product(zmod(2),zmod(2)),tpa(2,1,2),id;2)"
+    assert run_cli(capsys, "props", expr) == (2, "", "error: f(1) = 3 != 1\n")
 
 
 def test_grammar_command(capsys):

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from amalgam.errors import EvaluationError, NotAnIdealError, ParseError
+import amalgam.expressions
+from amalgam.errors import CapExceededError, EvaluationError, NotAnIdealError, NotLocalError, ParseError
 from amalgam.expressions import (
     AmalgExpr,
     ComposeHomExpr,
@@ -231,3 +232,53 @@ def test_quot_proj_identity_hom():
 
     same = Evaluator().instance(parse("amalg(zmod(4),zmod(4),id;2)"))
     assert same.ring.size == 8
+
+
+@pytest.fixture
+def module_builds(monkeypatch):
+    """Calls of the regular and resfield module constructors, by name."""
+    calls = {"ring_as_module": 0, "vspace_over_residue": 0}
+    for name in calls:
+        built = getattr(amalgam.expressions, name)
+
+        def counted(*args, name=name, built=built, **kwargs):
+            calls[name] += 1
+            return built(*args, **kwargs)
+
+        monkeypatch.setattr(amalgam.expressions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, cap, message",
+    [
+        ("trivext(zmod(2);resfield(12))", 4096, "trivext(zmod(2);resfield(12)) would have 8192 elements, cap is 4096"),
+        ("trivext(zmod(11);resfield(1))", 100, "trivext(zmod(11);resfield(1)) would have 121 elements, cap is 100"),
+        ("trivext(zmod(11);regular)", 100, "trivext(zmod(11);regular) would have 121 elements, cap is 100"),
+    ],
+)
+def test_trivext_past_the_cap_is_refused_before_its_module_is_built(module_builds, text, cap, message):
+    with pytest.raises(CapExceededError) as exc:
+        Evaluator(size_cap=cap).ring(parse(text))
+    assert str(exc.value) == message
+    assert module_builds == {"ring_as_module": 0, "vspace_over_residue": 0}
+
+
+@pytest.mark.parametrize(
+    "text, cap, error, message, builds",
+    [
+        # the module alone is past the cap: resfield's own refusal
+        ("trivext(zmod(2);resfield(13))", 4096, CapExceededError,
+         "resfield(13) over zmod(2) would have 2^13 elements, cap is 4096", (0, 1)),
+        # a non-local base: resfield's locality refusal
+        ("trivext(zmod(6);resfield(5))", 100, NotLocalError, "resfield over zmod(6) needs a local base ring", (0, 1)),
+        # a quotmod's size needs its module: built, then refused
+        ("trivext(zmod(11);quotmod(regular;))", 100, CapExceededError,
+         "trivext(zmod(11);quotmod(regular;)) would have 121 elements, cap is 100", (1, 0)),
+    ],
+)
+def test_trivext_refusals_that_need_the_module_keep_their_order(module_builds, text, cap, error, message, builds):
+    with pytest.raises(error) as exc:
+        Evaluator(size_cap=cap).ring(parse(text))
+    assert str(exc.value) == message
+    assert (module_builds["ring_as_module"], module_builds["vspace_over_residue"]) == builds

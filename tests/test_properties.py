@@ -33,7 +33,7 @@ from amalgam.properties import (
     property_report,
     recheck_pair_witness,
 )
-from amalgam.rings import product, truncated_poly_algebra, zmod
+from amalgam.rings import product, tpa_names, truncated_poly_algebra, zmod
 from oracles import is_chain_ring
 from pair_oracle import pair_condition_matrix
 
@@ -77,7 +77,7 @@ def test_pair_check_examples():
     assert ok and witness is None
     t = truncated_poly_algebra(2, 2, 3)
     ok, witness = local_gaussian_pair_check(t)
-    x, y = t.element_names.index("x"), t.element_names.index("y")
+    x, y = tpa_names(2, 2, 3).index("x"), tpa_names(2, 2, 3).index("y")
     assert not ok and witness == (x, y)
     assert not recheck_pair_witness(t, *witness)
     ok, _ = local_gaussian_pair_check(zmod(5))

@@ -41,7 +41,7 @@ def _derived(name):
 
 
 def _rebuild(ring, proof, mul, label):
-    return FiniteRing(ring.size, ring.add, mul, ring.neg, ring.zero, ring.one, label, ring.element_names, proof)
+    return FiniteRing(ring.size, ring.add, mul, ring.neg, ring.zero, ring.one, label, proof)
 
 
 @pytest.mark.parametrize("name", ["quotient", "product", "amalgamate", "duplication", "f_image_plus_j"])
@@ -87,7 +87,7 @@ def test_proof_alone_catches_broken_identities_and_commutativity(name, corrupt):
     ring, proof = _derived(name)
     add, mul = corrupt(ring)
     with pytest.raises(InternalCheckError, match=f"proof of corrupt {name} fails"):
-        FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, f"corrupt {name}", ring.element_names, proof)
+        FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, f"corrupt {name}", proof)
     with pytest.raises(StructureError):  # the screen still refuses them without a proof
         FiniteRing(ring.size, add, mul, ring.neg, ring.zero, ring.one, "raw")
 

@@ -20,6 +20,7 @@ from amalgam.rings import (
     hom_identity,
     product,
     quotient,
+    tpa_names,
     truncated_poly_algebra,
     zmod,
 )
@@ -60,8 +61,8 @@ def test_zmod_tables_match_the_formula(n):
 def test_tpa_truncation():
     t = truncated_poly_algebra(2, 1, 3)
     assert t.size == 8
-    x = t.element_names.index("x")
-    xsq = t.element_names.index("x^2")
+    x = tpa_names(2, 1, 3).index("x")
+    xsq = tpa_names(2, 1, 3).index("x^2")
     assert t.mul[x, x] == xsq
     assert t.mul[x, xsq] == t.zero  # degree 3 vanishes
 
@@ -69,8 +70,8 @@ def test_tpa_truncation():
 def test_tpa_two_variables_degree_two():
     t = truncated_poly_algebra(2, 2, 2)
     assert t.size == 8
-    x = t.element_names.index("x")
-    y = t.element_names.index("y")
+    x = tpa_names(2, 2, 2).index("x")
+    y = tpa_names(2, 2, 2).index("y")
     assert t.mul[x, x] == t.zero
     assert t.mul[x, y] == t.zero
     assert t.mul[y, y] == t.zero
@@ -81,7 +82,7 @@ def test_tpa_pair_ideal_square_size():
     # pairwise products of <x,y> members
     t = truncated_poly_algebra(2, 2, 3)
     assert t.size == 64
-    x, y = t.element_names.index("x"), t.element_names.index("y")
+    x, y = tpa_names(2, 2, 3).index("x"), tpa_names(2, 2, 3).index("y")
     pair = ideal_generated(t, [x, y])
     products = {int(t.mul[a, b]) for a in pair.indices for b in pair.indices}
     span = set(products)
@@ -102,7 +103,7 @@ def test_tpa_order_one_is_the_prime_field_for_any_k():
     huge, one = truncated_poly_algebra(2, 10**12, 1), truncated_poly_algebra(2, 1, 1)
     assert huge.label == "tpa(2,1000000000000,1)"
     assert huge.same_tables(one) and (huge.neg == one.neg).all()
-    assert huge.element_names == one.element_names == ["0", "1"]
+    assert tpa_names(2, 10**12, 1) == tpa_names(2, 1, 1) == ["0", "1"]
 
 
 def _tpa_by_formula(p, k, t):
@@ -171,12 +172,14 @@ def test_product_with_zero_ring():
 
 
 def test_product_encoding_round_trip():
-    a, b = zmod(3), zmod(4)
-    p = product(a, b)
+    ev, expr = Evaluator(), parse("product(zmod(3),tpa(2,1,2))")
+    a, b, p = ev.ring(expr.left), ev.ring(expr.right), ev.ring(expr)
+    left, right, names = ev.element_names(expr.left), ev.element_names(expr.right), ev.element_names(expr)
     for idx in range(p.size):
         ia, ib = idx // b.size, idx % b.size
-        assert p.element_names[idx] == f"({a.element_names[ia]},{b.element_names[ib]})"
+        assert names[idx] == f"({left[ia]},{right[ib]})"
         assert ia * b.size + ib == idx
+        assert p.mul[idx, idx] == a.mul[ia, ia] * b.size + b.mul[ib, ib]
 
 
 def test_quotient_of_zmod4():

@@ -24,9 +24,7 @@ ONE_BLOCK = 1 << 62
 
 def _fresh(ring: FiniteRing) -> FiniteRing:
     """The same tables in a new ring object, with no cached structure."""
-    return FiniteRing(
-        ring.size, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.label, ring.element_names
-    )
+    return FiniteRing(ring.size, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.label)
 
 
 def _blocked_results(ring: FiniteRing):

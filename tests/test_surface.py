@@ -11,6 +11,7 @@ must still resolve.
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +19,9 @@ from pathlib import Path
 import amalgam
 import amalgam.harness as harness
 import amalgam.rings
+from amalgam.expressions import Evaluator, ResfieldExpr, parse
+from amalgam.modules import FiniteModule
+from amalgam.rings import FiniteRing
 from catalog_generator import TINY_PARAMS, generated_catalog
 
 SRC = Path(amalgam.__file__).parent
@@ -85,8 +89,6 @@ UNREAD_IN_SRC = {
     # the exhaustive axiom re-check that the tests run on every catalog ring and module
     "rings.FiniteRing.validate",
     "modules.FiniteModule.validate",
-    # pA, whose kernel is {0} x J: the README names it and the test oracles read it
-    "amalgamation.AmalgamationInstance.to_base",
 }
 
 
@@ -120,6 +122,26 @@ def _paths_where(predicate) -> list[str]:
     for module, tree in _src_trees().items():
         visit(tree, [module])
     return found
+
+
+def test_only_the_expression_layer_spells_element_names():
+    # rings and modules are tables: `Evaluator.element_names` spells each
+    # element's name from the expression, and `encode` is its one caller
+    for cls in (FiniteRing, FiniteModule):
+        assert "element_names" not in inspect.signature(cls).parameters
+    ev = Evaluator()
+    base = ev.ring(parse("zmod(4)"))
+    assert not hasattr(ev.ring(parse("trivext(zmod(4);resfield(1))")), "element_names")
+    assert not hasattr(ev.module(ResfieldExpr(1), base), "element_names")
+
+    def defines(node):
+        return (isinstance(node, ast.FunctionDef) and node.name == "element_names") or (
+            isinstance(node, (ast.arg, ast.keyword)) and node.arg == "element_names"
+        )
+
+    assert _paths_where(defines) == ["expressions.Evaluator"]
+    uses = set(_paths_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "element_names"))
+    assert uses == {"expressions.Evaluator.element_names", "expressions.Evaluator._module_names", "cli._cmd_encode"}
 
 
 def test_only_the_trusted_ideal_constructor_skips_init():
