@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import CapExceededError, EvaluationError, ParseError
 from .ideals import ideal_generated
 from .modules import FiniteModule, module_quotient, ring_as_module, submodule_generated, trivial_extension
 from .modules import vspace_over_residue
@@ -47,6 +47,11 @@ MAX_TEXT_BYTES = 64 * 1024
 # Constructor nesting (open parentheses) across ring, module and hom
 # expressions; parsing, evaluation and printing recurse once per level.
 MAX_NESTING_DEPTH = 100
+# Characters of element names `Evaluator.element_names` spells for one
+# expression; example 2.7's instance, the largest worked example, spells
+# 72 KiB.  Nested size-preserving dup/amalg double their names per
+# level, so 187 bytes of text would otherwise ask for gigabytes.
+MAX_NAME_CHARS = 1 << 24
 
 
 # -- abstract syntax -------------------------------------------------------------
@@ -342,7 +347,22 @@ def parse(text: str) -> RingExpr:
 # -- evaluation ---------------------------------------------------------------------
 
 
-def _cosets_named(names: list[str], reps: np.ndarray) -> list[str]:
+def _check_names(expr: Expr, total: int) -> None:
+    if total > MAX_NAME_CHARS:
+        raise CapExceededError(
+            f"{expr.unparse()} would spell {total} characters of element names, cap is {MAX_NAME_CHARS}"
+        )
+
+
+def _pairs_named(expr: Expr, left: list[str], right: list[str], sep: str) -> list[str]:
+    """(l{sep}r) for every l, r varying fastest."""
+    lengths = len(right) * sum(map(len, left)) + len(left) * sum(map(len, right))
+    _check_names(expr, lengths + 3 * len(left) * len(right))
+    return [f"({a}{sep}{b})" for a in left for b in right]
+
+
+def _cosets_named(expr: Expr, names: list[str], reps: np.ndarray) -> list[str]:
+    _check_names(expr, sum(len(names[r]) for r in reps) + 2 * len(reps))
     return [f"[{names[r]}]" for r in reps]
 
 
@@ -394,7 +414,9 @@ class Evaluator:
         the expression: zmod residues and tpa polynomials as themselves,
         product and trivext pairs as (l,r) and (a|e), dup and amalg pairs as
         (a,b) through the instance's pA and pB, and a coset of quot, resfield
-        or quotmod as [x], x its least member."""
+        or quotmod as [x], x its least member.  Each node's names are
+        counted from its children's before any is joined, and refused with a
+        CapExceededError past `MAX_NAME_CHARS` characters."""
         if expr in self._names:
             return self._names[expr]
         ring = self.ring(expr)
@@ -403,18 +425,20 @@ class Evaluator:
         elif isinstance(expr, TpaExpr):
             names = tpa_names(expr.p, expr.k, expr.t)
         elif isinstance(expr, ProductExpr):
-            names = [f"({a},{b})" for a in self.element_names(expr.left) for b in self.element_names(expr.right)]
+            names = _pairs_named(expr, self.element_names(expr.left), self.element_names(expr.right), ",")
         elif isinstance(expr, QuotExpr):
             _, reps = np.unique(self._homs[expr].map, return_index=True)  # first index = least member
-            names = _cosets_named(self.element_names(expr.ring), reps)
+            names = _cosets_named(expr, self.element_names(expr.ring), reps)
         elif isinstance(expr, TrivextExpr):
             module = self._module_names(expr.module, expr.ring)
-            names = [f"({a}|{e})" for a in self.element_names(expr.ring) for e in module]
+            names = _pairs_named(expr, self.element_names(expr.ring), module, "|")
         else:
             inst = self.instance(expr)
             base, target = (expr.ring, expr.ring) if isinstance(expr, DupExpr) else (expr.base, expr.target)
             first, second = self.element_names(base), self.element_names(target)
-            names = [f"({first[a]},{second[b]})" for a, b in zip(inst.to_base.map, inst.to_target.map)]
+            pairs = list(zip(inst.to_base.map.tolist(), inst.to_target.map.tolist()))
+            _check_names(expr, sum(len(first[a]) + len(second[b]) + 3 for a, b in pairs))
+            names = [f"({first[a]},{second[b]})" for a, b in pairs]
         self._names[expr] = names
         return names
 
@@ -427,14 +451,17 @@ class Evaluator:
             return self.element_names(ring_expr)
         if isinstance(expr, ResfieldExpr):
             _, reps = _cosets(base.add, np.flatnonzero(base.maximal_masks[0]))
-            field = _cosets_named(self.element_names(ring_expr), reps)
+            field = _cosets_named(expr, self.element_names(ring_expr), reps)
             if expr.dim == 1:
                 return field
+            # each coordinate takes each residue q^(dim-1) times
+            q, dim = len(field), expr.dim
+            _check_names(expr, dim * q ** (dim - 1) * sum(map(len, field)) + (dim + 1) * q**dim)
             # index sum_k d_k q^k; product() varies its last coordinate fastest
-            return ["(" + ",".join(reversed(v)) + ")" for v in itertools.product(field, repeat=expr.dim)]
+            return ["(" + ",".join(reversed(v)) + ")" for v in itertools.product(field, repeat=dim)]
         inner = self.module(expr.module, base)
         _, reps = _cosets(inner.add, submodule_generated(inner, expr.gens))
-        return _cosets_named(self._module_names(expr.module, ring_expr), reps)
+        return _cosets_named(expr, self._module_names(expr.module, ring_expr), reps)
 
     def _build(self, expr: RingExpr) -> FiniteRing:
         if isinstance(expr, ZmodExpr):

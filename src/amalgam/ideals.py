@@ -219,7 +219,9 @@ def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
     takes the cosets of a block of ideals by one `np.minimum.reduceat` over
     the rows of `add` at their members, then marks and reads back hit for
     every (ideal, principal ideal) pair with flat int32 indices; ideals are
-    keyed by their packed masks.  Each temporary fits one `_row_blocks`.
+    keyed by their packed masks.  A block's uint16 rows of `add` at its
+    members and its bool hit rows fit one `_row_blocks` block at 2 bytes an
+    entry.
     """
     from .rings import _row_blocks  # rings imports this module
 
@@ -242,7 +244,7 @@ def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
     gen_rows, gen_members = (positions.astype(np.int32) for positions in np.nonzero(frontier))
     while len(frontier):
         found_now = []
-        for start, stop in _row_blocks(len(frontier), n * max(n_gens, int(frontier.sum(axis=1).max()))):
+        for start, stop in _row_blocks(len(frontier), 2 * n * max(n_gens, int(frontier.sum(axis=1).max()))):
             owners, members = np.nonzero(frontier[start:stop])
             starts = np.flatnonzero(np.diff(owners, prepend=-1))
             coset = np.minimum.reduceat(factor.add[members], starts, axis=0)

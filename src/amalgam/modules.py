@@ -127,7 +127,7 @@ def vspace_over_residue(ring: FiniteRing, dim: int, size_cap: int = DEFAULT_SIZE
         into `op` is formed in int64, as q^2 passes 2^31 past q = 46,340."""
         table = np.zeros((len(left), size), dtype=TABLE_DTYPE)
         op_flat = op.ravel()
-        for start, stop in _row_blocks(len(left), size):
+        for start, stop in _row_blocks(len(left), 8 * size):  # int64 flat indices
             for k in range(dim):
                 flat = left[start:stop, k, None].astype(np.int64) * q + digits[:, k]
                 table[start:stop] += np.take(op_flat, flat) * radix[k]

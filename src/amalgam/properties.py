@@ -128,7 +128,7 @@ def _unit_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     mul = ring.mul
     units = np.flatnonzero(ring.units_mask)
     least = mul[ring.one].copy()
-    for start, stop in _row_blocks(units.size, ring.size):
+    for start, stop in _row_blocks(units.size, 2 * ring.size):  # table rows
         np.minimum(least, mul[units[start:stop]].min(axis=0), out=least)
     reps = np.unique(least)
     return reps, np.searchsorted(reps, least)
@@ -157,11 +157,11 @@ def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] |
     # in_sq[i, o] iff the orbit o lies in <reps[i]^2>
     in_sq = np.zeros((k, k), dtype=bool)
     flat = in_sq.reshape(-1)
-    for start, stop in _row_blocks(k, ring.size):
+    for start, stop in _row_blocks(k, 8 * ring.size):  # int64 orbit positions
         flat[np.arange(start * k, stop * k, k)[:, None] + orbit[mul[sq[start:stop]]]] = True
     ok = np.empty((k, k), dtype=bool)
     cols = np.arange(k)[None, :]
-    for start, stop in _row_blocks(k, k):
+    for start, stop in _row_blocks(k, 8 * k):  # int64 orbit positions
         rows = np.arange(start, stop)[:, None]
         prods = mul[reps[start:stop, None], reps[None, :]]
         prod_orbit, prod_nonzero = orbit[prods], prods != zero
@@ -338,7 +338,7 @@ def chain_certificate(factor: FiniteRing) -> tuple[Ideal, ...]:
     principal_ok = all(principal_ideal(factor, g) == step for g, step in zip(gens, steps))
     generator = gens[level]  # y must be a multiple of generator[y]
     multiple = np.zeros(factor.size, dtype=bool)
-    for start, stop in _row_blocks(factor.size, factor.size):
+    for start, stop in _row_blocks(factor.size, factor.size):  # bool rows
         multiple |= (factor.mul[start:stop] == generator).any(axis=0)
     if not principal_ok or not multiple.all():
         raise InternalCheckError(f"chain certificate: {factor.label} has ideals off its m-adic filtration")
@@ -373,7 +373,7 @@ def _first_incomparable(in_principal: np.ndarray) -> tuple[int, int] | None:
     """The first pair (a, b) in row-major order with neither a in (b) nor b in
     (a), or None; read one `_row_blocks` block of rows at a time."""
     n = in_principal.shape[0]
-    for start, stop in _row_blocks(n, n):
+    for start, stop in _row_blocks(n, n):  # bool rows
         incomparable = ~(in_principal[start:stop] | in_principal[:, start:stop].T)
         if incomparable.any():
             return divmod(start * n + int(np.argmax(incomparable)), n)

@@ -25,14 +25,21 @@ fixed-seed sample of the O(n^3) axioms, drawn once per carrier size and
 gathered from the flattened tables (every triple, in one vectorised pass,
 up to n = 16).  `FiniteRing.validate` runs the full exhaustive check.
 
-Checks that sweep all n^2 pairs of a table (hom validation, principal
-membership, the unit-orbit gather of the Gaussian pair check) run over row
-blocks of at most `_BLOCK_ENTRIES` entries, so their memory is O(output +
+Work that sweeps all n^2 pairs of a table (the pair-table, zmod, tpa and
+resfield builders, hom validation, principal membership, the lattice
+rounds, the Gaussian pair check and the chain certificates) runs over row
+blocks of about `_BLOCK_BYTES` = 512 KiB, so its memory is O(output +
 block) rather than a handful of n x n temporaries; every pair is still
-checked.  A hom of at least `_IMAGE_ROWS_MIN_SIZE` source elements whose
-distinct images have few target rows is checked against those rows,
-gathered once per op, instead of gathering target rows per block; a
-mismatch re-runs the row-major scan, which names the same witness.
+checked.  Each caller passes `_row_blocks` what one row costs in its
+widest temporary: 8 bytes an entry for int64 indices, 4 for zmod's uint32
+rows, 2 for table rows, 1 for bool rows.  So on a ring of at most 256
+elements every kernel but the lattice rounds, which keep blocks of 2^18
+entries, runs in one block, and example 2.4's 2,048-element instance
+builds within 1.6 MiB of its two 8 MiB tables.  A hom of at least
+`_IMAGE_ROWS_MIN_SIZE` source elements whose target rows at the distinct
+images fit one block is checked against those rows, gathered once per op,
+instead of gathering target rows per block; a mismatch re-runs the
+row-major scan, which names the same witness.
 Commutativity compares each table with its transpose one pair
 of `_TILE`-wide square tiles at a time, which keeps both tiles in cache.
 
@@ -73,22 +80,23 @@ EXHAUSTIVE_AXIOM_THRESHOLD = 512
 AXIOM_SAMPLE_COUNT = 65536
 # lighter screen applied at every construction
 CONSTRUCTION_SAMPLE_COUNT = 4096
-# entries per temporary in row-blocked table work (see `_row_blocks`)
-_BLOCK_ENTRIES = 1 << 18
+# bytes per temporary in row-blocked table work (see `_row_blocks`): one
+# int64 temporary of a 256 x 256 table
+_BLOCK_BYTES = 1 << 19
 # side of the square tiles in which `_is_symmetric` compares a table with its transpose
 _TILE = 128
 # `RingHom._validate` gathers the target's rows at the distinct images once
 # per op when the source has at least this many elements and those rows
-# hold at most this many entries; on smaller rings the `np.unique` it needs
-# costs about what it saves
+# fit one block; on smaller rings the `np.unique` it needs costs about what
+# it saves
 _IMAGE_ROWS_MIN_SIZE = 256
-_IMAGE_ROWS_ENTRIES = 4 * _BLOCK_ENTRIES
 
 
-def _row_blocks(rows: int, row_len: int):
-    """(start, stop) slices of 0..rows-1 holding about `_BLOCK_ENTRIES`
-    entries of `row_len` each, at least one row per block."""
-    step = max(1, _BLOCK_ENTRIES // max(row_len, 1))
+def _row_blocks(rows: int, row_bytes: int):
+    """(start, stop) slices of 0..rows-1 holding about `_BLOCK_BYTES`, where
+    one row costs `row_bytes` in the caller's widest temporary; at least one
+    row per block."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
     for start in range(0, rows, step):
         yield start, min(rows, start + step)
 
@@ -306,7 +314,7 @@ class FiniteRing:
     def _rows_reaching(self, value: int, skip: int | None = None) -> np.ndarray:
         """mask[x] iff x * y == value for some y other than `skip`."""
         mask = np.empty(self.size, dtype=bool)
-        for start, stop in _row_blocks(self.size, self.size):
+        for start, stop in _row_blocks(self.size, self.size):  # bool rows
             hit = self.mul[start:stop] == value
             if skip is not None:
                 hit[:, skip] = False
@@ -443,7 +451,7 @@ class FiniteRing:
         n = self.size
         mat = np.zeros((n, n), dtype=bool)
         flat = mat.reshape(-1)
-        for start, stop in _row_blocks(n, n):
+        for start, stop in _row_blocks(n, 8 * n):  # int64 flat indices
             # row x of `mul` lists the multiples of x (the table is symmetric)
             offsets = np.arange(start * n, stop * n, n)[:, None]
             flat[offsets + self.mul[start:stop]] = True
@@ -481,7 +489,7 @@ class RingHom:
             raise HomomorphismError(f"f(1) = {m[src.one]} != 1", witness=(src.one,))
         if src.size >= _IMAGE_ROWS_MIN_SIZE:
             image, pos = np.unique(m, return_inverse=True)
-            few_rows = image.size * max(src.size, tgt.size) <= _IMAGE_ROWS_ENTRIES
+            few_rows = image.size * max(src.size, tgt.size) * tgt.add.itemsize <= _BLOCK_BYTES
             if few_rows and self._agrees_on_image_rows(image, pos):
                 return
         self._scan()
@@ -498,7 +506,7 @@ class RingHom:
         pos = pos.astype(dtype)
         for src_tab, tgt_tab in ((src.add, tgt.add), (src.mul, tgt.mul)):
             rows = at[np.take(tgt_tab[image], m, axis=1)]
-            for start, stop in _row_blocks(src.size, src.size):
+            for start, stop in _row_blocks(src.size, 8 * src.size):  # `np.take` indexes in int64
                 if not (np.take(pos, src_tab[start:stop]) == rows[pos[start:stop]]).all():
                     return False
         return True
@@ -509,7 +517,7 @@ class RingHom:
         src, tgt, m = self.source, self.target, self.map
         n = src.size
         for op, src_tab, tgt_tab in (("+", src.add, tgt.add), ("*", src.mul, tgt.mul)):
-            for start, stop in _row_blocks(n, max(n, tgt.size)):
+            for start, stop in _row_blocks(n, 8 * max(n, tgt.size)):  # `np.take` indexes in int64
                 lhs = np.take(m, src_tab[start:stop])
                 rhs = np.take(tgt_tab[m[start:stop]], m, axis=1)
                 bad = lhs != rhs
@@ -591,7 +599,7 @@ def pair_ring_tables(base: FiniteRing, xadd, xneg, xzero, act, xmul=None) -> tup
     mul = np.empty((size, size), dtype=TABLE_DTYPE)
     xadd_flat = xadd.ravel()
     act_rows = np.asarray(act, dtype=np.int64) * k  # row offset of a.x in xadd_flat, indexed (a, x)
-    for start, stop in _row_blocks(size, size):
+    for start, stop in _row_blocks(size, 8 * size):  # int64 flat indices
         a1, x1 = np.divmod(np.arange(start, stop), k)
         own = act_rows[a1]  # row offset of a1.x2 + x1 x2, indexed (row, x2)
         if xmul is not None:
@@ -617,7 +625,7 @@ def zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     idx = np.arange(n, dtype=np.uint32)
     add = np.empty((n, n), dtype=TABLE_DTYPE)
     mul = np.empty((n, n), dtype=TABLE_DTYPE)
-    for start, stop in _row_blocks(n, n):
+    for start, stop in _row_blocks(n, 4 * n):  # uint32 rows
         rows = idx[start:stop, None]
         add[start:stop] = (rows + idx) % n
         mul[start:stop] = (rows * idx) % n
@@ -740,7 +748,7 @@ def truncated_poly_algebra(p: int, k: int, t: int, size_cap: int = DEFAULT_SIZE_
         valid = prodmap[i] >= 0
         # (d*mono_i) y puts d y_j, reduced mod p, on the digit of mono_i * mono_j
         offsets = ((d * digits[:, valid]) % p @ radix[prodmap[i, valid]]) * size
-        for start, stop in _row_blocks(low, size):
+        for start, stop in _row_blocks(low, 8 * size):  # int64 flat indices
             mul[d * low + start : d * low + stop] = add_flat[offsets + mul[start:stop]]
     neg = ((-digits) % p) @ radix
 

@@ -18,7 +18,7 @@ def pair_condition_matrix(ring: FiniteRing) -> np.ndarray:
     sq_zero = sq == ring.zero
     in_principal = ring.principal_membership
     ok = np.empty((n, n), dtype=bool)
-    for start, stop in _row_blocks(n, n):
+    for start, stop in _row_blocks(n, n):  # bool rows
         prods = mul[start:stop]
         sq_a = sq[start:stop, None]
         prod_nonzero = prods != ring.zero

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import amalgam.cli
+import amalgam.expressions
 import amalgam.harness
 import amalgam.properties
 from amalgam.catalog import CATALOG_RINGS
@@ -354,6 +355,27 @@ def test_encode_human_form_per_constructor(capsys, label):
     width = len(str(len(names) - 1))
     lines = [f"element encoding for {label} ({header})", *(f"  {i:>{width}}  {n}" for i, n in enumerate(names))]
     assert run_cli(capsys, "encode", label) == (0, "\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize("label", [label for label in ENCODE_HUMAN if not label.startswith(("zmod", "tpa"))])
+def test_encode_counts_each_constructors_names_before_spelling_them(capsys, monkeypatch, label):
+    total = sum(map(len, ENCODE_HUMAN[label][1].split()))
+    monkeypatch.setattr(amalgam.expressions, "MAX_NAME_CHARS", total)
+    assert run_cli(capsys, "encode", label)[0] == 0
+    monkeypatch.setattr(amalgam.expressions, "MAX_NAME_CHARS", total - 1)
+    refusal = f"cap exceeded: {label} would spell {total} characters of element names, cap is {total - 1}\n"
+    assert run_cli(capsys, "encode", label) == (2, "", refusal)
+
+
+def test_encode_refuses_runaway_names_in_well_under_a_second(capsys):
+    # each dup(X;) level doubles an element's pair name: 247 bytes of text
+    # would spell 2^40 characters
+    text = "dup(" * 40 + "zmod(2)" + ";)" * 40
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "encode", text)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "") and err.startswith("cap exceeded: dup(")
+    assert err.endswith(f" characters of element names, cap is {amalgam.expressions.MAX_NAME_CHARS}\n")
 
 
 def test_props_on_nested_duplications_spells_no_names(capsys):

@@ -3,8 +3,10 @@
 tracemalloc counts numpy buffers the same way on every machine, so these
 bounds do not depend on the allocator or on resident-set accounting.
 Every table is uint16.  Example 2.4's 2,048-element instance has two
-tables of 8 MB each; its build peaks near 21 MB, 38 MB with int32 tables,
-and building them entry by entry through n x n int64 index arrays peaked
+tables of 8 MiB each; with row blocks of 512 KiB its build peaks at 17.5 MiB
+and `is_gaussian` at 1.1 MiB above its start.  Blocks of 2^18 entries,
+whatever their dtype, peaked at 19.8 and 2.0 MiB, int32 tables near 38 MB,
+and building the tables entry by entry through n x n int64 index arrays
 at 160 MB.  The unblocked Gaussian pair check peaked at 52 MB above its
 start.  tpa(2,1,12) has two tables of 32 MB each; its build peaks near
 67 MB, 132 MB with int32 tables, and building its addition through an
@@ -63,8 +65,10 @@ def test_example_2_4_build_and_gaussian_peaks():
         tracemalloc.stop()
 
     assert ring.size == 2048 and not gaussian
-    assert build_peak <= 28 * MB, f"build peaked at {build_peak / MB:.1f} MB"
-    assert gaussian_peak - start <= 24 * MB, f"is_gaussian peaked at {(gaussian_peak - start) / MB:.1f} MB"
+    tables = ring.add.nbytes + ring.mul.nbytes
+    assert tables == 16 * MB
+    assert build_peak <= tables + 2 * MB, f"build peaked at {build_peak / MB:.2f} MB"
+    assert gaussian_peak - start <= 1.5 * MB, f"is_gaussian peaked at {(gaussian_peak - start) / MB:.2f} MB"
 
 
 def test_tpa_2_1_12_build_peak():

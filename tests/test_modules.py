@@ -49,9 +49,10 @@ def test_vspace_tables_match_the_coordinatewise_formula(monkeypatch, label, dim)
     radix = q ** np.arange(dim)
     add = field.add[digits[:, None, :], digits[None, :, :]] @ radix
     act = field.mul[proj.map[:, None, None], digits[None, :, :]] @ radix
-    # one block, two rows per block (the last one ragged for odd q), one row per block
-    for entries in (amalgam.rings._BLOCK_ENTRIES, 2 * q**dim, 1):
-        monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", entries)
+    # one block, two rows per block (the last one ragged for odd q), one row
+    # per block; a row costs 8 bytes an entry
+    for budget in (amalgam.rings._BLOCK_BYTES, 2 * 8 * q**dim, 1):
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", budget)
         module = vspace_over_residue(ring, dim)
         assert (module.add == add).all() and (module.action == act).all()
         assert module.add.dtype == module.action.dtype == TABLE_DTYPE

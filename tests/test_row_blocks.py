@@ -1,25 +1,43 @@
 """Row-blocked table checks give the one-block results at every block size.
 
-`rings._BLOCK_ENTRIES` is set to 1 or 3 rows of the ring at hand (3 leaves
+`rings._BLOCK_BYTES` is set to 1 or 3 rows of the ring at hand (3 leaves
 a ragged last block on most sizes) and compared with a run whose single
-block holds the whole table.  The pair matrix is the all-pairs oracle of
-`pair_oracle`; the pair check's unit-orbit gather runs over the same
+block holds the whole table.  A kernel's row costs 1, 2 or 8 bytes an
+entry (bool, table or int64 rows), so one byte an entry gives every
+kernel one row per block, and three rows are set at each width in turn.
+The pair matrix is the all-pairs oracle of `pair_oracle`; the pair check's unit-orbit gather runs over the same
 blocks, one to three unit rows at a time.  Hom validation against the
 target's rows at the distinct images gives the row-major scan's message
 and witness on every corrupted map.
 """
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import amalgam.modules
+import amalgam.properties
 import amalgam.rings
 from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLES
-from amalgam.properties import _first_incomparable, _unit_orbits, is_local, local_gaussian_pair_check
+from amalgam.ideals import enumerate_ideals
+from amalgam.modules import vspace_over_residue
+from amalgam.properties import (
+    _first_incomparable,
+    _unit_orbits,
+    is_local,
+    local_gaussian_pair_check,
+    property_report,
+)
 from amalgam.rings import FiniteRing, RingHom, product, truncated_poly_algebra, zmod
 from pair_oracle import pair_condition_matrix
 
 ONE_BLOCK = 1 << 62
+# bytes an entry at which a budget of `rows` rows is set
+WIDTHS = {1: (1,), 3: (1, 2, 8)}
 
 
 def _fresh(ring: FiniteRing) -> FiniteRing:
@@ -46,15 +64,16 @@ def rings_to_check(catalog):
 def test_blocked_membership_pairs_and_witness_match_one_block(monkeypatch, rings_to_check, rows):
     witnesses = 0
     for ring in rings_to_check:
-        monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", ONE_BLOCK)
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", ONE_BLOCK)
         principal, pairs, witness, orbits = _blocked_results(ring)
-        monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * ring.size)
-        b_principal, b_pairs, b_witness, b_orbits = _blocked_results(ring)
-        assert np.array_equal(principal, b_principal), ring.label
-        assert np.array_equal(pairs, b_pairs), ring.label
-        assert witness == b_witness, ring.label
-        if orbits is not None:
-            assert all(np.array_equal(x, y) for x, y in zip(orbits, b_orbits)), ring.label
+        for width in WIDTHS[rows]:
+            monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", rows * width * ring.size)
+            b_principal, b_pairs, b_witness, b_orbits = _blocked_results(ring)
+            assert np.array_equal(principal, b_principal), (ring.label, width)
+            assert np.array_equal(pairs, b_pairs), (ring.label, width)
+            assert witness == b_witness, (ring.label, width)
+            if orbits is not None:
+                assert all(np.array_equal(x, y) for x, y in zip(orbits, b_orbits)), (ring.label, width)
         if witness is not None and not witness[0]:
             witnesses += 1
             assert witness[1] == tuple(int(v) for v in np.argwhere(~pairs)[0])
@@ -81,9 +100,10 @@ def test_hom_witness_past_the_first_block(monkeypatch, rows):
     # and multiplicative on rows 0-3, and f(y)^2 = 1 != 0 = f(y^2)
     ring = truncated_poly_algebra(2, 2, 2)
     index_map = [0, 1, 0, 1, 5, 4, 5, 4]
-    monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", ONE_BLOCK)
+    monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", ONE_BLOCK)
     whole = _hom_error(ring, ring, index_map)
-    monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * ring.size)
+    # the scan costs a row 8 bytes an entry
+    monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", rows * 8 * ring.size)
     blocked = _hom_error(ring, ring, index_map)
     assert whole.witness == blocked.witness == (4, 4)
     assert str(whole) == str(blocked) == "f(x*y) != f(x)*f(y) at (4, 4)"
@@ -96,7 +116,7 @@ def test_first_incomparable_pair_matches_the_whole_matrix(monkeypatch, catalog, 
         for factor, _proj in ring.local_factor_maps():
             in_principal = factor.principal_membership
             if rows is not None:
-                monkeypatch.setattr(amalgam.rings, "_BLOCK_ENTRIES", rows * factor.size)
+                monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", rows * factor.size)  # bool rows
             incomparable = ~(in_principal | in_principal.T)
             expected = divmod(int(np.argmax(incomparable)), factor.size) if incomparable.any() else None
             assert _first_incomparable(in_principal) == expected, factor.label
@@ -149,3 +169,57 @@ def test_hom_validation_by_image_rows_matches_the_row_major_scan(monkeypatch, ca
         expected = _first_failure(source, target, corrupt)
         error = _hom_error(source, target, corrupt)
         assert expected is not None and (str(error), error.witness) == expected
+
+
+def _row_block_callers() -> set[tuple[str, str]]:
+    """(module, innermost function) of every call to `_row_blocks` in src/."""
+    callers = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_row_blocks":
+                callers.add((module, owner))
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in Path(amalgam.rings.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return callers
+
+
+def test_every_row_block_caller_runs_in_one_block_on_a_256_element_ring(monkeypatch):
+    # every catalog ring, spec and props label has at most 256 elements, so
+    # their kernels do not depend on the byte budget: each runs in one block,
+    # and the lattice rounds in blocks of at least 2^18 entries
+    real = amalgam.rings._row_blocks
+    calls = []
+
+    def recording(rows, row_bytes):
+        caller = sys._getframe(1)
+        blocks = list(real(rows, row_bytes))
+        stem = caller.f_globals["__name__"].rsplit(".", 1)[1]
+        calls.append((stem, caller.f_code.co_name, rows, dict(caller.f_locals), blocks))
+        return iter(blocks)
+
+    for module in (amalgam.rings, amalgam.modules, amalgam.properties):
+        monkeypatch.setattr(module, "_row_blocks", recording)
+    for label in ("zmod(256)", "tpa(2,1,8)", "trivext(zmod(16);regular)", "dup(zmod(16);1)"):
+        ring = Evaluator().ring(parse(label))
+        assert ring.size == 256
+        property_report(ring)
+        enumerate_ideals(ring)
+    assert vspace_over_residue(zmod(2), 8).size == 256
+    z256, idx = zmod(256), np.arange(256)
+    RingHom(z256, zmod(16), idx % 16)  # checked against the image rows
+    corrupt = idx % 16
+    corrupt[5] = 6
+    _hom_error(z256, zmod(16), corrupt)  # and then by the row-major scan
+
+    assert {(module, caller) for module, caller, *_ in calls} == _row_block_callers()
+    for module, caller, rows, local, blocks in calls:
+        if caller == "_local_ideals":
+            # a lattice round's blocks keep at least 2^18 entries of its widest rows
+            entries = local["n"] * max(local["n_gens"], int(local["frontier"].sum(axis=1).max()))
+            step = max(1, (1 << 18) // entries)
+            assert all(stop - start >= min(step, rows - start) for start, stop in blocks), (caller, rows)
+        else:
+            assert blocks == [(0, rows)], (module, caller, rows)
