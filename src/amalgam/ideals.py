@@ -16,6 +16,16 @@ multiply, so this one budget is an exact guard: it refuses the rings with
 more than `MAX_IDEALS` ideals and no others, whatever the enumeration
 order, and a factor stops within one row block of overrunning it.  The
 radicals work elementwise and need no guard.
+
+Like the table kernels of `rings`, the ideal layer holds one row block of
+about 512 KiB at a time (`rings._row_blocks`): sums, products, additive
+closures, generators and the validation of outside input scatter table
+entries at rows x cols into a mask one block of rows at a time
+(`_table_mask`), and `lattice_order` builds the join from one block of
+its L x L x L bool temporary at a time.  So `is_arithmetical` on
+`zmod(4096)`, whose maximal ideal m has 2,048 members, peaks 1.4 MiB
+above its start although m * m reads 2,048^2 products, and
+`lattice_order` on a lattice of 106 ideals peaks at 0.65 MiB.
 """
 from __future__ import annotations
 
@@ -80,9 +90,9 @@ class Ideal:
             raise NotAnIdealError("ideal must contain zero")
         if not mask[ring.neg[idx]].all():
             raise NotAnIdealError("member set not closed under negation")
-        if not mask[ring.add[np.ix_(idx, idx)]].all():
+        if (_table_mask(ring, ring.add, idx, idx) & ~mask).any():
             raise NotAnIdealError("member set not closed under addition")
-        if not mask[ring.mul[:, idx]].all():
+        if (_table_mask(ring, ring.mul, np.arange(ring.size), idx) & ~mask).any():
             raise NotAnIdealError("member set not closed under ring multiplication")
 
     # -- basic queries ----------------------------------------------------
@@ -135,7 +145,7 @@ class Ideal:
         for x in self.indices.tolist():
             if not span[x]:
                 gens.append(x)
-                span[ring.add[np.flatnonzero(span)[:, None], np.flatnonzero(_distinct(ring, ring.mul[x]))]] = True
+                span = _table_mask(ring, ring.add, np.flatnonzero(span), np.flatnonzero(_distinct(ring, ring.mul[x])))
         self._generators = tuple(gens)
         return self._generators
 
@@ -156,15 +166,25 @@ def _distinct(ring: FiniteRing, values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _additive_closure(ring: FiniteRing, seed: np.ndarray) -> np.ndarray:
-    """Close a set (holding zero, closed under negation and ring action) under +, as a mask.
+def _table_mask(ring: FiniteRing, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The membership mask of the entries of `table` at rows x cols, scattered
+    one `_row_blocks` block of rows at a time, so no |rows| x |cols| gather
+    is held at once.  Reads only `.size`, so it serves modules too."""
+    mask = np.zeros(ring.size, dtype=bool)
+    for start, stop in _rings._row_blocks(len(rows), 2 * len(cols)):  # table rows
+        mask[table[rows[start:stop, None], cols]] = True
+    return mask
+
+
+def _additive_closure(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """Close a set (holding zero, closed under negation and ring action),
+    given as a mask, under +.
 
     Reads only `.add` and `.size`, so a module's submodules close the same way.
     """
-    mask = _distinct(ring, seed)
     while True:
         cur = np.flatnonzero(mask)
-        mask = _distinct(ring, ring.add[cur[:, None], cur])
+        mask = _table_mask(ring, ring.add, cur, cur)
         if np.count_nonzero(mask) == cur.size:
             return mask
 
@@ -181,7 +201,7 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
         if not 0 <= g < ring.size:
             raise NotAnIdealError(f"generator index {g} out of range for {ring.label} (size {ring.size})")
     seed = np.concatenate([ring.mul[:, sorted(set(gens))].ravel(), [ring.zero]])
-    return Ideal._from_mask(ring, _additive_closure(ring, seed))
+    return Ideal._from_mask(ring, _additive_closure(ring, _distinct(ring, seed)))
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
@@ -192,14 +212,13 @@ def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
 def ideal_sum(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
-    return Ideal._from_mask(ring, _distinct(ring, ring.add[left.indices[:, None], right.indices]))
+    return Ideal._from_mask(ring, _table_mask(ring, ring.add, left.indices, right.indices))
 
 
 def ideal_product(left: Ideal, right: Ideal) -> Ideal:
     _check_same_ring(left, right)
     ring = left.ring
-    prods = ring.mul[left.indices[:, None], right.indices].ravel()
-    return Ideal._from_mask(ring, _additive_closure(ring, prods))
+    return Ideal._from_mask(ring, _additive_closure(ring, _table_mask(ring, ring.mul, left.indices, right.indices)))
 
 
 def ideal_intersect(left: Ideal, right: Ideal) -> Ideal:
@@ -223,8 +242,6 @@ def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
     members and its bool hit rows fit one `_row_blocks` block at 2 bytes an
     entry.
     """
-    from .rings import _row_blocks  # rings imports this module
-
     n = factor.size
     found: dict[bytes, None] = {}
 
@@ -244,7 +261,7 @@ def _local_ideals(factor: FiniteRing, budget: int, refusal: str) -> np.ndarray:
     gen_rows, gen_members = (positions.astype(np.int32) for positions in np.nonzero(frontier))
     while len(frontier):
         found_now = []
-        for start, stop in _row_blocks(len(frontier), 2 * n * max(n_gens, int(frontier.sum(axis=1).max()))):
+        for start, stop in _rings._row_blocks(len(frontier), 2 * n * max(n_gens, int(frontier.sum(axis=1).max()))):
             owners, members = np.nonzero(frontier[start:stop])
             starts = np.flatnonzero(np.diff(owners, prepend=-1))
             coset = np.minimum.reduceat(factor.add[members], starts, axis=0)
@@ -327,10 +344,17 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
 def lattice_order(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """Containment and join over the size-sorted rows of `_lattice_matrix`:
     contains[i, j] iff ideal i lies in ideal j, and join[i, j], the row of
-    their sum, is the first ideal containing both."""
+    their sum, is the first ideal containing both.  The join is taken one
+    `_row_blocks` block of rows at a time: row i costs its L x L bool slice
+    (i, j, k) of the ideals k containing both i and j, each row's `argmax`
+    its own."""
     members = _lattice_matrix(ring).astype(np.float32)  # counts <= 256 are exact
     contains = (members @ (1 - members).T) == 0
-    return contains, (contains[:, None, :] & contains[None, :, :]).argmax(axis=2)
+    size = len(contains)
+    join = np.empty((size, size), dtype=np.intp)
+    for start, stop in _rings._row_blocks(size, size * size):  # bool (i, j, k)
+        (contains[start:stop, None, :] & contains[None, :, :]).argmax(axis=2, out=join[start:stop])
+    return contains, join
 
 
 def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal, Ideal] | None]:
@@ -355,3 +379,9 @@ def is_distributive_lattice(ring: FiniteRing) -> tuple[bool, tuple[Ideal, Ideal,
             j, k = (int(v) for v in bad[0])
             return False, tuple(Ideal._from_mask(ring, lattice[x]) for x in (i, j, k))
     return True, None
+
+
+# rings imports this module, so rings is bound here, last, where either
+# import order works; `_rings._row_blocks` is looked up at each call, so a
+# patched `rings._row_blocks` or `rings._BLOCK_BYTES` holds here too
+from . import rings as _rings  # noqa: E402

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, MixedRingError, NotASubmoduleError, NotLocalError, StructureError
-from .ideals import _additive_closure, maximal_ideals
+from .ideals import _additive_closure, _distinct, maximal_ideals
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -148,7 +148,7 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> np.ndarray
         if not 0 <= g < module.size:
             raise NotASubmoduleError(f"module generator {g} out of range for {module.label}")
     seed = np.concatenate([module.action[:, sorted(set(gens))].ravel(), [module.zero]])
-    return np.flatnonzero(_additive_closure(module, seed))
+    return np.flatnonzero(_additive_closure(module, _distinct(module, seed)))
 
 
 def module_quotient(module: FiniteModule, gens: Sequence[int]) -> FiniteModule:

@@ -26,15 +26,18 @@ gathered from the flattened tables (every triple, in one vectorised pass,
 up to n = 16).  `FiniteRing.validate` runs the full exhaustive check.
 
 Work that sweeps all n^2 pairs of a table (the pair-table, zmod, tpa and
-resfield builders, hom validation, principal membership, the lattice
-rounds, the Gaussian pair check and the chain certificates) runs over row
-blocks of about `_BLOCK_BYTES` = 512 KiB, so its memory is O(output +
-block) rather than a handful of n x n temporaries; every pair is still
+resfield builders, hom validation, principal membership, the cosets of a
+quotient, the Gaussian pair check and the chain certificates), the ideal
+layer's sums, products and closures (`ideals._table_mask`), and the
+lattice rounds and join run over row blocks of about `_BLOCK_BYTES` =
+512 KiB, so its memory is O(output + block) rather than a handful of
+n x n (or L x L x L, for L ideals) temporaries; every pair is still
 checked.  Each caller passes `_row_blocks` what one row costs in its
 widest temporary: 8 bytes an entry for int64 indices, 4 for zmod's uint32
 rows, 2 for table rows, 1 for bool rows.  So on a ring of at most 256
-elements every kernel but the lattice rounds, which keep blocks of 2^18
-entries, runs in one block, and example 2.4's 2,048-element instance
+elements every kernel runs in one block but the lattice rounds, which
+keep blocks of 2^18 entries, and the join of a lattice of more than 80
+ideals, whose rows cost L^2 bytes; example 2.4's 2,048-element instance
 builds within 1.6 MiB of its two 8 MiB tables.  A hom of at least
 `_IMAGE_ROWS_MIN_SIZE` source elements whose target rows at the distinct
 images fit one block is checked against those rows, gathered once per op,
@@ -95,10 +98,12 @@ _IMAGE_ROWS_MIN_SIZE = 256
 def _row_blocks(rows: int, row_bytes: int):
     """(start, stop) slices of 0..rows-1 holding about `_BLOCK_BYTES`, where
     one row costs `row_bytes` in the caller's widest temporary; at least one
-    row per block."""
+    row per block.  A single block is returned as a tuple, which is cheaper
+    to make than a generator on the small rings that most calls see."""
     step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-    for start in range(0, rows, step):
-        yield start, min(rows, start + step)
+    if step >= rows:
+        return ((0, rows),) if rows else ()
+    return ((start, min(rows, start + step)) for start in range(0, rows, step))
 
 
 def _is_symmetric(table: np.ndarray) -> bool:
@@ -774,8 +779,11 @@ def product(a: FiniteRing, b: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> F
 def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cosets of an additive subgroup (of a ring or a module, by its
     addition table), each represented by its minimal member: the `TABLE_DTYPE`
-    index map onto them and their representatives ascending."""
-    rep = add[:, members].min(axis=1)
+    index map onto them and their representatives ascending.  Each element's
+    coset is read one `_row_blocks` block of rows of `add` at a time."""
+    rep = np.empty(len(add), dtype=add.dtype)
+    for start, stop in _row_blocks(len(add), 2 * len(members)):  # table rows
+        rep[start:stop] = add[start:stop, members].min(axis=1)
     reps = np.unique(rep)
     if len(reps) * len(members) != len(add):
         raise InternalCheckError("coset count does not divide the carrier")

@@ -23,8 +23,15 @@ one 2 MB addition table and peak near 12 and 6 MB; gathering them through
 allocated, whatever the cap.  On zmod(4096) and tpa(2,1,12) the
 incomparable-pair scan of `is_arithmetical` and the multiple check of
 `chain_certificate` peaked at 33 and 17 MB above their start through
-n x n bool temporaries; read one row block at a time, both peak near
-11 MB, most of it the product m * m.
+n x n bool temporaries, and near 10.7 MiB with those read one row block
+at a time but the product m * m gathered whole; with the ideal layer in
+row blocks too, both peak at 1.4 MiB.  quotient(zmod(4096), (2)) peaked
+at 16.2 MiB above its start through a whole 4,096 x 2,048 coset gather
+and peaks at 0.8 MiB with it in row blocks.  The lattice join of the
+106 ideals of trivext(tpa(2,2,3);resfield(1)) peaked at 1.28 MiB through
+one L x L x L bool temporary and peaks at 0.65 MiB one row block at a
+time, and that join set the peak of `property_report` over the catalog
+(1.29 MiB, now 0.65 MiB).
 """
 import gc
 import tracemalloc
@@ -36,10 +43,10 @@ from amalgam.amalgamation import amalgamate
 from amalgam.errors import CapExceededError
 from amalgam.harness import reproduce_examples
 from amalgam.expressions import EmbedHomExpr, Evaluator, RegularExpr, TrivextExpr, ZmodExpr, parse
-from amalgam.ideals import Ideal, enumerate_ideals
+from amalgam.ideals import Ideal, enumerate_ideals, ideal_generated, lattice_order
 from amalgam.modules import vspace_over_residue
-from amalgam.properties import chain_certificate, is_arithmetical, is_gaussian, is_local
-from amalgam.rings import hom_identity, pair_indices, product, truncated_poly_algebra, zmod
+from amalgam.properties import chain_certificate, is_arithmetical, is_gaussian, is_local, property_report
+from amalgam.rings import hom_identity, pair_indices, product, quotient, truncated_poly_algebra, zmod
 
 MB = 1 << 20
 
@@ -144,8 +151,47 @@ def test_arithmetical_and_chain_certificate_peaks(label):
     finally:
         tracemalloc.stop()
     assert arithmetical
-    assert arithmetical_peak - start <= 14 * MB, f"is_arithmetical peaked at {(arithmetical_peak - start) / MB:.1f} MB"
-    assert chain_peak - start_chain <= 14 * MB, f"chain_certificate peaked at {(chain_peak - start_chain) / MB:.1f} MB"
+    assert arithmetical_peak - start <= 1.5 * MB, f"is_arithmetical peaked at {(arithmetical_peak - start) / MB:.2f} MB"
+    assert chain_peak - start_chain <= 1.5 * MB, f"chain_certificate peaked at {(chain_peak - start_chain) / MB:.2f} MB"
+
+
+def _peak_above_start(run) -> int:
+    """Bytes that `run()` held at its peak above what was held when it started."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_quotient_by_a_large_ideal_peak():
+    # (2) has 2,048 members, so reading every coset through whole rows of
+    # `add` at the members gathers 4,096 x 2,048 table entries
+    small = zmod(4)
+    quotient(small, ideal_generated(small, [2]))  # imports what the first quotient imports
+    ring = zmod(4096)
+    peak = _peak_above_start(lambda: quotient(ring, ideal_generated(ring, [2])))
+    assert peak <= 1 * MB, f"quotient(zmod(4096), (2)) peaked at {peak / MB:.2f} MB"
+
+
+def test_lattice_join_peak():
+    ring = Evaluator().ring(parse("trivext(tpa(2,2,3);resfield(1))"))
+    lattice_order(ring)  # the lattice is enumerated and kept before the count starts
+    assert len(ring.ideal_lattice) == 106
+    peak = _peak_above_start(lambda: lattice_order(ring))
+    assert peak <= 0.75 * MB, f"lattice_order peaked at {peak / MB:.2f} MB"
+
+
+def test_property_report_stays_within_the_block_budget(catalog):
+    peaks = {}
+    for ring in catalog.rings:
+        property_report(ring)  # the caches this builds are kept, so the next report holds only transients
+        peaks[ring.label] = _peak_above_start(lambda: property_report(ring))
+    label = max(peaks, key=peaks.get)
+    assert peaks[label] <= 0.75 * MB, f"property_report on {label} peaked at {peaks[label] / MB:.2f} MB"
 
 
 def test_examples_free_their_rings_without_the_cyclic_gc():

@@ -8,7 +8,10 @@ kernel one row per block, and three rows are set at each width in turn.
 The pair matrix is the all-pairs oracle of `pair_oracle`; the pair check's unit-orbit gather runs over the same
 blocks, one to three unit rows at a time.  Hom validation against the
 target's rows at the distinct images gives the row-major scan's message
-and witness on every corrupted map.
+and witness on every corrupted map.  The ideal layer's sums, products,
+closures, generators and cosets give the one-block results at one row a
+block and at a budget of three table rows, and the lattice join at one
+and three rows a block.
 """
 import ast
 import sys
@@ -23,7 +26,17 @@ import amalgam.rings
 from amalgam.errors import HomomorphismError
 from amalgam.expressions import Evaluator, parse
 from amalgam.harness import EXAMPLES
-from amalgam.ideals import enumerate_ideals
+from amalgam.ideals import (
+    Ideal,
+    _lattice_matrix,
+    enumerate_ideals,
+    ideal_generated,
+    ideal_product,
+    ideal_sum,
+    lattice_order,
+    maximal_ideals,
+    principal_ideal,
+)
 from amalgam.modules import vspace_over_residue
 from amalgam.properties import (
     _first_incomparable,
@@ -32,7 +45,8 @@ from amalgam.properties import (
     local_gaussian_pair_check,
     property_report,
 )
-from amalgam.rings import FiniteRing, RingHom, product, truncated_poly_algebra, zmod
+from amalgam.modules import module_quotient, ring_as_module
+from amalgam.rings import FiniteRing, RingHom, _cosets, product, quotient, truncated_poly_algebra, zmod
 from pair_oracle import pair_condition_matrix
 
 ONE_BLOCK = 1 << 62
@@ -78,6 +92,52 @@ def test_blocked_membership_pairs_and_witness_match_one_block(monkeypatch, rings
             witnesses += 1
             assert witness[1] == tuple(int(v) for v in np.argwhere(~pairs)[0])
     assert witnesses > 0  # some rings do fail the pair check
+
+
+def _ideal_layer_results(ring: FiniteRing):
+    """What the ideal layer's row-blocked kernels give on a fresh copy of
+    `ring`: the ideal generated by its last element x, the addition table
+    of the ring as a module modulo (x), and for every maximal ideal m the
+    masks of m * m and m + (x), the generators of m validated afresh, and
+    the cosets of m."""
+    fresh = _fresh(ring)
+    last = fresh.size - 1
+    results = [ideal_generated(fresh, [last]).mask, module_quotient(ring_as_module(fresh), [last]).add]
+    for m in maximal_ideals(fresh):
+        results += [ideal_product(m, m).mask, ideal_sum(m, principal_ideal(fresh, last)).mask]
+        results += [np.asarray(Ideal(fresh, m.indices).generators()), *_cosets(fresh.add, m.indices)]
+    return results
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_blocked_ideal_layer_matches_one_block(monkeypatch, catalog, rows):
+    # `_table_mask` and `_cosets` cost a row 2 bytes an entry of its columns,
+    # so a budget of one byte gives every call one row a block
+    for ring in catalog.rings:
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", ONE_BLOCK)
+        whole = _ideal_layer_results(ring)
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", 1 if rows == 1 else rows * 2 * ring.size)
+        blocked = _ideal_layer_results(ring)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, blocked, strict=True)), ring.label
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_blocked_join_matches_the_one_shot_formula(monkeypatch, catalog, rows):
+    # the join costs a row L^2 bytes of bool, L the number of ideals
+    joined = 0
+    for ring in catalog.rings:
+        if isinstance(ring.ideal_lattice, str):
+            continue  # past the enumeration guard
+        lattice = _lattice_matrix(ring)
+        size = len(lattice)
+        monkeypatch.setattr(amalgam.rings, "_BLOCK_BYTES", ONE_BLOCK if rows is None else rows * size * size)
+        contains, join = lattice_order(ring)
+        expected_contains = (lattice[:, None, :] <= lattice[None, :, :]).all(axis=2)
+        expected_join = (expected_contains[:, None, :] & expected_contains[None, :, :]).argmax(axis=2)
+        assert np.array_equal(contains, expected_contains), ring.label
+        assert np.array_equal(join, expected_join), ring.label
+        joined += size > 1
+    assert joined > 100
 
 
 def test_principal_membership_by_definition():
@@ -177,7 +237,8 @@ def _row_block_callers() -> set[tuple[str, str]]:
 
     def visit(node, module, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_row_blocks":
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "_row_blocks":  # `_row_blocks` or `_rings._row_blocks`
                 callers.add((module, owner))
             visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
 
@@ -189,7 +250,9 @@ def _row_block_callers() -> set[tuple[str, str]]:
 def test_every_row_block_caller_runs_in_one_block_on_a_256_element_ring(monkeypatch):
     # every catalog ring, spec and props label has at most 256 elements, so
     # their kernels do not depend on the byte budget: each runs in one block,
-    # and the lattice rounds in blocks of at least 2^18 entries
+    # the lattice rounds in blocks of at least 2^18 entries, and the lattice
+    # join, whose rows cost L^2 bytes for L <= 128 ideals, in blocks of
+    # 512 KiB, one block up to 80 ideals
     real = amalgam.rings._row_blocks
     calls = []
 
@@ -202,11 +265,13 @@ def test_every_row_block_caller_runs_in_one_block_on_a_256_element_ring(monkeypa
 
     for module in (amalgam.rings, amalgam.modules, amalgam.properties):
         monkeypatch.setattr(module, "_row_blocks", recording)
-    for label in ("zmod(256)", "tpa(2,1,8)", "trivext(zmod(16);regular)", "dup(zmod(16);1)"):
+    labels = ("zmod(256)", "tpa(2,1,8)", "trivext(zmod(16);regular)", "dup(zmod(16);1)", "dup(trivext(zmod(16);resfield(1));5)")
+    for label in labels:
         ring = Evaluator().ring(parse(label))
         assert ring.size == 256
         property_report(ring)
         enumerate_ideals(ring)
+        quotient(ring, ideal_generated(ring, [ring.size - 1]))
     assert vspace_over_residue(zmod(2), 8).size == 256
     z256, idx = zmod(256), np.arange(256)
     RingHom(z256, zmod(16), idx % 16)  # checked against the image rows
@@ -215,11 +280,19 @@ def test_every_row_block_caller_runs_in_one_block_on_a_256_element_ring(monkeypa
     _hom_error(z256, zmod(16), corrupt)  # and then by the row-major scan
 
     assert {(module, caller) for module, caller, *_ in calls} == _row_block_callers()
+    split_joins = 0
     for module, caller, rows, local, blocks in calls:
         if caller == "_local_ideals":
             # a lattice round's blocks keep at least 2^18 entries of its widest rows
             entries = local["n"] * max(local["n_gens"], int(local["frontier"].sum(axis=1).max()))
             step = max(1, (1 << 18) // entries)
             assert all(stop - start >= min(step, rows - start) for start, stop in blocks), (caller, rows)
+        elif caller == "lattice_order":
+            # the join's blocks hold 2^19 bytes of (i, j, k) bools, L^2 a row
+            step = (1 << 19) // rows**2
+            assert blocks == [(start, min(rows, start + step)) for start in range(0, rows, step)], (caller, rows)
+            assert (len(blocks) > 1) == (rows > 80), (caller, rows)
+            split_joins += len(blocks) > 1
         else:
             assert blocks == [(0, rows)], (module, caller, rows)
+    assert split_joins == 1  # dup(trivext(zmod(16);resfield(1));5), 93 ideals
