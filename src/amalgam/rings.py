@@ -98,12 +98,10 @@ _IMAGE_ROWS_MIN_SIZE = 256
 def _row_blocks(rows: int, row_bytes: int):
     """(start, stop) slices of 0..rows-1 holding about `_BLOCK_BYTES`, where
     one row costs `row_bytes` in the caller's widest temporary; at least one
-    row per block.  A single block is returned as a tuple, which is cheaper
-    to make than a generator on the small rings that most calls see."""
+    row per block."""
     step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-    if step >= rows:
-        return ((0, rows),) if rows else ()
-    return ((start, min(rows, start + step)) for start in range(0, rows, step))
+    for start in range(0, rows, step):
+        yield start, min(rows, start + step)
 
 
 def _is_symmetric(table: np.ndarray) -> bool:
