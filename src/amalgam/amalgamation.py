@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalCheckError, MixedRingError
-from .ideals import Ideal, ideal_product
+from .ideals import Ideal, _unique, ideal_product
 from .properties import RING_FACTS, is_local
 from .rings import (
     DEFAULT_SIZE_CAP,
@@ -208,8 +208,8 @@ def f_image_plus_j(target: FiniteRing, f: RingHom, j: Ideal) -> tuple[FiniteRing
     checks the carrier's closure; the target, with its identity, when it is all."""
     if f.target is not target or j.ring is not target:
         raise MixedRingError("f_image_plus_j: mismatched rings")
-    img = np.unique(f.map)
-    carrier = np.unique(target.add[np.ix_(img, j.indices)])
+    img = _unique(target.size, f.map)
+    carrier = _unique(target.size, target.add[np.ix_(img, j.indices)])
     if carrier.size == target.size:
         return target, hom_identity(target)
     # positions in the carrier, gathered straight into the subring's tables
@@ -290,7 +290,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     "maximal ideal squares to zero": _maximal_squares_to_zero,
     "f injective": lambda i: i.f.is_injective,
     "f not injective": lambda i: not holds(i, "f injective"),
-    "f(A) meets J only in zero": lambda i: int(i.j.mask[np.unique(i.f.map)].sum()) == 1,
+    "f(A) meets J only in zero": lambda i: int(i.j.mask[_unique(i.target.size, i.f.map)].sum()) == 1,
     "f(A) meets J beyond zero": lambda i: not holds(i, "f(A) meets J only in zero"),
     "f(A) + J is the whole target": lambda i: i.fimage_plus_j.size == i.target.size,
     "J proper": lambda i: i.j.is_proper,
@@ -310,7 +310,7 @@ PREDICATES: dict[str, Callable[[AmalgamationInstance], bool]] = {
     ),
     "maximal ideal of R is m |><| J": _maximal_is_m_times_j,
     "pB maps R bijectively onto f(A) + J": (
-        lambda i: int(np.unique(i.to_target.map).size) == i.ring.size == i.fimage_plus_j.size
+        lambda i: _unique(i.target.size, i.to_target.map).size == i.ring.size == i.fimage_plus_j.size
     ),
 }
 

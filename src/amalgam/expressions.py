@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapExceededError, EvaluationError, ParseError
-from .ideals import ideal_generated
+from .ideals import _unique, ideal_generated
 from .modules import FiniteModule, module_quotient, ring_as_module, submodule_generated, trivial_extension
 from .modules import vspace_over_residue
 from .rings import (
@@ -427,7 +427,7 @@ class Evaluator:
         elif isinstance(expr, ProductExpr):
             names = _pairs_named(expr, self.element_names(expr.left), self.element_names(expr.right), ",")
         elif isinstance(expr, QuotExpr):
-            _, reps = np.unique(self._homs[expr].map, return_index=True)  # first index = least member
+            _, reps = _unique(ring.size, self._homs[expr].map, return_index=True)  # first index = least member
             names = _cosets_named(expr, self.element_names(expr.ring), reps)
         elif isinstance(expr, TrivextExpr):
             module = self._module_names(expr.module, expr.ring)

@@ -1,9 +1,13 @@
 """Executable verification of the transfer statements over a catalog.
 
-The catalog's rings are frozen expression text, `catalog.CATALOG_RINGS`;
-`build_catalog` builds each and pairs it with the homs of `CATALOG_HOMS`
-and its proper ideals into deferred instances (the family generator the
-list came from lives with the tests, which re-derive the list from it).
+The catalog is frozen text: its rings as expression labels,
+`catalog.CATALOG_RINGS`, and the proper ideals of each as generator
+tuples, `catalog.CATALOG_IDEALS`.  `build_catalog` builds each ring,
+closes each tuple into its ideal with `ideal_generated`, and pairs the
+ring with the homs of `CATALOG_HOMS` and those ideals into deferred
+instances; cor-2.3 reads the same ideal lists, so neither enumerates an
+ideal lattice (the family generator both lists came from lives with the
+tests, which re-derive them from it, the J lists with the enumerator).
 
 Each clause is one entry of `CLAUSES`, stated as data: a description, its
 hypotheses as a tuple of names from the predicate table
@@ -54,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .amalgamation import AmalgamationInstance, RingMemo, amalgamate, duplication, holds, hypothesis_report, instance_label
-from .catalog import CATALOG_RINGS
+from .catalog import CATALOG_IDEALS, CATALOG_RINGS
 from .errors import EvaluationError, InternalCheckError, UnknownClauseError
 from .expressions import (
     ComposeHomExpr,
@@ -66,7 +70,7 @@ from .expressions import (
     TrivextExpr,
     parse,
 )
-from .ideals import Ideal, all_ideals
+from .ideals import Ideal, ideal_generated
 from .properties import HIERARCHY, RING_FACTS
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingHom, pair_indices
 
@@ -110,25 +114,31 @@ class Catalog:
     size_cap: int
     rings: list[FiniteRing]
     ring_exprs: list[RingExpr]
+    ideals: list[list[Ideal]]  # the proper ideals of each ring, in lattice order
     specs: list[InstanceSpec]
 
 
-def build_catalog(labels: Iterable[str] = CATALOG_RINGS, size_cap: int = DEFAULT_SIZE_CAP) -> Catalog:
-    """The catalog over the ring labels, by default the frozen list of
-    `catalog.CATALOG_RINGS` (not isomorphism-complete).
+def build_catalog(entries: Iterable[tuple] | None = None, size_cap: int = DEFAULT_SIZE_CAP) -> Catalog:
+    """The catalog over (ring label, its proper ideals as generator tuples)
+    entries, by default the frozen lists of `catalog.CATALOG_RINGS` and
+    `catalog.CATALOG_IDEALS` (not isomorphism-complete).
 
     Each label is parsed and built by one Evaluator under `size_cap`; a ring
-    past the cap raises `CapExceededError`.  Instances pair every hom of
-    `CATALOG_HOMS` that applies to a ring (identity, idealization embedding,
-    quotient projection, and projection after embedding) with every proper
-    ideal J of the target subject to |A| * |J| <= `INSTANCE_MAX`.
+    past the cap raises `CapExceededError`.  Then each generator tuple is
+    closed into its ideal by `ideal_generated`, so no ideal lattice is
+    enumerated, and a stale tuple could change the population but never
+    yield a non-ideal.  Instances pair every hom of `CATALOG_HOMS` that
+    applies to a ring (identity, idealization embedding, quotient
+    projection, and projection after embedding) with every listed ideal J
+    of the target subject to |A| * |J| <= `INSTANCE_MAX`.
     """
     ev = Evaluator(size_cap=size_cap)
-    exprs = [parse(label) for label in labels]
+    entries = list(zip(CATALOG_RINGS, CATALOG_IDEALS, strict=True) if entries is None else entries)
+    exprs = [parse(label) for label, _ in entries]
     rings = [ev.ring(expr) for expr in exprs]
+    ideals = [[ideal_generated(ring, gens) for gens in lists] for ring, (_, lists) in zip(rings, entries)]
     specs: list[InstanceSpec] = []
-    for target_expr, target in zip(exprs, rings):
-        proper = [j for j in all_ideals(target) if not j.is_whole]
+    for target_expr, target, proper in zip(exprs, rings, ideals):
         for hom_tag, hexpr in CATALOG_HOMS:
             try:
                 source_expr, f = ev.hom(hexpr, target_expr)
@@ -150,7 +160,7 @@ def build_catalog(labels: Iterable[str] = CATALOG_RINGS, size_cap: int = DEFAULT
                     tags.append("ex2.6-shape")
                 specs.append(InstanceSpec(base, target, f, j, tuple(tags)))
 
-    return Catalog(size_cap, rings, exprs, specs)
+    return Catalog(size_cap, rings, exprs, ideals, specs)
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -440,15 +450,15 @@ def verify_instance(inst: AmalgamationInstance, clause_id: str) -> Verdict:
 
 
 def verify_duplication_criterion(catalog: Catalog, shared: RingMemo | None = None) -> Verdict:
-    """cor-2.3 over every local catalog ring of size <= 16 and every proper
-    ideal, the rings taken through `shared`, or a memo of its own."""
+    """cor-2.3 over every local catalog ring of size <= 16 and each of its
+    proper ideals, as the catalog lists them, the rings taken through
+    `shared`, or a memo of its own."""
     cap = catalog.size_cap
     population = (
         (duplication(ring, ideal, cap), ())
-        for ring in catalog.rings
+        for ring, ideals in zip(catalog.rings, catalog.ideals)
         if ring.size <= 16 and ring.is_local
-        for ideal in all_ideals(ring)
-        if not ideal.is_whole
+        for ideal in ideals
     )
     v = Verdict(clause="cor-2.3", status="vacuous")
     _sweep([v], population, shared or RingMemo())

@@ -9,13 +9,18 @@ per ring (`FiniteRing.ideal_lattice`) under one fixed guard,
 `MAX_LATTICE_SIZE` elements and `MAX_IDEALS` ideals.  The lattice is held as
 one sorted bool matrix, a row per ideal; `Ideal` objects are built from its
 rows only for callers that iterate (`all_ideals`) and for the three ideals
-of a distributivity witness.  A ring is enumerated as the product of its
-local factors' lattices, each factor closed under joins in whole-frontier
-rounds under a budget of `MAX_IDEALS` over the ideals so far.  The counts
-multiply, so this one budget is an exact guard: it refuses the rings with
-more than `MAX_IDEALS` ideals and no others, whatever the enumeration
-order, and a factor stops within one row block of overrunning it.  The
-radicals work elementwise and need no guard.
+of a distributivity witness.  Its two readers in the package are the
+distributivity witness of `properties.property_report` and the lattice
+ids of the content oracle; the catalog's J lists and cor-2.3's population
+are frozen generator tuples (`catalog.CATALOG_IDEALS`) that
+`ideal_generated` closes, so the suite enumerates no lattice, and only the
+tests' catalog generator enumerates the catalog's.  A ring is enumerated
+as the product of its local factors' lattices, each factor closed under
+joins in whole-frontier rounds under a budget of `MAX_IDEALS` over the
+ideals so far.  The counts multiply, so this one budget is an exact guard:
+it refuses the rings with more than `MAX_IDEALS` ideals and no others,
+whatever the enumeration order, and a factor stops within one row block
+of overrunning it.  The radicals work elementwise and need no guard.
 
 Like the table kernels of `rings`, the ideal layer holds one row block of
 about 512 KiB at a time (`rings._row_blocks`): sums, products, additive
@@ -26,6 +31,10 @@ its L x L x L bool temporary at a time.  So `is_arithmetical` on
 `zmod(4096)`, whose maximal ideal m has 2,048 members, peaks 1.4 MiB
 above its start although m * m reads 2,048^2 products, and
 `lattice_order` on a lattice of 106 ideals peaks at 0.65 MiB.
+
+The distinct values among carrier indices are found by a scatter into a
+carrier mask (`_distinct`, `_unique`), never by `np.unique`, whose first
+call in a process imports `numpy.ma`.
 """
 from __future__ import annotations
 
@@ -43,10 +52,10 @@ MAX_LATTICE_SIZE = 256
 # Refuse lattice enumeration past this many ideals, as soon as the
 # enumeration has found more, so the refusal is exact and bounds the work.
 # Rings with large square-zero socles have subspace-lattice blowups even at
-# small carrier sizes.  No verdict needs the lattice: it serves catalog
-# construction, cor-2.3 and the distributivity witness of `property_report`,
-# while the arithmetical cross-check certifies each local factor of every
-# ring without it.
+# small carrier sizes.  No verdict needs the lattice: it serves the
+# distributivity witness of `property_report` and the content oracle, while
+# the arithmetical cross-check certifies each local factor of every ring
+# without it (the catalog's J lists are frozen data).
 MAX_IDEALS = 128
 
 
@@ -64,7 +73,7 @@ class Ideal:
         idx = np.asarray(members if isinstance(members, np.ndarray) else list(members), dtype=np.int64).ravel()
         if idx.size == 0 or idx.min() < 0 or idx.max() >= ring.size:
             raise NotAnIdealError(f"members out of range for ring of size {ring.size}")
-        self._hold(ring, _distinct(ring, idx))
+        self._hold(ring, _distinct(ring.size, idx))
         self._validate()
 
     @classmethod
@@ -126,10 +135,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.members == {self.ring.zero}
 
-    @property
-    def is_whole(self) -> bool:
-        return len(self.members) == self.ring.size
-
     def generators(self) -> tuple[int, ...]:
         """Canonical generating set: greedy over ascending member indices.
 
@@ -139,13 +144,12 @@ class Ideal:
         if self._generators is not None:
             return self._generators
         ring = self.ring
-        span = np.zeros(ring.size, dtype=bool)
-        span[ring.zero] = True
+        span = _distinct(ring.size, ring.zero)
         gens: list[int] = []
         for x in self.indices.tolist():
             if not span[x]:
                 gens.append(x)
-                span = _table_mask(ring, ring.add, np.flatnonzero(span), np.flatnonzero(_distinct(ring, ring.mul[x])))
+                span = _table_mask(ring, ring.add, np.flatnonzero(span), _unique(ring.size, ring.mul[x]))
         self._generators = tuple(gens)
         return self._generators
 
@@ -159,11 +163,28 @@ def _check_same_ring(a: Ideal, b: Ideal) -> None:
         raise MixedRingError("ideals belong to different rings")
 
 
-def _distinct(ring: FiniteRing, values: np.ndarray) -> np.ndarray:
-    """The membership mask of the carrier indices among `values` (a scatter, not a sort)."""
-    mask = np.zeros(ring.size, dtype=bool)
+def _distinct(size: int, values: np.ndarray) -> np.ndarray:
+    """The membership mask of the carrier indices among `values`, each below
+    `size` (a scatter, not a sort)."""
+    mask = np.zeros(size, dtype=bool)
     mask[values] = True
     return mask
+
+
+def _unique(size: int, values: np.ndarray, return_index: bool = False, return_inverse: bool = False):
+    """`np.unique` of `values`, carrier indices below `size`, with at most
+    one of its two flags, by a scatter into `_distinct`'s mask instead of a
+    sort: the distinct values ascending and, as asked, the first position
+    of each in `values` or the rank of each entry of `values` among them.
+    (The first `np.unique` of a process imports `numpy.ma`, about 8 ms,
+    which a short command would pay for nothing.)"""
+    mask = _distinct(size, values)
+    distinct = np.flatnonzero(mask)
+    if return_index:
+        first = np.full(size, values.size)
+        np.minimum.at(first, values, np.arange(values.size))
+        return distinct, first[distinct]
+    return (distinct, (np.cumsum(mask) - 1)[values]) if return_inverse else distinct
 
 
 def _table_mask(ring: FiniteRing, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -193,20 +214,22 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing `gens`.
 
     Computed as the additive closure of the set of ring multiples of the
-    generators; that set is already closed under the ring action.  Raises
-    NotAnIdealError on a generator index outside the ring.
+    generators; that set is already closed under the ring action, and
+    under addition too when there is at most one generator (ra + sa =
+    (r + s)a), so no closure pass runs then.  Raises NotAnIdealError on a
+    generator index outside the ring.
     """
     gens = [int(g) for g in gens]
     for g in gens:
         if not 0 <= g < ring.size:
             raise NotAnIdealError(f"generator index {g} out of range for {ring.label} (size {ring.size})")
-    seed = np.concatenate([ring.mul[:, sorted(set(gens))].ravel(), [ring.zero]])
-    return Ideal._from_mask(ring, _additive_closure(ring, _distinct(ring, seed)))
+    seed = _distinct(ring.size, np.concatenate([ring.mul[:, gens].ravel(), [ring.zero]]))
+    return Ideal._from_mask(ring, seed if len(set(gens)) < 2 else _additive_closure(ring, seed))
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
     """The ideal of multiples of x (no closure pass needed)."""
-    return Ideal._from_mask(ring, _distinct(ring, ring.mul[:, x]))
+    return Ideal._from_mask(ring, _distinct(ring.size, ring.mul[:, x]))
 
 
 def ideal_sum(left: Ideal, right: Ideal) -> Ideal:

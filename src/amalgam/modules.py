@@ -148,7 +148,7 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> np.ndarray
         if not 0 <= g < module.size:
             raise NotASubmoduleError(f"module generator {g} out of range for {module.label}")
     seed = np.concatenate([module.action[:, sorted(set(gens))].ravel(), [module.zero]])
-    return np.flatnonzero(_additive_closure(module, _distinct(module, seed)))
+    return np.flatnonzero(_additive_closure(module, _distinct(module.size, seed)))
 
 
 def module_quotient(module: FiniteModule, gens: Sequence[int]) -> FiniteModule:

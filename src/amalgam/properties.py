@@ -39,6 +39,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _unique,
     all_ideals,
     ideal_generated,
     ideal_intersect,
@@ -130,8 +131,7 @@ def _unit_orbits(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     least = mul[ring.one].copy()
     for start, stop in _row_blocks(units.size, 2 * ring.size):  # table rows
         np.minimum(least, mul[units[start:stop]].min(axis=0), out=least)
-    reps = np.unique(least)
-    return reps, np.searchsorted(reps, least)
+    return _unique(ring.size, least, return_inverse=True)
 
 
 def local_gaussian_pair_check(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:

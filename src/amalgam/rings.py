@@ -70,7 +70,7 @@ from .errors import (
     MixedRingError,
     StructureError,
 )
-from .ideals import Ideal, enumerate_ideals, ideal_generated
+from .ideals import Ideal, _distinct, _unique, enumerate_ideals, ideal_generated
 
 DEFAULT_SIZE_CAP = 4096
 # dtype of every ring and module table; it indexes carriers of up to MAX_TABLE_SIZE elements
@@ -90,8 +90,8 @@ _BLOCK_BYTES = 1 << 19
 _TILE = 128
 # `RingHom._validate` gathers the target's rows at the distinct images once
 # per op when the source has at least this many elements and those rows
-# fit one block; on smaller rings the `np.unique` it needs costs about what
-# it saves
+# fit one block; on smaller rings finding the distinct images costs about
+# what it saves
 _IMAGE_ROWS_MIN_SIZE = 256
 
 
@@ -245,7 +245,8 @@ class FiniteRing:
         joint = np.zeros(self.size, dtype=np.int64)
         for h in out_of:
             joint = joint * h.target.size + h.map
-        if not (any(h.is_surjective for h in onto) or np.unique(joint).size == self.size):
+        # the joint codes run past any carrier, so their distinctness is read off a sort
+        if not (any(h.is_surjective for h in onto) or (np.diff(np.sort(joint)) != 0).all()):
             raise InternalCheckError(f"proof of {label or self.label} fails: no map is onto it or jointly injective")
         proof.homs = (*onto, *out_of)
 
@@ -491,7 +492,7 @@ class RingHom:
         if m[src.one] != tgt.one:
             raise HomomorphismError(f"f(1) = {m[src.one]} != 1", witness=(src.one,))
         if src.size >= _IMAGE_ROWS_MIN_SIZE:
-            image, pos = np.unique(m, return_inverse=True)
+            image, pos = _unique(tgt.size, m, return_inverse=True)
             few_rows = image.size * max(src.size, tgt.size) * tgt.add.itemsize <= _BLOCK_BYTES
             if few_rows and self._agrees_on_image_rows(image, pos):
                 return
@@ -537,11 +538,11 @@ class RingHom:
 
     @property
     def is_injective(self) -> bool:
-        return len(np.unique(self.map)) == self.source.size
+        return np.count_nonzero(_distinct(self.target.size, self.map)) == self.source.size
 
     @property
     def is_surjective(self) -> bool:
-        return len(np.unique(self.map)) == self.target.size
+        return np.count_nonzero(_distinct(self.target.size, self.map)) == self.target.size
 
     def kernel(self) -> Ideal:
         """The preimage of zero, an ideal since the map is a validated ring hom."""
@@ -782,7 +783,7 @@ def _cosets(add: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rep = np.empty(len(add), dtype=add.dtype)
     for start, stop in _row_blocks(len(add), 2 * len(members)):  # table rows
         rep[start:stop] = add[start:stop, members].min(axis=1)
-    reps = np.unique(rep)
+    reps = _unique(len(add), rep)
     if len(reps) * len(members) != len(add):
         raise InternalCheckError("coset count does not divide the carrier")
     pos = np.zeros(len(add), dtype=TABLE_DTYPE)  # read only at the representatives

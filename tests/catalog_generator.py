@@ -1,13 +1,17 @@
-"""The family generator behind `amalgam.catalog.CATALOG_RINGS`.
+"""The family generator behind `amalgam.catalog.CATALOG_RINGS` and
+`CATALOG_IDEALS`.
 
-The package reads its catalog as frozen expression text; this module is the
+The package reads its catalog as frozen text; this module is the
 construction that text came from.  Rings come from bounded families of the
 expression grammar: Z/n, truncated polynomial algebras, binary products of
 small bases, trivial extensions in two generations, and quotients of every
 ring small enough.  A ring whose tables are already listed is dropped, and a
 quotient candidate is dropped by its coset tables before its ring is built.
-`CatalogParams` holds the family bounds, the instance bound the small test
-catalogs filter their specs by, and the size cap.
+The J lists come from the ideal-lattice enumerator: every ideal of each
+ring but the whole ring, in lattice order, spelled by its canonical
+generators (`proper_ideal_generators`).  `CatalogParams` holds the family
+bounds, the instance bound the small test catalogs filter their specs by,
+and the size cap.
 
     PYTHONPATH=src python tests/catalog_generator.py | diff src/amalgam/catalog.py -
 
@@ -146,7 +150,7 @@ def generate(params: CatalogParams | None = None) -> tuple[list[RingExpr], list[
         if ring.size > p.quotient_base_max:
             continue
         for ideal in all_ideals(ring):
-            if ideal.is_whole or ideal.is_zero:
+            if not ideal.is_proper or ideal.is_zero:
                 continue
             size, add, mul, _, zero, one = coset_tables(ring, ideal)[2]
             if _table_key(size, zero, one, add, mul) not in seen:
@@ -155,15 +159,23 @@ def generate(params: CatalogParams | None = None) -> tuple[list[RingExpr], list[
     return exprs, rings
 
 
-def catalog_labels(params: CatalogParams | None = None) -> list[str]:
-    return [ring.label for ring in generate(params)[1]]
+def proper_ideal_generators(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """The canonical generators of every ideal of the ring but the whole
+    ring, in lattice order, from the enumerator (`all_ideals`)."""
+    return tuple(ideal.generators() for ideal in all_ideals(ring) if ideal.is_proper)
+
+
+def catalog_entries(params: CatalogParams | None = None) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+    """(label, proper ideal generators) of each generated ring, in catalog
+    order: what `harness.build_catalog` reads."""
+    return [(ring.label, proper_ideal_generators(ring)) for ring in generate(params)[1]]
 
 
 def generated_catalog(params: CatalogParams) -> harness.Catalog:
-    """`harness.build_catalog` over the generated labels, its specs cut to
+    """`harness.build_catalog` over the generated entries, its specs cut to
     |A| * |J| <= params.instance_max (looked up at each call, so a tracer's
     rebinding of the name sees the build)."""
-    catalog = harness.build_catalog(catalog_labels(params), params.size_cap)
+    catalog = harness.build_catalog(catalog_entries(params), params.size_cap)
     specs = [spec for spec in catalog.specs if spec.base.size * len(spec.j) <= params.instance_max]
     return dataclasses.replace(catalog, specs=specs)
 
@@ -186,19 +198,27 @@ def catalog_digest(catalog: harness.Catalog) -> str:
     return h.hexdigest()
 
 
-def render(labels: list[str]) -> str:
-    """The text of `src/amalgam/catalog.py` listing the labels."""
-    lines = "".join(f'    "{label}",\n' for label in labels)
-    return MODULE_HEADER + "CATALOG_RINGS = (\n" + lines + ")\n"
+def render(entries: list[tuple[str, tuple[tuple[int, ...], ...]]]) -> str:
+    """The text of `src/amalgam/catalog.py` listing the (label, proper ideal
+    generators) entries."""
+    labels = "".join(f'    "{label}",\n' for label, _ in entries)
+    ideals = "".join(f"    # {label}\n    {gens!r},\n" for label, gens in entries)
+    return f"{MODULE_HEADER}CATALOG_RINGS = (\n{labels})\n\n{IDEALS_HEADER}CATALOG_IDEALS = (\n{ideals})\n"
 
 
 MODULE_HEADER = '''\
-"""The catalog's rings as expression text, one label a line, in catalog order.
+"""The catalog's rings as expression text, one label a line, in catalog
+order, and the proper ideals of each ring as generator tuples.
 
-`harness.build_catalog` parses and builds each label; its instances pair
-these rings with the homs of `harness.CATALOG_HOMS` and their proper ideals.
-The list is data, generated by `tests/catalog_generator.py` from bounded
-families of the grammar; a tier-1 test re-derives it, in order and
+`harness.build_catalog` parses and builds each label, and closes each
+generator tuple of `CATALOG_IDEALS` into its ideal J with
+`ideals.ideal_generated`, so no ideal lattice is enumerated; its instances
+pair these rings with the homs of `harness.CATALOG_HOMS` and these ideals.
+Both tuples are data, generated by `tests/catalog_generator.py`: the rings
+from bounded families of the grammar, and the J lists by enumerating each
+ring's ideal lattice and spelling every ideal but the whole ring, in
+lattice order (by size, then membership), by its canonical generators
+(`Ideal.generators`).  A tier-1 test re-derives both, in order, the rings
 table-identical.  To change the catalog, change the generator, review
 what it changes with
 
@@ -211,5 +231,12 @@ imports this module).
 '''
 
 
+IDEALS_HEADER = """\
+# The proper ideals of each ring of CATALOG_RINGS, in the same order: one
+# tuple of canonical generator tuples a ring, headed by its label, in
+# lattice order; () generates the zero ideal.
+"""
+
+
 if __name__ == "__main__":
-    sys.stdout.write(render(catalog_labels()))
+    sys.stdout.write(render(catalog_entries()))

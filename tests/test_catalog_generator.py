@@ -1,8 +1,12 @@
 """The frozen catalog text against the family generator it came from.
 
-`build_catalog` builds only the labels of `amalgam.catalog.CATALOG_RINGS`;
-the generator in `catalog_generator.py` re-derives that list, and these
-tests hold what the generator's dedupe once enforced inside the package.
+`build_catalog` builds only the labels of `amalgam.catalog.CATALOG_RINGS`,
+and takes each ring's J list from the generator tuples of
+`CATALOG_IDEALS`; the generator in `catalog_generator.py` re-derives both
+tuples, the J lists with the ideal-lattice enumerator, and these tests hold
+what the generator's dedupe once enforced inside the package.  A guard
+holds that the suite's path (catalog build, every clause with the search,
+the worked examples) enumerates no ideal lattice.
 """
 from pathlib import Path
 
@@ -10,11 +14,13 @@ import pytest
 
 import amalgam.catalog
 import amalgam.expressions
-from amalgam.catalog import CATALOG_RINGS
+import amalgam.rings
+from amalgam.catalog import CATALOG_IDEALS, CATALOG_RINGS
 from amalgam.cli import main
 from amalgam.errors import CapExceededError
 from amalgam.expressions import Evaluator, TrivextExpr, parse
-from amalgam.harness import build_catalog
+from amalgam.harness import CLAUSE_IDS, build_catalog, reproduce_examples, verify_clauses
+from amalgam.ideals import all_ideals
 from catalog_generator import (
     SMALL_PARAMS,
     TINY_PARAMS,
@@ -23,10 +29,14 @@ from catalog_generator import (
     catalog_digest,
     generate,
     generated_catalog,
+    proper_ideal_generators,
     render,
 )
 
-REGENERATE = "run `PYTHONPATH=src python tests/catalog_generator.py | diff src/amalgam/catalog.py -`"
+REGENERATE = (
+    "CATALOG_RINGS or CATALOG_IDEALS differs from the generator's; run"
+    " `PYTHONPATH=src python tests/catalog_generator.py | diff src/amalgam/catalog.py -`"
+)
 
 # catalog digests of the small test catalogs, recorded when the generator
 # still ran inside the package
@@ -44,8 +54,41 @@ def test_generator_rederives_the_frozen_list(catalog):
         # element names are spelled from the expression, which unparses
         # alike; test_cli's encode digest pins them
         assert generated.same_tables(built), generated.label
+    # the J lists re-derived from the enumerator, and the whole file with them
+    entries = [(ring.label, proper_ideal_generators(ring)) for ring in rings]
+    assert [gens for _, gens in entries] == list(CATALOG_IDEALS), REGENERATE
     text = Path(amalgam.catalog.__file__).read_text(encoding="utf-8")
-    assert render(list(CATALOG_RINGS)) == text, REGENERATE
+    assert render(entries) == text, REGENERATE
+
+
+def test_frozen_generators_close_to_the_lattice_in_lattice_order(catalog):
+    # the default catalog's ideals are the frozen tuples closed by `ideal_generated`
+    count = 0
+    for ring, listed in zip(catalog.rings, catalog.ideals, strict=True):
+        lattice = [ideal.members for ideal in all_ideals(ring) if ideal.is_proper]
+        assert [ideal.members for ideal in listed] == lattice, ring.label
+        count += len(lattice)
+    assert count == 1545
+
+
+def test_the_suite_path_enumerates_no_ideal_lattice(monkeypatch):
+    # the catalog's J lists and cor-2.3's population are frozen data, and no
+    # verdict reads the lattice; deriving the J lists from the lattice
+    # enumerated all 158 rings' lattices on every build
+    calls = []
+    real = amalgam.rings.enumerate_ideals
+
+    def counted(ring, *args):
+        calls.append(ring.label)
+        return real(ring, *args)
+
+    monkeypatch.setattr(amalgam.rings, "enumerate_ideals", counted)
+    catalog = build_catalog()
+    verdicts = verify_clauses(catalog, list(CLAUSE_IDS), with_search=True)
+    reports = reproduce_examples(catalog)
+    assert all(v.ok for v in verdicts.values()) and all(r.ok for r in reports)
+    assert verdicts["cor-2.3"].checked == 379
+    assert calls == []
 
 
 def test_every_label_parses_and_unparses_to_itself(catalog):

@@ -184,7 +184,7 @@ def test_ideal_arithmetic_examples():
 def test_ideal_sum_and_tags():
     z6 = zmod(6)
     s = ideal_sum(ideal_generated(z6, [2]), ideal_generated(z6, [3]))
-    assert s.is_whole
+    assert not s.is_proper
     with pytest.raises(MixedRingError):
         ideal_sum(ideal_generated(z6, [2]), ideal_generated(zmod(4), [2]))
 

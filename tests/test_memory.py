@@ -34,10 +34,15 @@ time, and that join set the peak of `property_report` over the catalog
 (1.29 MiB, now 0.65 MiB).
 """
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import amalgam
 from amalgam import cli
 from amalgam.amalgamation import amalgamate
 from amalgam.errors import CapExceededError
@@ -49,6 +54,31 @@ from amalgam.properties import chain_certificate, is_arithmetical, is_gaussian, 
 from amalgam.rings import hom_identity, pair_indices, product, quotient, truncated_poly_algebra, zmod
 
 MB = 1 << 20
+
+# Runs one command in a fresh interpreter, as `python -m amalgam` does, then
+# says on stderr whether numpy's masked-array module was imported.
+_IMPORT_PROBE = """\
+import runpy, sys
+try:
+    runpy.run_module("amalgam", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(f"numpy.ma imported: {'numpy.ma' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["props", "--witness", "quot(zmod(16);2)"], ["examples", "--machine"]], ids=["props", "examples"]
+)
+def test_a_command_leaves_numpy_ma_unimported(argv):
+    # the first `np.unique` of a process imports `numpy.ma` (8 ms by
+    # `-X importtime`, about 1 MiB of first-call peak); the package finds
+    # distinct carrier indices by a scatter (`ideals._unique`) instead
+    env = {**os.environ, "PYTHONPATH": str(Path(amalgam.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "numpy.ma imported: False"
 
 
 def test_example_2_4_build_and_gaussian_peaks():

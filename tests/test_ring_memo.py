@@ -18,6 +18,7 @@ import amalgam.harness as harness
 from amalgam.amalgamation import MEMO_RINGS, PREDICATES, RingMemo
 from amalgam.errors import InternalCheckError
 from amalgam.harness import verify_clauses, verify_duplication_criterion
+from amalgam.ideals import all_ideals
 from amalgam.rings import FiniteRing, RingHom, pair_ring_tables
 from catalog_generator import SMALL_PARAMS, generated_catalog
 
@@ -64,8 +65,8 @@ def test_cor_2_3_builds_one_ring_per_key_within_the_window(catalog, monkeypatch)
         amalgamation.duplication(ring, ideal, catalog.size_cap)
         for ring in catalog.rings
         if ring.size <= 16 and ring.is_local
-        for ideal in harness.all_ideals(ring)
-        if not ideal.is_whole
+        for ideal in all_ideals(ring)
+        if ideal.is_proper
     ]
     assert _lru_misses(map(_key, population)) == 197
     built = _count_builds(monkeypatch)
